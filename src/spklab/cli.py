@@ -16,10 +16,8 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from spklab import dataset as ds
-from spklab import experiment, scoring, training
+from spklab import experiment, training
 from spklab.config import Config, dataset_spec_from_config, empty_config, parse_config
 from spklab.errors import ConfigError, DomainError, TrainingDiverged
 
@@ -105,35 +103,10 @@ def cmd_evaluate(args) -> int:
     opts = _eval_options(config)
     os.makedirs(args.out, exist_ok=True)
 
-    test_pack = dataset.eval_pack("test")
-    embeddings = training.embed_files(ckpt.encoder, test_pack.files)
-    scored = scoring.score_trials(test_pack.trials, embeddings)
-    report = scoring.eer_bootstrap_ci(scored, opts.n_bootstrap, seed=args.seed)
-    scoring.write_scores(os.path.join(args.out, "scores_test_raw.txt"), scored)
-    scoring.write_report(os.path.join(args.out, "report_raw.txt"), report)
-    scoring.write_det_csv(os.path.join(args.out, "det_raw.csv"), scored)
-    print(f"raw EER {report.eer:.4f} [{report.ci_low:.4f}, {report.ci_high:.4f}]")
-
-    if opts.use_snorm:
-        cohort_embeddings = np.vstack([
-            emb for _, emb in sorted(
-                training.embed_files(ckpt.encoder, dataset.files_of("cohort")).items()
-            )
-        ])
-        dev_pack = dataset.eval_pack("dev")
-        dev_embeddings = training.embed_files(ckpt.encoder, dev_pack.files)
-        scored_dev = scoring.score_trials(dev_pack.trials, dev_embeddings)
-        candidates = experiment.top_n_candidates(cohort_embeddings.shape[0], opts)
-        top_n = scoring.tune_cohort_size(
-            scored_dev, dev_embeddings, cohort_embeddings, candidates, opts.snorm_std
-        )
-        cohort = scoring.Cohort(cohort_embeddings, top_n)
-        scored_norm = scoring.snorm_trials(scored, embeddings, cohort, opts.snorm_std)
-        norm_report = scoring.eer_bootstrap_ci(scored_norm, opts.n_bootstrap, seed=args.seed)
-        norm_report.top_n = top_n
-        scoring.write_scores(os.path.join(args.out, "scores_test_snorm.txt"), scored_norm)
-        scoring.write_report(os.path.join(args.out, "report_snorm.txt"), norm_report)
-        print(f"s-norm EER {norm_report.eer:.4f} (top_n={top_n})")
+    raw, norm = experiment.evaluate_encoder(ckpt.encoder, dataset, args.out, opts, args.seed)
+    print(f"raw EER {raw.eer:.4f} [{raw.ci_low:.4f}, {raw.ci_high:.4f}]")
+    if norm is not None:
+        print(f"s-norm EER {norm.eer:.4f} (top_n={norm.top_n})")
     return 0
 
 

@@ -117,11 +117,7 @@ class SpeakerDataset:
 
     def eval_pack(self, partition: str) -> EvalPack:
         trials = self.trials_dev if partition == "dev" else self.trials_test
-        speakers = {
-            fid: rec.speaker for fid, rec in self.files.items()
-            if rec.partition == partition
-        }
-        return EvalPack(files=self.files_of(partition), trials=trials, speakers=speakers)
+        return EvalPack(files=self.files_of(partition), trials=trials)
 
 
 def file_id(speaker: int, file_index: int) -> str:
@@ -247,7 +243,11 @@ def load_dataset(data_dir) -> SpeakerDataset:
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise DomainError(f"no dataset manifest at {manifest_path}")
-    features = np.load(os.path.join(data_dir, FEATURES_NAME))
+    features_path = os.path.join(data_dir, FEATURES_NAME)
+    try:
+        features = np.load(features_path)
+    except ValueError as exc:  # a truncated or malformed .npy
+        raise DomainError(f"{features_path}: {exc}") from None
 
     feature_dim = None
     partitions: dict[str, list[int]] = {name: [] for name in PARTITIONS}
@@ -259,6 +259,9 @@ def load_dataset(data_dir) -> SpeakerDataset:
                 continue
             if parts[0] == "feature_dim":
                 feature_dim = int(parts[1])
+                if features.shape[1:] != (feature_dim,):
+                    raise DomainError(f"{manifest_path}:{line_no}: feature_dim {feature_dim}, "
+                                      f"but {FEATURES_NAME} has shape {features.shape}")
                 continue
             if len(parts) != 5:
                 raise DomainError(f"{manifest_path}:{line_no}: bad manifest line")
@@ -267,6 +270,9 @@ def load_dataset(data_dir) -> SpeakerDataset:
             )
             if partition not in PARTITIONS:
                 raise DomainError(f"{manifest_path}:{line_no}: unknown partition {partition!r}")
+            if n <= 0 or start < 0 or start + n > features.shape[0]:
+                raise DomainError(f"{manifest_path}:{line_no}: rows {start}..{start + n} are not "
+                                  f"inside the {features.shape[0]} rows of {FEATURES_NAME}")
             files[fid] = FileRecord(fid, speaker, partition, features[start : start + n])
             if speaker not in partitions[partition]:
                 partitions[partition].append(speaker)

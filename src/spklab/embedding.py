@@ -5,8 +5,6 @@ everywhere: a zero embedding indicates an upstream bug, so mapping it to a
 neutral similarity would only hide the problem.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from spklab.errors import DomainError
@@ -84,19 +82,3 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ub, _ = normalize_rows(b, "right operand")
     return np.clip(ua @ ub.T, -1.0, 1.0)
 
-
-@dataclass
-class FileEmbedding:
-    """Chunk embeddings of one file plus their mean, the file-level embedding."""
-
-    chunk_embeddings: np.ndarray  # (n_chunks, dim)
-    mean: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.chunk_embeddings, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] == 0:
-            raise DomainError("FileEmbedding needs a non-empty (n_chunks, dim) array")
-        if not np.all(np.isfinite(mat)):
-            raise DomainError("FileEmbedding: non-finite chunk embedding")
-        self.chunk_embeddings = mat
-        self.mean = mean_embedding(mat)

@@ -59,7 +59,6 @@ class ExperimentResult:
     config: training.TrainConfig
     raw: scoring.EerReport
     normalized: scoring.EerReport | None
-    top_n: int | None
     checkpoint_path: str | None
     improvement_pct: float
 
@@ -141,6 +140,40 @@ def top_n_candidates(cohort_size: int, opts: EvalOptions) -> list[int]:
     return sorted({n for n in raw if 2 <= n <= cohort_size})
 
 
+def evaluate_encoder(
+    encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions, seed: int
+) -> tuple[scoring.EerReport, scoring.EerReport | None]:
+    """Score the test trials raw and, unless s-norm is off, normalized with
+    top_n tuned on dev; write scores and reports under `out_dir`. Returns
+    the raw report and the normalized one (None without s-norm)."""
+    test_pack = dataset.eval_pack("test")
+    test_embeddings = training.embed_files(encoder, test_pack.files)
+    scored_raw = scoring.score_trials(test_pack.trials, test_embeddings)
+    raw_report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
+    scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), scored_raw)
+    scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
+    scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), scored_raw)
+    if not opts.use_snorm:
+        return raw_report, None
+
+    cohort_by_id = training.embed_files(encoder, dataset.files_of("cohort"))
+    cohort_embeddings = np.vstack([cohort_by_id[fid] for fid in sorted(cohort_by_id)])
+    dev_pack = dataset.eval_pack("dev")
+    dev_embeddings = training.embed_files(encoder, dev_pack.files)
+    scored_dev = scoring.score_trials(dev_pack.trials, dev_embeddings)
+    candidates = top_n_candidates(cohort_embeddings.shape[0], opts)
+    top_n = scoring.tune_cohort_size(
+        scored_dev, dev_embeddings, cohort_embeddings, candidates, opts.snorm_std
+    )
+    cohort = scoring.Cohort(cohort_embeddings, top_n)
+    scored_norm = scoring.snorm_trials(scored_raw, test_embeddings, cohort, opts.snorm_std)
+    normalized_report = scoring.eer_bootstrap_ci(scored_norm, opts.n_bootstrap, seed=seed)
+    normalized_report.top_n = top_n
+    scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), scored_norm)
+    scoring.write_report(os.path.join(out_dir, "report_snorm.txt"), normalized_report)
+    return raw_report, normalized_report
+
+
 def run_experiment(
     dataset: SpeakerDataset,
     loss_kind: str,
@@ -160,7 +193,6 @@ def run_experiment(
 
     pool = dataset.train_pool()
     dev_pack = dataset.eval_pack("dev")
-    test_pack = dataset.eval_pack("test")
 
     if grid is None:
         grid = default_grid(loss_kind, dataset, seed, config)
@@ -185,42 +217,16 @@ def run_experiment(
         for key, value in sorted(vars(chosen).items()):
             fh.write(f"{key} = {value!r}\n")
 
-    test_embeddings = training.embed_files(best.encoder, test_pack.files)
-    scored_raw = scoring.score_trials(test_pack.trials, test_embeddings)
-    raw_report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
-    scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), scored_raw)
-    scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
-    scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), scored_raw)
-
-    normalized_report, top_n = None, None
+    raw_report, normalized_report = evaluate_encoder(best.encoder, dataset, out_dir, opts, seed)
     improvement = 0.0
-    if opts.use_snorm:
-        cohort_embeddings = np.vstack([
-            emb for _, emb in sorted(
-                training.embed_files(best.encoder, dataset.files_of("cohort")).items()
-            )
-        ])
-        dev_embeddings = training.embed_files(best.encoder, dev_pack.files)
-        scored_dev = scoring.score_trials(dev_pack.trials, dev_embeddings)
-        candidates = top_n_candidates(cohort_embeddings.shape[0], opts)
-        top_n = scoring.tune_cohort_size(
-            scored_dev, dev_embeddings, cohort_embeddings, candidates, opts.snorm_std
-        )
-        cohort = scoring.Cohort(cohort_embeddings, top_n)
-        scored_norm = scoring.snorm_trials(scored_raw, test_embeddings, cohort, opts.snorm_std)
-        normalized_report = scoring.eer_bootstrap_ci(scored_norm, opts.n_bootstrap, seed=seed)
-        normalized_report.top_n = top_n
-        scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), scored_norm)
-        scoring.write_report(os.path.join(out_dir, "report_snorm.txt"), normalized_report)
-        if raw_report.eer > 0:
-            improvement = 100.0 * (raw_report.eer - normalized_report.eer) / raw_report.eer
+    if normalized_report is not None and raw_report.eer > 0:
+        improvement = 100.0 * (raw_report.eer - normalized_report.eer) / raw_report.eer
 
     result = ExperimentResult(
         loss_kind=loss_kind,
         config=chosen,
         raw=raw_report,
         normalized=normalized_report,
-        top_n=top_n,
         checkpoint_path=ckpt_path,
         improvement_pct=improvement,
     )
@@ -240,7 +246,7 @@ def _write_result_summary(path, result: ExperimentResult) -> None:
             f"eer_snorm: {result.normalized.eer!r}",
             f"snorm_ci_low: {result.normalized.ci_low!r}",
             f"snorm_ci_high: {result.normalized.ci_high!r}",
-            f"top_n: {result.top_n}",
+            f"top_n: {result.normalized.top_n}",
             f"improvement_pct: {result.improvement_pct!r}",
         ]
     lines += [

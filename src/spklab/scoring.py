@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from spklab.embedding import cosine_similarity
+from spklab.embedding import ZERO_NORM_EPS, cosine_similarity
 from spklab.errors import DegenerateCohortError, DomainError
 
 logger = logging.getLogger(__name__)
@@ -93,20 +93,14 @@ def score_trials(trials: Sequence[Trial], embeddings: Mapping[str, np.ndarray]) 
     return out
 
 
-def _top_stats(scores: np.ndarray, top_n: int, std_mode: str) -> tuple[float, float]:
-    top = np.sort(scores)[-top_n:]
-    mu = float(top.mean())
-    ddof = 0 if std_mode == "population" else 1
-    sigma = float(top.std(ddof=ddof))
-    return mu, sigma
-
-
 def cohort_stats(embedding, cohort: Cohort, std_mode: str = "population") -> tuple[float, float]:
-    """Mean and std of the top_n largest cosine scores against the cohort."""
+    """Mean and std of the top_n largest cosine scores against the cohort (scalar oracle)."""
     if std_mode not in SNORM_STD_MODES:
         raise DomainError(f"unknown std mode {std_mode!r}")
     scores = np.array([cosine_similarity(embedding, c) for c in cohort.embeddings])
-    return _top_stats(scores, cohort.top_n, std_mode)
+    top = np.sort(scores)[-cohort.top_n:]
+    ddof = 0 if std_mode == "population" else 1
+    return float(top.mean()), float(top.std(ddof=ddof))
 
 
 def adaptive_snorm(raw_score: float, enroll, test, cohort: Cohort, std_mode: str = "population") -> float:
@@ -117,7 +111,8 @@ def adaptive_snorm(raw_score: float, enroll, test, cohort: Cohort, std_mode: str
     where mu/sigma are taken over each side's top_n highest cohort
     cosines. The standard deviation uses the population formula by
     default (std_mode="sample" divides by top_n - 1 instead). A spread
-    below 1e-12 on either side raises DegenerateCohortError.
+    below 1e-12 on either side raises DegenerateCohortError. This is the
+    scalar reference for `snorm_trials`, one trial at a time.
     """
     mu_e, sd_e = cohort_stats(enroll, cohort, std_mode)
     mu_t, sd_t = cohort_stats(test, cohort, std_mode)
@@ -129,6 +124,52 @@ def adaptive_snorm(raw_score: float, enroll, test, cohort: Cohort, std_mode: str
     return 0.5 * ((raw_score - mu_e) / sd_e + (raw_score - mu_t) / sd_t)
 
 
+def _ranked_cohort_scores(scored: Sequence[Trial], embeddings: Mapping[str, np.ndarray],
+                          cohort: Cohort) -> tuple[np.ndarray, ...]:
+    """Raw scores, each distinct file's cohort cosines sorted ascending per
+    row (its top_n largest are the row's last top_n), and each trial's two
+    rows. The cosines repeat cosine_similarity's arithmetic, so each equals
+    it bit for bit; cosine_matrix normalizes first and rounds differently."""
+    rows: dict[str, int] = {}
+    for t in scored:
+        if t.score is None:
+            raise DomainError(f"trial {t.enroll} vs {t.test} has no raw score")
+        rows.setdefault(t.enroll, len(rows))
+        rows.setdefault(t.test, len(rows))
+    dim = cohort.embeddings.shape[1]
+    if any(np.shape(embeddings[ref]) != (dim,) for ref in rows):
+        raise DomainError(f"s-norm needs file embeddings of the cohort's dimension {dim}")
+    files = np.array([embeddings[ref] for ref in rows], dtype=np.float64).reshape(len(rows), dim)
+    norms_f, norms_c = (np.sqrt(np.vecdot(m, m)) for m in (files, cohort.embeddings))
+    if np.any(norms_f <= ZERO_NORM_EPS) or np.any(norms_c <= ZERO_NORM_EPS):
+        raise DomainError("s-norm needs nonzero file and cohort embeddings")
+    cosines = np.vecdot(files[:, None, :], cohort.embeddings[None, :, :])
+    cosines /= norms_f[:, None] * norms_c[None, :]
+    np.clip(cosines, -1.0, 1.0, out=cosines)
+    cosines.sort(axis=1)
+    raw = np.array([t.score for t in scored], dtype=np.float64)
+    enroll = np.array([rows[t.enroll] for t in scored], dtype=np.intp)
+    test = np.array([rows[t.test] for t in scored], dtype=np.intp)
+    return raw, cosines, enroll, test
+
+
+def _snorm_scores(scored: Sequence[Trial], ranked, top_n: int, std_mode: str) -> np.ndarray:
+    """Adaptive s-norm of every trial at one top_n from the ranked cohort
+    scores, with the arithmetic of `adaptive_snorm` on whole arrays."""
+    if std_mode not in SNORM_STD_MODES:
+        raise DomainError(f"unknown std mode {std_mode!r}")
+    raw, cosines, enroll, test = ranked
+    top = cosines[:, -top_n:]
+    mu = top.mean(axis=1)
+    sd = top.std(axis=1, ddof=0 if std_mode == "population" else 1)
+    degenerate = np.flatnonzero((sd[enroll] < SNORM_MIN_STD) | (sd[test] < SNORM_MIN_STD))
+    if degenerate.size:
+        t = scored[degenerate[0]]
+        raise DegenerateCohortError(f"cohort top-{top_n} scores have near-zero spread for "
+                                    f"trial {t.enroll} vs {t.test}")
+    return 0.5 * ((raw - mu[enroll]) / sd[enroll] + (raw - mu[test]) / sd[test])
+
+
 def snorm_trials(
     scored: Sequence[Trial],
     embeddings: Mapping[str, np.ndarray],
@@ -137,28 +178,12 @@ def snorm_trials(
 ) -> list[Trial]:
     """Apply adaptive s-norm to a scored trial list.
 
-    Cohort statistics are computed once per distinct file id; the math is
-    identical to calling `adaptive_snorm` per trial.
+    Every distinct file is scored against the cohort once, as one matrix;
+    each normalized score equals `adaptive_snorm` on its trial exactly.
     """
-    stats: dict[str, tuple[float, float]] = {}
-    for t in scored:
-        for ref in (t.enroll, t.test):
-            if ref not in stats:
-                stats[ref] = cohort_stats(embeddings[ref], cohort, std_mode)
-    out = []
-    for t in scored:
-        if t.score is None:
-            raise DomainError(f"trial {t.enroll} vs {t.test} has no raw score")
-        mu_e, sd_e = stats[t.enroll]
-        mu_t, sd_t = stats[t.test]
-        if sd_e < SNORM_MIN_STD or sd_t < SNORM_MIN_STD:
-            raise DegenerateCohortError(
-                f"cohort top-{cohort.top_n} scores have near-zero spread for "
-                f"trial {t.enroll} vs {t.test}"
-            )
-        s = 0.5 * ((t.score - mu_e) / sd_e + (t.score - mu_t) / sd_t)
-        out.append(Trial(t.enroll, t.test, t.is_target, score=s))
-    return out
+    ranked = _ranked_cohort_scores(scored, embeddings, cohort)
+    normalized = _snorm_scores(scored, ranked, cohort.top_n, std_mode)
+    return [Trial(t.enroll, t.test, t.is_target, float(s)) for t, s in zip(scored, normalized)]
 
 
 def _split_scores(scored: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray]:
@@ -272,22 +297,27 @@ def tune_cohort_size(
 ) -> int:
     """Pick the top_n minimizing dev EER after normalization.
 
-    Ties go to the smallest candidate; candidates that hit a degenerate
-    cohort are disqualified with a logged warning. Raises DomainError if
-    no candidate survives.
+    The cohort cosines are sorted once for all candidates. Ties go to the
+    smallest candidate; candidates that hit a degenerate cohort are
+    disqualified with a logged warning. Raises DomainError if no candidate
+    survives.
     """
     if len(candidates) == 0:
         raise DomainError("tune_cohort_size: empty candidate list")
     cohort_embeddings = np.asarray(cohort_embeddings, dtype=np.float64)
+    _split_scores(scored_dev)  # both classes present, every trial scored
+    is_target = np.array([t.is_target for t in scored_dev], dtype=bool)
+    ranked = None
     best_n, best_eer = None, None
     for top_n in sorted(set(int(c) for c in candidates)):
+        cohort = Cohort(cohort_embeddings, top_n)
+        ranked = ranked or _ranked_cohort_scores(scored_dev, embeddings, cohort)
         try:
-            cohort = Cohort(cohort_embeddings, top_n)
-            normalized = snorm_trials(scored_dev, embeddings, cohort, std_mode)
-            candidate_eer = eer(normalized).eer
+            normalized = _snorm_scores(scored_dev, ranked, top_n, std_mode)
         except DegenerateCohortError as exc:
             logger.warning("cohort size %d disqualified: %s", top_n, exc)
             continue
+        candidate_eer, _ = eer_from_scores(normalized[is_target], normalized[~is_target])
         if best_eer is None or candidate_eer < best_eer:
             best_n, best_eer = top_n, candidate_eer
     if best_n is None:

@@ -9,7 +9,7 @@ and averaged, and the dev EER is recorded as a checkpoint.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,7 +86,6 @@ class EvalPack:
 
     files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
     trials: Sequence[scoring.Trial]
-    speakers: Mapping[str, int] = field(default_factory=dict)  # file_id -> speaker
 
 
 def embed_files(params: enc.EncoderParams, files: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -317,26 +316,30 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
         if line == "end":
             break
         head, _, rest = line.partition(" ")
-        if head == "epoch":
-            epoch = int(rest)
-        elif head == "dev_eer":
-            eer_value = float(rest)
-        elif head == "config":
-            key, _, value = rest.partition(" ")
-            config_echo[key] = value
-        elif head == "config_ext":
-            key, _, value = rest.partition(" ")
-            if key == "activation":
-                activation = value
-        elif head == "array":
-            fields = rest.split()
-            name, ndim = fields[0], int(fields[1])
-            shape = tuple(int(d) for d in fields[2 : 2 + ndim])
-            i += 1
-            flat = np.array([float(v) for v in lines[i].split()], dtype=np.float64)
-            arrays[name] = flat.reshape(shape)
-        else:
+        if head not in ("epoch", "dev_eer", "config", "config_ext", "array"):
             raise DomainError(f"{path}: unrecognized checkpoint line {line!r}")
+        try:
+            if head == "epoch":
+                epoch = int(rest)
+            elif head == "dev_eer":
+                eer_value = float(rest)
+            elif head == "config":
+                key, _, value = rest.partition(" ")
+                config_echo[key] = value
+            elif head == "config_ext":
+                key, _, value = rest.partition(" ")
+                if key == "activation":
+                    activation = value
+            else:
+                fields = rest.split()
+                shape = tuple(int(d) for d in fields[2:])
+                if len(shape) != int(fields[1]):
+                    raise ValueError(f"{len(shape)} dimensions given for ndim {fields[1]}")
+                i += 1
+                flat = np.array([float(v) for v in lines[i].split()], dtype=np.float64)
+                arrays[fields[0]] = flat.reshape(shape)
+        except (ValueError, IndexError) as exc:
+            raise DomainError(f"{path}: bad checkpoint line {line!r}: {exc}") from None
         i += 1
     else:
         raise DomainError(f"{path}: missing end marker")

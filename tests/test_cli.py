@@ -104,6 +104,29 @@ def test_compare_emits_csv(workdir):
         assert (out / kind / "result.txt").exists()
 
 
+@pytest.mark.parametrize("damage", ["short", "non_numeric"])
+def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    ckpt = run / "best.ckpt"
+    lines = ckpt.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("array ")) + 1
+    name = lines[k - 1].split()[1]
+    values = lines[k].split()
+    lines[k] = " ".join(values[:-1] if damage == "short" else ["nan?"] + values[1:])
+    ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    rc = main(["evaluate", "--config", str(cfg), "--seed", "3", "--data", str(data),
+               "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(ckpt) in err[0] and f"array {name} " in err[0]
+
+
 def test_missing_data_dir_fails_cleanly(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
     assert rc == 1

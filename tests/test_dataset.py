@@ -150,5 +150,22 @@ class TestOnDisk:
         with pytest.raises(DomainError, match="manifest"):
             load_dataset(tmp_path)
 
+    def test_truncated_features_rejected(self, tmp_path):
+        gen_synthetic_dataset(SMALL, tmp_path / "data")
+        path = tmp_path / "data" / "features.npy"
+        whole = path.read_bytes()
+        features = np.load(path)
+        for bad, match in (
+            (features[:-1], r"manifest\.txt:\d+: rows .* not inside the"),
+            (features[:, :-1], r"manifest\.txt:1: feature_dim"),
+            (features.ravel(), r"manifest\.txt:1: feature_dim"),
+        ):
+            np.save(path, bad)
+            with pytest.raises(DomainError, match=match):
+                load_dataset(tmp_path / "data")
+        path.write_bytes(whole[:-100])
+        with pytest.raises(DomainError, match="features.npy"):
+            load_dataset(tmp_path / "data")
+
     def test_file_id_format(self):
         assert file_id(3, 12) == "s0003_f12"

@@ -1,10 +1,9 @@
-"""Vector primitive contracts: cosine, mean, normalize, file embeddings."""
+"""Vector primitive contracts: cosine, mean, normalize."""
 
 import numpy as np
 import pytest
 
 from spklab.embedding import (
-    FileEmbedding,
     cosine_matrix,
     cosine_similarity,
     mean_embedding,
@@ -125,18 +124,3 @@ class TestBatchHelpers:
             for j in range(5):
                 assert abs(mat[i, j] - cosine_similarity(a[i], b[j])) < 1e-12
 
-
-class TestFileEmbedding:
-    def test_mean_is_chunk_mean(self):
-        rng = np.random.default_rng(23)
-        chunks = rng.standard_normal((6, 4))
-        fe = FileEmbedding(chunks)
-        np.testing.assert_array_equal(fe.mean, chunks.mean(axis=0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            FileEmbedding(np.empty((0, 4)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            FileEmbedding(np.array([[1.0, np.nan]]))

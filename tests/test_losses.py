@@ -2,6 +2,7 @@
 central differences, and the angular-loss identities."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -359,7 +360,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_matches_finite_differences(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
         for _ in range(10):
             assert gradient_check_instance(kind, rng) <= 1e-4
 

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_eer_bracket
 from spklab.errors import DegenerateCohortError, DomainError
 from spklab.scoring import (
+    SNORM_STD_MODES,
     Cohort,
     EerReport,
     Trial,
@@ -206,6 +209,99 @@ class TestAdaptiveSnorm:
         for before, after in zip(scored, batched):
             expected = adaptive_snorm(before.score, emb[before.enroll], emb[before.test], cohort)
             assert abs(after.score - expected) < 1e-15
+
+
+@st.composite
+def snorm_cases(draw):
+    """Random file embeddings of mixed norms, a cohort of 2-60 rows in 2-32
+    dimensions (optionally all rows identical), scored trials with both
+    classes and repeated files, and a std mode."""
+    dim = draw(st.integers(2, 32))
+    n_cohort = draw(st.integers(2, 60))
+    n_files = draw(st.integers(1, 8))
+    n_trials = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(n):
+        return rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+
+    cohort = rows(n_cohort)
+    if draw(st.booleans()):
+        cohort = np.repeat(cohort[:1], n_cohort, axis=0)
+    emb = {f"f{i}": row for i, row in enumerate(rows(n_files))}
+    pairs = rng.integers(0, n_files, size=(n_trials, 2))
+    trials = [Trial(f"f{a}", f"f{b}", i % 2 == 0) for i, (a, b) in enumerate(pairs)]
+    return emb, cohort, score_trials(trials, emb), draw(st.sampled_from(SNORM_STD_MODES))
+
+
+def scalar_snorm(scored, emb, cohort, std_mode):
+    """Trial-by-trial adaptive_snorm; a degenerate trial raises."""
+    return [
+        Trial(t.enroll, t.test, t.is_target,
+              adaptive_snorm(t.score, emb[t.enroll], emb[t.test], cohort, std_mode))
+        for t in scored
+    ]
+
+
+def is_degenerate(trial, emb, cohort, std_mode):
+    try:
+        adaptive_snorm(trial.score, emb[trial.enroll], emb[trial.test], cohort, std_mode)
+    except DegenerateCohortError:
+        return True
+    return False
+
+
+class TestSnormAgainstScalarOracle:
+    """The sorted cohort matrix behind snorm_trials and tune_cohort_size
+    against the scalar path, one trial and one candidate at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=snorm_cases(), data=st.data())
+    def test_snorm_trials_equals_adaptive_snorm(self, case, data):
+        emb, cohort_rows, scored, std_mode = case
+        cohort = Cohort(cohort_rows, data.draw(st.integers(2, len(cohort_rows))))
+        try:
+            expected = scalar_snorm(scored, emb, cohort, std_mode)
+        except DegenerateCohortError:
+            with pytest.raises(DegenerateCohortError):
+                snorm_trials(scored, emb, cohort, std_mode)
+            return
+        got = snorm_trials(scored, emb, cohort, std_mode)
+        assert [(t.enroll, t.test, t.is_target) for t in got] == [
+            (t.enroll, t.test, t.is_target) for t in scored
+        ]
+        assert [t.score for t in got] == [t.score for t in expected]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=snorm_cases(), data=st.data())
+    def test_tune_cohort_size_equals_scalar_loop(self, case, data, caplog):
+        emb, cohort_rows, scored, std_mode = case
+        candidates = data.draw(st.lists(st.integers(2, len(cohort_rows)), min_size=1, max_size=7))
+        best, best_eer, warnings = None, None, []
+        for top_n in sorted(set(candidates)):
+            cohort = Cohort(cohort_rows, top_n)
+            degenerate = next((t for t in scored if is_degenerate(t, emb, cohort, std_mode)), None)
+            if degenerate is not None:
+                warnings.append(
+                    f"cohort size {top_n} disqualified: cohort top-{top_n} scores have "
+                    f"near-zero spread for trial {degenerate.enroll} vs {degenerate.test}"
+                )
+                continue
+            value = eer(scalar_snorm(scored, emb, cohort, std_mode)).eer
+            if best is None or value < best_eer:
+                best, best_eer = top_n, value
+        if np.all(cohort_rows == cohort_rows[0]):
+            assert best is None  # identical rows leave no spread at any top_n
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="spklab.scoring"):
+            if best is None:
+                with pytest.raises(DomainError, match="every candidate"):
+                    tune_cohort_size(scored, emb, cohort_rows, candidates, std_mode)
+            else:
+                assert tune_cohort_size(scored, emb, cohort_rows, candidates, std_mode) == best
+        assert [r.getMessage() for r in caplog.records] == warnings
 
 
 class TestBootstrap:

@@ -45,7 +45,7 @@ def toy_problem(n_speakers=4, chunks=6, dim=6, spread=0.2, seed=0, files=2):
     for i, a in enumerate(fids):
         for b in fids[i + 1:]:
             trials.append(scoring.Trial(a, b, speakers[a] == speakers[b]))
-    return pool, EvalPack(dev_files, trials, speakers)
+    return pool, EvalPack(dev_files, trials)
 
 
 BASE = TrainConfig(
