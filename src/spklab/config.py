@@ -1,5 +1,6 @@
 """Line-oriented `key = value` configuration files with one section per
-module. Unknown sections or keys are errors, so typos fail loudly.
+module. Unknown sections or keys are errors, so typos fail loudly. `;`
+starts a comment, on its own line or after a value.
 
 Example:
 
@@ -136,7 +137,7 @@ class Config:
 
 def parse_config(path) -> Config:
     """Read and validate a config file against the schema."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -50,15 +50,6 @@ def mean_embedding(chunks) -> np.ndarray:
     return mat.mean(axis=0)
 
 
-def normalize(a) -> np.ndarray:
-    """Scale an embedding to unit norm. Zero-norm input is a DomainError."""
-    a = _as_vector(a, "a")
-    n = np.linalg.norm(a)
-    if n <= ZERO_NORM_EPS:
-        raise DomainError("normalize: zero-norm input")
-    return a / n
-
-
 def normalize_rows(mat: np.ndarray, what: str = "embedding") -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a matrix; returns (unit rows, row norms).
 
@@ -74,11 +65,3 @@ def normalize_rows(mat: np.ndarray, what: str = "embedding") -> tuple[np.ndarray
         bad = int(np.argmin(norms))
         raise DomainError(f"zero-norm {what} at row {bad}")
     return mat / norms[:, None], norms
-
-
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise clamped cosines between rows of `a` and rows of `b`."""
-    ua, _ = normalize_rows(a, "left operand")
-    ub, _ = normalize_rows(b, "right operand")
-    return np.clip(ua @ ub.T, -1.0, 1.0)
-

@@ -12,7 +12,7 @@ producing wrong gradients.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from spklab.errors import DomainError
 from spklab.losses import stable_sigmoid
 
 ACTIVATIONS = ("tanh", "identity", "sigmoid")
+ENCODER_ARRAYS = ("w1", "b1", "w2", "b2")
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -44,8 +45,14 @@ def _act_prime(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EncoderParams:
-    """Weights and biases of the two-layer encoder plus a version counter
-    bumped on every in-place update (used to invalidate forward caches)."""
+    """Trainable arrays of one run plus a version counter bumped on every
+    in-place update (used to invalidate forward caches).
+
+    The encoder's weights and biases are fields; `loss_arrays` holds what
+    the loss trains alongside them (class centers, bias, penalty centers
+    gamma) under those names. `arrays()` is the run's one ordered
+    name -> array mapping that the SGD step and the checkpoints loop over.
+    """
 
     w1: np.ndarray  # (hidden, input)
     b1: np.ndarray  # (hidden,)
@@ -53,6 +60,7 @@ class EncoderParams:
     b2: np.ndarray  # (embedding,)
     activation: str = "tanh"
     version: int = 0
+    loss_arrays: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -70,8 +78,8 @@ class EncoderParams:
     def embedding_dim(self) -> int:
         return self.w2.shape[0]
 
-    def arrays(self) -> dict:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in ENCODER_ARRAYS} | self.loss_arrays
 
     def copy(self) -> "EncoderParams":
         return copy.deepcopy(self)
@@ -86,17 +94,6 @@ class ForwardCache:
     h: np.ndarray
     params_id: int
     params_version: int
-
-
-@dataclass
-class EncoderGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def arrays(self) -> dict:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
 def init_encoder(
@@ -134,8 +131,9 @@ def forward(params: EncoderParams, features) -> tuple[np.ndarray, ForwardCache]:
     return e, cache
 
 
-def backward(params: EncoderParams, cache: ForwardCache, grad_embeddings) -> EncoderGrads:
-    """Chain-rule gradients of sum(grad_embeddings * embeddings) w.r.t. params."""
+def backward(params: EncoderParams, cache: ForwardCache, grad_embeddings) -> dict[str, np.ndarray]:
+    """Chain-rule gradients of sum(grad_embeddings * embeddings) w.r.t. the
+    encoder's arrays, by name."""
     if cache.params_id != id(params) or cache.params_version != params.version:
         raise DomainError("stale forward cache: parameters changed since forward")
     de = np.asarray(grad_embeddings, dtype=np.float64)
@@ -143,18 +141,13 @@ def backward(params: EncoderParams, cache: ForwardCache, grad_embeddings) -> Enc
         raise DomainError("grad_embeddings shape does not match the forward batch")
     dh = de @ params.w2
     dz1 = dh * _act_prime(params.activation, cache.z1, cache.h)
-    return EncoderGrads(
-        w1=dz1.T @ cache.x,
-        b1=dz1.sum(axis=0),
-        w2=de.T @ cache.h,
-        b2=de.sum(axis=0),
-    )
+    return {"w1": dz1.T @ cache.x, "b1": dz1.sum(axis=0),
+            "w2": de.T @ cache.h, "b2": de.sum(axis=0)}
 
 
-def sgd_step(params: EncoderParams, grads: EncoderGrads, lr: float) -> None:
-    """One in-place plain-SGD update; bumps the cache version."""
-    params.w1 -= lr * grads.w1
-    params.b1 -= lr * grads.b1
-    params.w2 -= lr * grads.w2
-    params.b2 -= lr * grads.b2
+def sgd_step(params: EncoderParams, grads: dict[str, np.ndarray], lr: float) -> None:
+    """One in-place plain-SGD update of every trainable array by its
+    gradient of the same name; bumps the cache version."""
+    for name, arr in params.arrays().items():
+        arr -= lr * grads[name]
     params.version += 1

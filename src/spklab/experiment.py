@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from spklab import scoring, training
+from spklab import losses, scoring, training
 from spklab.config import Config
 from spklab.dataset import SpeakerDataset
 from spklab.errors import DomainError, TrainingDiverged
@@ -108,7 +108,7 @@ def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Con
     loss_section = config.section("loss")
 
     lrs = train_section.get("lr_grid", LR_GRID)
-    if base.batch_spec().mode == "classification":
+    if loss_kind in losses.CLASSIFICATION_KINDS:
         shapes = [(base.speakers_per_batch, base.chunks_per_speaker)]
     else:
         speakers = train_section.get("speakers_grid", SPEAKERS_GRID)

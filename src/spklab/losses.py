@@ -9,9 +9,9 @@ Two families:
   triplet terms summed over explicitly formed tuples.
 
 Every loss returns a LossOutput holding the scalar value and gradients with
-respect to the embeddings and any trainable parameters (class centers,
-bias, per-class penalty centers). `finite_difference_check` is the
-verification oracle used by the test suite.
+respect to the embeddings and, by name, any trainable arrays (class
+centers, bias, per-class penalty centers gamma). `finite_difference_check`
+is the verification oracle used by the test suite.
 
 Gradient building block: with unit rows u_i = x_i/|x_i| and v_k = c_k/|c_k|
 and s = u_i . v_k,
@@ -20,7 +20,7 @@ and s = u_i . v_k,
     d s / d c_k = (u_i - s * v_k) / |c_k|
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,9 @@ LOSS_KINDS = (
 CLASSIFICATION_KINDS = ("ce", "ce_nobias", "coco", "aam", "center")
 PAIR_KINDS = ("contrastive",)
 TRIPLET_KINDS = ("triplet_hinge", "triplet_sigmoid")
+
+# Names of the arrays a loss can train, in the order they are drawn.
+TRAINED_ARRAYS = ("centers", "bias", "gamma")
 
 CENTER_PENALTIES = ("squared_cos_distance", "one_minus_cos_sq")
 
@@ -119,9 +122,7 @@ class LossOutput:
 
     value: float
     grad_embeddings: np.ndarray | None = None
-    grad_centers: np.ndarray | None = None
-    grad_bias: np.ndarray | None = None
-    grad_gamma: np.ndarray | None = None
+    grads: dict[str, np.ndarray] = field(default_factory=dict)  # centers, bias, gamma
     grad_logits: np.ndarray | None = None
     reduction: str = "mean"
     n_terms: int = 0
@@ -137,8 +138,9 @@ class LossOutput:
 class Logits:
     """Per-sample class logits with a vector-Jacobian product for backprop.
 
-    `backward(g)` maps an upstream (N, K) gradient to gradients w.r.t. the
-    embeddings, the centers, and the bias (None where not applicable).
+    `backward(g)` maps an upstream (N, K) gradient to the gradient w.r.t.
+    the embeddings and a dict of gradients w.r.t. "centers" and, where the
+    layer has one, "bias".
     """
 
     values: np.ndarray
@@ -176,7 +178,7 @@ def logits_linear(embeddings, params: ClassifierParams) -> Logits:
     values = x @ c.T + b
 
     def backward(g: np.ndarray):
-        return g @ c, g.T @ x, g.sum(axis=0)
+        return g @ c, {"centers": g.T @ x, "bias": g.sum(axis=0)}
 
     return Logits(values, backward)
 
@@ -188,7 +190,7 @@ def logits_nobias(embeddings, params: ClassifierParams) -> Logits:
     values = x @ c.T
 
     def backward(g: np.ndarray):
-        return g @ c, g.T @ x, None
+        return g @ c, {"centers": g.T @ x}
 
     return Logits(values, backward)
 
@@ -210,7 +212,7 @@ def logits_coco(embeddings, params: ClassifierParams, hyper: LossHyper) -> Logit
         w = alpha * g
         dx = (w @ v - (w * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
         dc = (w.T @ u - (w * s).sum(axis=0)[:, None] * v) / cn[:, None]
-        return dx, dc, None
+        return dx, {"centers": dc}
 
     return Logits(values, backward)
 
@@ -247,7 +249,7 @@ def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -
         w = alpha * g * factor
         dx = (w @ v - (w * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
         dc = (w.T @ u - (w * s).sum(axis=0)[:, None] * v) / cn[:, None]
-        return dx, dc, None
+        return dx, {"centers": dc}
 
     return Logits(values, backward)
 
@@ -284,7 +286,7 @@ def cross_entropy(logits, labels) -> LossOutput:
     value, dlogits = _ce_core(values, y)
     out = LossOutput(value, grad_logits=dlogits, reduction="mean", n_terms=values.shape[0])
     if isinstance(logits, Logits):
-        out.grad_embeddings, out.grad_centers, out.grad_bias = logits.backward(dlogits)
+        out.grad_embeddings, out.grads = logits.backward(dlogits)
     return out
 
 
@@ -325,7 +327,7 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
     out.grad_embeddings = out.grad_embeddings + (w / xn)[:, None] * (g_unit - s[:, None] * u)
     grad_gamma = np.zeros_like(cparams.gamma)
     np.add.at(grad_gamma, y, (w / g_norms)[:, None] * (u - s[:, None] * g_unit))
-    out.grad_gamma = grad_gamma
+    out.grads["gamma"] = grad_gamma
     return out
 
 
@@ -495,11 +497,13 @@ def finite_difference_check(loss_fn, inputs: dict, epsilon: float = 1e-5) -> flo
 
 @dataclass
 class LossState:
-    """Trainable loss-side parameters bundled for the training loop."""
+    """Hyper-parameters of one run's loss and the arrays it trains, by name:
+    "centers", "bias" and "gamma" where the loss kind has them."""
 
     hyper: LossHyper
-    classifier: ClassifierParams | None = None
-    center: CenterLossParams | None = None
+    arrays: dict[str, np.ndarray] = field(default_factory=dict)
+    lam: float = 1.0
+    center_penalty: str = "squared_cos_distance"
 
 
 def init_loss_state(
@@ -518,36 +522,41 @@ def init_loss_state(
     """
     if kind not in LOSS_KINDS:
         raise DomainError(f"unknown loss kind {kind!r}")
-    state = LossState(hyper=hyper)
+    state = LossState(hyper, lam=lam, center_penalty=center_penalty)
     if kind in CLASSIFICATION_KINDS:
         scale = 1.0 / np.sqrt(embedding_dim)
-        centers = rng.uniform(-scale, scale, size=(n_classes, embedding_dim))
-        bias = np.zeros(n_classes) if kind in ("ce", "center") else None
-        state.classifier = ClassifierParams(centers, bias)
+        state.arrays["centers"] = rng.uniform(-scale, scale, size=(n_classes, embedding_dim))
+        if kind in ("ce", "center"):
+            state.arrays["bias"] = np.zeros(n_classes)
         if kind == "center":
             gamma = rng.uniform(-scale, scale, size=(n_classes, embedding_dim))
-            state.center = CenterLossParams(gamma, lam=lam, penalty=center_penalty)
+            # validates lambda and the penalty reading before any batch runs
+            state.arrays["gamma"] = CenterLossParams(gamma, lam, center_penalty).gamma
     return state
 
 
 def evaluate_loss(kind, embeddings, labels, state: LossState, tuples: TupleIndex | None = None) -> LossOutput:
     """Dispatch one loss evaluation by kind."""
+    arrays, hyper = state.arrays, state.hyper
+    if kind in CLASSIFICATION_KINDS:
+        params = ClassifierParams(arrays["centers"], arrays.get("bias"))
     if kind == "ce":
-        return cross_entropy(logits_linear(embeddings, state.classifier), labels)
+        return cross_entropy(logits_linear(embeddings, params), labels)
     if kind == "ce_nobias":
-        return cross_entropy(logits_nobias(embeddings, state.classifier), labels)
+        return cross_entropy(logits_nobias(embeddings, params), labels)
     if kind == "coco":
-        return cross_entropy(logits_coco(embeddings, state.classifier, state.hyper), labels)
+        return cross_entropy(logits_coco(embeddings, params, hyper), labels)
     if kind == "aam":
-        return cross_entropy(logits_aam(embeddings, labels, state.classifier, state.hyper), labels)
+        return cross_entropy(logits_aam(embeddings, labels, params, hyper), labels)
     if kind == "center":
-        return center_loss(embeddings, labels, state.classifier, state.center)
+        cparams = CenterLossParams(arrays["gamma"], state.lam, state.center_penalty)
+        return center_loss(embeddings, labels, params, cparams)
     if tuples is None:
         raise DomainError(f"loss kind {kind!r} needs formed tuples")
     if kind == "contrastive":
-        return contrastive_loss(embeddings, tuples, state.hyper)
+        return contrastive_loss(embeddings, tuples, hyper)
     if kind == "triplet_hinge":
-        return triplet_loss_hinge(embeddings, labels, tuples, state.hyper)
+        return triplet_loss_hinge(embeddings, labels, tuples, hyper)
     if kind == "triplet_sigmoid":
-        return triplet_loss_sigmoid(embeddings, labels, tuples, state.hyper)
+        return triplet_loss_sigmoid(embeddings, labels, tuples, hyper)
     raise DomainError(f"unknown loss kind {kind!r}")

@@ -1,11 +1,12 @@
 """SGD training loop, dev-set model selection, grid search, and checkpoint
 serialization.
 
-One run owns its parameter state and RNG stream; every batch takes a plain
-SGD step on the encoder weights and on whatever the loss trains alongside
-(class centers, bias, penalty centers), all at the same fixed learning
-rate. After each epoch the encoder is frozen, the dev files are embedded
-and averaged, and the dev EER is recorded as a checkpoint.
+One run owns its parameter state and RNG stream; every batch takes one
+plain SGD step over the run's one name -> array mapping: the encoder
+weights and whatever the loss trains alongside (class centers, bias,
+penalty centers), all at the same fixed learning rate. After each epoch
+the encoder is frozen, the dev files are embedded and averaged, and the
+dev EER is recorded as a checkpoint.
 """
 
 import logging
@@ -23,6 +24,7 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "SPKLABCKPT"
 CHECKPOINT_VERSION = 1
+ARRAY_NAMES = enc.ENCODER_ARRAYS + losses.TRAINED_ARRAYS
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,11 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    """Frozen parameter snapshot with its epoch index and dev EER."""
+    """Frozen snapshot of a run's trainable arrays (the encoder's and the
+    loss's, see `EncoderParams`) with its epoch index and dev EER."""
 
     epoch: int
     encoder: enc.EncoderParams
-    centers: np.ndarray | None
-    bias: np.ndarray | None
-    gamma: np.ndarray | None
     dev_eer: float
 
     def __post_init__(self):
@@ -102,16 +102,8 @@ def dev_eer(params: enc.EncoderParams, pack: EvalPack) -> float:
     return scoring.eer(scored).eer
 
 
-def _check_finite_params(params: enc.EncoderParams, state: losses.LossState,
-                         epoch: int, batch_index: int) -> None:
-    arrays = list(params.arrays().values())
-    if state.classifier is not None:
-        arrays.append(state.classifier.centers)
-        if state.classifier.bias is not None:
-            arrays.append(state.classifier.bias)
-    if state.center is not None:
-        arrays.append(state.center.gamma)
-    for a in arrays:
+def _check_finite_params(params: enc.EncoderParams, epoch: int, batch_index: int) -> None:
+    for a in params.arrays().values():
         if not np.all(np.isfinite(a)):
             raise TrainingDiverged(
                 f"non-finite parameter after epoch {epoch} batch {batch_index}",
@@ -122,7 +114,8 @@ def _check_finite_params(params: enc.EncoderParams, state: losses.LossState,
 def init_run(
     config: TrainConfig, feature_dim: int, n_classes: int
 ) -> tuple[enc.EncoderParams, losses.LossState, np.random.Generator]:
-    """Fresh encoder and loss state drawn from the run seed."""
+    """Fresh encoder and loss state drawn from the run seed, encoder first.
+    The params hold the state's arrays too, so one SGD step updates both."""
     rng = np.random.default_rng(config.seed)
     params = enc.init_encoder(
         feature_dim, config.hidden_dim, config.embedding_dim, rng, config.activation
@@ -131,6 +124,7 @@ def init_run(
         config.loss_kind, n_classes, config.embedding_dim, config.hyper(), rng,
         lam=config.lam, center_penalty=config.center_penalty,
     )
+    params.loss_arrays = state.arrays
     return params, state, rng
 
 
@@ -143,8 +137,8 @@ def initial_checkpoint(
     """Untrained snapshot (epoch -1) under the run seed, dev EER included."""
     if feature_dim is None:
         feature_dim = next(iter(chunks_by_speaker.values())).shape[1]
-    params, state, _ = init_run(config, feature_dim, len(chunks_by_speaker))
-    return _snapshot(-1, params, state, dev_eer(params, dev_pack))
+    params, _, _ = init_run(config, feature_dim, len(chunks_by_speaker))
+    return Checkpoint(-1, params, dev_eer(params, dev_pack))
 
 
 def train(
@@ -196,29 +190,11 @@ def train(
                     f"non-finite loss at epoch {epoch} batch {batch_index}",
                     epoch, batch_index,
                 )
-            grads = enc.backward(params, cache, out.grad_embeddings)
+            grads = enc.backward(params, cache, out.grad_embeddings) | out.grads
             enc.sgd_step(params, grads, lr)
-            if out.grad_centers is not None:
-                state.classifier.centers -= lr * out.grad_centers
-            if out.grad_bias is not None:
-                state.classifier.bias -= lr * out.grad_bias
-            if out.grad_gamma is not None:
-                state.center.gamma -= lr * out.grad_gamma
-            _check_finite_params(params, state, epoch, batch_index)
-        checkpoints.append(_snapshot(epoch, params, state, dev_eer(params, dev_pack)))
+            _check_finite_params(params, epoch, batch_index)
+        checkpoints.append(Checkpoint(epoch, params.copy(), dev_eer(params, dev_pack)))
     return checkpoints
-
-
-def _snapshot(epoch: int, params: enc.EncoderParams, state: losses.LossState, eer_value: float) -> Checkpoint:
-    return Checkpoint(
-        epoch=epoch,
-        encoder=params.copy(),
-        centers=None if state.classifier is None else state.classifier.centers.copy(),
-        bias=None if state.classifier is None or state.classifier.bias is None
-        else state.classifier.bias.copy(),
-        gamma=None if state.center is None else state.center.gamma.copy(),
-        dev_eer=eer_value,
-    )
 
 
 def select_best(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
@@ -288,10 +264,7 @@ def save_checkpoint(path, ckpt: Checkpoint, config: TrainConfig) -> None:
     for key, value in sorted(vars(config).items()):
         parts.append(f"config {key} {value!r}\n")
     parts.append(f"config_ext activation {ckpt.encoder.activation}\n")
-    arrays = dict(ckpt.encoder.arrays())
-    for name, arr in (("centers", ckpt.centers), ("bias", ckpt.bias), ("gamma", ckpt.gamma)):
-        if arr is not None:
-            arrays[name] = arr
+    arrays = ckpt.encoder.arrays()
     for name in sorted(arrays):
         parts.append(_format_array(name, arrays[name]))
     parts.append("end\n")
@@ -335,6 +308,10 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
                 shape = tuple(int(d) for d in fields[2:])
                 if len(shape) != int(fields[1]):
                     raise ValueError(f"{len(shape)} dimensions given for ndim {fields[1]}")
+                if fields[0] not in ARRAY_NAMES:
+                    raise ValueError(f"unknown array name {fields[0]!r}")
+                if fields[0] in arrays:
+                    raise ValueError(f"array {fields[0]!r} given twice")
                 i += 1
                 flat = np.array([float(v) for v in lines[i].split()], dtype=np.float64)
                 arrays[fields[0]] = flat.reshape(shape)
@@ -346,19 +323,11 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
 
     if epoch is None or eer_value is None:
         raise DomainError(f"{path}: missing epoch or dev_eer")
-    for required in ("w1", "b1", "w2", "b2"):
+    for required in enc.ENCODER_ARRAYS:
         if required not in arrays:
             raise DomainError(f"{path}: missing encoder array {required!r}")
     params = enc.EncoderParams(
-        w1=arrays["w1"], b1=arrays["b1"], w2=arrays["w2"], b2=arrays["b2"],
-        activation=activation,
+        **{name: arrays[name] for name in enc.ENCODER_ARRAYS}, activation=activation,
+        loss_arrays={name: arrays[name] for name in losses.TRAINED_ARRAYS if name in arrays},
     )
-    ckpt = Checkpoint(
-        epoch=epoch,
-        encoder=params,
-        centers=arrays.get("centers"),
-        bias=arrays.get("bias"),
-        gamma=arrays.get("gamma"),
-        dev_eer=eer_value,
-    )
-    return ckpt, config_echo
+    return Checkpoint(epoch, params, eer_value), config_echo

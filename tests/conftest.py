@@ -68,9 +68,11 @@ def draw_instance(kind, rng, dim=8, n_classes=5, batch=6):
             tuples = sampling.form_triplets(y)
         else:
             tuples = sampling.TupleIndex()
-        from spklab.embedding import cosine_matrix
+        from spklab.embedding import normalize_rows
 
-        if kind in ("coco", "aam", "center") and np.abs(cosine_matrix(x, centers)).max() > 0.999:
+        u, _ = normalize_rows(x)
+        v, _ = normalize_rows(centers)
+        if kind in ("coco", "aam", "center") and np.abs(u @ v.T).max() > 0.999:
             continue
         if _near_kink(kind, x, y, tuples, hyper):
             continue
@@ -95,22 +97,22 @@ def fd_callable(kind, y, tuples, hyper, lam=1.0, penalty="squared_cos_distance")
 
         if kind == "ce":
             out = losses.cross_entropy(losses.logits_linear(x, params), y)
-            return out.value, {"x": out.grad_embeddings, "c": out.grad_centers, "b": out.grad_bias}
+            return out.value, {"x": out.grad_embeddings, "c": out.grads["centers"], "b": out.grads["bias"]}
         if kind == "ce_nobias":
             out = losses.cross_entropy(losses.logits_nobias(x, params), y)
-            return out.value, {"x": out.grad_embeddings, "c": out.grad_centers}
+            return out.value, {"x": out.grad_embeddings, "c": out.grads["centers"]}
         if kind == "coco":
             out = losses.cross_entropy(losses.logits_coco(x, params, hyper), y)
-            return out.value, {"x": out.grad_embeddings, "c": out.grad_centers}
+            return out.value, {"x": out.grad_embeddings, "c": out.grads["centers"]}
         if kind == "aam":
             out = losses.cross_entropy(losses.logits_aam(x, y, params, hyper), y)
-            return out.value, {"x": out.grad_embeddings, "c": out.grad_centers}
+            return out.value, {"x": out.grad_embeddings, "c": out.grads["centers"]}
         if kind == "center":
             cparams = losses.CenterLossParams(arrays["g"], lam=lam, penalty=penalty)
             out = losses.center_loss(x, y, params, cparams)
             return out.value, {
-                "x": out.grad_embeddings, "c": out.grad_centers,
-                "b": out.grad_bias, "g": out.grad_gamma,
+                "x": out.grad_embeddings, "c": out.grads["centers"],
+                "b": out.grads["bias"], "g": out.grads["gamma"],
             }
         if kind == "contrastive":
             out = losses.contrastive_loss(x, tuples, hyper)

@@ -88,7 +88,7 @@ def test_criterion_2_identity_suite():
         ce = losses.cross_entropy(losses.logits_linear(x, params), y)
         center_exact = center_exact and cl.value == ce.value
         center_exact = center_exact and np.array_equal(cl.grad_embeddings, ce.grad_embeddings)
-        center_exact = center_exact and np.array_equal(cl.grad_centers, ce.grad_centers)
+        center_exact = center_exact and np.array_equal(cl.grads["centers"], ce.grads["centers"])
     ok = ok and center_exact
 
     sigmoid_ok = True
@@ -122,8 +122,8 @@ def test_criterion_3_scale_invariance():
         s = float(rng.uniform(1e-4, 1e4))
         for kind in ("coco", "aam"):
             hyper = losses.LossHyper(alpha=10.0, margin=0.05 if kind == "aam" else 0.0)
-            state_a = losses.LossState(hyper, losses.ClassifierParams(c))
-            state_b = losses.LossState(hyper, losses.ClassifierParams(s * c))
+            state_a = losses.LossState(hyper, {"centers": c})
+            state_b = losses.LossState(hyper, {"centers": s * c})
             va = losses.evaluate_loss(kind, x, y, state_a).value
             vb = losses.evaluate_loss(kind, s * x, y, state_b).value
             worst = max(worst, abs(va - vb))
@@ -230,8 +230,8 @@ def test_criterion_6_desk_scale_training():
         short = replace(base, epochs=2)
         for ckpt in training.train(pool, short, dev_pack):
             arrays = [ckpt.encoder.w1, ckpt.encoder.b1, ckpt.encoder.w2, ckpt.encoder.b2]
-            if ckpt.centers is not None:
-                arrays.append(ckpt.centers)
+            if "centers" in ckpt.encoder.loss_arrays:
+                arrays.append(ckpt.encoder.loss_arrays["centers"])
             finite_all = finite_all and all(np.all(np.isfinite(a)) for a in arrays)
             finite_all = finite_all and np.isfinite(ckpt.dev_eer)
     elapsed = time.time() - start

@@ -104,7 +104,7 @@ def test_compare_emits_csv(workdir):
         assert (out / kind / "result.txt").exists()
 
 
-@pytest.mark.parametrize("damage", ["short", "non_numeric"])
+@pytest.mark.parametrize("damage", ["short", "non_numeric", "unknown_name", "repeated_name"])
 def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     tmp_path, cfg, data = workdir
     run = tmp_path / "run"
@@ -115,7 +115,13 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     k = next(i for i, line in enumerate(lines) if line.startswith("array ")) + 1
     name = lines[k - 1].split()[1]
     values = lines[k].split()
-    lines[k] = " ".join(values[:-1] if damage == "short" else ["nan?"] + values[1:])
+    if damage == "unknown_name":
+        lines[k - 1] = lines[k - 1].replace(f"array {name} ", "array b3 ")
+        name = "b3"
+    elif damage == "repeated_name":
+        lines[k + 1:k + 1] = lines[k - 1:k + 1]
+    else:
+        lines[k] = " ".join(values[:-1] if damage == "short" else ["nan?"] + values[1:])
     ckpt.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
 

@@ -1,5 +1,7 @@
 """Config parsing: typed keys, strict validation, dataset spec wiring."""
 
+from pathlib import Path
+
 import pytest
 
 from spklab.config import Config, dataset_spec_from_config, empty_config, parse_config
@@ -76,6 +78,15 @@ class TestParse:
             parse_config(write(tmp_path, "[loss]\nkind = hingeloss\n"))
         with pytest.raises(ConfigError, match="must be one of"):
             parse_config(write(tmp_path, "[encoder]\nactivation = relu\n"))
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        config = parse_config(write(tmp_path, block))
+        assert config.get("dataset", "n_speakers_train") == 50
+        assert config.get("loss", "kind") == "aam"
+        assert config.get("training", "chunks_per_speaker") == 1
+        assert config.get("eval", "snorm_std") == "population"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

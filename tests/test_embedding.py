@@ -1,15 +1,9 @@
-"""Vector primitive contracts: cosine, mean, normalize."""
+"""Vector primitive contracts: cosine, mean, row normalization."""
 
 import numpy as np
 import pytest
 
-from spklab.embedding import (
-    cosine_matrix,
-    cosine_similarity,
-    mean_embedding,
-    normalize,
-    normalize_rows,
-)
+from spklab.embedding import cosine_similarity, mean_embedding, normalize_rows
 from spklab.errors import DomainError
 
 
@@ -77,50 +71,17 @@ class TestMeanEmbedding:
             mean_embedding([])
 
 
-class TestNormalize:
-    def test_hand_value(self):
-        np.testing.assert_allclose(normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
-
-    def test_already_unit(self):
-        np.testing.assert_array_equal(normalize([1.0, 0.0]), [1.0, 0.0])
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            normalize([0.0, 0.0])
-
-    def test_unit_norm_within_tolerance(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            v = normalize(rng.standard_normal(8) * rng.uniform(1e-3, 1e3))
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            a = rng.standard_normal(6)
-            np.testing.assert_allclose(normalize(normalize(a)), normalize(a), atol=1e-12)
-
-
 class TestBatchHelpers:
     def test_normalize_rows_matches_normalize(self):
         rng = np.random.default_rng(17)
         mat = rng.standard_normal((5, 4))
         unit, norms = normalize_rows(mat)
         for i in range(5):
-            np.testing.assert_allclose(unit[i], normalize(mat[i]), atol=1e-15)
+            np.testing.assert_allclose(unit[i], mat[i] / np.linalg.norm(mat[i]), atol=1e-15)
             assert abs(norms[i] - np.linalg.norm(mat[i])) < 1e-15
 
     def test_normalize_rows_zero_row(self):
         mat = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DomainError, match="row 1"):
             normalize_rows(mat)
-
-    def test_cosine_matrix_matches_pairwise(self):
-        rng = np.random.default_rng(19)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((5, 3))
-        mat = cosine_matrix(a, b)
-        for i in range(4):
-            for j in range(5):
-                assert abs(mat[i, j] - cosine_similarity(a[i], b[j])) < 1e-12
 

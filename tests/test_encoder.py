@@ -60,7 +60,7 @@ class TestBackward:
         params = init_encoder(5, 7, 3, rng)
         _, cache = forward(params, rng.standard_normal((4, 5)))
         grads = backward(params, cache, np.zeros((4, 3)))
-        for arr in grads.arrays().values():
+        for arr in grads.values():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
     def test_linear_single_sample_outer_products(self):
@@ -75,9 +75,9 @@ class TestBackward:
         emb, cache = forward(params, x)
         grads = backward(params, cache, de)
         h = x @ params.w1.T
-        np.testing.assert_allclose(grads.w2, np.outer(de[0], h[0]), atol=1e-15)
+        np.testing.assert_allclose(grads["w2"], np.outer(de[0], h[0]), atol=1e-15)
         np.testing.assert_allclose(
-            grads.w1, np.outer(de[0] @ params.w2, x[0]), atol=1e-15
+            grads["w1"], np.outer(de[0] @ params.w2, x[0]), atol=1e-15
         )
 
     @pytest.mark.parametrize("activation", ["tanh", "identity", "sigmoid"])
@@ -94,7 +94,7 @@ class TestBackward:
                 )
                 emb, cache = forward(p, x)
                 grads = backward(p, cache, upstream)
-                return float((upstream * emb).sum()), grads.arrays()
+                return float((upstream * emb).sum()), grads
 
             assert finite_difference_check(fn, params.arrays()) <= 1e-4
 
@@ -137,7 +137,7 @@ class TestInitAndStep:
         grads = backward(params, cache, rng.standard_normal((2, 2)))
         version = params.version
         sgd_step(params, grads, 0.5)
-        np.testing.assert_array_equal(params.w1, w1_before - 0.5 * grads.w1)
+        np.testing.assert_array_equal(params.w1, w1_before - 0.5 * grads["w1"])
         assert params.version == version + 1
 
     def test_bad_dimensions_rejected(self):

@@ -8,7 +8,7 @@ import pytest
 
 from spklab import dataset as ds
 from spklab import experiment, training
-from spklab.config import empty_config
+from spklab.config import empty_config, parse_config
 from spklab.errors import DomainError
 
 SPEC = ds.SyntheticDatasetSpec(
@@ -58,6 +58,17 @@ class TestDefaults:
         shapes = {(c.speakers_per_batch, c.chunks_per_speaker) for c in grid}
         assert shapes == {(10, 2), (10, 3)}
         assert len(grid) == 6  # 3 learning rates x 2 shapes
+
+    def test_contrast_grid_ignores_global_single_chunk(self, data, tmp_path):
+        # the global chunks_per_speaker = 1 suits the classification losses;
+        # the contrast losses still get every shape of their own grid
+        cfg = tmp_path / "one_chunk.cfg"
+        cfg.write_text("[training]\nchunks_per_speaker = 1\n")
+        for kind in ("contrastive", "triplet_sigmoid"):
+            grid = experiment.default_grid(kind, data, 0, parse_config(cfg))
+            shapes = {(c.speakers_per_batch, c.chunks_per_speaker) for c in grid}
+            assert shapes == {(10, 2), (10, 3)}
+            assert len(grid) == 6
 
     def test_top_n_candidates_respect_cohort(self):
         opts = experiment.EvalOptions()
@@ -119,7 +130,7 @@ class TestRunExperiment:
         )
         ckpt, echo = training.load_checkpoint(result.checkpoint_path)
         assert echo["loss_kind"] == "'coco'"
-        assert ckpt.centers is not None
+        assert "centers" in ckpt.encoder.loss_arrays
 
 
 class TestCompare:
@@ -144,8 +155,8 @@ class TestCompare:
         import logging
 
         cfg_text = tmp_path / "bad.cfg"
-        cfg_text.write_text("[training]\nchunks_per_speaker = 1\n")
-        from spklab.config import parse_config
+        # no contrast-loss batch shape has the two chunks a triplet needs
+        cfg_text.write_text("[training]\nchunks_grid = 1\n")
         config = parse_config(cfg_text)
         with caplog.at_level(logging.WARNING):
             results = experiment.compare_losses(

@@ -197,7 +197,7 @@ class TestCenterLoss:
         ce = cross_entropy(logits_linear(x, params), y)
         assert out.value == ce.value
         np.testing.assert_array_equal(out.grad_embeddings, ce.grad_embeddings)
-        np.testing.assert_array_equal(out.grad_gamma, np.zeros_like(gamma))
+        np.testing.assert_array_equal(out.grads["gamma"], np.zeros_like(gamma))
 
     def test_alternative_penalty_reading(self):
         # At cos = 0.5 the readings differ: (1-0.5)^2 = 0.25 vs 1-0.25 = 0.75;
@@ -372,7 +372,7 @@ class TestGradients:
             params = ClassifierParams(centers, bias)
             cparams = CenterLossParams(arrays["g"], lam=0.0)
             out = center_loss(x, y, params, cparams)
-            return out.value, {"g": out.grad_gamma}
+            return out.value, {"g": out.grads["gamma"]}
 
         out = fn({"g": gamma})
         np.testing.assert_array_equal(out[1]["g"], np.zeros_like(gamma))
@@ -387,14 +387,14 @@ class TestLossStateDispatch:
     def test_init_state_shapes(self):
         rng = np.random.default_rng(22)
         state = losses.init_loss_state("center", 7, 5, LossHyper(), rng, lam=0.5)
-        assert state.classifier.centers.shape == (7, 5)
-        assert state.classifier.bias.shape == (7,)
-        assert state.center.gamma.shape == (7, 5)
-        assert state.center.lam == 0.5
+        assert state.arrays["centers"].shape == (7, 5)
+        assert state.arrays["bias"].shape == (7,)
+        assert state.arrays["gamma"].shape == (7, 5)
+        assert state.lam == 0.5
         state = losses.init_loss_state("coco", 7, 5, LossHyper(alpha=10.0), rng)
-        assert state.classifier.bias is None
+        assert "bias" not in state.arrays
         state = losses.init_loss_state("contrastive", 7, 5, LossHyper(margin=0.2), rng)
-        assert state.classifier is None
+        assert state.arrays == {}
 
     def test_dispatch_requires_tuples_for_contrast_losses(self):
         rng = np.random.default_rng(24)

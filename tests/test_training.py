@@ -2,9 +2,13 @@
 search, divergence handling, and checkpoint serialization."""
 
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring
@@ -15,6 +19,7 @@ from spklab.training import (
     TrainConfig,
     embed_files,
     grid_search,
+    init_run,
     initial_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -63,7 +68,8 @@ class TestTrain:
         for ckpt in checkpoints:
             np.testing.assert_array_equal(ckpt.encoder.w1, before.encoder.w1)
             np.testing.assert_array_equal(ckpt.encoder.w2, before.encoder.w2)
-            np.testing.assert_array_equal(ckpt.centers, before.centers)
+            np.testing.assert_array_equal(ckpt.encoder.loss_arrays["centers"],
+                                          before.encoder.loss_arrays["centers"])
             assert ckpt.dev_eer == before.dev_eer
 
     def test_deterministic_checkpoints(self):
@@ -73,7 +79,8 @@ class TestTrain:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.encoder.w1, y.encoder.w1)
             np.testing.assert_array_equal(x.encoder.b2, y.encoder.b2)
-            np.testing.assert_array_equal(x.centers, y.centers)
+            np.testing.assert_array_equal(x.encoder.loss_arrays["centers"],
+                                          y.encoder.loss_arrays["centers"])
             assert x.dev_eer == y.dev_eer
 
     def test_one_checkpoint_per_epoch(self):
@@ -100,7 +107,7 @@ class TestTrain:
                 values.append(out.value)
                 grads = enc.backward(params, cache, out.grad_embeddings)
                 enc.sgd_step(params, grads, 0.1)
-                state.classifier.centers -= 0.1 * out.grad_centers
+                state.arrays["centers"] -= 0.1 * out.grads["centers"]
         assert values[-1] < values[0]
         assert min(values) == values[-1] or values[-1] < np.median(values)
 
@@ -140,7 +147,7 @@ class TestTrain:
 class TestSelectBest:
     def _ckpt(self, epoch, dev_eer):
         params = enc.init_encoder(2, 2, 2, np.random.default_rng(0))
-        return Checkpoint(epoch, params, None, None, None, dev_eer)
+        return Checkpoint(epoch, params, dev_eer)
 
     def test_argmin(self):
         cs = [self._ckpt(0, 0.3), self._ckpt(1, 0.1), self._ckpt(2, 0.2)]
@@ -213,12 +220,39 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(loaded.encoder.b1, ckpt.encoder.b1)
         np.testing.assert_array_equal(loaded.encoder.w2, ckpt.encoder.w2)
         np.testing.assert_array_equal(loaded.encoder.b2, ckpt.encoder.b2)
-        np.testing.assert_array_equal(loaded.centers, ckpt.centers)
-        np.testing.assert_array_equal(loaded.bias, ckpt.bias)
-        np.testing.assert_array_equal(loaded.gamma, ckpt.gamma)
+        for name in ("centers", "bias", "gamma"):
+            np.testing.assert_array_equal(loaded.encoder.loss_arrays[name],
+                                          ckpt.encoder.loss_arrays[name])
         assert loaded.encoder.activation == ckpt.encoder.activation
         assert echo["loss_kind"] == "'center'"
         assert echo["epochs"] == "3"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(losses.LOSS_KINDS),
+        dims=st.tuples(*[st.integers(1, 6)] * 4),
+        activation=st.sampled_from(enc.ACTIVATIONS),
+        seed=st.integers(0, 2**32 - 1),
+        dev_eer=st.floats(0.0, 1.0),
+    )
+    def test_round_trip_every_loss_kind(self, kind, dims, activation, seed, dev_eer):
+        # save -> load -> save gives the same bytes, and every trainable
+        # array of the run comes back under its name, in the run's order
+        feature_dim, hidden_dim, embedding_dim, n_classes = dims
+        config = TrainConfig(loss_kind=kind, seed=seed, hidden_dim=hidden_dim,
+                             embedding_dim=embedding_dim, activation=activation)
+        params, _, _ = init_run(config, feature_dim, n_classes)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.ckpt", Path(tmp) / "second.ckpt"
+            save_checkpoint(first, Checkpoint(-1, params, dev_eer), config)
+            loaded, _ = load_checkpoint(first)
+            save_checkpoint(second, loaded, config)
+            assert first.read_bytes() == second.read_bytes()
+        assert (loaded.epoch, loaded.dev_eer) == (-1, dev_eer)
+        assert loaded.encoder.activation == activation
+        assert list(loaded.encoder.arrays()) == list(params.arrays())
+        for name, arr in params.arrays().items():
+            np.testing.assert_array_equal(loaded.encoder.arrays()[name], arr)
 
     def test_magic_and_version_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
