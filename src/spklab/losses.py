@@ -6,7 +6,11 @@ Two families:
   logit layer ranges from a plain linear map down to pure-angle variants
   (scaled cosine, additive angular margin), plus a center-penalty variant;
 * contrast losses: cosine-based contrastive, hinge triplet, and sigmoid
-  triplet terms summed over explicitly formed tuples.
+  triplet terms summed over every tuple a batch admits (no mining). The
+  training path computes them from the batch labels and one clipped batch
+  cosine matrix S = U U^T (`*_dense`); the versions over explicit tuple
+  lists (`contrastive_loss`, `triplet_loss_*`, fed by
+  `sampling.form_pairs`/`form_triplets`) stay as their oracle.
 
 Every loss returns a LossOutput holding the scalar value and gradients with
 respect to the embeddings and, by name, any trainable arrays (class
@@ -18,6 +22,9 @@ and s = u_i . v_k,
 
     d s / d x_i = (v_k - s * u_i) / |x_i|
     d s / d c_k = (u_i - s * v_k) / |c_k|
+
+Over one batch, a loss whose terms weigh the cosines S_ij with G_ij has
+dX = (G_sym U - rowsum(G_sym * S) U) / |x|, where G_sym = G + G^T.
 """
 
 from dataclasses import dataclass, field
@@ -116,7 +123,7 @@ class LossOutput:
     """Scalar loss plus gradients, shaped exactly like their parameters.
 
     `reduction` reports how the terms were combined (classification losses
-    are batch means, contrast losses are sums over the formed tuples) so
+    are batch means, contrast losses are sums over the batch's tuples) so
     learning rates stay interpretable across families.
     """
 
@@ -434,14 +441,11 @@ def triplet_loss_hinge(embeddings, labels, tuples: TupleIndex, hyper: LossHyper)
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function, branching on the argument sign."""
+    """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, with the exponent never positive."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHyper) -> LossOutput:
@@ -463,6 +467,85 @@ def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHype
     w = hyper.alpha * sig * (1.0 - sig)
     dx = _triplet_grads(x, u, xn, triplets, w, -w)
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=len(triplets))
+
+
+def _batch_cosines(embeddings, labels):
+    """Checked labels, unit rows, row norms and the clipped batch cosine
+    matrix S = U U^T of one batch."""
+    x = _check_embeddings(embeddings)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (x.shape[0],):
+        raise DomainError("labels must match the number of embeddings")
+    u, xn = normalize_rows(x, "embedding")
+    return y, u, xn, np.clip(u @ u.T, -1.0, 1.0)
+
+
+def _cosine_weight_grads(g, u, xn, s):
+    """Embedding gradient of sum_ij G_ij S_ij (the building block above)."""
+    g = g + g.T
+    return (g @ u - (g * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
+
+
+def contrastive_loss_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
+    """`contrastive_loss` over every unordered pair of the batch, from the
+    batch cosine matrix and the label mask."""
+    if not hyper.margin > 0:
+        raise DomainError("contrastive loss needs a positive margin")
+    y, u, xn, s = _batch_cosines(embeddings, labels)
+    same = y[:, None] == y[None, :]
+    upper = np.triu(np.ones_like(same), k=1)
+    h = hyper.margin - (1.0 - s)
+    active = ~same & (h > 0)
+    terms = np.where(same, (1.0 - s) ** 2, np.where(active, h**2, 0.0))
+    slopes = np.where(same, -2.0 * (1.0 - s), np.where(active, 2.0 * h, 0.0))
+    dx = _cosine_weight_grads(np.where(upper, slopes, 0.0), u, xn, s)
+    return LossOutput(float(terms[upper].sum()), grad_embeddings=dx, reduction="sum",
+                      n_terms=int(upper.sum()))
+
+
+def _triplet_loss_dense(embeddings, labels, term) -> LossOutput:
+    """Sum of term(S[a, n] - S[a, p]) over every (anchor, positive, negative)
+    of the batch with y_a == y_p != y_n and a != p.
+
+    The differences form an (N, k, N) tensor: row a of P lists the anchor's
+    positives, padded with a itself up to k, the largest positive count,
+    and `valid` marks the real ones, so unbalanced labels work too. `term`
+    maps the differences to (terms, d term / d difference).
+    """
+    y, u, xn, s = _batch_cosines(embeddings, labels)
+    positive = y[:, None] == y[None, :]
+    np.fill_diagonal(positive, False)
+    k = int(positive.sum(axis=1).max(initial=0))
+    first = np.argsort(~positive, axis=1, kind="stable")[:, :k]
+    valid = np.take_along_axis(positive, first, axis=1)
+    rows = np.arange(len(y))[:, None]
+    p = np.where(valid, first, rows)
+    mask = valid[:, :, None] & (y[:, None] != y[None, :])[:, None, :]
+    terms, slopes = term(s[:, None, :] - np.take_along_axis(s, p, axis=1)[:, :, None])
+    w = np.where(mask, slopes, 0.0)
+    g = w.sum(axis=1)  # weight on S[a, n]
+    g[rows, p] -= w.sum(axis=2)  # weight on S[a, p]; padding adds 0 to S[a, a]
+    dx = _cosine_weight_grads(g, u, xn, s)
+    return LossOutput(float(terms[mask].sum()), grad_embeddings=dx, reduction="sum",
+                      n_terms=int(mask.sum()))
+
+
+def triplet_loss_hinge_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
+    """`triplet_loss_hinge` over every triplet of the batch."""
+    def hinge(d):
+        g = d + hyper.margin
+        return np.maximum(g, 0.0), (g > 0).astype(np.float64)
+
+    return _triplet_loss_dense(embeddings, labels, hinge)
+
+
+def triplet_loss_sigmoid_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
+    """`triplet_loss_sigmoid` over every triplet of the batch."""
+    def sigmoid(d):
+        sig = stable_sigmoid(hyper.alpha * d)
+        return sig, hyper.alpha * sig * (1.0 - sig)
+
+    return _triplet_loss_dense(embeddings, labels, sigmoid)
 
 
 def finite_difference_check(loss_fn, inputs: dict, epsilon: float = 1e-5) -> float:
@@ -535,8 +618,9 @@ def init_loss_state(
     return state
 
 
-def evaluate_loss(kind, embeddings, labels, state: LossState, tuples: TupleIndex | None = None) -> LossOutput:
-    """Dispatch one loss evaluation by kind."""
+def evaluate_loss(kind, embeddings, labels, state: LossState) -> LossOutput:
+    """Dispatch one loss evaluation by kind; the contrast losses take every
+    tuple of the batch from its labels."""
     arrays, hyper = state.arrays, state.hyper
     if kind in CLASSIFICATION_KINDS:
         params = ClassifierParams(arrays["centers"], arrays.get("bias"))
@@ -551,12 +635,10 @@ def evaluate_loss(kind, embeddings, labels, state: LossState, tuples: TupleIndex
     if kind == "center":
         cparams = CenterLossParams(arrays["gamma"], state.lam, state.center_penalty)
         return center_loss(embeddings, labels, params, cparams)
-    if tuples is None:
-        raise DomainError(f"loss kind {kind!r} needs formed tuples")
     if kind == "contrastive":
-        return contrastive_loss(embeddings, tuples, hyper)
+        return contrastive_loss_dense(embeddings, labels, hyper)
     if kind == "triplet_hinge":
-        return triplet_loss_hinge(embeddings, labels, tuples, hyper)
+        return triplet_loss_hinge_dense(embeddings, labels, hyper)
     if kind == "triplet_sigmoid":
-        return triplet_loss_sigmoid(embeddings, labels, tuples, hyper)
+        return triplet_loss_sigmoid_dense(embeddings, labels, hyper)
     raise DomainError(f"unknown loss kind {kind!r}")

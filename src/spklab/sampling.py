@@ -1,9 +1,12 @@
-"""Speaker-balanced mini-batches and exhaustive in-batch tuple formation.
+"""Speaker-balanced mini-batches, in-batch tuple lists, and augmentation.
 
 A batch stacks a fixed number of chunks from a fixed number of distinct
-speakers; pair and triplet lists enumerate every tuple the batch admits
-(no mining). White Gaussian noise at a drawn SNR stands in for real
-background-noise augmentation.
+speakers; a pair or triplet batch holds at least two speakers with two
+chunks each, so it has both positives and negatives. The contrast losses
+take every tuple the batch admits (no mining) straight from its labels;
+the pair and triplet lists formed here enumerate the same tuples one by
+one and are the oracle those losses are tested against. White Gaussian
+noise at a drawn SNR stands in for real background-noise augmentation.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +24,8 @@ class BatchSpec:
     """How to build one batch: speakers per batch, chunks per speaker, mode.
 
     Classification batches default to 128 speakers x 1 chunk; pair/triplet
-    batches use fewer speakers with 2+ chunks each so tuples exist.
+    batches need 2+ speakers with 2+ chunks each, or a batch has no
+    negatives (or no positives) and its loss cannot move.
     """
 
     speakers_per_batch: int = 128
@@ -33,8 +37,11 @@ class BatchSpec:
             raise DomainError("speakers_per_batch and chunks_per_speaker must be positive")
         if self.mode not in BATCH_MODES:
             raise DomainError(f"unknown batch mode {self.mode!r}")
-        if self.mode in ("pairs", "triplets") and self.chunks_per_speaker < 2:
-            raise DomainError(f"{self.mode} mode needs at least 2 chunks per speaker")
+        if self.mode in ("pairs", "triplets"):
+            if self.chunks_per_speaker < 2:
+                raise DomainError(f"{self.mode} mode needs at least 2 chunks per speaker")
+            if self.speakers_per_batch < 2:
+                raise DomainError(f"{self.mode} mode needs at least 2 speakers per batch")
 
     @property
     def batch_size(self) -> int:

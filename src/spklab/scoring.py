@@ -77,20 +77,39 @@ class EerReport:
 def score_trials(trials: Sequence[Trial], embeddings: Mapping[str, np.ndarray]) -> list[Trial]:
     """Score every trial with the cosine of its enrollment/test embeddings.
 
-    Returns new Trial objects in the same order. An unresolved reference
-    or zero-norm embedding raises a DomainError naming the trial.
+    Returns new Trial objects in the same order. The distinct files are
+    stacked once and every trial is scored over index arrays with
+    cosine_similarity's arithmetic (np.vecdot dot products and norms, one
+    division, the clamp), so each score equals it bit for bit. When the
+    files do not stack (an unresolved reference, a zero-norm or non-vector
+    embedding, mixed dimensions), the trials are scored one by one, so
+    that a DomainError names the first trial that fails.
     """
-    out = []
-    for t in trials:
-        for ref in (t.enroll, t.test):
-            if ref not in embeddings:
-                raise DomainError(f"trial {t.enroll} vs {t.test}: unknown file id {ref!r}")
-        try:
-            s = cosine_similarity(embeddings[t.enroll], embeddings[t.test])
-        except DomainError as exc:
-            raise DomainError(f"trial {t.enroll} vs {t.test}: {exc}") from exc
-        out.append(Trial(t.enroll, t.test, t.is_target, score=s))
-    return out
+    rows: dict[str, int] = {}
+    enroll = np.array([rows.setdefault(t.enroll, len(rows)) for t in trials], dtype=np.intp)
+    test = np.array([rows.setdefault(t.test, len(rows)) for t in trials], dtype=np.intp)
+    vectors = [np.asarray(embeddings.get(ref, ()), dtype=np.float64) for ref in rows]
+    shapes = {v.shape for v in vectors}
+    if len(shapes) == 1 and len(shape := shapes.pop()) == 1 and shape[0] > 0:
+        files = np.array(vectors)
+        norms = np.sqrt(np.vecdot(files, files))
+        if np.all(norms > ZERO_NORM_EPS):
+            scores = np.vecdot(files[enroll], files[test]) / (norms[enroll] * norms[test])
+            np.clip(scores, -1.0, 1.0, out=scores)
+            return [Trial(t.enroll, t.test, t.is_target, float(s)) for t, s in zip(trials, scores)]
+    return [_score_trial(t, embeddings) for t in trials]
+
+
+def _score_trial(t: Trial, embeddings: Mapping[str, np.ndarray]) -> Trial:
+    """One trial scored with cosine_similarity; errors name the trial."""
+    for ref in (t.enroll, t.test):
+        if ref not in embeddings:
+            raise DomainError(f"trial {t.enroll} vs {t.test}: unknown file id {ref!r}")
+    try:
+        s = cosine_similarity(embeddings[t.enroll], embeddings[t.test])
+    except DomainError as exc:
+        raise DomainError(f"trial {t.enroll} vs {t.test}: {exc}") from exc
+    return Trial(t.enroll, t.test, t.is_target, score=s)
 
 
 def cohort_stats(embedding, cohort: Cohort, std_mode: str = "population") -> tuple[float, float]:

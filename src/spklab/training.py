@@ -174,10 +174,7 @@ def train(
                 ])
             try:
                 embeddings, cache = enc.forward(params, feats)
-                tuples = sampling.form_tuples(batch.labels, spec.mode)
-                out = losses.evaluate_loss(
-                    config.loss_kind, embeddings, batch.labels, state, tuples
-                )
+                out = losses.evaluate_loss(config.loss_kind, embeddings, batch.labels, state)
             except DomainError as exc:
                 # mid-run numeric failure (overflowed activations, non-finite
                 # loss inputs) is divergence, not a caller contract violation

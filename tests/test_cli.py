@@ -133,6 +133,20 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     assert str(ckpt) in err[0] and f"array {name} " in err[0]
 
 
+@pytest.mark.parametrize("kind", ["contrastive", "triplet_sigmoid"])
+def test_one_speaker_tuple_batches_fail_cleanly(workdir, capsys, kind):
+    tmp_path, cfg, data = workdir
+    one = tmp_path / "one.cfg"
+    one.write_text(TINY_CFG.replace("speakers_per_batch = 5", "speakers_per_batch = 1")
+                   + f"\n[loss]\nkind = {kind}\n")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(one), "--seed", "3",
+               "--data", str(data), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "2 speakers" in err[0]
+
+
 def test_missing_data_dir_fails_cleanly(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
     assert rc == 1

@@ -6,8 +6,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import draw_instance, gradient_check_instance
+import conftest
+from conftest import KINK_GAP, draw_instance, gradient_check_instance
 from spklab import losses
 from spklab.errors import DomainError
 from spklab.losses import (
@@ -383,6 +386,117 @@ class TestGradients:
             finite_difference_check(lambda a: (0.0, a), {"x": np.zeros(2)}, epsilon=0.5)
 
 
+DENSE = {
+    "contrastive": losses.contrastive_loss_dense,
+    "triplet_hinge": losses.triplet_loss_hinge_dense,
+    "triplet_sigmoid": losses.triplet_loss_sigmoid_dense,
+}
+
+
+def oracle(kind, x, y, hyper):
+    """A contrast loss over the tuple lists formed one by one."""
+    if kind == "contrastive":
+        return contrastive_loss(x, form_pairs(y), hyper)
+    explicit = triplet_loss_hinge if kind == "triplet_hinge" else triplet_loss_sigmoid
+    return explicit(x, y, form_triplets(y), hyper)
+
+
+def hinge_kinks(kind, x, y):
+    """The margins at which some hinge argument of the batch is zero."""
+    u = x / np.linalg.norm(x, axis=1, keepdims=True)
+    if kind == "contrastive":
+        i, j = form_pairs(y).negatives.T
+        return 1.0 - (u[i] * u[j]).sum(axis=1)
+    a, p, n = form_triplets(y).triplets.T
+    return (u[a] * u[p]).sum(axis=1) - (u[a] * u[n]).sum(axis=1)
+
+
+def clear_margin(kinks, margin):
+    """The positive margin nearest to `margin` that keeps every hinge
+    argument at least KINK_GAP away from zero."""
+    k = np.sort(kinks)
+    if k.size == 0:
+        return margin
+    cands = np.concatenate([[margin], k - 1.5 * KINK_GAP, k + 1.5 * KINK_GAP])
+    cands = cands[cands > 0]
+    at = np.searchsorted(k, cands)
+    gap = np.minimum(np.abs(cands - k[np.maximum(at - 1, 0)]),
+                     np.abs(k[np.minimum(at, k.size - 1)] - cands))
+    clear = cands[gap >= KINK_GAP]
+    return float(clear[np.argmin(np.abs(clear - margin))])
+
+
+@st.composite
+def contrast_batches(draw):
+    """A contrast loss kind and a batch: balanced S x c labels (S 2-12,
+    c 2-4) in a shuffled order, or an unbalanced label multiset with
+    singletons allowed; embeddings of dim 1-16 with row norms in [0.5, 4];
+    alpha in [0.5, 30]; a margin drawn in [0.01, 1] and, for the hinge
+    kinds, moved to the nearest value KINK_GAP clear of every hinge."""
+    kind = draw(st.sampled_from(sorted(DENSE)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        s, c = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+        y = rng.permutation(np.repeat(rng.permutation(50)[:s], c))
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 5), min_size=2, max_size=30)))
+    dim = draw(st.integers(1, 16))
+    x = rng.standard_normal((y.size, dim))
+    x *= rng.uniform(0.5, 4.0, size=(y.size, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    alpha = draw(st.floats(0.5, 30.0))
+    margin = draw(st.floats(0.01, 1.0))
+    if kind != "triplet_sigmoid":
+        margin = clear_margin(hinge_kinks(kind, x, y), margin)
+    return kind, x, y, LossHyper(alpha=alpha, margin=margin)
+
+
+class TestDenseAgainstTupleOracle:
+    """The batch-matrix contrast losses against the same losses summed over
+    explicitly formed tuple lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=contrast_batches())
+    def test_value_and_gradient_match_oracle(self, case):
+        kind, x, y, hyper = case
+        dense = DENSE[kind](x, y, hyper)
+        expected = oracle(kind, x, y, hyper)
+        assert abs(dense.value - expected.value) <= 1e-12 * abs(expected.value)
+        assert dense.n_terms == expected.n_terms
+        assert dense.reduction == expected.reduction == "sum"
+        # 1e-12 absolute on gradients of order one; a batch whose hinge
+        # terms add up to a gradient in the hundreds gets the same 1e-12
+        # relative to its largest entry, as the two paths sum in different
+        # orders
+        scale = max(1.0, float(np.abs(expected.grad_embeddings).max(initial=0.0)))
+        np.testing.assert_allclose(dense.grad_embeddings, expected.grad_embeddings,
+                                   rtol=0.0, atol=1e-12 * scale)
+
+    def test_labels_must_match_batch(self):
+        with pytest.raises(DomainError, match="labels"):
+            losses.triplet_loss_sigmoid_dense(np.eye(3), np.array([0, 0]), LossHyper())
+
+    def test_contrastive_requires_positive_margin(self):
+        with pytest.raises(DomainError, match="margin"):
+            losses.contrastive_loss_dense(np.eye(2), np.array([0, 1]), LossHyper(margin=0.0))
+
+
+class TestDenseGradients:
+    """Central-difference verification of the batch-matrix contrast losses
+    on the instances the explicit-tuple gradient check draws."""
+
+    @pytest.mark.parametrize("kind", sorted(DENSE))
+    def test_matches_finite_differences(self, kind):
+        rng = np.random.default_rng(zlib.crc32(f"dense {kind}".encode()))
+        for _ in range(20):
+            x, y, _, _, _, _, hyper = draw_instance(kind, rng)
+
+            def fn(arrays):
+                out = DENSE[kind](arrays["x"], y, hyper)
+                return out.value, {"x": out.grad_embeddings}
+
+            assert finite_difference_check(fn, {"x": x}) <= 1e-4
+
+
 class TestLossStateDispatch:
     def test_init_state_shapes(self):
         rng = np.random.default_rng(22)
@@ -396,12 +510,18 @@ class TestLossStateDispatch:
         state = losses.init_loss_state("contrastive", 7, 5, LossHyper(margin=0.2), rng)
         assert state.arrays == {}
 
-    def test_dispatch_requires_tuples_for_contrast_losses(self):
+    def test_dispatch_takes_contrast_tuples_from_labels(self):
         rng = np.random.default_rng(24)
-        state = losses.init_loss_state("contrastive", 3, 4, LossHyper(margin=0.2), rng)
-        with pytest.raises(DomainError, match="tuples"):
-            losses.evaluate_loss("contrastive", rng.standard_normal((4, 4)),
-                                 np.array([0, 0, 1, 1]), state)
+        x = rng.standard_normal((6, 4))
+        y = np.array([2, 0, 2, 1, 0, 1])
+        for kind in ("contrastive",) + losses.TRIPLET_KINDS:
+            state = losses.init_loss_state(kind, 3, 4, conftest.INSTANCE_HYPER[kind], rng)
+            out = losses.evaluate_loss(kind, x, y, state)
+            expected = oracle(kind, x, y, state.hyper)
+            assert out.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+            assert out.n_terms == expected.n_terms
+            np.testing.assert_allclose(out.grad_embeddings, expected.grad_embeddings,
+                                       rtol=0.0, atol=1e-12)
 
     def test_reduction_metadata(self):
         rng = np.random.default_rng(26)
@@ -410,6 +530,6 @@ class TestLossStateDispatch:
         state = losses.init_loss_state("ce", 2, 4, LossHyper(), rng)
         assert losses.evaluate_loss("ce", x, y, state).reduction == "mean"
         state = losses.init_loss_state("contrastive", 2, 4, LossHyper(margin=0.2), rng)
-        out = losses.evaluate_loss("contrastive", x, y, state, form_pairs(y))
+        out = losses.evaluate_loss("contrastive", x, y, state)
         assert out.reduction == "sum"
         assert out.n_terms == 6

@@ -44,6 +44,14 @@ class TestBatchSpec:
         with pytest.raises(DomainError):
             BatchSpec(0, 1)
 
+    @pytest.mark.parametrize("mode", ["pairs", "triplets"])
+    def test_contrast_modes_need_two_speakers(self, mode):
+        # one speaker gives no negatives: the loss and its gradients stay 0
+        with pytest.raises(DomainError, match="2 speakers"):
+            BatchSpec(1, 3, mode)
+        assert BatchSpec(2, 2, mode).batch_size == 4
+        assert BatchSpec(1, 3).batch_size == 3
+
 
 class TestBalancedBatch:
     def test_classification_batch_of_128(self):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_eer_bracket
+from spklab.embedding import cosine_similarity
 from spklab.errors import DegenerateCohortError, DomainError
 from spklab.scoring import (
     SNORM_STD_MODES,
@@ -75,6 +76,38 @@ class TestScoreTrials:
         emb = {"a": np.array([1.0, 0.0]), "z": np.zeros(2)}
         with pytest.raises(DomainError, match="a vs z"):
             score_trials([Trial("a", "z", True)], emb)
+
+    def test_first_failing_trial_named(self):
+        emb = {"a": np.array([1.0, 0.0]), "z": np.zeros(2)}
+        trials = [Trial("a", "a", True), Trial("z", "a", False), Trial("a", "ghost", True)]
+        with pytest.raises(DomainError, match="z vs a: .*zero norm"):
+            score_trials(trials, emb)
+
+    def test_mixed_dimensions_scored_per_trial(self):
+        emb = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0, 0.0]),
+               "c": np.array([0.0, 1.0, 0.0])}
+        scored = score_trials([Trial("a", "a", True), Trial("b", "c", True)], emb)
+        assert [t.score for t in scored] == [1.0, 1.0]
+        with pytest.raises(DomainError, match="a vs b: dimension mismatch"):
+            score_trials([Trial("a", "b", False)], emb)
+
+    def test_empty_trial_list(self):
+        assert score_trials([], self.EMB) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 32), n_files=st.integers(1, 12), n_trials=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_scalar_cosine_loop(self, dim, n_files, n_trials, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_files, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n_files, 1))
+        emb = {f"f{i}": row for i, row in enumerate(rows)}
+        pairs = rng.integers(0, n_files, size=(n_trials, 2))
+        trials = [Trial(f"f{a}", f"f{b}", i % 2 == 0) for i, (a, b) in enumerate(pairs)]
+        scored = score_trials(trials, emb)
+        assert [(t.enroll, t.test, t.is_target) for t in scored] == \
+            [(t.enroll, t.test, t.is_target) for t in trials]
+        assert [t.score for t in scored] == \
+            [cosine_similarity(emb[t.enroll], emb[t.test]) for t in trials]
 
 
 class TestEer:
