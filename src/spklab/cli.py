@@ -36,16 +36,6 @@ def _load_config(args) -> Config:
     return parse_config(args.config)
 
 
-def _eval_options(config: Config) -> experiment.EvalOptions:
-    section = config.section("eval")
-    return experiment.EvalOptions(
-        n_bootstrap=section.get("n_bootstrap", 500),
-        top_n_candidates=section.get("top_n_candidates"),
-        snorm_std=section.get("snorm_std", "population"),
-        use_snorm=section.get("use_snorm", True),
-    )
-
-
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     spec = dataset_spec_from_config(config, seed=args.seed)
@@ -58,15 +48,12 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     dataset = ds.load_dataset(args.data)
-    kind = config.get("loss", "kind", "aam")
+    kind = config.get("loss", "kind", training.TrainConfig.loss_kind)
     train_config = experiment.base_config(kind, dataset, args.seed, config)
 
     os.makedirs(args.out, exist_ok=True)
-    pool = dataset.train_pool()
-    dev_pack = dataset.eval_pack("dev")
-    checkpoints = training.train(pool, train_config, dev_pack)
-    best = training.select_best(checkpoints) if checkpoints else \
-        training.initial_checkpoint(pool, train_config, dev_pack)
+    checkpoints, best = training.train_and_select(
+        dataset.train_pool(), train_config, dataset.eval_pack("dev"))
 
     training.save_checkpoint(os.path.join(args.out, "best.ckpt"), best, train_config)
     with open(os.path.join(args.out, "dev_eer_curve.txt"), "w") as fh:
@@ -79,18 +66,14 @@ def cmd_train(args) -> int:
 def cmd_grid_search(args) -> int:
     config = _load_config(args)
     dataset = ds.load_dataset(args.data)
-    kind = config.get("loss", "kind", "aam")
+    kind = config.get("loss", "kind", training.TrainConfig.loss_kind)
     grid = experiment.default_grid(kind, dataset, args.seed, config)
-    budget = config.get("training", "grid_epochs", 3)
+    budget = experiment.grid_budget(config.get("training", "grid_epochs"), grid[0].epochs)
 
-    pool = dataset.train_pool()
-    dev_pack = dataset.eval_pack("dev")
-    chosen = training.grid_search(pool, grid, budget, dev_pack)
+    chosen = training.grid_search(dataset.train_pool(), grid, budget, dataset.eval_pack("dev"))
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "chosen_config.txt"), "w") as fh:
-        for key, value in sorted(vars(chosen).items()):
-            fh.write(f"{key} = {value!r}\n")
+    experiment.write_config_echo(os.path.join(args.out, "chosen_config.txt"), chosen)
     print(f"chosen: lr={chosen.learning_rate} speakers={chosen.speakers_per_batch} "
           f"chunks={chosen.chunks_per_speaker}")
     return 0
@@ -100,7 +83,7 @@ def cmd_evaluate(args) -> int:
     config = _load_config(args)
     dataset = ds.load_dataset(args.data)
     ckpt, _ = training.load_checkpoint(args.checkpoint)
-    opts = _eval_options(config)
+    opts = experiment.eval_options(config)
     os.makedirs(args.out, exist_ok=True)
 
     raw, norm = experiment.evaluate_encoder(ckpt.encoder, dataset, args.out, opts, args.seed)
@@ -114,13 +97,10 @@ def cmd_compare(args) -> int:
     config = _load_config(args)
     dataset = ds.load_dataset(args.data)
     kinds = config.get("eval", "compare_losses", experiment.DEFAULT_COMPARE_LOSSES)
-    budget = config.get("training", "epochs", 30)
-    grid_epochs = config.get("training", "grid_epochs")
 
     results = experiment.compare_losses(
-        dataset, kinds, args.out,
-        seed=args.seed, budget_epochs=budget, grid_epochs=grid_epochs,
-        config=config, eval_options=_eval_options(config),
+        dataset, kinds, args.out, seed=args.seed, grid_epochs=config.get("training", "grid_epochs"),
+        config=config, eval_options=experiment.eval_options(config),
     )
     for kind, result in results:
         if result is None:

@@ -23,7 +23,7 @@ Example:
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from spklab.dataset import SyntheticDatasetSpec
 from spklab.encoder import ACTIVATIONS
@@ -108,6 +108,7 @@ _CHOICES = {
     ("loss", "kind"): LOSS_KINDS,
     ("loss", "center_penalty"): CENTER_PENALTIES,
     ("eval", "snorm_std"): SNORM_STD_MODES,
+    ("eval", "compare_losses"): LOSS_KINDS,
 }
 
 
@@ -122,6 +123,18 @@ class Config:
 
     def section(self, name: str) -> dict:
         return dict(self.values.get(name, {}))
+
+    def field_values(self, cls: type, *sections: str) -> dict:
+        """The values under `sections` whose key names a field of dataclass
+        `cls`; `[loss] lambda` is the one key that names another field, `lam`."""
+        names = {f.name for f in fields(cls)}
+        values = {}
+        for section in sections:
+            for key, value in self.section(section).items():
+                key = "lam" if key == "lambda" else key
+                if key in names:
+                    values[key] = value
+        return values
 
     def snr_range(self, section: str) -> tuple[float, float] | None:
         lo = self.get(section, "augment_snr_low")
@@ -161,7 +174,8 @@ def parse_config(path) -> Config:
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
             choices = _CHOICES.get((section, key))
-            if choices is not None and value not in choices:
+            listed = value if isinstance(value, tuple) else (value,)
+            if choices is not None and any(v not in choices for v in listed):
                 raise ConfigError(
                     f"{path}: [{section}] {key} must be one of {', '.join(choices)}"
                 )
@@ -175,11 +189,7 @@ def empty_config() -> Config:
 
 
 def dataset_spec_from_config(config: Config, seed: int) -> SyntheticDatasetSpec:
-    section = config.section("dataset")
-    section.pop("augment_snr_low", None)
-    section.pop("augment_snr_high", None)
     return SyntheticDatasetSpec(
-        seed=seed,
-        augment_snr_db=config.snr_range("dataset"),
-        **section,
+        seed=seed, augment_snr_db=config.snr_range("dataset"),
+        **config.field_values(SyntheticDatasetSpec, "dataset"),
     )

@@ -93,11 +93,6 @@ class SpeakerDataset:
     trials_test: list[Trial]
     spec_echo: dict[str, str] = field(default_factory=dict)
 
-    def speakers(self, partition: str) -> list[int]:
-        if partition not in self.partitions:
-            raise DomainError(f"unknown partition {partition!r}")
-        return self.partitions[partition]
-
     def files_of(self, partition: str) -> dict[str, np.ndarray]:
         return {
             fid: rec.features

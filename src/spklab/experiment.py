@@ -8,6 +8,7 @@ on dev, then score the test trials normalized. Everything is seeded and
 sequential, so a rerun reproduces every output file byte for byte.
 """
 
+import itertools
 import logging
 import os
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ import numpy as np
 from spklab import losses, scoring, training
 from spklab.config import Config
 from spklab.dataset import SpeakerDataset
-from spklab.errors import DomainError, TrainingDiverged
+from spklab.errors import ConfigError, DomainError, TrainingDiverged
 
 logger = logging.getLogger(__name__)
 
@@ -31,17 +32,18 @@ LR_GRID = (0.001, 0.01, 0.1)
 SPEAKERS_GRID = (20, 40)
 CHUNKS_GRID = (2, 3)
 
-# Tuned operating points per loss: (learning rate, alpha, margin, lambda,
-# speakers per batch, chunks per speaker).
-TUNED_DEFAULTS = {
-    "ce": (0.1, 10.0, 0.0, 1.0, 128, 1),
-    "ce_nobias": (0.1, 10.0, 0.0, 1.0, 128, 1),
-    "coco": (0.1, 10.0, 0.0, 1.0, 128, 1),
-    "aam": (0.01, 10.0, 0.05, 1.0, 128, 1),
-    "center": (0.1, 10.0, 0.0, 1.0, 128, 1),
-    "contrastive": (0.1, 10.0, 0.2, 1.0, 20, 3),
-    "triplet_hinge": (0.01, 10.0, 0.1, 1.0, 40, 3),
-    "triplet_sigmoid": (0.01, 10.0, 0.0, 1.0, 40, 3),
+# Tuned operating points per loss: the TrainConfig fields where a kind
+# differs from TrainConfig's own defaults (the aam operating point).
+TUNED_DEFAULTS: dict[str, dict[str, object]] = {
+    "ce": {"learning_rate": 0.1, "margin": 0.0},
+    "ce_nobias": {"learning_rate": 0.1, "margin": 0.0},
+    "coco": {"learning_rate": 0.1, "margin": 0.0},
+    "aam": {},
+    "center": {"learning_rate": 0.1, "margin": 0.0},
+    "contrastive": {"learning_rate": 0.1, "margin": 0.2,
+                    "speakers_per_batch": 20, "chunks_per_speaker": 3},
+    "triplet_hinge": {"margin": 0.1, "speakers_per_batch": 40, "chunks_per_speaker": 3},
+    "triplet_sigmoid": {"margin": 0.0, "speakers_per_batch": 40, "chunks_per_speaker": 3},
 }
 
 
@@ -51,6 +53,9 @@ class EvalOptions:
     top_n_candidates: tuple[int, ...] | None = None
     snorm_std: str = "population"
     use_snorm: bool = True
+
+    def __post_init__(self):
+        scoring.check_n_bootstrap(self.n_bootstrap)
 
 
 @dataclass
@@ -72,30 +77,30 @@ class ExperimentResult:
 
 
 def base_config(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Config) -> training.TrainConfig:
-    """Tuned defaults for a loss kind, adapted to the dataset size and
-    overridden by any explicit config values."""
-    lr, alpha, margin, lam, speakers, chunks = TUNED_DEFAULTS[loss_kind]
-    n_train = len(dataset.partitions["train"])
-    speakers = min(speakers, n_train)
-    enc_section = config.section("encoder")
-    loss_section = config.section("loss")
-    train_section = config.section("training")
-    return training.TrainConfig(
-        loss_kind=loss_kind,
-        learning_rate=train_section.get("learning_rate", lr),
-        epochs=train_section.get("epochs", 30),
-        seed=seed,
-        alpha=loss_section.get("alpha", alpha),
-        margin=loss_section.get("margin", margin),
-        lam=loss_section.get("lambda", lam),
-        center_penalty=loss_section.get("center_penalty", "squared_cos_distance"),
-        speakers_per_batch=min(train_section.get("speakers_per_batch", speakers), n_train),
-        chunks_per_speaker=train_section.get("chunks_per_speaker", chunks),
-        hidden_dim=enc_section.get("hidden_dim", 32),
-        embedding_dim=enc_section.get("embedding_dim", 16),
-        activation=enc_section.get("activation", "tanh"),
-        augment_snr_db=config.snr_range("training"),
+    """Tuned defaults for a loss kind, overridden by any explicit config
+    values, with the batch's speaker count capped by the training speakers."""
+    values = TUNED_DEFAULTS[loss_kind] | config.field_values(
+        training.TrainConfig, "encoder", "loss", "training")
+    built = training.TrainConfig(
+        **values, loss_kind=loss_kind, seed=seed, augment_snr_db=config.snr_range("training"),
     )
+    n_train = len(dataset.partitions["train"])
+    return replace(built, speakers_per_batch=min(built.speakers_per_batch, n_train))
+
+
+def eval_options(config: Config) -> EvalOptions:
+    """The `[eval]` settings; each absent key keeps its field default."""
+    return EvalOptions(**config.field_values(EvalOptions, "eval"))
+
+
+def grid_budget(grid_epochs: int | None, epochs: int) -> int:
+    """Epochs each grid candidate trains: `grid_epochs` when set, else a
+    tenth of the full budget of `epochs`, at least 1."""
+    if grid_epochs is None:
+        return max(1, epochs // 10)
+    if grid_epochs < 1:
+        raise ConfigError(f"[training] grid_epochs must be at least 1, got {grid_epochs}")
+    return grid_epochs
 
 
 def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Config) -> list[training.TrainConfig]:
@@ -120,17 +125,11 @@ def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Con
     margins = loss_section.get("margin_grid", (base.margin,))
     lams = loss_section.get("lambda_grid", (base.lam,))
 
-    grid = []
-    for lr in lrs:
-        for s, c in shapes:
-            for alpha in alphas:
-                for margin in margins:
-                    for lam in lams:
-                        grid.append(replace(
-                            base, learning_rate=lr, speakers_per_batch=s,
-                            chunks_per_speaker=c, alpha=alpha, margin=margin, lam=lam,
-                        ))
-    return grid
+    return [
+        replace(base, learning_rate=lr, speakers_per_batch=s, chunks_per_speaker=c,
+                alpha=alpha, margin=margin, lam=lam)
+        for lr, (s, c), alpha, margin, lam in itertools.product(lrs, shapes, alphas, margins, lams)
+    ]
 
 
 def top_n_candidates(cohort_size: int, opts: EvalOptions) -> list[int]:
@@ -174,48 +173,47 @@ def evaluate_encoder(
     return raw_report, normalized_report
 
 
+def write_config_echo(path, config: training.TrainConfig) -> None:
+    """One sorted `key = value!r` line per config field."""
+    with open(path, "w") as fh:
+        for key, value in sorted(vars(config).items()):
+            fh.write(f"{key} = {value!r}\n")
+
+
 def run_experiment(
     dataset: SpeakerDataset,
     loss_kind: str,
     out_dir,
     seed: int = 0,
-    budget_epochs: int = 30,
+    budget_epochs: int | None = None,
     grid_epochs: int | None = None,
     config: Config | None = None,
     eval_options: EvalOptions | None = None,
     grid: list[training.TrainConfig] | None = None,
 ) -> ExperimentResult:
     """Full per-loss protocol; writes scores, reports, and the selected
-    checkpoint under `out_dir` and returns the result summary."""
+    checkpoint under `out_dir` and returns the result summary. The full
+    budget is `budget_epochs`, or the grid configs' own epochs."""
     config = config or Config({})
     opts = eval_options or EvalOptions()
+    if grid is None:
+        grid = default_grid(loss_kind, dataset, seed, config)
+    epochs = grid[0].epochs if budget_epochs is None else budget_epochs
+    grid_epochs = grid_budget(grid_epochs, epochs)
     os.makedirs(out_dir, exist_ok=True)
 
     pool = dataset.train_pool()
     dev_pack = dataset.eval_pack("dev")
-
-    if grid is None:
-        grid = default_grid(loss_kind, dataset, seed, config)
-    if grid_epochs is None:
-        grid_epochs = max(1, budget_epochs // 10)
-
     if len(grid) > 1:
         chosen = training.grid_search(pool, grid, grid_epochs, dev_pack)
     else:
         chosen = grid[0]
-    chosen = replace(chosen, epochs=budget_epochs)
-
-    if budget_epochs > 0:
-        checkpoints = training.train(pool, chosen, dev_pack)
-        best = training.select_best(checkpoints)
-    else:
-        best = training.initial_checkpoint(pool, chosen, dev_pack)
+    chosen = replace(chosen, epochs=epochs)
+    _, best = training.train_and_select(pool, chosen, dev_pack)
 
     ckpt_path = os.path.join(out_dir, "best.ckpt")
     training.save_checkpoint(ckpt_path, best, chosen)
-    with open(os.path.join(out_dir, "config_echo.txt"), "w") as fh:
-        for key, value in sorted(vars(chosen).items()):
-            fh.write(f"{key} = {value!r}\n")
+    write_config_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
 
     raw_report, normalized_report = evaluate_encoder(best.encoder, dataset, out_dir, opts, seed)
     improvement = 0.0
@@ -263,17 +261,20 @@ def compare_losses(
     loss_kinds,
     out_dir,
     seed: int = 0,
-    budget_epochs: int = 30,
+    budget_epochs: int | None = None,
     grid_epochs: int | None = None,
     config: Config | None = None,
     eval_options: EvalOptions | None = None,
 ) -> list[tuple[str, ExperimentResult | None]]:
     """Run the full protocol once per loss and emit a comparison CSV.
 
-    A failing loss is recorded as a nan row and the others proceed.
+    Every loss's grid is built, and a bad config value raised, before any
+    loss trains. A loss that fails in training is recorded as a nan row
+    and the others proceed.
     """
     if len(loss_kinds) < 1:
         raise DomainError("compare_losses needs at least one loss kind")
+    grids = {kind: default_grid(kind, dataset, seed, config or Config({})) for kind in loss_kinds}
     os.makedirs(out_dir, exist_ok=True)
     results: list[tuple[str, ExperimentResult | None]] = []
     failures: list[str] = []
@@ -282,7 +283,7 @@ def compare_losses(
             result = run_experiment(
                 dataset, kind, os.path.join(out_dir, kind),
                 seed=seed, budget_epochs=budget_epochs, grid_epochs=grid_epochs,
-                config=config, eval_options=eval_options,
+                config=config, eval_options=eval_options, grid=grids[kind],
             )
             results.append((kind, result))
         except (DomainError, TrainingDiverged, OSError) as exc:

@@ -260,6 +260,11 @@ def eer(scored: Sequence[Trial]) -> EerReport:
     return EerReport(value, threshold, n_target=tar.size, n_nontarget=non.size)
 
 
+def check_n_bootstrap(n_bootstrap: int) -> None:
+    if n_bootstrap < 100:
+        raise DomainError(f"n_bootstrap must be >= 100, got {n_bootstrap}")
+
+
 def eer_bootstrap_ci(
     scored: Sequence[Trial],
     n_bootstrap: int,
@@ -273,8 +278,7 @@ def eer_bootstrap_ci(
     populated. Each resample draws its RNG substream from (seed, index),
     making the interval deterministic and order-independent.
     """
-    if n_bootstrap < 100:
-        raise DomainError(f"n_bootstrap must be >= 100, got {n_bootstrap}")
+    check_n_bootstrap(n_bootstrap)
     if not 0.0 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     tar, non = _split_scores(scored)

@@ -33,7 +33,7 @@ class TrainConfig:
 
     loss_kind: str = "aam"
     learning_rate: float = 0.01
-    epochs: int = 10
+    epochs: int = 30
     seed: int = 0
     alpha: float = 10.0
     margin: float = 0.05
@@ -132,11 +132,9 @@ def initial_checkpoint(
     chunks_by_speaker: Mapping[int, np.ndarray],
     config: TrainConfig,
     dev_pack: EvalPack,
-    feature_dim: int | None = None,
 ) -> Checkpoint:
     """Untrained snapshot (epoch -1) under the run seed, dev EER included."""
-    if feature_dim is None:
-        feature_dim = next(iter(chunks_by_speaker.values())).shape[1]
+    feature_dim = next(iter(chunks_by_speaker.values())).shape[1]
     params, _, _ = init_run(config, feature_dim, len(chunks_by_speaker))
     return Checkpoint(-1, params, dev_eer(params, dev_pack))
 
@@ -145,7 +143,6 @@ def train(
     chunks_by_speaker: Mapping[int, np.ndarray],
     config: TrainConfig,
     dev_pack: EvalPack,
-    feature_dim: int | None = None,
 ) -> list[Checkpoint]:
     """Run `config.epochs` epochs of balanced-batch SGD; returns one
     checkpoint per epoch (parameters and dev EER after that epoch).
@@ -153,8 +150,7 @@ def train(
     Deterministic given the config seed. Raises TrainingDiverged naming
     the batch index if the loss or any parameter goes non-finite.
     """
-    if feature_dim is None:
-        feature_dim = next(iter(chunks_by_speaker.values())).shape[1]
+    feature_dim = next(iter(chunks_by_speaker.values())).shape[1]
     n_classes = len(chunks_by_speaker)
     label_set = sorted(chunks_by_speaker)
     if label_set != list(range(n_classes)):
@@ -192,6 +188,17 @@ def train(
             _check_finite_params(params, epoch, batch_index)
         checkpoints.append(Checkpoint(epoch, params.copy(), dev_eer(params, dev_pack)))
     return checkpoints
+
+
+def train_and_select(
+    chunks_by_speaker: Mapping[int, np.ndarray], config: TrainConfig, dev_pack: EvalPack
+) -> tuple[list[Checkpoint], Checkpoint]:
+    """Train for `config.epochs`; returns the per-epoch checkpoints and the
+    best of them, or the untrained snapshot when there are no epochs."""
+    checkpoints = train(chunks_by_speaker, config, dev_pack)
+    if not checkpoints:
+        return checkpoints, initial_checkpoint(chunks_by_speaker, config, dev_pack)
+    return checkpoints, select_best(checkpoints)
 
 
 def select_best(checkpoints: Sequence[Checkpoint]) -> Checkpoint:

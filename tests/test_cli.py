@@ -3,6 +3,7 @@
 
 import pytest
 
+from spklab import training
 from spklab.cli import main
 from spklab.dataset import load_dataset
 from spklab.training import load_checkpoint
@@ -153,9 +154,50 @@ def test_missing_data_dir_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_config_fails_cleanly(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[nosuchsection]\nkey = 1\n")
-    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")])
-    assert rc == 1
-    assert "unknown section" in capsys.readouterr().err
+def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
+    # with grid_epochs unset, both commands train each candidate for a
+    # tenth of the full budget
+    tmp_path, cfg, data = workdir
+    twenty = tmp_path / "twenty.cfg"
+    twenty.write_text(TINY_CFG.replace("epochs = 2\ngrid_epochs = 1\n", "epochs = 20\n"))
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def record(pool, grid, budget_epochs, dev_pack):
+        seen.append(budget_epochs)
+        raise Stop
+
+    monkeypatch.setattr(training, "grid_search", record)
+    for command in ("grid-search", "compare"):
+        with pytest.raises(Stop):
+            main([command, "--config", str(twenty), "--seed", "3",
+                  "--data", str(data), "--out", str(tmp_path / command)])
+    assert seen == [2, 2]
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("gen-data", "[nosuchsection]\nkey = 1\n", "unknown section"),
+    ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 50"), "n_bootstrap"),
+    ("compare", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 0"), "grid_epochs"),
+    ("grid-search", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 0"), "grid_epochs"),
+    ("compare", TINY_CFG.replace("epochs = 2", "epochs = -1"), "epochs"),
+    ("compare", TINY_CFG.replace("aam, coco", "aam, arcface"), "compare_losses"),
+], ids=["unknown_section", "n_bootstrap", "compare_grid_epochs", "grid_search_grid_epochs",
+        "epochs", "compare_losses"])
+def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
+    # a bad value stops the run before any training: exit 1, one error line
+    # naming the key, no checkpoint written
+    tmp_path, cfg, data = workdir
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    args = [command, "--config", str(bad), "--out", str(out)]
+    if command != "gen-data":
+        args += ["--data", str(data)]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not list(out.rglob("best.ckpt"))

@@ -2,6 +2,7 @@
 and consistency between single runs and comparison rows."""
 
 from dataclasses import replace
+from pathlib import Path
 
 
 import pytest
@@ -25,21 +26,44 @@ def data():
     return ds.generate_dataset(SPEC)
 
 
+@pytest.fixture(scope="module")
+def wide():
+    """Enough training speakers that no tuned batch shape is capped."""
+    return ds.generate_dataset(replace(SPEC, n_speakers_train=130, files_per_speaker=2))
+
+
+# The tuned operating point of each loss kind: (learning_rate, margin,
+# speakers_per_batch, chunks_per_speaker); every other field is shared.
+TUNED = {
+    "ce": (0.1, 0.0, 128, 1),
+    "ce_nobias": (0.1, 0.0, 128, 1),
+    "coco": (0.1, 0.0, 128, 1),
+    "aam": (0.01, 0.05, 128, 1),
+    "center": (0.1, 0.0, 128, 1),
+    "contrastive": (0.1, 0.2, 20, 3),
+    "triplet_hinge": (0.01, 0.1, 40, 3),
+    "triplet_sigmoid": (0.01, 0.0, 40, 3),
+}
+# The README example config sets lr 0.01, margin 0.05, 25 speakers, 1 chunk.
+README_POINT = (0.01, 0.05, 25, 1)
+CONFIG_REPR = (
+    "{{'loss_kind': {kind!r}, 'learning_rate': {0!r}, 'epochs': 30, 'seed': 0, "
+    "'alpha': 10.0, 'margin': {1!r}, 'lam': 1.0, 'center_penalty': 'squared_cos_distance', "
+    "'speakers_per_batch': {2!r}, 'chunks_per_speaker': {3!r}, 'hidden_dim': 32, "
+    "'embedding_dim': 16, 'activation': 'tanh', 'augment_snr_db': None}}"
+)
+
+
 class TestDefaults:
-    def test_tuned_operating_points(self, data):
-        cfg = empty_config()
-        aam = experiment.base_config("aam", data, 0, cfg)
-        assert (aam.learning_rate, aam.alpha, aam.margin) == (0.01, 10.0, 0.05)
-        coco = experiment.base_config("coco", data, 0, cfg)
-        assert (coco.learning_rate, coco.alpha) == (0.1, 10.0)
-        center = experiment.base_config("center", data, 0, cfg)
-        assert (center.learning_rate, center.lam) == (0.1, 1.0)
-        contrastive = experiment.base_config("contrastive", data, 0, cfg)
-        assert (contrastive.learning_rate, contrastive.margin) == (0.1, 0.2)
-        assert contrastive.chunks_per_speaker == 3
-        triplet = experiment.base_config("triplet_sigmoid", data, 0, cfg)
-        assert (triplet.learning_rate, triplet.alpha) == (0.01, 10.0)
-        assert triplet.chunks_per_speaker == 3
+    @pytest.mark.parametrize("kind", sorted(TUNED))
+    def test_tuned_operating_points(self, kind, wide, tmp_path):
+        # the repr pins each value's type too (a margin of 0.0, not 0)
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        for config, point in ((empty_config(), TUNED[kind]), (parse_config(cfg), README_POINT)):
+            built = experiment.base_config(kind, wide, 0, config)
+            assert repr(vars(built)) == CONFIG_REPR.format(*point, kind=kind)
 
     def test_batch_shapes_capped_by_dataset(self, data):
         # tuned 20/40-speaker batches shrink to the 10 available speakers
