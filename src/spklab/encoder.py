@@ -118,9 +118,10 @@ def init_encoder(
 
 
 def forward(params: EncoderParams, features) -> tuple[np.ndarray, ForwardCache]:
-    """Encode a (N, input_dim) feature batch; returns embeddings and cache."""
+    """Encode a (N, input_dim) batch, or an (F, n, input_dim) stack of batches, each
+    slice by its own gemm and so bit for bit as if alone; returns embeddings and cache."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != params.input_dim:
         raise DomainError(
             f"features must be (N, {params.input_dim}), got shape {x.shape}"
         )

@@ -133,10 +133,12 @@ def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Con
 
 
 def top_n_candidates(cohort_size: int, opts: EvalOptions) -> list[int]:
-    if opts.top_n_candidates:
-        return [n for n in opts.top_n_candidates if 2 <= n <= cohort_size]
-    raw = [2, 5, 10, 20, 50, 100, cohort_size]
-    return sorted({n for n in raw if 2 <= n <= cohort_size})
+    """Cohort sizes to tune s-norm over, in [2, cohort_size]; a ConfigError if none."""
+    raw = opts.top_n_candidates or sorted({2, 5, 10, 20, 50, 100, cohort_size})
+    candidates = [n for n in raw if 2 <= n <= cohort_size]
+    if not candidates:
+        raise ConfigError(f"[eval] top_n_candidates: none lies in [2, {cohort_size} cohort files]")
+    return candidates
 
 
 def evaluate_encoder(
@@ -145,6 +147,8 @@ def evaluate_encoder(
     """Score the test trials raw and, unless s-norm is off, normalized with
     top_n tuned on dev; write scores and reports under `out_dir`. Returns
     the raw report and the normalized one (None without s-norm)."""
+    if opts.use_snorm:
+        candidates = top_n_candidates(len(dataset.files_of("cohort")), opts)
     test_pack = dataset.eval_pack("test")
     test_embeddings = training.embed_files(encoder, test_pack.files)
     scored_raw = scoring.score_trials(test_pack.trials, test_embeddings)
@@ -160,7 +164,6 @@ def evaluate_encoder(
     dev_pack = dataset.eval_pack("dev")
     dev_embeddings = training.embed_files(encoder, dev_pack.files)
     scored_dev = scoring.score_trials(dev_pack.trials, dev_embeddings)
-    candidates = top_n_candidates(cohort_embeddings.shape[0], opts)
     top_n = scoring.tune_cohort_size(
         scored_dev, dev_embeddings, cohort_embeddings, candidates, opts.snorm_std
     )
@@ -200,6 +203,8 @@ def run_experiment(
         grid = default_grid(loss_kind, dataset, seed, config)
     epochs = grid[0].epochs if budget_epochs is None else budget_epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
+    if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
+        top_n_candidates(len(dataset.files_of("cohort")), opts)
     os.makedirs(out_dir, exist_ok=True)
 
     pool = dataset.train_pool()

@@ -20,6 +20,7 @@ logger = logging.getLogger(__name__)
 
 SNORM_STD_MODES = ("population", "sample")
 SNORM_MIN_STD = 1e-12
+BOOTSTRAP_BLOCK_CELLS = 1 << 13  # resamples x distinct scores in one bootstrap block
 
 
 @dataclass
@@ -224,33 +225,45 @@ def _operating_points(tar: np.ndarray, non: np.ndarray):
     the sweep at (FAR, FRR) = (0, 1).
     """
     thresholds = np.unique(np.concatenate([tar, non]))
-    far = np.empty(thresholds.size + 1)
-    frr = np.empty(thresholds.size + 1)
-    # counts via sorted positions: #non >= t and #tar < t
-    non_sorted = np.sort(non)
-    tar_sorted = np.sort(tar)
-    far[:-1] = non.size - np.searchsorted(non_sorted, thresholds, side="left")
-    frr[:-1] = np.searchsorted(tar_sorted, thresholds, side="left")
-    far[:-1] /= non.size
-    frr[:-1] /= tar.size
-    far[-1], frr[-1] = 0.0, 1.0
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    return thresholds, far, frr
+    # counts via sorted positions: #tar < t and #non < t; all of them at the sentinel
+    below = [np.append(np.searchsorted(np.sort(c), thresholds), c.size) for c in (tar, non)]
+    far, frr = _rates(*below, tar.size, non.size)
+    return np.append(thresholds, thresholds[-1] + 1.0), far, frr
+
+
+def _rates(below_tar, below_non, n_tar: int, n_non: int):
+    """FAR = #non >= t / #non and FRR = #tar < t / #tar from integer counts."""
+    return (n_non - below_non) / n_non, below_tar / n_tar
+
+
+def _resampled_rates(draws: np.ndarray, n_tar: int, n_scores: int):
+    """FAR/FRR rows, sentinel last, of resamples given as positions on the `n_scores` sorted
+    distinct scores (`n_tar` targets, then non-targets), from exclusive cumulative counts.
+    A row repeats its next present point at a score it lacks, so its crossing is unmoved."""
+    rows = len(draws)
+    row_of = np.arange(rows)[:, None] + rows * (np.arange(draws.shape[1]) >= n_tar)
+    counts = np.bincount((draws + n_scores * row_of).ravel(), minlength=2 * rows * n_scores)
+    below = np.zeros((2, rows, n_scores + 1), dtype=np.int64)
+    np.cumsum(counts.reshape(2, rows, n_scores), axis=2, out=below[:, :, 1:])
+    return _rates(*below, n_tar, draws.shape[1] - n_tar)
+
+
+def _crossing(far: np.ndarray, frr: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
+    """Each row of `values` at the row's first point with FAR - FRR <= 0 if it is 0 there,
+    else interpolated from the point before (FAR - FRR runs from 1 to -1 in every row)."""
+    d = far - frr
+    k = np.argmax(d <= 0, axis=1) + d.shape[1] * np.arange(d.shape[0])  # flat indices
+    dk, dj = d.take(k), d.take(k - 1)
+    u = dj / (dj - dk)
+    return [np.where(dk == 0.0, vk, vj + u * (vk - vj))
+            for vk, vj in ((v.take(k), v.take(k - 1)) for v in values)]
 
 
 def eer_from_scores(tar: np.ndarray, non: np.ndarray) -> tuple[float, float]:
     """(EER, threshold) at the FAR/FRR crossing, linearly interpolated."""
     thresholds, far, frr = _operating_points(tar, non)
-    d = far - frr
-    # d starts at 1 and ends at -1, so a sign change always exists.
-    k = int(np.argmax(d <= 0))
-    if d[k] == 0.0:
-        return float(far[k]), float(thresholds[k])
-    j = k - 1
-    u = d[j] / (d[j] - d[k])
-    eer_value = far[j] + u * (far[k] - far[j])
-    threshold = thresholds[j] + u * (thresholds[k] - thresholds[j])
-    return float(eer_value), float(threshold)
+    eer_value, threshold = _crossing(far[None], frr[None], far[None], thresholds[None])
+    return float(eer_value[0]), float(threshold[0])
 
 
 def eer(scored: Sequence[Trial]) -> EerReport:
@@ -276,7 +289,8 @@ def eer_bootstrap_ci(
     Targets and non-targets are resampled with replacement independently,
     preserving each class count, so every resample keeps both classes
     populated. Each resample draws its RNG substream from (seed, index),
-    making the interval deterministic and order-independent.
+    making the interval deterministic and order-independent. Each block of
+    resamples is swept as one count matrix, with `eer_from_scores`' EERs.
     """
     check_n_bootstrap(n_bootstrap)
     if not 0.0 < confidence < 1.0:
@@ -284,12 +298,19 @@ def eer_bootstrap_ci(
     tar, non = _split_scores(scored)
     value, threshold = eer_from_scores(tar, non)
 
+    scores, pos = np.unique(np.concatenate([tar, non]), return_inverse=True)
+    block = max(1, BOOTSTRAP_BLOCK_CELLS // (scores.size + 1))
     boot = np.empty(n_bootstrap)
-    for i in range(n_bootstrap):
-        rng = np.random.default_rng((seed, i))
-        t = tar[rng.integers(0, tar.size, size=tar.size)]
-        n = non[rng.integers(0, non.size, size=non.size)]
-        boot[i], _ = eer_from_scores(t, n)
+    draws = np.empty((block, pos.size), dtype=np.int64)
+    offset = np.repeat([0, tar.size], [tar.size, non.size])  # non-targets follow targets in pos
+    for start in range(0, n_bootstrap, block):
+        stop = min(start + block, n_bootstrap)
+        for row, i in enumerate(range(start, stop)):
+            rng = np.random.default_rng((seed, i))
+            draws[row, :tar.size] = rng.integers(0, tar.size, size=tar.size)
+            draws[row, tar.size:] = rng.integers(0, non.size, size=non.size)
+        far, frr = _resampled_rates(pos[draws[:stop - start] + offset], tar.size, scores.size)
+        boot[start:stop], = _crossing(far, frr, far)
 
     half = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(boot, [half, 100.0 - half])

@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = "SPKLABCKPT"
 CHECKPOINT_VERSION = 1
 ARRAY_NAMES = enc.ENCODER_ARRAYS + losses.TRAINED_ARRAYS
+EMBED_STACK_FILES = 128  # files per stacked forward in embed_files; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,9 @@ class TrainConfig:
             raise DomainError("learning rate must be non-negative")
         if self.epochs < 0:
             raise DomainError("epochs must be non-negative")
+        for name in ("speakers_per_batch", "chunks_per_speaker"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def batch_spec(self) -> sampling.BatchSpec:
         mode = "classification"
@@ -89,12 +93,20 @@ class EvalPack:
 
 
 def embed_files(params: enc.EncoderParams, files: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Encode each file's chunks and average them into one embedding per file."""
-    out = {}
+    """Encode each file's chunks and average them into one embedding per file, stacking
+    files of one chunk count: bit for bit a per-file forward plus `mean_embedding`."""
+    by_count: dict[int, list[str]] = {}
     for file_id in sorted(files):
-        chunk_emb, _ = enc.forward(params, files[file_id])
-        out[file_id] = mean_embedding(chunk_emb)
-    return out
+        shape = np.shape(files[file_id])
+        if len(shape) != 2 or shape[0] == 0 or shape[1] != params.input_dim:
+            mean_embedding(enc.forward(params, files[file_id])[0])  # raises as it would alone
+        by_count.setdefault(shape[0], []).append(file_id)
+    out = {}
+    for ids in by_count.values():
+        for part in (ids[i:i + EMBED_STACK_FILES] for i in range(0, len(ids), EMBED_STACK_FILES)):
+            chunk_emb, _ = enc.forward(params, np.array([files[file_id] for file_id in part]))
+            out.update(zip(part, chunk_emb.mean(axis=1)))
+    return {file_id: out[file_id] for file_id in sorted(files)}
 
 
 def dev_eer(params: enc.EncoderParams, pack: EvalPack) -> float:

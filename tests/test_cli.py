@@ -184,8 +184,15 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
     ("grid-search", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 0"), "grid_epochs"),
     ("compare", TINY_CFG.replace("epochs = 2", "epochs = -1"), "epochs"),
     ("compare", TINY_CFG.replace("aam, coco", "aam, arcface"), "compare_losses"),
+    ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates = 1"),
+     "top_n_candidates"),
+    ("compare", TINY_CFG.replace("speakers_per_batch = 5", "speakers_per_batch = 0"),
+     "speakers_per_batch"),
+    ("compare", TINY_CFG.replace("speakers_per_batch = 5", "chunks_per_speaker = 0"),
+     "chunks_per_speaker"),
 ], ids=["unknown_section", "n_bootstrap", "compare_grid_epochs", "grid_search_grid_epochs",
-        "epochs", "compare_losses"])
+        "epochs", "compare_losses", "top_n_candidates", "speakers_per_batch",
+        "chunks_per_speaker"])
 def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     # a bad value stops the run before any training: exit 1, one error line
     # naming the key, no checkpoint written
@@ -201,3 +208,21 @@ def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert not list(out.rglob("best.ckpt"))
+
+
+def test_evaluate_without_top_n_candidate_fails_before_scoring(workdir, capsys):
+    # no configured cohort size fits the 15-file cohort: exit 1 with one
+    # error line, before any file is embedded or scored
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates = 1, 16"))
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(bad), "--data", str(data), "--out", str(out),
+                 "--checkpoint", str(run / "best.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "top_n_candidates" in err[0]
+    assert not list(out.glob("*"))

@@ -52,6 +52,19 @@ class TestForward:
             forward(params, np.zeros((3, 5)))
         with pytest.raises(DomainError):
             forward(params, np.zeros(6))  # 1-D input not accepted
+        with pytest.raises(DomainError, match="features"):
+            forward(params, np.zeros((2, 3, 5)))  # a stack of the wrong feature dim
+        with pytest.raises(DomainError):
+            forward(params, np.zeros((2, 2, 3, 6)))  # 4-D input not accepted
+
+    def test_stack_encodes_each_slice_as_alone(self):
+        rng = np.random.default_rng(4)
+        params = init_encoder(6, 8, 4, rng)
+        stack = rng.standard_normal((5, 3, 6))
+        out, _ = forward(params, stack)
+        assert out.shape == (5, 3, 4)
+        for x, e in zip(stack, out):
+            assert np.array_equal(forward(params, x)[0], e)
 
 
 class TestBackward:

@@ -10,7 +10,7 @@ import pytest
 from spklab import dataset as ds
 from spklab import experiment, training
 from spklab.config import empty_config, parse_config
-from spklab.errors import DomainError
+from spklab.errors import ConfigError, DomainError
 
 SPEC = ds.SyntheticDatasetSpec(
     n_speakers_train=10, n_speakers_dev=4, n_speakers_cohort=6, n_speakers_test=4,
@@ -100,6 +100,10 @@ class TestDefaults:
         assert cands[0] >= 2 and cands[-1] == 18
         pinned = experiment.EvalOptions(top_n_candidates=(2, 4, 99))
         assert experiment.top_n_candidates(18, pinned) == [2, 4]
+        with pytest.raises(ConfigError, match="top_n_candidates"):
+            experiment.top_n_candidates(18, experiment.EvalOptions(top_n_candidates=(1, 19)))
+        with pytest.raises(ConfigError, match="top_n_candidates"):
+            experiment.top_n_candidates(1, opts)  # a one-file cohort fits no default either
 
 
 class TestRunExperiment:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_eer_bracket
+from spklab import scoring
 from spklab.embedding import cosine_similarity
 from spklab.errors import DegenerateCohortError, DomainError
 from spklab.scoring import (
@@ -33,6 +34,13 @@ from spklab.scoring import (
     write_scores,
     write_trials,
 )
+
+
+def tied_scores(max_size=60):
+    """A score list of 1..max_size entries, rounded so that ties are common."""
+    return st.tuples(st.integers(1, max_size), st.integers(0, 2**32 - 1),
+                     st.sampled_from([0, 1, 2, 9])).map(
+        lambda c: np.round(np.random.default_rng(c[1]).normal(0.0, 1.0, c[0]), c[2]))
 
 
 def trials_from(tar, non):
@@ -149,6 +157,16 @@ class TestEer:
             assert lo - 1e-12 <= value <= hi + 1e-12
             if lo == hi:
                 assert abs(value - lo) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(tar=tied_scores(), non=tied_scores(), shift=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_within_brute_force_bracket_with_ties(self, tar, non, shift):
+        # classes of size 1 and rounded scores with many ties, targets shifted up
+        value, _ = eer_from_scores(tar + shift, non)
+        lo, hi = brute_force_eer_bracket(tar + shift, non)
+        assert lo - 1e-12 <= value <= hi + 1e-12
+        if lo == hi:
+            assert abs(value - lo) < 1e-9
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(33)
@@ -373,6 +391,25 @@ class TestBootstrap:
             )[0])
         median = float(np.median(boot))
         assert report.ci_low <= median <= report.ci_high
+
+    @settings(max_examples=60, deadline=None)
+    @given(tar=tied_scores(), non=tied_scores(), n_bootstrap=st.integers(100, 260),
+           block_cells=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_interval_equals_per_resample_loop(self, tar, non, n_bootstrap, block_cells, seed):
+        # the batched resamples give the interval of the per-resample loop
+        # exactly; small block budgets make blocks of 1 to a few resamples
+        # that do not divide n_bootstrap
+        boot = []
+        for i in range(n_bootstrap):
+            r = np.random.default_rng((seed, i))
+            boot.append(eer_from_scores(tar[r.integers(0, tar.size, tar.size)],
+                                        non[r.integers(0, non.size, non.size)])[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "BOOTSTRAP_BLOCK_CELLS", block_cells)
+            report = eer_bootstrap_ci(trials_from(tar, non), n_bootstrap, seed=seed)
+        half = 100.0 * (1.0 - 0.95) / 2.0  # the report's rank, 2.5 up to rounding
+        assert (report.ci_low, report.ci_high) == tuple(np.percentile(boot, [half, 100.0 - half]))
+        assert (report.eer, report.threshold) == eer_from_scores(tar, non)
 
     def test_needs_enough_resamples(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring
+from spklab.embedding import mean_embedding
 from spklab.errors import DomainError, TrainingDiverged
 from spklab.training import (
     Checkpoint,
@@ -275,6 +276,38 @@ class TestEvalHelpers:
         out = embed_files(params, {"f": chunks})
         direct, _ = enc.forward(params, chunks)
         np.testing.assert_allclose(out["f"], direct.mean(axis=0), atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        chunk_counts=st.lists(st.integers(1, 8), min_size=1, max_size=12),
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(1, 20)),
+        activation=st.sampled_from(enc.ACTIVATIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_embed_files_equals_per_file_forward(self, chunk_counts, dims, activation, seed):
+        # one stacked forward per chunk count gives each file the embedding
+        # of its own forward call plus mean_embedding, bit for bit
+        rng = np.random.default_rng(seed)
+        params = enc.init_encoder(*dims, rng, activation)
+        files = {f"f{i:02d}": rng.standard_normal((n, dims[0])) for i, n in enumerate(chunk_counts)}
+        out = embed_files(params, files)
+        assert list(out) == sorted(files)
+        for file_id, chunks in files.items():
+            expected = mean_embedding(enc.forward(params, chunks)[0])
+            assert np.array_equal(out[file_id], expected), file_id
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.zeros((3, 5)), r"got shape \(3, 5\)"),
+        (np.zeros(4), r"got shape \(4,\)"),
+        (np.zeros((0, 4)), "empty"),
+    ], ids=["wrong_dim", "one_dim", "empty"])
+    def test_embed_files_rejects_bad_file(self, bad, match):
+        # a bad file among good ones fails as it would alone
+        rng = np.random.default_rng(54)
+        params = enc.init_encoder(4, 6, 3, rng)
+        files = {"a": rng.standard_normal((2, 4)), "b": bad, "c": rng.standard_normal((2, 4))}
+        with pytest.raises(DomainError, match=match):
+            embed_files(params, files)
 
     def test_initial_checkpoint_has_epoch_minus_one(self):
         pool, dev = toy_problem()
