@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from spklab.errors import DomainError
-from spklab.sampling import augment_chunk
+from spklab.sampling import TrainPool, augment_chunk
 from spklab.scoring import Trial, read_trials, write_trials
 from spklab.training import EvalPack
 
@@ -100,15 +100,11 @@ class SpeakerDataset:
             if rec.partition == partition
         }
 
-    def train_pool(self) -> dict[int, np.ndarray]:
-        """Chunks pooled per train speaker, keyed by train-local label 0..K-1."""
-        speakers = self.partitions["train"]
-        label_of = {spk: i for i, spk in enumerate(speakers)}
-        pool: dict[int, list[np.ndarray]] = {i: [] for i in range(len(speakers))}
-        for rec in self.files.values():
-            if rec.partition == "train":
-                pool[label_of[rec.speaker]].append(rec.features)
-        return {label: np.vstack(rows) for label, rows in pool.items()}
+    def train_pool(self) -> TrainPool:
+        """Chunks of the train speakers in one array, by train-local label 0..K-1."""
+        label_of = {spk: i for i, spk in enumerate(self.partitions["train"])}
+        train = [rec for rec in self.files.values() if rec.partition == "train"]
+        return TrainPool([label_of[rec.speaker] for rec in train], [rec.features for rec in train])
 
     def eval_pack(self, partition: str) -> EvalPack:
         trials = self.trials_dev if partition == "dev" else self.trials_test
@@ -234,6 +230,15 @@ def save_dataset(ds: SpeakerDataset, out_dir) -> None:
     write_trials(os.path.join(out_dir, TEST_TRIALS_NAME), ds.trials_test)
 
 
+def _manifest_ints(path, line_no: int, fields: list[str]) -> list[int]:
+    """The integer fields of a manifest line; a one-line DomainError naming the line if one
+    is not an integer."""
+    try:
+        return [int(v) for v in fields]
+    except ValueError as exc:
+        raise DomainError(f"{path}:{line_no}: bad manifest line: {exc}") from None
+
+
 def load_dataset(data_dir) -> SpeakerDataset:
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -252,17 +257,16 @@ def load_dataset(data_dir) -> SpeakerDataset:
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) != (2 if parts[0] == "feature_dim" else 5):
+                raise DomainError(f"{manifest_path}:{line_no}: bad manifest line")
             if parts[0] == "feature_dim":
-                feature_dim = int(parts[1])
+                feature_dim, = _manifest_ints(manifest_path, line_no, parts[1:])
                 if features.shape[1:] != (feature_dim,):
                     raise DomainError(f"{manifest_path}:{line_no}: feature_dim {feature_dim}, "
                                       f"but {FEATURES_NAME} has shape {features.shape}")
                 continue
-            if len(parts) != 5:
-                raise DomainError(f"{manifest_path}:{line_no}: bad manifest line")
-            fid, partition, speaker, start, n = (
-                parts[0], parts[1], int(parts[2]), int(parts[3]), int(parts[4])
-            )
+            fid, partition = parts[:2]
+            speaker, start, n = _manifest_ints(manifest_path, line_no, parts[2:])
             if partition not in PARTITIONS:
                 raise DomainError(f"{manifest_path}:{line_no}: unknown partition {partition!r}")
             if n <= 0 or start < 0 or start + n > features.shape[0]:

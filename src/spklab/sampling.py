@@ -7,16 +7,29 @@ take every tuple the batch admits (no mining) straight from its labels;
 the pair and triplet lists formed here enumerate the same tuples one by
 one and are the oracle those losses are tested against. White Gaussian
 noise at a drawn SNR stands in for real background-noise augmentation.
+
+A run's training chunks sit in one `TrainPool` array, label by label. A
+batch draws its chunks with one bounded-integer call: per speaker of an
+n-row pool, c values below n - c + 1, ..., n pick c distinct rows by
+Floyd's algorithm (Bentley & Floyd 1987: a value already taken becomes
+the bound's own top, n - c + k), followed by c - 1 values below c, ..., 2.
+Those last values are the shuffle `Generator.choice(n, c, replace=False)`
+makes of its picks; the batch sorts its picks and so throws them away,
+but drawing them keeps the generator's stream, and every later batch,
+exactly as one `choice` call per speaker leaves it.
 """
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
 
 import numpy as np
 
 from spklab.errors import DomainError
 
 BATCH_MODES = ("classification", "pairs", "triplets")
+# Generator.choice picks by Floyd's algorithm from pools up to this size; above it, when
+# more than 1/50 of the pool is picked, it shuffles the tail of range(n) instead.
+FLOYD_MAX_POOL = 10_000
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,75 @@ class TupleIndex:
         self.triplets = np.asarray(self.triplets, dtype=np.int64).reshape(-1, 3)
 
 
+class TrainPool(Mapping):
+    """Every training chunk row in one `(rows, d)` float64 array, in label order: label k's
+    chunks are rows `offsets[k] : offsets[k] + sizes[k]`, for labels 0..K-1. As a mapping it
+    gives each label's rows as a view."""
+
+    def __init__(self, labels: Sequence[int], blocks: Sequence[np.ndarray]):
+        """Pool row blocks under their labels, which must cover 0..K-1; the blocks of one
+        label keep their given order."""
+        n_labels = len(set(labels))
+        if sorted(set(labels)) != list(range(n_labels)) or n_labels == 0:
+            raise DomainError("training pool labels must be 0..K-1")
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        ordered = [np.asarray(blocks[i], dtype=np.float64) for i in order]
+        if any(b.ndim != 2 or b.shape[1] != ordered[0].shape[1] for b in ordered):
+            raise DomainError("training pool chunks must be (n, d) rows of one d")
+        self.features = np.concatenate(ordered)
+        self.sizes = np.zeros(n_labels, dtype=np.int64)
+        np.add.at(self.sizes, list(labels), [len(b) for b in blocks])
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+
+    @classmethod
+    def of(cls, chunks_by_label: Mapping[int, np.ndarray]) -> "TrainPool":
+        """The pool of a label -> chunk rows mapping (the pool itself if it is one)."""
+        if isinstance(chunks_by_label, cls):
+            return chunks_by_label
+        return cls(list(chunks_by_label), list(chunks_by_label.values()))
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    def __getitem__(self, label) -> np.ndarray:
+        if not 0 <= label < len(self.sizes):
+            raise KeyError(label)
+        return self.features[self.offsets[label]:self.offsets[label] + self.sizes[label]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.sizes)))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
+def _floyd_picks(sizes: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted picks of c distinct rows from pools of `sizes` rows, one row of picks per pool,
+    with the draws of one `rng.choice(n, c, replace=False)` per pool in turn (n <= FLOYD_MAX_POOL
+    or c <= n // 50): Floyd's c draws, then the c - 1 draws of choice's shuffle, all in one call."""
+    highs = np.empty((len(sizes), 2 * c - 1), dtype=np.int64)
+    highs[:, :c] = sizes[:, None] + np.arange(1 - c, 1)
+    highs[:, c:] = np.arange(c, 1, -1)
+    picks = rng.integers(0, highs)[:, :c]
+    for k in range(1, c):  # Floyd's rule: a value already taken becomes the top, n - c + k
+        taken = (picks[:, :k] == picks[:, k:k + 1]).any(axis=1)
+        picks[taken, k] = sizes[taken] - c + k
+    picks.sort(axis=1)
+    return picks
+
+
+def _tail_picks(n: int, c: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted `rng.choice(n, c, replace=False)` where it does not use Floyd's algorithm: the
+    last c entries of range(n) after swapping each of them, from the top, with an entry at or
+    below it (a partial Fisher-Yates shuffle, kept sparse in a dict)."""
+    first = max(n - c, 1)
+    moved: dict[int, int] = {}
+    for i, j in zip(range(n - 1, first - 1, -1), rng.integers(0, np.arange(n, first, -1)).tolist()):
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return np.sort([moved.get(i, i) for i in range(n - c, n)])
+
+
 def balanced_batch(
     chunks_by_speaker: Mapping[int, np.ndarray],
     spec: BatchSpec,
@@ -92,31 +174,38 @@ def balanced_batch(
     Speakers are drawn uniformly without replacement (or taken from the
     `speakers` sequence when the epoch scheduler supplies one); each
     contributes exactly `chunks_per_speaker` chunks sampled without
-    replacement from its pool. Deterministic given the rng state.
+    replacement from its pool, in pool order. The chunks of all speakers
+    come from one bounded-integer draw (see the module docstring), with the
+    values and generator state of one `rng.choice(pool_size, c,
+    replace=False)` per speaker in turn, and one gather from the pool.
+    A dict pool is converted with `TrainPool.of` first.
     """
-    available = sorted(chunks_by_speaker)
+    pool = TrainPool.of(chunks_by_speaker)
+    c = spec.chunks_per_speaker
     if speakers is None:
-        if len(available) < spec.speakers_per_batch:
-            raise DomainError(
-                f"need {spec.speakers_per_batch} speakers, dataset has {len(available)}"
-            )
-        speakers = rng.choice(available, size=spec.speakers_per_batch, replace=False)
+        if len(pool) < spec.speakers_per_batch:
+            raise DomainError(f"need {spec.speakers_per_batch} speakers, dataset has {len(pool)}")
+        speakers = rng.choice(len(pool), size=spec.speakers_per_batch, replace=False)
     elif len(speakers) != spec.speakers_per_batch:
         raise DomainError("speaker list length must equal speakers_per_batch")
-
-    rows = []
-    labels = []
-    for spk in speakers:
-        pool = np.asarray(chunks_by_speaker[int(spk)], dtype=np.float64)
-        if pool.shape[0] < spec.chunks_per_speaker:
-            raise DomainError(
-                f"speaker {spk} has {pool.shape[0]} chunks, "
-                f"batch needs {spec.chunks_per_speaker}"
-            )
-        picked = rng.choice(pool.shape[0], size=spec.chunks_per_speaker, replace=False)
-        rows.append(pool[np.sort(picked)])
-        labels.extend([int(spk)] * spec.chunks_per_speaker)
-    return LabeledBatch(np.vstack(rows), np.asarray(labels, dtype=np.int64))
+    speakers = np.asarray(speakers, dtype=np.int64)
+    if speakers.min() < 0 or speakers.max() >= len(pool):
+        bad = speakers[(speakers < 0) | (speakers >= len(pool))][0]
+        raise DomainError(f"speaker {bad} is not in the training pool")
+    sizes = pool.sizes[speakers]
+    if sizes.min() < c:
+        short = np.argmax(sizes < c)
+        raise DomainError(f"speaker {speakers[short]} has {sizes[short]} chunks, batch needs {c}")
+    tail = (sizes > FLOYD_MAX_POOL) & (c > sizes // 50)
+    if tail.any():  # one speaker at a time, each as choice would pick
+        picks = np.array([
+            _tail_picks(int(sizes[i]), c, rng) if tail[i] else _floyd_picks(sizes[i:i + 1], c, rng)[0]
+            for i in range(len(sizes))
+        ])
+    else:
+        picks = _floyd_picks(sizes, c, rng)
+    rows = (pool.offsets[speakers][:, None] + picks).ravel()
+    return LabeledBatch(pool.features[rows], np.repeat(speakers, c))
 
 
 def epoch_batches(
@@ -131,15 +220,15 @@ def epoch_batches(
     shuffled list when the speaker count is not a multiple of the batch's
     speaker count, so every speaker is visited at least once per epoch.
     """
-    speakers = np.asarray(sorted(chunks_by_speaker))
-    n = len(speakers)
+    pool = TrainPool.of(chunks_by_speaker)
+    n = len(pool)
     if n < spec.speakers_per_batch:
         raise DomainError(f"need {spec.speakers_per_batch} speakers, dataset has {n}")
     order = rng.permutation(n)
     n_batches = -(-n // spec.speakers_per_batch)  # ceil
     for b in range(n_batches):
         idx = np.arange(b * spec.speakers_per_batch, (b + 1) * spec.speakers_per_batch) % n
-        yield balanced_batch(chunks_by_speaker, spec, rng, speakers=speakers[order[idx]])
+        yield balanced_batch(pool, spec, rng, speakers=order[idx])
 
 
 def form_pairs(labels) -> TupleIndex:

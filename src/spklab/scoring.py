@@ -79,12 +79,12 @@ def score_trials(trials: Sequence[Trial], embeddings: Mapping[str, np.ndarray]) 
     """Score every trial with the cosine of its enrollment/test embeddings.
 
     Returns new Trial objects in the same order. The distinct files are
-    stacked once and every trial is scored over index arrays with
-    cosine_similarity's arithmetic (np.vecdot dot products and norms, one
-    division, the clamp), so each score equals it bit for bit. When the
-    files do not stack (an unresolved reference, a zero-norm or non-vector
-    embedding, mixed dimensions), the trials are scored one by one, so
-    that a DomainError names the first trial that fails.
+    stacked once and every trial is scored over index arrays by
+    `trial_cosines`, so each score equals cosine_similarity's bit for
+    bit. When the files do not stack (an unresolved reference, a
+    zero-norm or non-vector embedding, mixed dimensions), the trials are
+    scored one by one, so that a DomainError names the first trial that
+    fails.
     """
     rows: dict[str, int] = {}
     enroll = np.array([rows.setdefault(t.enroll, len(rows)) for t in trials], dtype=np.intp)
@@ -92,13 +92,22 @@ def score_trials(trials: Sequence[Trial], embeddings: Mapping[str, np.ndarray]) 
     vectors = [np.asarray(embeddings.get(ref, ()), dtype=np.float64) for ref in rows]
     shapes = {v.shape for v in vectors}
     if len(shapes) == 1 and len(shape := shapes.pop()) == 1 and shape[0] > 0:
-        files = np.array(vectors)
-        norms = np.sqrt(np.vecdot(files, files))
-        if np.all(norms > ZERO_NORM_EPS):
-            scores = np.vecdot(files[enroll], files[test]) / (norms[enroll] * norms[test])
-            np.clip(scores, -1.0, 1.0, out=scores)
+        scores = trial_cosines(np.array(vectors), enroll, test)
+        if scores is not None:
             return [Trial(t.enroll, t.test, t.is_target, float(s)) for t, s in zip(trials, scores)]
     return [_score_trial(t, embeddings) for t in trials]
+
+
+def trial_cosines(files: np.ndarray, enroll: np.ndarray, test: np.ndarray) -> np.ndarray | None:
+    """Clamped cosine of rows `enroll[i]` and `test[i]` of a (files, dim) matrix for every i,
+    with cosine_similarity's arithmetic (np.vecdot dot products and norms, one division, the
+    clamp), so each equals it bit for bit; None when a row used has a norm <= ZERO_NORM_EPS."""
+    norms = np.sqrt(np.vecdot(files, files))
+    if not (np.all(norms[enroll] > ZERO_NORM_EPS) and np.all(norms[test] > ZERO_NORM_EPS)):
+        return None
+    scores = np.vecdot(files[enroll], files[test]) / (norms[enroll] * norms[test])
+    np.clip(scores, -1.0, 1.0, out=scores)
+    return scores
 
 
 def _score_trial(t: Trial, embeddings: Mapping[str, np.ndarray]) -> Trial:

@@ -11,6 +11,7 @@ dev EER is recorded as a checkpoint.
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -84,32 +85,99 @@ class Checkpoint:
             raise DomainError(f"dev EER out of [0, 1]: {self.dev_eer}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalPack:
-    """File-level evaluation inputs: chunk features per file id plus trials."""
+    """File-level evaluation inputs: chunk features per file id plus trials.
+
+    `dev_eer` stages the pack as arrays on its first call and reuses them
+    on every later call, so a pack is not to be changed once scored.
+    """
 
     files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
     trials: Sequence[scoring.Trial]
+
+    @cached_property
+    def staged(self) -> "StagedPack | None":
+        return StagedPack.of(self)
+
+
+@dataclass(frozen=True)
+class StagedPack:
+    """An EvalPack as arrays: its chunk stacks, grouped as `embed_files` groups them, with
+    each stack's rows in the pack's sorted file order; each trial's two rows; the trials'
+    target mask."""
+
+    stacks: list[tuple[np.ndarray, np.ndarray]]  # (rows, (F, n_chunks, feature_dim) stack)
+    n_files: int
+    feature_dim: int
+    enroll: np.ndarray
+    test: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def of(cls, pack: EvalPack) -> "StagedPack | None":
+        """The pack staged, or None where `dev_eer` must fail as the unstaged path does: a
+        file that is not (n, d) with n > 0 and one d, a trial naming an unknown file, or
+        no trial of one class."""
+        shapes = {np.shape(chunks) for chunks in pack.files.values()}
+        if any(len(s) != 2 or s[0] == 0 for s in shapes) or len({s[1] for s in shapes}) != 1:
+            return None
+        row = {file_id: i for i, file_id in enumerate(sorted(pack.files))}
+        try:
+            enroll = np.array([row[t.enroll] for t in pack.trials], dtype=np.intp)
+            test = np.array([row[t.test] for t in pack.trials], dtype=np.intp)
+        except KeyError:
+            return None
+        target = np.array([t.is_target for t in pack.trials], dtype=bool)
+        if target.all() or not target.any():
+            return None
+        stacks = [
+            (np.array([row[file_id] for file_id in ids]),
+             np.array([pack.files[file_id] for file_id in ids], dtype=np.float64))
+            for ids in _stack_groups(pack.files)
+        ]
+        return cls(stacks, len(row), shapes.pop()[1], enroll, test, target)
+
+
+def _stack_groups(files: Mapping[str, np.ndarray]) -> list[list[str]]:
+    """File ids in sorted order, grouped by chunk count (groups in order of first
+    appearance) and cut into parts of at most EMBED_STACK_FILES."""
+    by_count: dict[int, list[str]] = {}
+    for file_id in sorted(files):
+        by_count.setdefault(np.shape(files[file_id])[0], []).append(file_id)
+    return [ids[i:i + EMBED_STACK_FILES]
+            for ids in by_count.values() for i in range(0, len(ids), EMBED_STACK_FILES)]
 
 
 def embed_files(params: enc.EncoderParams, files: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Encode each file's chunks and average them into one embedding per file, stacking
     files of one chunk count: bit for bit a per-file forward plus `mean_embedding`."""
-    by_count: dict[int, list[str]] = {}
     for file_id in sorted(files):
         shape = np.shape(files[file_id])
         if len(shape) != 2 or shape[0] == 0 or shape[1] != params.input_dim:
             mean_embedding(enc.forward(params, files[file_id])[0])  # raises as it would alone
-        by_count.setdefault(shape[0], []).append(file_id)
     out = {}
-    for ids in by_count.values():
-        for part in (ids[i:i + EMBED_STACK_FILES] for i in range(0, len(ids), EMBED_STACK_FILES)):
-            chunk_emb, _ = enc.forward(params, np.array([files[file_id] for file_id in part]))
-            out.update(zip(part, chunk_emb.mean(axis=1)))
+    for ids in _stack_groups(files):
+        chunk_emb, _ = enc.forward(params, np.array([files[file_id] for file_id in ids]))
+        out.update(zip(ids, chunk_emb.mean(axis=1)))
     return {file_id: out[file_id] for file_id in sorted(files)}
 
 
 def dev_eer(params: enc.EncoderParams, pack: EvalPack) -> float:
+    """`eer(score_trials(pack.trials, embed_files(params, pack.files))).eer` bit for bit,
+    from the pack's staged arrays: one forward per stack, the stack means as rows of one
+    matrix, `scoring.trial_cosines` and `eer_from_scores`. A pack that does not stage, or a
+    zero-norm embedding, takes that unstaged path, so that its error names the file or
+    trial as it does there."""
+    staged = pack.staged
+    if staged is not None and staged.feature_dim == params.input_dim:
+        embeddings = np.empty((staged.n_files, params.embedding_dim))
+        for rows, stack in staged.stacks:
+            embeddings[rows] = enc.forward(params, stack)[0].mean(axis=1)
+        scores = scoring.trial_cosines(embeddings, staged.enroll, staged.test)
+        if scores is not None:
+            tar, non = scores[staged.target], scores[~staged.target]
+            return scoring.EerReport(*scoring.eer_from_scores(tar, non)).eer
     scored = scoring.score_trials(pack.trials, embed_files(params, pack.files))
     return scoring.eer(scored).eer
 
@@ -146,8 +214,8 @@ def initial_checkpoint(
     dev_pack: EvalPack,
 ) -> Checkpoint:
     """Untrained snapshot (epoch -1) under the run seed, dev EER included."""
-    feature_dim = next(iter(chunks_by_speaker.values())).shape[1]
-    params, _, _ = init_run(config, feature_dim, len(chunks_by_speaker))
+    pool = sampling.TrainPool.of(chunks_by_speaker)
+    params, _, _ = init_run(config, pool.feature_dim, len(pool))
     return Checkpoint(-1, params, dev_eer(params, dev_pack))
 
 
@@ -162,19 +230,14 @@ def train(
     Deterministic given the config seed. Raises TrainingDiverged naming
     the batch index if the loss or any parameter goes non-finite.
     """
-    feature_dim = next(iter(chunks_by_speaker.values())).shape[1]
-    n_classes = len(chunks_by_speaker)
-    label_set = sorted(chunks_by_speaker)
-    if label_set != list(range(n_classes)):
-        raise DomainError("training pool labels must be 0..K-1")
-
-    params, state, rng = init_run(config, feature_dim, n_classes)
+    pool = sampling.TrainPool.of(chunks_by_speaker)
+    params, state, rng = init_run(config, pool.feature_dim, len(pool))
     spec = config.batch_spec()
     lr = config.learning_rate
 
     checkpoints = []
     for epoch in range(config.epochs):
-        for batch_index, batch in enumerate(sampling.epoch_batches(chunks_by_speaker, spec, rng)):
+        for batch_index, batch in enumerate(sampling.epoch_batches(pool, spec, rng)):
             feats = batch.features
             if config.augment_snr_db is not None:
                 feats = np.vstack([
@@ -236,11 +299,12 @@ def grid_search(
     """
     if len(grid) == 0:
         raise DomainError("grid_search: empty grid")
+    pool = sampling.TrainPool.of(chunks_by_speaker)
     best_config, best_eer = None, None
     for config in grid:
         short = replace(config, epochs=budget_epochs)
         try:
-            checkpoints = train(chunks_by_speaker, short, dev_pack)
+            checkpoints = train(pool, short, dev_pack)
         except (TrainingDiverged, DomainError) as exc:
             logger.warning("grid config %s disqualified: %s", short, exc)
             continue

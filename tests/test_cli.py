@@ -1,5 +1,6 @@
-"""End-to-end CLI runs on a tiny dataset."""
+"""End-to-end CLI runs on a tiny dataset, and on the README's example config."""
 
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,25 @@ def test_compare_emits_csv(workdir):
         assert (out / kind / "report_raw.txt").exists()
         assert (out / kind / "report_snorm.txt").exists()
         assert (out / kind / "result.txt").exists()
+
+
+def test_readme_example_compares(tmp_path):
+    # the README's ```ini example, as a user would run it: six rows, no nan, each CI
+    # around its EER
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    data, out = tmp_path / "data", tmp_path / "cmp"
+    assert main(["gen-data", "--config", str(cfg), "--seed", "0", "--out", str(data)]) == 0
+    assert main(["compare", "--config", str(cfg), "--seed", "0",
+                 "--data", str(data), "--out", str(out)]) == 0
+    header, *rows = (out / "compare.csv").read_text().splitlines()
+    assert len(rows) == 6
+    for row in rows:
+        values = row.split(",")[1:]
+        assert "nan" not in values, row
+        eer_raw, ci_low, ci_high = map(float, values[:3])
+        assert ci_low <= eer_raw <= ci_high, row
 
 
 @pytest.mark.parametrize("damage", ["short", "non_numeric", "unknown_name", "repeated_name"])

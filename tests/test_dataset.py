@@ -1,8 +1,13 @@
 """Synthetic dataset generation: partition structure, trial lists,
 degenerate-geometry behavior, and on-disk round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spklab.dataset import (
     SyntheticDatasetSpec,
@@ -169,3 +174,61 @@ class TestOnDisk:
 
     def test_file_id_format(self):
         assert file_id(3, 12) == "s0003_f12"
+
+
+small_specs = st.builds(
+    SyntheticDatasetSpec,
+    n_speakers_train=st.integers(1, 3), n_speakers_dev=st.integers(1, 3),
+    n_speakers_cohort=st.integers(1, 3), n_speakers_test=st.integers(1, 3),
+    files_per_speaker=st.integers(1, 3), chunks_per_file=st.integers(1, 3),
+    feature_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+    trials_per_speaker=st.integers(2, 6),
+)
+
+
+def trial_tuples(trials):
+    return [(t.enroll, t.test, t.is_target) for t in trials]
+
+
+class TestLoaderProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_specs)
+    def test_round_trip(self, spec):
+        with tempfile.TemporaryDirectory() as out:
+            ds = gen_synthetic_dataset(spec, out)
+            back = load_dataset(out)
+        assert back.feature_dim == ds.feature_dim
+        assert back.partitions == ds.partitions
+        assert sorted(back.files) == sorted(ds.files)
+        for fid, rec in ds.files.items():
+            np.testing.assert_array_equal(back.files[fid].features, rec.features)
+            assert (back.files[fid].speaker, back.files[fid].partition) == (rec.speaker,
+                                                                             rec.partition)
+        assert trial_tuples(back.trials_dev) == trial_tuples(ds.trials_dev)
+        assert trial_tuples(back.trials_test) == trial_tuples(ds.trials_test)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_specs, mutation=st.sampled_from(
+        ["non_integer_count", "zero_count", "past_rows", "feature_dim"]), data=st.data())
+    def test_mutated_manifest_line_names_it(self, spec, mutation, data):
+        with tempfile.TemporaryDirectory() as out:
+            gen_synthetic_dataset(spec, out)
+            manifest = Path(out) / "manifest.txt"
+            lines = manifest.read_text().splitlines()
+            rows = np.load(Path(out) / "features.npy").shape[0]
+            line_no = 1 if mutation == "feature_dim" else data.draw(
+                st.integers(2, len(lines)), label="line")
+            fields = lines[line_no - 1].split()
+            if mutation == "feature_dim":
+                fields[1] = str(spec.feature_dim + 1)
+            elif mutation == "non_integer_count":
+                fields[4] = data.draw(st.sampled_from(["2.5", "x", "1e3"]), label="count")
+            elif mutation == "zero_count":
+                fields[4] = "0"
+            else:
+                fields[3] = str(rows - int(fields[4]) + 1)
+            lines[line_no - 1] = " ".join(fields)
+            manifest.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DomainError, match=rf"manifest\.txt:{line_no}: ") as exc:
+                load_dataset(out)
+        assert "\n" not in str(exc.value)

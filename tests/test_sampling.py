@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spklab.errors import DomainError
 from spklab.sampling import (
+    FLOYD_MAX_POOL,
     BatchSpec,
     LabeledBatch,
+    TrainPool,
     TupleIndex,
     augment_chunk,
     balanced_batch,
@@ -94,6 +98,87 @@ class TestBalancedBatch:
         b = balanced_batch(pool, BatchSpec(10, 2, "pairs"), np.random.default_rng(42))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def reference_batch(pool, spec, rng, speakers=None):
+    """The per-speaker draw that `balanced_batch` replaces, kept as its oracle: one
+    `rng.choice` per speaker in turn, each speaker's picked rows in pool order."""
+    if speakers is None:
+        speakers = rng.choice(sorted(pool), size=spec.speakers_per_batch, replace=False)
+    rows, labels = [], []
+    for spk in speakers:
+        chunks = np.asarray(pool[int(spk)], dtype=np.float64)
+        if chunks.shape[0] < spec.chunks_per_speaker:
+            raise DomainError(f"speaker {spk} has {chunks.shape[0]} chunks, "
+                              f"batch needs {spec.chunks_per_speaker}")
+        picked = rng.choice(chunks.shape[0], size=spec.chunks_per_speaker, replace=False)
+        rows.append(chunks[np.sort(picked)])
+        labels.extend([int(spk)] * spec.chunks_per_speaker)
+    return LabeledBatch(np.vstack(rows), np.asarray(labels, dtype=np.int64))
+
+
+def assert_same_draw(pool, spec, seed, speakers=None):
+    """balanced_batch and the reference agree on the batch, or on the error, and leave
+    their generators in the same state."""
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = reference_batch(pool, spec, rng_ref, speakers)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            balanced_batch(pool, spec, rng, speakers)
+        assert str(got.value) == str(exc)
+        return
+    got = balanced_batch(TrainPool.of(pool), spec, rng, speakers)
+    np.testing.assert_array_equal(got.features, want.features)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.labels.dtype == want.labels.dtype
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestBatchDrawOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+        chunks=st.integers(1, 5),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_speaker_choice(self, sizes, chunks, data, seed):
+        # unbalanced pools; a pool smaller than the chunk count must fail alike
+        rng = np.random.default_rng(seed)
+        pool = {k: rng.standard_normal((n, 3)) for k, n in enumerate(sizes)}
+        n_speakers = data.draw(st.integers(1, len(sizes)), label="speakers_per_batch")
+        spec = BatchSpec(n_speakers, chunks)
+        if data.draw(st.booleans(), label="speakers passed"):
+            speakers = data.draw(st.permutations(range(len(sizes))), label="order")[:n_speakers]
+            assert_same_draw(pool, spec, seed, np.asarray(speakers))
+        else:
+            assert_same_draw(pool, spec, seed)
+
+    @pytest.mark.parametrize("chunks", [201, 250])
+    def test_matches_choice_past_floyd_pools(self, chunks):
+        # Generator.choice shuffles a tail of range(n), not Floyd, for such pools
+        rng = np.random.default_rng(4)
+        pool = {0: rng.standard_normal((300, 1)),
+                1: rng.standard_normal((FLOYD_MAX_POOL + 1, 1)),
+                2: rng.standard_normal((FLOYD_MAX_POOL + 1000, 1))}
+        assert_same_draw(pool, BatchSpec(3, chunks), 8, np.array([1, 0, 2]))
+
+    def test_short_pool_names_the_speaker(self):
+        pool = {0: np.ones((5, 2)), 1: np.ones((5, 2)), 2: np.ones((1, 2))}
+        with pytest.raises(DomainError, match="speaker 2 has 1 chunks, batch needs 3"):
+            balanced_batch(pool, BatchSpec(2, 3), np.random.default_rng(0), speakers=[0, 2])
+
+    def test_pool_is_one_array_in_label_order(self):
+        pool = TrainPool([1, 0, 1], [np.full((2, 2), 1.0), np.zeros((3, 2)), np.full((1, 2), 2.0)])
+        assert pool.features.shape == (6, 2)
+        np.testing.assert_array_equal(pool.sizes, [3, 3])
+        np.testing.assert_array_equal(pool[1][:, 0], [1.0, 1.0, 2.0])
+        assert pool[1].base is pool.features
+        with pytest.raises(DomainError, match="0..K-1"):
+            TrainPool.of({0: np.ones((2, 2)), 2: np.ones((2, 2))})
+        with pytest.raises(DomainError, match="rows of one d"):
+            TrainPool.of({0: np.ones((2, 2)), 1: np.ones((2, 3))})
 
 
 class TestEpochBatches:

@@ -15,9 +15,11 @@ from spklab import losses, sampling, scoring
 from spklab.embedding import mean_embedding
 from spklab.errors import DomainError, TrainingDiverged
 from spklab.training import (
+    EMBED_STACK_FILES,
     Checkpoint,
     EvalPack,
     TrainConfig,
+    dev_eer,
     embed_files,
     grid_search,
     init_run,
@@ -308,6 +310,78 @@ class TestEvalHelpers:
         files = {"a": rng.standard_normal((2, 4)), "b": bad, "c": rng.standard_normal((2, 4))}
         with pytest.raises(DomainError, match=match):
             embed_files(params, files)
+
+    @staticmethod
+    def unstaged_eer(params, pack):
+        """The per-epoch dev EER that `dev_eer`'s staged pack replaces, kept as its oracle."""
+        return scoring.eer(scoring.score_trials(pack.trials, embed_files(params, pack.files))).eer
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunk_counts=st.lists(st.integers(1, 6), min_size=5, max_size=24),
+        one_big_group=st.booleans(),
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 16), st.integers(1, 8)),
+        activation=st.sampled_from(enc.ACTIVATIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dev_eer_equals_unstaged_path(self, chunk_counts, one_big_group, dims, activation,
+                                          seed):
+        # mixed chunk counts, and optionally one count with more files than one stack holds
+        rng = np.random.default_rng(seed)
+        counts = chunk_counts + [2] * (EMBED_STACK_FILES + 3) * one_big_group
+        latents = rng.standard_normal((4, dims[0]))
+        files = {f"f{i:03d}": latents[i % 4] + rng.standard_normal((n, dims[0]))
+                 for i, n in enumerate(counts)}
+        ids = sorted(files)
+        pairs = [(0, 4, True), (0, 1, False)] + [
+            (a, b, a % 4 == b % 4) for a, b in rng.integers(0, len(ids), size=(30, 2)) if a != b
+        ]
+        pack = EvalPack(files, [scoring.Trial(ids[a], ids[b], t) for a, b, t in pairs])
+        for _ in range(2):  # the second call reuses the pack staged by the first
+            params = enc.init_encoder(*dims, rng, activation)
+            assert dev_eer(params, pack) == self.unstaged_eer(params, pack)
+        assert pack.staged is not None
+
+    def dev_error_pair(self, params, pack):
+        """Error texts of dev_eer's first call and of the unstaged path on the same pack."""
+        texts = []
+        for score in (dev_eer, self.unstaged_eer):
+            with pytest.raises(DomainError) as exc:
+                score(params, pack)
+            texts.append(str(exc.value))
+        return texts
+
+    def test_dev_eer_zero_norm_names_the_trial(self):
+        rng = np.random.default_rng(55)
+        params = enc.init_encoder(4, 6, 3, rng, "identity")  # zero biases: zero in, zero out
+        files = {"a": rng.standard_normal((2, 4)), "b": np.zeros((2, 4)),
+                 "c": rng.standard_normal((3, 4))}
+        trials = [scoring.Trial("a", "c", True), scoring.Trial("c", "b", False)]
+        pack = EvalPack(files, trials)
+        staged, unstaged = self.dev_error_pair(params, pack)
+        assert pack.staged is not None
+        assert staged == unstaged
+        assert "trial c vs b" in staged and "zero norm" in staged
+
+    @pytest.mark.parametrize("bad", ["unknown_id", "one_class", "wrong_dim", "one_dim", "empty",
+                                     "every_dim"])
+    def test_dev_eer_bad_pack_fails_as_unstaged(self, bad):
+        rng = np.random.default_rng(56)
+        params = enc.init_encoder(4, 6, 3, rng)
+        files = {"a": rng.standard_normal((2, 4)), "b": rng.standard_normal((2, 4)),
+                 "c": rng.standard_normal((2, 4))}
+        trials = [scoring.Trial("a", "b", True), scoring.Trial("a", "c", False)]
+        if bad == "unknown_id":
+            trials.append(scoring.Trial("c", "zz", False))
+        elif bad == "one_class":
+            trials = trials[:1]
+        elif bad == "every_dim":
+            files = {file_id: np.zeros((2, 5)) for file_id in files}
+        else:
+            files["b"] = {"wrong_dim": np.zeros((3, 5)), "one_dim": np.zeros(4),
+                          "empty": np.zeros((0, 4))}[bad]
+        staged, unstaged = self.dev_error_pair(params, EvalPack(files, trials))
+        assert staged == unstaged
 
     def test_initial_checkpoint_has_epoch_minus_one(self):
         pool, dev = toy_problem()
