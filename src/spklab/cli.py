@@ -147,6 +147,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ConfigError, DomainError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

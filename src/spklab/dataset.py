@@ -252,6 +252,7 @@ def load_dataset(data_dir) -> SpeakerDataset:
     feature_dim = None
     partitions: dict[str, list[int]] = {name: [] for name in PARTITIONS}
     files: dict[str, FileRecord] = {}
+    line_of: dict[str, int] = {}
     with open(manifest_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
@@ -269,7 +270,13 @@ def load_dataset(data_dir) -> SpeakerDataset:
             speaker, start, n = _manifest_ints(manifest_path, line_no, parts[2:])
             if partition not in PARTITIONS:
                 raise DomainError(f"{manifest_path}:{line_no}: unknown partition {partition!r}")
-            if n <= 0 or start < 0 or start + n > features.shape[0]:
+            if fid in line_of:
+                raise DomainError(f"{manifest_path}:{line_no}: file id {fid} repeats line "
+                                  f"{line_of[fid]}")
+            line_of[fid] = line_no
+            if n <= 0:
+                raise DomainError(f"{manifest_path}:{line_no}: file {fid} has no rows (n = {n})")
+            if start < 0 or start + n > features.shape[0]:
                 raise DomainError(f"{manifest_path}:{line_no}: rows {start}..{start + n} are not "
                                   f"inside the {features.shape[0]} rows of {FEATURES_NAME}")
             files[fid] = FileRecord(fid, speaker, partition, features[start : start + n])

@@ -7,6 +7,7 @@ false-rejection curves swept over the sorted distinct scores, linearly
 interpolated when no threshold hits the crossing exactly.
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -287,6 +288,19 @@ def check_n_bootstrap(n_bootstrap: int) -> None:
         raise DomainError(f"n_bootstrap must be >= 100, got {n_bootstrap}")
 
 
+@functools.lru_cache(maxsize=1)
+def _bootstrap_draws(seed: int, n_bootstrap: int, n_tar: int, n_non: int) -> np.ndarray:
+    """Read-only (n_bootstrap, n_tar + n_non) trial positions: row i holds the target draws,
+    then the non-target draws shifted by n_tar, of `default_rng((seed, i))`."""
+    draws = np.empty((n_bootstrap, n_tar + n_non), dtype=np.min_scalar_type(n_tar + n_non))
+    for i in range(n_bootstrap):
+        rng = np.random.default_rng((seed, i))
+        draws[i, :n_tar] = rng.integers(0, n_tar, size=n_tar)
+        draws[i, n_tar:] = n_tar + rng.integers(0, n_non, size=n_non)
+    draws.flags.writeable = False
+    return draws
+
+
 def eer_bootstrap_ci(
     scored: Sequence[Trial],
     n_bootstrap: int,
@@ -298,8 +312,12 @@ def eer_bootstrap_ci(
     Targets and non-targets are resampled with replacement independently,
     preserving each class count, so every resample keeps both classes
     populated. Each resample draws its RNG substream from (seed, index),
-    making the interval deterministic and order-independent. Each block of
-    resamples is swept as one count matrix, with `eer_from_scores`' EERs.
+    making the interval deterministic and order-independent. The draws
+    depend only on (seed, n_bootstrap, class counts): they are built once
+    (`_bootstrap_draws`) and shared by every report of the process with
+    those values, at n_bootstrap x trials cells of at most 2 bytes up to
+    65,535 trials. Each block of resamples is swept as one count matrix,
+    with `eer_from_scores`' EERs.
     """
     check_n_bootstrap(n_bootstrap)
     if not 0.0 < confidence < 1.0:
@@ -310,15 +328,10 @@ def eer_bootstrap_ci(
     scores, pos = np.unique(np.concatenate([tar, non]), return_inverse=True)
     block = max(1, BOOTSTRAP_BLOCK_CELLS // (scores.size + 1))
     boot = np.empty(n_bootstrap)
-    draws = np.empty((block, pos.size), dtype=np.int64)
-    offset = np.repeat([0, tar.size], [tar.size, non.size])  # non-targets follow targets in pos
+    draws = _bootstrap_draws(seed, n_bootstrap, tar.size, non.size)
     for start in range(0, n_bootstrap, block):
         stop = min(start + block, n_bootstrap)
-        for row, i in enumerate(range(start, stop)):
-            rng = np.random.default_rng((seed, i))
-            draws[row, :tar.size] = rng.integers(0, tar.size, size=tar.size)
-            draws[row, tar.size:] = rng.integers(0, non.size, size=non.size)
-        far, frr = _resampled_rates(pos[draws[:stop - start] + offset], tar.size, scores.size)
+        far, frr = _resampled_rates(pos[draws[start:stop]], tar.size, scores.size)
         boot[start:stop], = _crossing(far, frr, far)
 
     half = 100.0 * (1.0 - confidence) / 2.0

@@ -1,10 +1,20 @@
 """Shared test helpers: random loss instances away from hinge kinks, the
-finite-difference adapters per loss kind, and the brute-force EER oracle.
+finite-difference adapters per loss kind, the brute-force EER oracle, and
+a bootstrap-draw cache emptied before each test.
 """
 
 import numpy as np
+import pytest
 
-from spklab import losses, sampling
+from spklab import losses, sampling, scoring
+
+
+@pytest.fixture(autouse=True)
+def cold_bootstrap_draws():
+    """Every test starts without cached bootstrap draws, so test order cannot decide
+    whether a report builds its draws or reuses them."""
+    scoring._bootstrap_draws.cache_clear()
+
 
 # Hyper-parameters used for random gradient-check instances (the tuned
 # operating points of each loss).

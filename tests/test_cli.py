@@ -246,3 +246,17 @@ def test_evaluate_without_top_n_candidate_fails_before_scoring(workdir, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "top_n_candidates" in err[0]
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["gen-data", "compare"])
+def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
+    # the seed is checked before the dataset is read or anything is written:
+    # the missing --data directory is never reached
+    out = tmp_path / "out"
+    args = [command, "--seed", "-1", "--out", str(out)]
+    if command != "gen-data":
+        args += ["--data", str(tmp_path / "nowhere")]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
+    assert not out.exists()

@@ -28,6 +28,18 @@ SMALL = SyntheticDatasetSpec(
 )
 
 
+def edit_manifest_field(data_dir, line_no, index, value):
+    """Sets field `index` of manifest line `line_no` (1-based) to `value`, unless `value` is
+    None; returns the line's fields as they were."""
+    manifest = Path(data_dir) / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    fields = lines[line_no - 1].split()
+    if value is not None:
+        lines[line_no - 1] = " ".join(fields[:index] + [value] + fields[index + 1:])
+        manifest.write_text("\n".join(lines) + "\n")
+    return fields
+
+
 class TestGeneration:
     def test_default_partition_sizes(self):
         ds = generate_dataset(SyntheticDatasetSpec(seed=1))
@@ -170,6 +182,20 @@ class TestOnDisk:
                 load_dataset(tmp_path / "data")
         path.write_bytes(whole[:-100])
         with pytest.raises(DomainError, match="features.npy"):
+            load_dataset(tmp_path / "data")
+
+    def test_repeated_file_id_names_both_lines(self, tmp_path):
+        # a repeated id would otherwise replace the earlier file's rows
+        gen_synthetic_dataset(SMALL, tmp_path / "data")
+        first = edit_manifest_field(tmp_path / "data", 2, 0, None)[0]
+        edit_manifest_field(tmp_path / "data", 3, 0, first)
+        with pytest.raises(DomainError, match=rf"manifest\.txt:3: file id {first} repeats line 2$"):
+            load_dataset(tmp_path / "data")
+
+    def test_empty_file_is_named(self, tmp_path):
+        gen_synthetic_dataset(SMALL, tmp_path / "data")
+        fid = edit_manifest_field(tmp_path / "data", 4, 4, "0")[0]
+        with pytest.raises(DomainError, match=rf"manifest\.txt:4: file {fid} has no rows \(n = 0\)$"):
             load_dataset(tmp_path / "data")
 
     def test_file_id_format(self):

@@ -422,6 +422,68 @@ class TestBootstrap:
             EerReport(eer=0.5, threshold=0.0, ci_low=0.6, ci_high=0.4)
 
 
+# bound at import, so that a patched np.random.default_rng does not count the oracle's generators
+DEFAULT_RNG = np.random.default_rng
+
+
+def per_resample_interval(tar, non, n_bootstrap, seed):
+    """The 95% interval of the per-resample loop, one generator per resample, at the
+    report's percentile ranks."""
+    boot = []
+    for i in range(n_bootstrap):
+        r = DEFAULT_RNG((seed, i))
+        boot.append(eer_from_scores(tar[r.integers(0, tar.size, tar.size)],
+                                    non[r.integers(0, non.size, non.size)])[0])
+    half = 100.0 * (1.0 - 0.95) / 2.0
+    return tuple(np.percentile(boot, [half, 100.0 - half]))
+
+
+class TestSharedDraws:
+    @pytest.fixture()
+    def made(self, monkeypatch):
+        """Seeds of the generators built from here on."""
+        seeds = []
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return DEFAULT_RNG(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return seeds
+
+    def test_reports_with_equal_counts_build_the_draws_once(self, made):
+        rng = DEFAULT_RNG(47)
+        cases = [(rng.normal(0.6, 1.0, 30), rng.normal(0.0, 1.0, 40)),
+                 (np.round(rng.normal(0.2, 1.0, 30), 1), np.round(rng.normal(0.0, 1.0, 40), 1))]
+        reports = [eer_bootstrap_ci(trials_from(tar, non), 150, seed=5) for tar, non in cases]
+        assert made == [(5, i) for i in range(150)]
+        for report, (tar, non) in zip(reports, cases):
+            assert (report.ci_low, report.ci_high) == per_resample_interval(tar, non, 150, 5)
+
+    def test_draws_are_read_only_positions(self):
+        draws = scoring._bootstrap_draws(3, 100, 5, 7)
+        assert draws.shape == (100, 12) and draws.dtype == np.uint8
+        assert draws[:, :5].max() < 5 and draws[:, 5:].min() >= 5 and draws.max() < 12
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0, 0] = 1
+        assert scoring._bootstrap_draws(3, 1, 200, 200).dtype == np.uint16
+        assert scoring._bootstrap_draws(3, 1, 65_000, 535).dtype == np.uint16
+
+    def test_changed_seed_count_or_classes_draw_afresh(self, made):
+        rng = DEFAULT_RNG(53)
+        tar, non = rng.normal(0.5, 1.0, 25), rng.normal(0.0, 1.0, 35)
+        for seed, n_bootstrap, n_tar, n_non in [(1, 120, 25, 35), (2, 120, 25, 35),
+                                                (2, 130, 25, 35), (2, 130, 24, 35),
+                                                (2, 130, 24, 34), (1, 120, 25, 35)]:
+            made.clear()
+            report = eer_bootstrap_ci(trials_from(tar[:n_tar], non[:n_non]), n_bootstrap,
+                                      seed=seed)
+            assert made == [(seed, i) for i in range(n_bootstrap)]
+            assert (report.ci_low, report.ci_high) == per_resample_interval(
+                tar[:n_tar], non[:n_non], n_bootstrap, seed)
+
+
 class TestTuneCohortSize:
     def test_single_candidate(self):
         rng = np.random.default_rng(47)
