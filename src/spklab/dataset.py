@@ -11,6 +11,7 @@ On disk a dataset is a manifest (text) plus one flat .npy matrix holding
 all chunk rows, so identical seeds produce byte-identical files.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -55,8 +56,9 @@ class SyntheticDatasetSpec:
         )
         if min(counts) < 1:
             raise DomainError("all dataset counts and dims must be positive")
-        if self.intra_speaker_spread <= 0:
-            raise DomainError("intra_speaker_spread must be positive")
+        if not 0 < self.intra_speaker_spread < math.inf:
+            raise DomainError(f"intra_speaker_spread must be positive and finite, "
+                              f"got {self.intra_speaker_spread}")
         if self.trials_per_speaker < 2:
             raise DomainError("trials_per_speaker must be at least 2")
 
@@ -284,6 +286,13 @@ def load_dataset(data_dir) -> SpeakerDataset:
                 partitions[partition].append(speaker)
     if feature_dim is None:
         raise DomainError(f"{manifest_path}: missing feature_dim header")
+    # one pass; a bad row no file uses is harmless, and only float and
+    # complex values can be non-finite
+    if features.dtype.kind in "fc" and not np.isfinite(features).all():
+        for fid, record in files.items():
+            if not np.isfinite(record.features).all():
+                raise DomainError(f"{manifest_path}:{line_of[fid]}: file {fid} has a "
+                                  f"non-finite feature value")
 
     spec_echo = {}
     spec_path = os.path.join(data_dir, SPEC_NAME)

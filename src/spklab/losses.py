@@ -27,6 +27,7 @@ Over one batch, a loss whose terms weigh the cosines S_ij with G_ij has
 dX = (G_sym U - rowsum(G_sym * S) U) / |x|, where G_sym = G + G^T.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,10 +69,10 @@ class LossHyper:
     margin: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.margin < 0:
-            raise DomainError(f"margin must be non-negative, got {self.margin}")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.margin < math.inf:
+            raise DomainError(f"margin must be non-negative and finite, got {self.margin}")
 
 
 @dataclass
@@ -112,8 +113,8 @@ class CenterLossParams:
             raise DomainError("gamma must be a (K, m) matrix")
         if not np.all(np.isfinite(self.gamma)):
             raise DomainError("gamma contains non-finite entries")
-        if self.lam < 0:
-            raise DomainError(f"lambda must be non-negative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.penalty not in CENTER_PENALTIES:
             raise DomainError(f"unknown center penalty {self.penalty!r}")
 
@@ -440,12 +441,22 @@ def triplet_loss_hinge(embeddings, labels, tuples: TupleIndex, hyper: LossHyper)
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=len(triplets))
 
 
-def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0 and
-    e^z / (1 + e^z) below, with the exponent never positive."""
+    e^z / (1 + e^z) below, with the exponent never positive.
+
+    The numerator is max(e, z >= 0) with e = e^-|z| in [0, 1]: 1 where
+    z >= 0, e below, and NaN for NaN, without a select over the sign
+    pattern, whose branches mispredict. `out` may be `z` itself."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    nonneg = z >= 0
+    e = np.abs(z, out=np.empty_like(z) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.maximum(e, nonneg, out=e)
+    e /= den
+    return e
 
 
 def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHyper) -> LossOutput:
@@ -488,64 +499,102 @@ def _cosine_weight_grads(g, u, xn, s):
 
 def contrastive_loss_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
     """`contrastive_loss` over every unordered pair of the batch, from the
-    batch cosine matrix and the label mask."""
+    batch cosine matrix and the label mask.
+
+    The negative hinge max(m - (1 - S), 0) is 0 off the active pairs, so
+    its square and doubled value are the negative terms and slopes; the
+    positive ones are copied over them where the labels agree. Only the
+    pairs above the diagonal count."""
     if not hyper.margin > 0:
         raise DomainError("contrastive loss needs a positive margin")
     y, u, xn, s = _batch_cosines(embeddings, labels)
+    n = len(y)
     same = y[:, None] == y[None, :]
-    upper = np.triu(np.ones_like(same), k=1)
-    h = hyper.margin - (1.0 - s)
-    active = ~same & (h > 0)
-    terms = np.where(same, (1.0 - s) ** 2, np.where(active, h**2, 0.0))
-    slopes = np.where(same, -2.0 * (1.0 - s), np.where(active, 2.0 * h, 0.0))
-    dx = _cosine_weight_grads(np.where(upper, slopes, 0.0), u, xn, s)
+    upper = np.arange(n)[:, None] < np.arange(n)
+    dist = 1.0 - s
+    h = hyper.margin - dist
+    np.maximum(h, 0.0, out=h)
+    terms = np.square(h)
+    np.square(dist, out=terms, where=same)
+    h *= 2.0
+    np.multiply(dist, -2.0, out=h, where=same)
+    dx = _cosine_weight_grads(np.where(upper, h, 0.0), u, xn, s)
     return LossOutput(float(terms[upper].sum()), grad_embeddings=dx, reduction="sum",
-                      n_terms=int(upper.sum()))
+                      n_terms=n * (n - 1) // 2)
 
 
-def _triplet_loss_dense(embeddings, labels, term) -> LossOutput:
+def _anchor_positives(y: np.ndarray):
+    """(P, valid) of `_triplet_loss_dense` from one stable argsort of the
+    labels, which lists each label's samples in index order: anchor a's
+    j-th positive is entry j of its label's run, or entry j + 1 from a's
+    own place in the run on."""
+    n = len(y)
+    order = np.argsort(y, kind="stable")
+    sorted_y = y[order]
+    start = np.searchsorted(sorted_y, y)
+    count = np.searchsorted(sorted_y, y, side="right") - start - 1
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    j = np.arange(count.max(initial=0))
+    at = start[:, None] + j
+    at += at >= place[:, None]
+    valid = j < count[:, None]
+    p = np.where(valid, order[np.minimum(at, n - 1)], np.arange(n)[:, None])
+    return p, valid
+
+
+def _triplet_loss_dense(embeddings, labels, term, slope) -> LossOutput:
     """Sum of term(S[a, n] - S[a, p]) over every (anchor, positive, negative)
     of the batch with y_a == y_p != y_n and a != p.
 
     The differences form an (N, k, N) tensor: row a of P lists the anchor's
-    positives, padded with a itself up to k, the largest positive count,
-    and `valid` marks the real ones, so unbalanced labels work too. `term`
-    maps the differences to (terms, d term / d difference).
+    positives in index order, padded with a itself up to k, the largest
+    positive count, and `valid` marks the real ones, so unbalanced labels
+    work too. `term` maps the differences to the terms and `slope` the
+    terms to d term / d difference, each in place on the one tensor; the
+    slopes are finite and never negative, so multiplying by the mask
+    zeroes the padding and the same-label negatives to +0.0.
     """
     y, u, xn, s = _batch_cosines(embeddings, labels)
-    positive = y[:, None] == y[None, :]
-    np.fill_diagonal(positive, False)
-    k = int(positive.sum(axis=1).max(initial=0))
-    first = np.argsort(~positive, axis=1, kind="stable")[:, :k]
-    valid = np.take_along_axis(positive, first, axis=1)
+    p, valid = _anchor_positives(y)
     rows = np.arange(len(y))[:, None]
-    p = np.where(valid, first, rows)
     mask = valid[:, :, None] & (y[:, None] != y[None, :])[:, None, :]
-    terms, slopes = term(s[:, None, :] - np.take_along_axis(s, p, axis=1)[:, :, None])
-    w = np.where(mask, slopes, 0.0)
+    terms = term(s[:, None, :] - s[rows, p][:, :, None])
+    value = float(terms[mask].sum())
+    w = slope(terms)
+    w *= mask
     g = w.sum(axis=1)  # weight on S[a, n]
     g[rows, p] -= w.sum(axis=2)  # weight on S[a, p]; padding adds 0 to S[a, a]
     dx = _cosine_weight_grads(g, u, xn, s)
-    return LossOutput(float(terms[mask].sum()), grad_embeddings=dx, reduction="sum",
-                      n_terms=int(mask.sum()))
+    return LossOutput(value, grad_embeddings=dx, reduction="sum",
+                      n_terms=int(np.count_nonzero(mask)))
 
 
 def triplet_loss_hinge_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
     """`triplet_loss_hinge` over every triplet of the batch."""
     def hinge(d):
-        g = d + hyper.margin
-        return np.maximum(g, 0.0), (g > 0).astype(np.float64)
+        d += hyper.margin
+        return np.maximum(d, 0.0, out=d)
 
-    return _triplet_loss_dense(embeddings, labels, hinge)
+    def step(t):  # t > 0 exactly where the hinge is active
+        return np.greater(t, 0.0, out=t)
+
+    return _triplet_loss_dense(embeddings, labels, hinge, step)
 
 
 def triplet_loss_sigmoid_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
     """`triplet_loss_sigmoid` over every triplet of the batch."""
     def sigmoid(d):
-        sig = stable_sigmoid(hyper.alpha * d)
-        return sig, hyper.alpha * sig * (1.0 - sig)
+        d *= hyper.alpha
+        return stable_sigmoid(d, out=d)
 
-    return _triplet_loss_dense(embeddings, labels, sigmoid)
+    def slope(sig):  # alpha * sig * (1 - sig)
+        complement = 1.0 - sig
+        sig *= hyper.alpha
+        sig *= complement
+        return sig
+
+    return _triplet_loss_dense(embeddings, labels, sigmoid, slope)
 
 
 def finite_difference_check(loss_fn, inputs: dict, epsilon: float = 1e-5) -> float:

@@ -10,6 +10,7 @@ dev EER is recorded as a checkpoint.
 """
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -51,8 +52,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in losses.LOSS_KINDS:
             raise DomainError(f"unknown loss kind {self.loss_kind!r}")
-        if self.learning_rate < 0:
-            raise DomainError("learning rate must be non-negative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise DomainError(f"learning rate must be non-negative and finite, "
+                              f"got {self.learning_rate}")
         if self.epochs < 0:
             raise DomainError("epochs must be non-negative")
         for name in ("speakers_per_batch", "chunks_per_speaker"):
@@ -394,6 +396,8 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
                     raise ValueError(f"array {fields[0]!r} given twice")
                 i += 1
                 flat = np.array([float(v) for v in lines[i].split()], dtype=np.float64)
+                if not np.all(np.isfinite(flat)):
+                    raise ValueError(f"array {fields[0]!r} has a non-finite value")
                 arrays[fields[0]] = flat.reshape(shape)
         except (ValueError, IndexError) as exc:
             raise DomainError(f"{path}: bad checkpoint line {line!r}: {exc}") from None

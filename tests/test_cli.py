@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a tiny dataset, and on the README's example config."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -260,3 +261,63 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, section, setting, message", [
+    ("triplet_sigmoid", "loss", "alpha = inf", "alpha must be positive and finite, got inf"),
+    ("contrastive", "loss", "margin = nan", "margin must be non-negative and finite, got nan"),
+    ("center", "loss", "lambda = nan", "lambda must be non-negative and finite, got nan"),
+    ("aam", "training", "learning_rate = nan",
+     "learning rate must be non-negative and finite, got nan"),
+], ids=["alpha_inf", "margin_nan", "lambda_nan", "learning_rate_nan"])
+def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, kind, section,
+                                                          setting, message):
+    # rejected when the run is set up: one error line naming the value, no
+    # numpy warning and no "diverged" report from the first batch
+    tmp_path, cfg, data = workdir
+    text = TINY_CFG + f"\n[loss]\nkind = {kind}\n"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{setting}\n"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", str(bad), "--seed", "3",
+                     "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not list(out.rglob("best.ckpt"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_spread_fails_before_writing(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG.replace("intra_speaker_spread = 0.3", f"intra_speaker_spread = {value}"))
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: intra_speaker_spread must be positive and finite, got {value}"]
+    assert not out.exists()
+
+
+def test_non_finite_checkpoint_value_fails_cleanly(workdir, capsys):
+    # a nan weight would otherwise score every trial alike: EER 0.5, exit 0
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    ckpt = run / "best.ckpt"
+    lines = ckpt.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("array w1 ")) + 1
+    values = lines[k].split()
+    lines[k] = " ".join(values[:1] + ["nan"] + values[2:])
+    ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", str(cfg), "--seed", "3", "--data", str(data),
+               "--out", str(out), "--checkpoint", str(ckpt)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
+    assert err[0].endswith("array 'w1' has a non-finite value")
+    assert not list(out.glob("*"))

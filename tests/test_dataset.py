@@ -198,6 +198,20 @@ class TestOnDisk:
         with pytest.raises(DomainError, match=rf"manifest\.txt:4: file {fid} has no rows \(n = 0\)$"):
             load_dataset(tmp_path / "data")
 
+    def test_non_finite_feature_is_named(self, tmp_path):
+        # a nan row would otherwise reach training and fail there as a
+        # diverged loss
+        gen_synthetic_dataset(SMALL, tmp_path / "data")
+        fid, _, _, start, n = edit_manifest_field(tmp_path / "data", 5, 0, None)
+        path = tmp_path / "data" / "features.npy"
+        for value in (np.nan, np.inf):
+            features = np.load(path)
+            features[int(start) + int(n) - 1, 0] = value
+            np.save(path, features)
+            with pytest.raises(DomainError,
+                               match=rf"manifest\.txt:5: file {fid} has a non-finite feature value$"):
+                load_dataset(tmp_path / "data")
+
     def test_file_id_format(self):
         assert file_id(3, 12) == "s0003_f12"
 

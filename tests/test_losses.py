@@ -497,6 +497,112 @@ class TestDenseGradients:
             assert finite_difference_check(fn, {"x": x}) <= 1e-4
 
 
+def select_stable_sigmoid(z):
+    """`stable_sigmoid` with its numerator as a select over the sign
+    pattern."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def select_contrastive(x, labels, hyper):
+    """`contrastive_loss_dense` with nested selects over the label and
+    hinge masks."""
+    y, u, xn, s = losses._batch_cosines(x, labels)
+    same = y[:, None] == y[None, :]
+    upper = np.triu(np.ones_like(same), k=1)
+    h = hyper.margin - (1.0 - s)
+    active = ~same & (h > 0)
+    terms = np.where(same, (1.0 - s) ** 2, np.where(active, h**2, 0.0))
+    slopes = np.where(same, -2.0 * (1.0 - s), np.where(active, 2.0 * h, 0.0))
+    dx = losses._cosine_weight_grads(np.where(upper, slopes, 0.0), u, xn, s)
+    return losses.LossOutput(float(terms[upper].sum()), grad_embeddings=dx,
+                             reduction="sum", n_terms=int(upper.sum()))
+
+
+def select_triplet(x, labels, term):
+    """`_triplet_loss_dense` with each anchor's positives found by a stable
+    argsort of its row of the label mask, and the mask applied by a select;
+    `term` maps the differences to (terms, slopes)."""
+    y, u, xn, s = losses._batch_cosines(x, labels)
+    positive = y[:, None] == y[None, :]
+    np.fill_diagonal(positive, False)
+    k = int(positive.sum(axis=1).max(initial=0))
+    first = np.argsort(~positive, axis=1, kind="stable")[:, :k]
+    valid = np.take_along_axis(positive, first, axis=1)
+    rows = np.arange(len(y))[:, None]
+    p = np.where(valid, first, rows)
+    mask = valid[:, :, None] & (y[:, None] != y[None, :])[:, None, :]
+    terms, slopes = term(s[:, None, :] - np.take_along_axis(s, p, axis=1)[:, :, None])
+    w = np.where(mask, slopes, 0.0)
+    g = w.sum(axis=1)
+    g[rows, p] -= w.sum(axis=2)
+    dx = losses._cosine_weight_grads(g, u, xn, s)
+    return losses.LossOutput(float(terms[mask].sum()), grad_embeddings=dx,
+                             reduction="sum", n_terms=int(mask.sum()))
+
+
+def select_oracle(kind, x, y, hyper):
+    """A dense contrast loss with the selects and per-row sorts its kernel
+    replaces: the same float arithmetic, so the results agree bit for bit."""
+    if kind == "contrastive":
+        return select_contrastive(x, y, hyper)
+    if kind == "triplet_hinge":
+        def term(d):
+            g = d + hyper.margin
+            return np.maximum(g, 0.0), (g > 0).astype(np.float64)
+    else:
+        def term(d):
+            sig = select_stable_sigmoid(hyper.alpha * d)
+            return sig, hyper.alpha * sig * (1.0 - sig)
+    return select_triplet(x, y, term)
+
+
+def assert_same_bits(out, expected):
+    assert out.value == expected.value
+    assert out.n_terms == expected.n_terms and isinstance(out.n_terms, int)
+    assert out.grad_embeddings.shape == expected.grad_embeddings.shape
+    # bytes, so that the sign of a zero counts too
+    assert out.grad_embeddings.tobytes() == expected.grad_embeddings.tobytes()
+
+
+class TestDenseAgainstSelectOracle:
+    """The dense contrast kernels against the select-and-sort versions they
+    replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=contrast_batches())
+    def test_bit_for_bit(self, case):
+        kind, x, y, hyper = case
+        assert_same_bits(DENSE[kind](x, y, hyper), select_oracle(kind, x, y, hyper))
+
+    @pytest.mark.parametrize("kind", sorted(DENSE))
+    @pytest.mark.parametrize("speakers, chunks", [(40, 3), (20, 3), (30, 1)])
+    def test_bit_for_bit_at_training_shapes(self, kind, speakers, chunks):
+        # the tuned batch shapes, in speaker order and shuffled; one chunk per
+        # speaker leaves every anchor without a positive (k = 0)
+        rng = np.random.default_rng(zlib.crc32(f"{kind} {speakers}x{chunks}".encode()))
+        hyper = LossHyper(alpha=10.0, margin=0.3)
+        for _ in range(5):
+            y = np.repeat(rng.permutation(200)[:speakers], chunks)
+            x = rng.standard_normal((y.size, 16))
+            for labels in (y, rng.permutation(y)):
+                out = DENSE[kind](x, labels, hyper)
+                assert_same_bits(out, select_oracle(kind, x, labels, hyper))
+        if chunks == 1 and kind != "contrastive":
+            assert out.value == 0.0 and out.n_terms == 0
+
+    def test_stable_sigmoid_special_values(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4, 7.0, -7.0, 745.2, -745.2])
+        expected = select_stable_sigmoid(z)
+        assert np.array_equal(stable_sigmoid(z), expected, equal_nan=True)
+        in_place = z.copy()
+        assert stable_sigmoid(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, expected, equal_nan=True)
+        finite = ~np.isnan(z)
+        assert stable_sigmoid(z)[finite].tobytes() == expected[finite].tobytes()
+
+
 class TestLossStateDispatch:
     def test_init_state_shapes(self):
         rng = np.random.default_rng(22)
