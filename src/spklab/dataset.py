@@ -109,8 +109,12 @@ class SpeakerDataset:
         return TrainPool([label_of[rec.speaker] for rec in train], [rec.features for rec in train])
 
     def eval_pack(self, partition: str) -> EvalPack:
-        trials = self.trials_dev if partition == "dev" else self.trials_test
-        return EvalPack(files=self.files_of(partition), trials=trials)
+        """The partition staged for scoring, with the dev or the test trials; the train and
+        cohort partitions have none."""
+        if partition not in PARTITIONS:
+            raise DomainError(f"unknown partition {partition!r}, not one of {PARTITIONS}")
+        trials = {"dev": self.trials_dev, "test": self.trials_test}.get(partition, ())
+        return EvalPack(self.files_of(partition), trials)
 
 
 def file_id(speaker: int, file_index: int) -> str:

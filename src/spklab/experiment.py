@@ -13,8 +13,6 @@ import logging
 import os
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from spklab import losses, scoring, training
 from spklab.config import Config
 from spklab.dataset import SpeakerDataset
@@ -147,11 +145,12 @@ def evaluate_encoder(
     """Score the test trials raw and, unless s-norm is off, normalized with
     top_n tuned on dev; write scores and reports under `out_dir`. Returns
     the raw report and the normalized one (None without s-norm)."""
-    if opts.use_snorm:
+    if opts.use_snorm:  # a bad option or dev trial list fails before any file is written
         candidates = top_n_candidates(len(dataset.files_of("cohort")), opts)
+        dev_pack = dataset.eval_pack("dev")
     test_pack = dataset.eval_pack("test")
-    test_embeddings = training.embed_files(encoder, test_pack.files)
-    scored_raw = scoring.score_trials(test_pack.trials, test_embeddings)
+    test_embeddings = training.embed_files(encoder, test_pack)
+    scored_raw = scoring.score_trials(test_embeddings, test_pack.index)
     raw_report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
     scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), scored_raw)
     scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
@@ -159,16 +158,13 @@ def evaluate_encoder(
     if not opts.use_snorm:
         return raw_report, None
 
-    cohort_by_id = training.embed_files(encoder, dataset.files_of("cohort"))
-    cohort_embeddings = np.vstack([cohort_by_id[fid] for fid in sorted(cohort_by_id)])
-    dev_pack = dataset.eval_pack("dev")
-    dev_embeddings = training.embed_files(encoder, dev_pack.files)
-    scored_dev = scoring.score_trials(dev_pack.trials, dev_embeddings)
+    cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
     top_n = scoring.tune_cohort_size(
-        scored_dev, dev_embeddings, cohort_embeddings, candidates, opts.snorm_std
+        training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings, candidates,
+        opts.snorm_std,
     )
     cohort = scoring.Cohort(cohort_embeddings, top_n)
-    scored_norm = scoring.snorm_trials(scored_raw, test_embeddings, cohort, opts.snorm_std)
+    scored_norm = scoring.snorm_trials(test_embeddings, test_pack.index, cohort, opts.snorm_std)
     normalized_report = scoring.eer_bootstrap_ci(scored_norm, opts.n_bootstrap, seed=seed)
     normalized_report.top_n = top_n
     scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), scored_norm)

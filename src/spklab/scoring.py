@@ -10,7 +10,7 @@ interpolated when no threshold hits the crossing exactly.
 import functools
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,51 +76,56 @@ class EerReport:
                 raise DomainError(f"bad ci interval [{self.ci_low}, {self.ci_high}]")
 
 
-def score_trials(trials: Sequence[Trial], embeddings: Mapping[str, np.ndarray]) -> list[Trial]:
-    """Score every trial with the cosine of its enrollment/test embeddings.
+@dataclass(frozen=True)
+class TrialIndex:
+    """Trials over the rows of a (files, dim) embedding matrix: each trial's enrollment row,
+    test row and target flag, with the trials themselves to name one in an error."""
 
-    Returns new Trial objects in the same order. The distinct files are
-    stacked once and every trial is scored over index arrays by
-    `trial_cosines`, so each score equals cosine_similarity's bit for
-    bit. When the files do not stack (an unresolved reference, a
-    zero-norm or non-vector embedding, mixed dimensions), the trials are
-    scored one by one, so that a DomainError names the first trial that
-    fails.
+    trials: Sequence[Trial]
+    enroll: np.ndarray
+    test: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def of(cls, trials: Sequence[Trial], file_ids: Sequence[str]) -> "TrialIndex":
+        """The index of `trials` over files in the order of `file_ids`; a DomainError
+        names the first trial with an unknown file id."""
+        row = {file_id: i for i, file_id in enumerate(file_ids)}
+        for t in trials:
+            for ref in (t.enroll, t.test):
+                if ref not in row:
+                    raise DomainError(f"trial {t.enroll} vs {t.test}: unknown file id {ref!r}")
+        enroll = np.array([row[t.enroll] for t in trials], dtype=np.intp)
+        test = np.array([row[t.test] for t in trials], dtype=np.intp)
+        return cls(list(trials), enroll, test, np.array([t.is_target for t in trials], dtype=bool))
+
+
+def score_trials(embeddings: np.ndarray, index: TrialIndex) -> list[Trial]:
+    """Score every trial with the cosine of its enrollment/test rows of `embeddings`.
+
+    Returns new Trial objects in the index's order, each score equal to
+    cosine_similarity's bit for bit (`trial_cosines`).
     """
-    rows: dict[str, int] = {}
-    enroll = np.array([rows.setdefault(t.enroll, len(rows)) for t in trials], dtype=np.intp)
-    test = np.array([rows.setdefault(t.test, len(rows)) for t in trials], dtype=np.intp)
-    vectors = [np.asarray(embeddings.get(ref, ()), dtype=np.float64) for ref in rows]
-    shapes = {v.shape for v in vectors}
-    if len(shapes) == 1 and len(shape := shapes.pop()) == 1 and shape[0] > 0:
-        scores = trial_cosines(np.array(vectors), enroll, test)
-        if scores is not None:
-            return [Trial(t.enroll, t.test, t.is_target, float(s)) for t, s in zip(trials, scores)]
-    return [_score_trial(t, embeddings) for t in trials]
+    scores = trial_cosines(embeddings, index)
+    return [Trial(t.enroll, t.test, t.is_target, float(s)) for t, s in zip(index.trials, scores)]
 
 
-def trial_cosines(files: np.ndarray, enroll: np.ndarray, test: np.ndarray) -> np.ndarray | None:
-    """Clamped cosine of rows `enroll[i]` and `test[i]` of a (files, dim) matrix for every i,
-    with cosine_similarity's arithmetic (np.vecdot dot products and norms, one division, the
-    clamp), so each equals it bit for bit; None when a row used has a norm <= ZERO_NORM_EPS."""
-    norms = np.sqrt(np.vecdot(files, files))
-    if not (np.all(norms[enroll] > ZERO_NORM_EPS) and np.all(norms[test] > ZERO_NORM_EPS)):
-        return None
-    scores = np.vecdot(files[enroll], files[test]) / (norms[enroll] * norms[test])
+def trial_cosines(embeddings: np.ndarray, index: TrialIndex) -> np.ndarray:
+    """Clamped cosine of every trial's two rows of a (files, dim) matrix, with
+    cosine_similarity's arithmetic (np.vecdot dot products and norms, one division, the
+    clamp), so each equals it bit for bit. A row with a norm <= ZERO_NORM_EPS fails as
+    cosine_similarity does, naming the first trial that uses it."""
+    norms = np.sqrt(np.vecdot(embeddings, embeddings))
+    zero = norms[np.stack((index.enroll, index.test))] <= ZERO_NORM_EPS
+    if zero.any():
+        i = int(zero.any(axis=0).argmax())
+        t = index.trials[i]
+        raise DomainError(f"trial {t.enroll} vs {t.test}: cosine_similarity: operand "
+                          f"{'a' if zero[0, i] else 'b'!r} has zero norm")
+    scores = (np.vecdot(embeddings[index.enroll], embeddings[index.test])
+              / (norms[index.enroll] * norms[index.test]))
     np.clip(scores, -1.0, 1.0, out=scores)
     return scores
-
-
-def _score_trial(t: Trial, embeddings: Mapping[str, np.ndarray]) -> Trial:
-    """One trial scored with cosine_similarity; errors name the trial."""
-    for ref in (t.enroll, t.test):
-        if ref not in embeddings:
-            raise DomainError(f"trial {t.enroll} vs {t.test}: unknown file id {ref!r}")
-    try:
-        s = cosine_similarity(embeddings[t.enroll], embeddings[t.test])
-    except DomainError as exc:
-        raise DomainError(f"trial {t.enroll} vs {t.test}: {exc}") from exc
-    return Trial(t.enroll, t.test, t.is_target, score=s)
 
 
 def cohort_stats(embedding, cohort: Cohort, std_mode: str = "population") -> tuple[float, float]:
@@ -154,77 +159,68 @@ def adaptive_snorm(raw_score: float, enroll, test, cohort: Cohort, std_mode: str
     return 0.5 * ((raw_score - mu_e) / sd_e + (raw_score - mu_t) / sd_t)
 
 
-def _ranked_cohort_scores(scored: Sequence[Trial], embeddings: Mapping[str, np.ndarray],
-                          cohort: Cohort) -> tuple[np.ndarray, ...]:
-    """Raw scores, each distinct file's cohort cosines sorted ascending per
-    row (its top_n largest are the row's last top_n), and each trial's two
-    rows. The cosines repeat cosine_similarity's arithmetic, so each equals
+def _sorted_cohort_cosines(embeddings: np.ndarray, cohort: Cohort) -> np.ndarray:
+    """Each file's cohort cosines sorted ascending per row (its top_n largest are the
+    row's last top_n). The cosines repeat cosine_similarity's arithmetic, so each equals
     it bit for bit; cosine_matrix normalizes first and rounds differently."""
-    rows: dict[str, int] = {}
-    for t in scored:
-        if t.score is None:
-            raise DomainError(f"trial {t.enroll} vs {t.test} has no raw score")
-        rows.setdefault(t.enroll, len(rows))
-        rows.setdefault(t.test, len(rows))
     dim = cohort.embeddings.shape[1]
-    if any(np.shape(embeddings[ref]) != (dim,) for ref in rows):
+    if embeddings.shape[1:] != (dim,):
         raise DomainError(f"s-norm needs file embeddings of the cohort's dimension {dim}")
-    files = np.array([embeddings[ref] for ref in rows], dtype=np.float64).reshape(len(rows), dim)
-    norms_f, norms_c = (np.sqrt(np.vecdot(m, m)) for m in (files, cohort.embeddings))
+    norms_f, norms_c = (np.sqrt(np.vecdot(m, m)) for m in (embeddings, cohort.embeddings))
     if np.any(norms_f <= ZERO_NORM_EPS) or np.any(norms_c <= ZERO_NORM_EPS):
         raise DomainError("s-norm needs nonzero file and cohort embeddings")
-    cosines = np.vecdot(files[:, None, :], cohort.embeddings[None, :, :])
+    cosines = np.vecdot(embeddings[:, None, :], cohort.embeddings[None, :, :])
     cosines /= norms_f[:, None] * norms_c[None, :]
     np.clip(cosines, -1.0, 1.0, out=cosines)
     cosines.sort(axis=1)
-    raw = np.array([t.score for t in scored], dtype=np.float64)
-    enroll = np.array([rows[t.enroll] for t in scored], dtype=np.intp)
-    test = np.array([rows[t.test] for t in scored], dtype=np.intp)
-    return raw, cosines, enroll, test
+    return cosines
 
 
-def _snorm_scores(scored: Sequence[Trial], ranked, top_n: int, std_mode: str) -> np.ndarray:
-    """Adaptive s-norm of every trial at one top_n from the ranked cohort
-    scores, with the arithmetic of `adaptive_snorm` on whole arrays."""
+def _snorm_scores(raw: np.ndarray, cosines: np.ndarray, index: TrialIndex, top_n: int,
+                  std_mode: str) -> np.ndarray:
+    """Adaptive s-norm of every trial's raw score at one top_n from the sorted cohort
+    cosines, with the arithmetic of `adaptive_snorm` on whole arrays."""
     if std_mode not in SNORM_STD_MODES:
         raise DomainError(f"unknown std mode {std_mode!r}")
-    raw, cosines, enroll, test = ranked
+    enroll, test = index.enroll, index.test
     top = cosines[:, -top_n:]
     mu = top.mean(axis=1)
     sd = top.std(axis=1, ddof=0 if std_mode == "population" else 1)
     degenerate = np.flatnonzero((sd[enroll] < SNORM_MIN_STD) | (sd[test] < SNORM_MIN_STD))
     if degenerate.size:
-        t = scored[degenerate[0]]
+        t = index.trials[degenerate[0]]
         raise DegenerateCohortError(f"cohort top-{top_n} scores have near-zero spread for "
                                     f"trial {t.enroll} vs {t.test}")
     return 0.5 * ((raw - mu[enroll]) / sd[enroll] + (raw - mu[test]) / sd[test])
 
 
-def snorm_trials(
-    scored: Sequence[Trial],
-    embeddings: Mapping[str, np.ndarray],
-    cohort: Cohort,
-    std_mode: str = "population",
-) -> list[Trial]:
-    """Apply adaptive s-norm to a scored trial list.
+def snorm_trials(embeddings: np.ndarray, index: TrialIndex, cohort: Cohort,
+                 std_mode: str = "population") -> list[Trial]:
+    """Score every trial raw (`trial_cosines`) and apply adaptive s-norm.
 
-    Every distinct file is scored against the cohort once, as one matrix;
-    each normalized score equals `adaptive_snorm` on its trial exactly.
+    Every file is scored against the cohort once, as one matrix; each
+    normalized score equals `adaptive_snorm` on its trial exactly.
     """
-    ranked = _ranked_cohort_scores(scored, embeddings, cohort)
-    normalized = _snorm_scores(scored, ranked, cohort.top_n, std_mode)
-    return [Trial(t.enroll, t.test, t.is_target, float(s)) for t, s in zip(scored, normalized)]
+    raw = trial_cosines(embeddings, index)
+    cosines = _sorted_cohort_cosines(embeddings, cohort)
+    normalized = _snorm_scores(raw, cosines, index, cohort.top_n, std_mode)
+    return [Trial(t.enroll, t.test, t.is_target, float(s))
+            for t, s in zip(index.trials, normalized)]
+
+
+def split_classes(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Target and non-target scores; a DomainError unless both classes are present."""
+    if target.all() or not target.any():
+        raise DomainError("EER needs at least one target and one non-target trial")
+    return scores[target], scores[~target]
 
 
 def _split_scores(scored: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray]:
-    tar, non = [], []
     for t in scored:
         if t.score is None:
             raise DomainError(f"trial {t.enroll} vs {t.test} has no score")
-        (tar if t.is_target else non).append(t.score)
-    if not tar or not non:
-        raise DomainError("EER needs at least one target and one non-target trial")
-    return np.asarray(tar, dtype=np.float64), np.asarray(non, dtype=np.float64)
+    return split_classes(np.array([t.score for t in scored], dtype=np.float64),
+                         np.array([t.is_target for t in scored], dtype=bool))
 
 
 def _operating_points(tar: np.ndarray, non: np.ndarray):
@@ -354,36 +350,32 @@ def det_points(scored: Sequence[Trial]) -> np.ndarray:
     return np.column_stack([far, frr])
 
 
-def tune_cohort_size(
-    scored_dev: Sequence[Trial],
-    embeddings: Mapping[str, np.ndarray],
-    cohort_embeddings: np.ndarray,
-    candidates: Sequence[int],
-    std_mode: str = "population",
-) -> int:
-    """Pick the top_n minimizing dev EER after normalization.
+def tune_cohort_size(embeddings: np.ndarray, index: TrialIndex, cohort_embeddings: np.ndarray,
+                     candidates: Sequence[int], std_mode: str = "population") -> int:
+    """Pick the top_n minimizing the EER of the trials after normalization.
 
-    The cohort cosines are sorted once for all candidates. Ties go to the
-    smallest candidate; candidates that hit a degenerate cohort are
-    disqualified with a logged warning. Raises DomainError if no candidate
-    survives.
+    The trials are scored and the cohort cosines sorted once for all
+    candidates. Ties go to the smallest candidate; candidates that hit a
+    degenerate cohort are disqualified with a logged warning. Raises
+    DomainError if no candidate survives.
     """
     if len(candidates) == 0:
         raise DomainError("tune_cohort_size: empty candidate list")
     cohort_embeddings = np.asarray(cohort_embeddings, dtype=np.float64)
-    _split_scores(scored_dev)  # both classes present, every trial scored
-    is_target = np.array([t.is_target for t in scored_dev], dtype=bool)
-    ranked = None
+    raw = trial_cosines(embeddings, index)
+    split_classes(raw, index.target)  # both classes present
+    cosines = None
     best_n, best_eer = None, None
     for top_n in sorted(set(int(c) for c in candidates)):
         cohort = Cohort(cohort_embeddings, top_n)
-        ranked = ranked or _ranked_cohort_scores(scored_dev, embeddings, cohort)
+        if cosines is None:
+            cosines = _sorted_cohort_cosines(embeddings, cohort)
         try:
-            normalized = _snorm_scores(scored_dev, ranked, top_n, std_mode)
+            normalized = _snorm_scores(raw, cosines, index, top_n, std_mode)
         except DegenerateCohortError as exc:
             logger.warning("cohort size %d disqualified: %s", top_n, exc)
             continue
-        candidate_eer, _ = eer_from_scores(normalized[is_target], normalized[~is_target])
+        candidate_eer, _ = eer_from_scores(*split_classes(normalized, index.target))
         if best_eer is None or candidate_eer < best_eer:
             best_n, best_eer = top_n, candidate_eer
     if best_n is None:

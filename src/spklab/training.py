@@ -11,15 +11,13 @@ dev EER is recorded as a checkpoint.
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring
-from spklab.embedding import mean_embedding
 from spklab.errors import DomainError, TrainingDiverged
 
 logger = logging.getLogger(__name__)
@@ -55,6 +53,8 @@ class TrainConfig:
         if not 0 <= self.learning_rate < math.inf:
             raise DomainError(f"learning rate must be non-negative and finite, "
                               f"got {self.learning_rate}")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.epochs < 0:
             raise DomainError("epochs must be non-negative")
         for name in ("speakers_per_batch", "chunks_per_speaker"):
@@ -87,101 +87,63 @@ class Checkpoint:
             raise DomainError(f"dev EER out of [0, 1]: {self.dev_eer}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class EvalPack:
-    """File-level evaluation inputs: chunk features per file id plus trials.
+    """One partition staged for scoring when built: its file ids in sorted order, the
+    files' chunk stacks, and its trials' index over those files (a cohort has no trials).
 
-    `dev_eer` stages the pack as arrays on its first call and reuses them
-    on every later call, so a pack is not to be changed once scored.
+    Every file is an (n_chunks, feature_dim) matrix with n_chunks > 0, of the first such
+    file's feature_dim; a file that is not fails the build naming the file, and a trial
+    naming an unknown file fails it as `scoring.TrialIndex.of` does.
     """
 
     files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
-    trials: Sequence[scoring.Trial]
+    trials: Sequence[scoring.Trial] = ()
+    ids: list[str] = field(init=False)
+    feature_dim: int | None = field(init=False)  # None for a pack without files
+    # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
+    # (groups in order of first appearance), rows in file order, at most EMBED_STACK_FILES
+    stacks: list[tuple[np.ndarray, np.ndarray]] = field(init=False)
+    index: scoring.TrialIndex = field(init=False)
 
-    @cached_property
-    def staged(self) -> "StagedPack | None":
-        return StagedPack.of(self)
-
-
-@dataclass(frozen=True)
-class StagedPack:
-    """An EvalPack as arrays: its chunk stacks, grouped as `embed_files` groups them, with
-    each stack's rows in the pack's sorted file order; each trial's two rows; the trials'
-    target mask."""
-
-    stacks: list[tuple[np.ndarray, np.ndarray]]  # (rows, (F, n_chunks, feature_dim) stack)
-    n_files: int
-    feature_dim: int
-    enroll: np.ndarray
-    test: np.ndarray
-    target: np.ndarray
-
-    @classmethod
-    def of(cls, pack: EvalPack) -> "StagedPack | None":
-        """The pack staged, or None where `dev_eer` must fail as the unstaged path does: a
-        file that is not (n, d) with n > 0 and one d, a trial naming an unknown file, or
-        no trial of one class."""
-        shapes = {np.shape(chunks) for chunks in pack.files.values()}
-        if any(len(s) != 2 or s[0] == 0 for s in shapes) or len({s[1] for s in shapes}) != 1:
-            return None
-        row = {file_id: i for i, file_id in enumerate(sorted(pack.files))}
-        try:
-            enroll = np.array([row[t.enroll] for t in pack.trials], dtype=np.intp)
-            test = np.array([row[t.test] for t in pack.trials], dtype=np.intp)
-        except KeyError:
-            return None
-        target = np.array([t.is_target for t in pack.trials], dtype=bool)
-        if target.all() or not target.any():
-            return None
-        stacks = [
-            (np.array([row[file_id] for file_id in ids]),
-             np.array([pack.files[file_id] for file_id in ids], dtype=np.float64))
-            for ids in _stack_groups(pack.files)
+    def __post_init__(self):
+        self.ids = sorted(self.files)
+        shapes = [np.shape(self.files[file_id]) for file_id in self.ids]
+        self.feature_dim = next((s[1] for s in shapes if len(s) == 2), None)
+        by_count: dict[int, list[int]] = {}
+        for row, (file_id, shape) in enumerate(zip(self.ids, shapes)):
+            if len(shape) != 2 or shape[1] != self.feature_dim or shape[0] == 0:
+                raise DomainError(f"file {file_id}: features must be a non-empty (n_chunks, "
+                                  f"{self.feature_dim}) matrix, got shape {shape}")
+            by_count.setdefault(shape[0], []).append(row)
+        parts = [rows[i:i + EMBED_STACK_FILES]
+                 for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
+        self.stacks = [
+            (np.array(part), np.array([self.files[self.ids[r]] for r in part], dtype=np.float64))
+            for part in parts
         ]
-        return cls(stacks, len(row), shapes.pop()[1], enroll, test, target)
+        self.index = scoring.TrialIndex.of(self.trials, self.ids)
 
 
-def _stack_groups(files: Mapping[str, np.ndarray]) -> list[list[str]]:
-    """File ids in sorted order, grouped by chunk count (groups in order of first
-    appearance) and cut into parts of at most EMBED_STACK_FILES."""
-    by_count: dict[int, list[str]] = {}
-    for file_id in sorted(files):
-        by_count.setdefault(np.shape(files[file_id])[0], []).append(file_id)
-    return [ids[i:i + EMBED_STACK_FILES]
-            for ids in by_count.values() for i in range(0, len(ids), EMBED_STACK_FILES)]
-
-
-def embed_files(params: enc.EncoderParams, files: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Encode each file's chunks and average them into one embedding per file, stacking
-    files of one chunk count: bit for bit a per-file forward plus `mean_embedding`."""
-    for file_id in sorted(files):
-        shape = np.shape(files[file_id])
-        if len(shape) != 2 or shape[0] == 0 or shape[1] != params.input_dim:
-            mean_embedding(enc.forward(params, files[file_id])[0])  # raises as it would alone
-    out = {}
-    for ids in _stack_groups(files):
-        chunk_emb, _ = enc.forward(params, np.array([files[file_id] for file_id in ids]))
-        out.update(zip(ids, chunk_emb.mean(axis=1)))
-    return {file_id: out[file_id] for file_id in sorted(files)}
+def embed_files(params: enc.EncoderParams, pack: EvalPack) -> np.ndarray:
+    """The pack's file embeddings as an (n_files, embedding_dim) matrix in file order: each
+    file's chunks encoded and averaged, one forward per stack, so each row is bit for bit a
+    per-file forward plus `mean_embedding`."""
+    if pack.feature_dim not in (None, params.input_dim):
+        raise DomainError(f"the encoder takes {params.input_dim}-dim features, the files "
+                          f"have {pack.feature_dim}")
+    embeddings = np.empty((len(pack.ids), params.embedding_dim))
+    for rows, stack in pack.stacks:
+        embeddings[rows] = enc.forward(params, stack)[0].mean(axis=1)
+    return embeddings
 
 
 def dev_eer(params: enc.EncoderParams, pack: EvalPack) -> float:
-    """`eer(score_trials(pack.trials, embed_files(params, pack.files))).eer` bit for bit,
-    from the pack's staged arrays: one forward per stack, the stack means as rows of one
-    matrix, `scoring.trial_cosines` and `eer_from_scores`. A pack that does not stage, or a
-    zero-norm embedding, takes that unstaged path, so that its error names the file or
-    trial as it does there."""
-    staged = pack.staged
-    if staged is not None and staged.feature_dim == params.input_dim:
-        embeddings = np.empty((staged.n_files, params.embedding_dim))
-        for rows, stack in staged.stacks:
-            embeddings[rows] = enc.forward(params, stack)[0].mean(axis=1)
-        scores = scoring.trial_cosines(embeddings, staged.enroll, staged.test)
-        if scores is not None:
-            tar, non = scores[staged.target], scores[~staged.target]
-            return scoring.EerReport(*scoring.eer_from_scores(tar, non)).eer
-    scored = scoring.score_trials(pack.trials, embed_files(params, pack.files))
-    return scoring.eer(scored).eer
+    """EER of the pack's trials scored by the cosines of `embed_files` rows
+    (`scoring.trial_cosines`), with `eer_from_scores`: `eer(score_trials(...)).eer` bit
+    for bit."""
+    scores = scoring.trial_cosines(embed_files(params, pack), pack.index)
+    return scoring.eer_from_scores(*scoring.split_classes(scores, pack.index.target))[0]
 
 
 def _check_finite_params(params: enc.EncoderParams, epoch: int, batch_index: int) -> None:

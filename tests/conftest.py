@@ -1,12 +1,15 @@
 """Shared test helpers: random loss instances away from hinge kinks, the
-finite-difference adapters per loss kind, the brute-force EER oracle, and
-a bootstrap-draw cache emptied before each test.
+finite-difference adapters per loss kind, the brute-force EER oracle, the
+per-trial scoring oracle, the embedding dict as scoring inputs, and a
+bootstrap-draw cache emptied before each test.
 """
 
 import numpy as np
 import pytest
 
 from spklab import losses, sampling, scoring
+from spklab.embedding import cosine_similarity
+from spklab.errors import DomainError
 
 
 @pytest.fixture(autouse=True)
@@ -178,3 +181,28 @@ def brute_force_eer_bracket(tar, non):
     lo = max(frr[j], far[k])
     hi = min(far[j], frr[k])
     return float(lo), float(hi)
+
+
+def rows_and_index(embeddings, trials):
+    """A {file_id: vector} dict and a trial list as the scoring functions take them: the
+    vectors as the rows of one matrix in sorted file id order, and the trials' index over
+    those rows."""
+    ids = sorted(embeddings)
+    rows = np.array([embeddings[file_id] for file_id in ids], dtype=np.float64)
+    return rows, scoring.TrialIndex.of(trials, ids)
+
+
+def score_per_trial(trials, embeddings):
+    """Each trial scored alone with cosine_similarity over a {file_id: vector} dict; an error
+    names the first trial that fails. The oracle of the staged scoring paths."""
+    scored = []
+    for t in trials:
+        for ref in (t.enroll, t.test):
+            if ref not in embeddings:
+                raise DomainError(f"trial {t.enroll} vs {t.test}: unknown file id {ref!r}")
+        try:
+            s = cosine_similarity(embeddings[t.enroll], embeddings[t.test])
+        except DomainError as exc:
+            raise DomainError(f"trial {t.enroll} vs {t.test}: {exc}") from exc
+        scored.append(scoring.Trial(t.enroll, t.test, t.is_target, s))
+    return scored

@@ -215,8 +215,8 @@ def test_criterion_6_desk_scale_training():
     test_pack = data.eval_pack("test")
 
     def test_eer(ckpt):
-        emb = training.embed_files(ckpt.encoder, test_pack.files)
-        return scoring.eer(scoring.score_trials(test_pack.trials, emb)).eer
+        emb = training.embed_files(ckpt.encoder, test_pack)
+        return scoring.eer(scoring.score_trials(emb, test_pack.index)).eer
 
     untrained = training.initial_checkpoint(pool, FIXTURE_CONFIG, dev_pack)
     checkpoints = training.train(pool, FIXTURE_CONFIG, dev_pack)

@@ -267,9 +267,10 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
     ("triplet_sigmoid", "loss", "alpha = inf", "alpha must be positive and finite, got inf"),
     ("contrastive", "loss", "margin = nan", "margin must be non-negative and finite, got nan"),
     ("center", "loss", "lambda = nan", "lambda must be non-negative and finite, got nan"),
+    ("aam", "loss", "lambda = inf", "lambda must be non-negative and finite, got inf"),
     ("aam", "training", "learning_rate = nan",
      "learning rate must be non-negative and finite, got nan"),
-], ids=["alpha_inf", "margin_nan", "lambda_nan", "learning_rate_nan"])
+], ids=["alpha_inf", "margin_nan", "lambda_nan", "aam_lambda_inf", "learning_rate_nan"])
 def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, kind, section,
                                                           setting, message):
     # rejected when the run is set up: one error line naming the value, no
@@ -320,4 +321,43 @@ def test_non_finite_checkpoint_value_fails_cleanly(workdir, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
     assert err[0].endswith("array 'w1' has a non-finite value")
+    assert not list(out.glob("*"))
+
+
+def test_feature_dimension_mismatch_names_both(workdir, capsys):
+    # a checkpoint trained on 12-dim features against a 6-dim dataset: one error line
+    # naming both dimensions, before any score or report is written
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    narrow_cfg = tmp_path / "narrow.cfg"
+    narrow_cfg.write_text(TINY_CFG.replace("feature_dim = 12", "feature_dim = 6"))
+    narrow = tmp_path / "narrow"
+    assert main(["gen-data", "--config", str(narrow_cfg), "--seed", "3", "--out", str(narrow)]) == 0
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--data", str(narrow), "--out", str(out),
+                 "--checkpoint", str(run / "best.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the encoder takes 12-dim features, the files have 6"]
+    assert not list(out.glob("*"))
+
+
+def test_unknown_dev_file_fails_before_any_report(workdir, capsys):
+    # every partition is staged before scoring: a dev trial naming an unknown file fails
+    # with one error line, and no raw test report is left behind
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    trials = data / "trials_dev.txt"
+    first = trials.read_text().split()[1]
+    trials.write_text(trials.read_text() + f"0 {first} ghost\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                 "--checkpoint", str(run / "best.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: trial {first} vs ghost: unknown file id 'ghost'"]
     assert not list(out.glob("*"))

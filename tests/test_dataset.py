@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rows_and_index
 from spklab.dataset import (
     SyntheticDatasetSpec,
     file_id,
@@ -79,6 +80,21 @@ class TestGeneration:
         for chunks in pool.values():
             assert chunks.shape == (6, 6)  # 3 files x 2 chunks
 
+    def test_eval_pack_per_partition(self):
+        # dev and test packs index their own trials; train and cohort packs carry none
+        ds = generate_dataset(SMALL)
+        for partition in ("train", "cohort"):
+            pack = ds.eval_pack(partition)
+            assert pack.ids == sorted(ds.files_of(partition))
+            assert not pack.trials and pack.index.enroll.size == 0
+        for partition, trials in (("dev", ds.trials_dev), ("test", ds.trials_test)):
+            pack = ds.eval_pack(partition)
+            assert [pack.ids[i] for i in pack.index.enroll] == [t.enroll for t in trials]
+            assert [pack.ids[i] for i in pack.index.test] == [t.test for t in trials]
+            assert pack.index.target.tolist() == [t.is_target for t in trials]
+        with pytest.raises(DomainError, match="unknown partition 'eval'"):
+            ds.eval_pack("eval")
+
     def test_tiny_spread_separates_perfectly(self):
         # near-zero spread collapses每 speaker's chunks onto the latent, so
         # raw cosine scoring of file means is error-free
@@ -86,7 +102,7 @@ class TestGeneration:
         ds = generate_dataset(spec)
         pack = ds.eval_pack("test")
         embeddings = {fid: mean_embedding(chunks) for fid, chunks in pack.files.items()}
-        assert eer(score_trials(pack.trials, embeddings)).eer == 0.0
+        assert eer(score_trials(*rows_and_index(embeddings, pack.trials))).eer == 0.0
 
     def test_identical_latents_are_indistinguishable(self):
         # two speakers sharing one latent: scores carry no label signal, so
@@ -104,7 +120,7 @@ class TestGeneration:
             for j in range(i + 1, 10):
                 trials.append(Trial(f"a{i}", f"a{j}", True))
                 trials.append(Trial(f"a{i}", f"b{j}", False))
-        report = eer(score_trials(trials, embeddings))
+        report = eer(score_trials(*rows_and_index(embeddings, trials)))
         assert abs(report.eer - 0.5) < 0.25
 
     def test_augmented_generation(self):

@@ -118,8 +118,9 @@ class TestRunExperiment:
         untrained = training.initial_checkpoint(pool, replace(config, epochs=0),
                                                 data.eval_pack("dev"))
         from spklab import scoring
-        emb = training.embed_files(untrained.encoder, data.eval_pack("test").files)
-        scored = scoring.score_trials(data.eval_pack("test").trials, emb)
+        test_pack = data.eval_pack("test")
+        scored = scoring.score_trials(training.embed_files(untrained.encoder, test_pack),
+                                      test_pack.index)
         assert result.raw.eer == scoring.eer(scored).eer
 
     def test_emits_files_and_improvement(self, data, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_eer_bracket
+from conftest import brute_force_eer_bracket, rows_and_index, score_per_trial
 from spklab import scoring
 from spklab.embedding import cosine_similarity
 from spklab.errors import DegenerateCohortError, DomainError
@@ -57,50 +57,55 @@ class TestScoreTrials:
     }
 
     def test_same_file_scores_one(self):
-        scored = score_trials([Trial("a", "a", True)], self.EMB)
+        scored = score_trials(*rows_and_index(self.EMB, [Trial("a", "a", True)]))
         assert abs(scored[0].score - 1.0) < 1e-12
-        exact = score_trials([Trial("u", "u", True)], {"u": np.array([1.0, 0.0])})
+        exact = score_trials(*rows_and_index({"u": np.array([1.0, 0.0])}, [Trial("u", "u", True)]))
         assert exact[0].score == 1.0
 
     def test_orthogonal_scores_zero(self):
-        scored = score_trials([Trial("a", "ortho", False)], self.EMB)
+        scored = score_trials(*rows_and_index(self.EMB, [Trial("a", "ortho", False)]))
         assert abs(scored[0].score) < 1e-15
 
     def test_hand_value(self):
-        scored = score_trials([Trial("a", "b", True)], self.EMB)
+        scored = score_trials(*rows_and_index(self.EMB, [Trial("a", "b", True)]))
         assert abs(scored[0].score - 0.8) < 1e-12
 
     def test_order_preserved_and_inputs_untouched(self):
         trials = [Trial("a", "b", True), Trial("b", "ortho", False)]
-        scored = score_trials(trials, self.EMB)
+        scored = score_trials(*rows_and_index(self.EMB, trials))
         assert [(t.enroll, t.test) for t in scored] == [("a", "b"), ("b", "ortho")]
         assert trials[0].score is None
 
     def test_unknown_reference_names_trial(self):
         with pytest.raises(DomainError, match="ghost"):
-            score_trials([Trial("a", "ghost", True)], self.EMB)
+            score_trials(*rows_and_index(self.EMB, [Trial("a", "ghost", True)]))
 
     def test_zero_norm_names_trial(self):
         emb = {"a": np.array([1.0, 0.0]), "z": np.zeros(2)}
         with pytest.raises(DomainError, match="a vs z"):
-            score_trials([Trial("a", "z", True)], emb)
+            score_trials(*rows_and_index(emb, [Trial("a", "z", True)]))
 
-    def test_first_failing_trial_named(self):
+    def test_first_zero_norm_trial_named(self):
         emb = {"a": np.array([1.0, 0.0]), "z": np.zeros(2)}
-        trials = [Trial("a", "a", True), Trial("z", "a", False), Trial("a", "ghost", True)]
-        with pytest.raises(DomainError, match="z vs a: .*zero norm"):
-            score_trials(trials, emb)
+        trials = [Trial("a", "a", True), Trial("z", "a", False), Trial("a", "z", True)]
+        with pytest.raises(DomainError, match="^trial z vs a: cosine_similarity: operand 'a' "
+                                              "has zero norm$") as staged:
+            score_trials(*rows_and_index(emb, trials))
+        with pytest.raises(DomainError) as per_trial:
+            score_per_trial(trials, emb)
+        assert str(staged.value) == str(per_trial.value)
 
-    def test_mixed_dimensions_scored_per_trial(self):
-        emb = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0, 0.0]),
-               "c": np.array([0.0, 1.0, 0.0])}
-        scored = score_trials([Trial("a", "a", True), Trial("b", "c", True)], emb)
-        assert [t.score for t in scored] == [1.0, 1.0]
-        with pytest.raises(DomainError, match="a vs b: dimension mismatch"):
-            score_trials([Trial("a", "b", False)], emb)
+    def test_first_unknown_id_trial_named(self):
+        # the index is built before any norm is read: an unknown id fails first, even
+        # after a zero-norm trial
+        emb = {"a": np.array([1.0, 0.0]), "z": np.zeros(2)}
+        trials = [Trial("a", "a", True), Trial("z", "a", False), Trial("a", "ghost", True),
+                  Trial("phantom", "a", True)]
+        with pytest.raises(DomainError, match="^trial a vs ghost: unknown file id 'ghost'$"):
+            rows_and_index(emb, trials)
 
     def test_empty_trial_list(self):
-        assert score_trials([], self.EMB) == []
+        assert score_trials(*rows_and_index(self.EMB, [])) == []
 
     @settings(max_examples=150, deadline=None)
     @given(dim=st.integers(1, 32), n_files=st.integers(1, 12), n_trials=st.integers(1, 40),
@@ -111,7 +116,7 @@ class TestScoreTrials:
         emb = {f"f{i}": row for i, row in enumerate(rows)}
         pairs = rng.integers(0, n_files, size=(n_trials, 2))
         trials = [Trial(f"f{a}", f"f{b}", i % 2 == 0) for i, (a, b) in enumerate(pairs)]
-        scored = score_trials(trials, emb)
+        scored = score_trials(*rows_and_index(emb, trials))
         assert [(t.enroll, t.test, t.is_target) for t in scored] == \
             [(t.enroll, t.test, t.is_target) for t in trials]
         assert [t.score for t in scored] == \
@@ -255,8 +260,8 @@ class TestAdaptiveSnorm:
         emb = {f"f{i}": rng.standard_normal(4) for i in range(6)}
         cohort = Cohort(rng.standard_normal((9, 4)), top_n=4)
         trials = [Trial("f0", "f1", True), Trial("f2", "f3", False), Trial("f4", "f5", True)]
-        scored = score_trials(trials, emb)
-        batched = snorm_trials(scored, emb, cohort)
+        scored = score_trials(*rows_and_index(emb, trials))
+        batched = snorm_trials(*rows_and_index(emb, trials), cohort)
         for before, after in zip(scored, batched):
             expected = adaptive_snorm(before.score, emb[before.enroll], emb[before.test], cohort)
             assert abs(after.score - expected) < 1e-15
@@ -282,7 +287,8 @@ def snorm_cases(draw):
     emb = {f"f{i}": row for i, row in enumerate(rows(n_files))}
     pairs = rng.integers(0, n_files, size=(n_trials, 2))
     trials = [Trial(f"f{a}", f"f{b}", i % 2 == 0) for i, (a, b) in enumerate(pairs)]
-    return emb, cohort, score_trials(trials, emb), draw(st.sampled_from(SNORM_STD_MODES))
+    scored = score_trials(*rows_and_index(emb, trials))
+    return emb, cohort, scored, draw(st.sampled_from(SNORM_STD_MODES))
 
 
 def scalar_snorm(scored, emb, cohort, std_mode):
@@ -315,9 +321,9 @@ class TestSnormAgainstScalarOracle:
             expected = scalar_snorm(scored, emb, cohort, std_mode)
         except DegenerateCohortError:
             with pytest.raises(DegenerateCohortError):
-                snorm_trials(scored, emb, cohort, std_mode)
+                snorm_trials(*rows_and_index(emb, scored), cohort, std_mode)
             return
-        got = snorm_trials(scored, emb, cohort, std_mode)
+        got = snorm_trials(*rows_and_index(emb, scored), cohort, std_mode)
         assert [(t.enroll, t.test, t.is_target) for t in got] == [
             (t.enroll, t.test, t.is_target) for t in scored
         ]
@@ -345,13 +351,14 @@ class TestSnormAgainstScalarOracle:
         if np.all(cohort_rows == cohort_rows[0]):
             assert best is None  # identical rows leave no spread at any top_n
 
+        staged = rows_and_index(emb, scored)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="spklab.scoring"):
             if best is None:
                 with pytest.raises(DomainError, match="every candidate"):
-                    tune_cohort_size(scored, emb, cohort_rows, candidates, std_mode)
+                    tune_cohort_size(*staged, cohort_rows, candidates, std_mode)
             else:
-                assert tune_cohort_size(scored, emb, cohort_rows, candidates, std_mode) == best
+                assert tune_cohort_size(*staged, cohort_rows, candidates, std_mode) == best
         assert [r.getMessage() for r in caplog.records] == warnings
 
 
@@ -488,11 +495,9 @@ class TestTuneCohortSize:
     def test_single_candidate(self):
         rng = np.random.default_rng(47)
         emb = {f"f{i}": rng.standard_normal(3) for i in range(4)}
-        scored = score_trials(
-            [Trial("f0", "f1", True), Trial("f2", "f3", False)], emb
-        )
+        scored = [Trial("f0", "f1", True), Trial("f2", "f3", False)]
         cohort = rng.standard_normal((5, 3))
-        assert tune_cohort_size(scored, emb, cohort, [3]) == 3
+        assert tune_cohort_size(*rows_and_index(emb, scored), cohort, [3]) == 3
 
     def test_smaller_candidate_wins_on_fixture(self):
         # frozen fixture: top_n=2 yields a lower dev EER than the full cohort
@@ -500,11 +505,10 @@ class TestTuneCohortSize:
         emb = {f"f{i}": rng.standard_normal(4) for i in range(8)}
         cohort = rng.standard_normal((6, 4))
         trials = [Trial(f"f{i}", f"f{i+1}", i < 4) for i in range(0, 8, 2)]
-        scored = score_trials(trials, emb)
-        eer2 = eer(snorm_trials(scored, emb, Cohort(cohort, 2))).eer
-        eer6 = eer(snorm_trials(scored, emb, Cohort(cohort, 6))).eer
+        eer2 = eer(snorm_trials(*rows_and_index(emb, trials), Cohort(cohort, 2))).eer
+        eer6 = eer(snorm_trials(*rows_and_index(emb, trials), Cohort(cohort, 6))).eer
         assert eer2 < eer6
-        assert tune_cohort_size(scored, emb, cohort, [2, 6]) == 2
+        assert tune_cohort_size(*rows_and_index(emb, trials), cohort, [2, 6]) == 2
 
     def test_degenerate_candidate_disqualified_with_warning(self, caplog):
         # cohort rows parallel to every embedding direction produce sigma 0
@@ -513,7 +517,7 @@ class TestTuneCohortSize:
         cohort = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         scored = [Trial("a", "b", True, 1.0), Trial("a", "a", False, 1.0)]
         with caplog.at_level(logging.WARNING):
-            best = tune_cohort_size(scored, emb, cohort, [2, 3])
+            best = tune_cohort_size(*rows_and_index(emb, scored), cohort, [2, 3])
         assert best == 3
         assert any("disqualified" in r.message for r in caplog.records)
 
@@ -522,22 +526,21 @@ class TestTuneCohortSize:
         cohort = np.array([[1.0, 0.0], [2.0, 0.0]])
         scored = [Trial("a", "a", True, 1.0), Trial("a", "a", False, 1.0)]
         with pytest.raises(DomainError, match="degenerate"):
-            tune_cohort_size(scored, emb, cohort, [2])
+            tune_cohort_size(*rows_and_index(emb, scored), cohort, [2])
 
     def test_empty_candidates(self):
         with pytest.raises(DomainError):
-            tune_cohort_size([], {}, np.eye(3), [])
+            tune_cohort_size(*rows_and_index({}, []), np.eye(3), [])
 
     def test_tie_breaks_to_smallest(self):
         # symmetric cohort: both candidates give identical EER
         rng = np.random.default_rng(49)
         emb = {f"f{i}": rng.standard_normal(5) for i in range(6)}
         trials = [Trial(f"f{i}", f"f{i+1}", i < 3) for i in range(0, 6, 2)]
-        scored = score_trials(trials, emb)
         cohort = rng.standard_normal((4, 5))
-        e3 = eer(snorm_trials(scored, emb, Cohort(cohort, 3))).eer
-        e4 = eer(snorm_trials(scored, emb, Cohort(cohort, 4))).eer
-        best = tune_cohort_size(scored, emb, cohort, [4, 3])
+        e3 = eer(snorm_trials(*rows_and_index(emb, trials), Cohort(cohort, 3))).eer
+        e4 = eer(snorm_trials(*rows_and_index(emb, trials), Cohort(cohort, 4))).eer
+        best = tune_cohort_size(*rows_and_index(emb, trials), cohort, [4, 3])
         assert best == (3 if e3 <= e4 else 4)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import score_per_trial
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring
 from spklab.embedding import mean_embedding
@@ -275,9 +276,9 @@ class TestEvalHelpers:
         rng = np.random.default_rng(53)
         params = enc.init_encoder(4, 6, 3, rng)
         chunks = rng.standard_normal((5, 4))
-        out = embed_files(params, {"f": chunks})
+        out = embed_files(params, EvalPack({"f": chunks}))
         direct, _ = enc.forward(params, chunks)
-        np.testing.assert_allclose(out["f"], direct.mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(out[0], direct.mean(axis=0), atol=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -292,11 +293,11 @@ class TestEvalHelpers:
         rng = np.random.default_rng(seed)
         params = enc.init_encoder(*dims, rng, activation)
         files = {f"f{i:02d}": rng.standard_normal((n, dims[0])) for i, n in enumerate(chunk_counts)}
-        out = embed_files(params, files)
-        assert list(out) == sorted(files)
-        for file_id, chunks in files.items():
-            expected = mean_embedding(enc.forward(params, chunks)[0])
-            assert np.array_equal(out[file_id], expected), file_id
+        out = embed_files(params, EvalPack(files))
+        assert out.shape == (len(files), dims[2])
+        for row, file_id in zip(out, sorted(files)):
+            expected = mean_embedding(enc.forward(params, files[file_id])[0])
+            assert np.array_equal(row, expected), file_id
 
     @pytest.mark.parametrize("bad, match", [
         (np.zeros((3, 5)), r"got shape \(3, 5\)"),
@@ -309,12 +310,14 @@ class TestEvalHelpers:
         params = enc.init_encoder(4, 6, 3, rng)
         files = {"a": rng.standard_normal((2, 4)), "b": bad, "c": rng.standard_normal((2, 4))}
         with pytest.raises(DomainError, match=match):
-            embed_files(params, files)
+            embed_files(params, EvalPack(files))
 
     @staticmethod
-    def unstaged_eer(params, pack):
-        """The per-epoch dev EER that `dev_eer`'s staged pack replaces, kept as its oracle."""
-        return scoring.eer(scoring.score_trials(pack.trials, embed_files(params, pack.files))).eer
+    def unstaged_eer(params, files, trials):
+        """The per-epoch dev EER with each trial scored alone over a file-id dict of the
+        `embed_files` rows, then `eer`: the oracle of `dev_eer`'s trial index."""
+        embeddings = dict(zip(sorted(files), embed_files(params, EvalPack(files))))
+        return scoring.eer(score_per_trial(trials, embeddings)).eer
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -336,18 +339,19 @@ class TestEvalHelpers:
         pairs = [(0, 4, True), (0, 1, False)] + [
             (a, b, a % 4 == b % 4) for a, b in rng.integers(0, len(ids), size=(30, 2)) if a != b
         ]
-        pack = EvalPack(files, [scoring.Trial(ids[a], ids[b], t) for a, b, t in pairs])
-        for _ in range(2):  # the second call reuses the pack staged by the first
+        trials = [scoring.Trial(ids[a], ids[b], t) for a, b, t in pairs]
+        pack = EvalPack(files, trials)
+        for _ in range(2):  # the second call reuses the pack
             params = enc.init_encoder(*dims, rng, activation)
-            assert dev_eer(params, pack) == self.unstaged_eer(params, pack)
-        assert pack.staged is not None
+            assert dev_eer(params, pack) == self.unstaged_eer(params, files, trials)
 
-    def dev_error_pair(self, params, pack):
-        """Error texts of dev_eer's first call and of the unstaged path on the same pack."""
+    def dev_error_pair(self, params, files, trials):
+        """Error texts of building the pack and scoring it with dev_eer, and of the oracle."""
         texts = []
-        for score in (dev_eer, self.unstaged_eer):
+        for score in (lambda: dev_eer(params, EvalPack(files, trials)),
+                      lambda: self.unstaged_eer(params, files, trials)):
             with pytest.raises(DomainError) as exc:
-                score(params, pack)
+                score()
             texts.append(str(exc.value))
         return texts
 
@@ -357,9 +361,7 @@ class TestEvalHelpers:
         files = {"a": rng.standard_normal((2, 4)), "b": np.zeros((2, 4)),
                  "c": rng.standard_normal((3, 4))}
         trials = [scoring.Trial("a", "c", True), scoring.Trial("c", "b", False)]
-        pack = EvalPack(files, trials)
-        staged, unstaged = self.dev_error_pair(params, pack)
-        assert pack.staged is not None
+        staged, unstaged = self.dev_error_pair(params, files, trials)
         assert staged == unstaged
         assert "trial c vs b" in staged and "zero norm" in staged
 
@@ -380,7 +382,7 @@ class TestEvalHelpers:
         else:
             files["b"] = {"wrong_dim": np.zeros((3, 5)), "one_dim": np.zeros(4),
                           "empty": np.zeros((0, 4))}[bad]
-        staged, unstaged = self.dev_error_pair(params, EvalPack(files, trials))
+        staged, unstaged = self.dev_error_pair(params, files, trials)
         assert staged == unstaged
 
     def test_initial_checkpoint_has_epoch_minus_one(self):
