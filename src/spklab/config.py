@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 from spklab.dataset import SyntheticDatasetSpec
 from spklab.encoder import ACTIVATIONS
 from spklab.errors import ConfigError
-from spklab.losses import CENTER_PENALTIES, LOSS_KINDS
+from spklab.losses import CENTER_PENALTIES, KINDS
 from spklab.scoring import SNORM_STD_MODES
 
 
@@ -105,10 +105,10 @@ SCHEMA: dict[str, dict[str, object]] = {
 
 _CHOICES = {
     ("encoder", "activation"): ACTIVATIONS,
-    ("loss", "kind"): LOSS_KINDS,
+    ("loss", "kind"): KINDS,
     ("loss", "center_penalty"): CENTER_PENALTIES,
     ("eval", "snorm_std"): SNORM_STD_MODES,
-    ("eval", "compare_losses"): LOSS_KINDS,
+    ("eval", "compare_losses"): KINDS,
 }
 
 

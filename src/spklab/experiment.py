@@ -30,19 +30,8 @@ LR_GRID = (0.001, 0.01, 0.1)
 SPEAKERS_GRID = (20, 40)
 CHUNKS_GRID = (2, 3)
 
-# Tuned operating points per loss: the TrainConfig fields where a kind
-# differs from TrainConfig's own defaults (the aam operating point).
-TUNED_DEFAULTS: dict[str, dict[str, object]] = {
-    "ce": {"learning_rate": 0.1, "margin": 0.0},
-    "ce_nobias": {"learning_rate": 0.1, "margin": 0.0},
-    "coco": {"learning_rate": 0.1, "margin": 0.0},
-    "aam": {},
-    "center": {"learning_rate": 0.1, "margin": 0.0},
-    "contrastive": {"learning_rate": 0.1, "margin": 0.2,
-                    "speakers_per_batch": 20, "chunks_per_speaker": 3},
-    "triplet_hinge": {"margin": 0.1, "speakers_per_batch": 40, "chunks_per_speaker": 3},
-    "triplet_sigmoid": {"margin": 0.0, "speakers_per_batch": 40, "chunks_per_speaker": 3},
-}
+# The [loss] grid key of each hyper-parameter a loss kind can read.
+HYPER_GRIDS = {"alpha": "alpha_grid", "margin": "margin_grid", "lam": "lambda_grid"}
 
 
 @dataclass
@@ -75,9 +64,9 @@ class ExperimentResult:
 
 
 def base_config(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Config) -> training.TrainConfig:
-    """Tuned defaults for a loss kind, overridden by any explicit config
-    values, with the batch's speaker count capped by the training speakers."""
-    values = TUNED_DEFAULTS[loss_kind] | config.field_values(
+    """The loss kind's tuned point (`losses.KINDS`), overridden by any explicit
+    config values, with the batch's speaker count capped by the training speakers."""
+    values = losses.loss_kind(loss_kind).tuned | config.field_values(
         training.TrainConfig, "encoder", "loss", "training")
     built = training.TrainConfig(
         **values, loss_kind=loss_kind, seed=seed, augment_snr_db=config.snr_range("training"),
@@ -103,30 +92,29 @@ def grid_budget(grid_epochs: int | None, epochs: int) -> int:
 
 def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Config) -> list[training.TrainConfig]:
     """Candidate configs for the initial search: the learning-rate grid,
-    crossed with batch-shape candidates for the contrast losses, around the
-    tuned hyper-parameters (extendable via *_grid config keys)."""
+    crossed with batch-shape candidates for the contrast losses and with the
+    `*_grid` values of each hyper-parameter the kind reads, around its tuned
+    point."""
     base = base_config(loss_kind, dataset, seed, config)
+    row = losses.KINDS[loss_kind]
     n_train = len(dataset.partitions["train"])
-    train_section = config.section("training")
-    loss_section = config.section("loss")
 
-    lrs = train_section.get("lr_grid", LR_GRID)
-    if loss_kind in losses.CLASSIFICATION_KINDS:
+    lrs = config.get("training", "lr_grid", LR_GRID)
+    if row.mode == "classification":
         shapes = [(base.speakers_per_batch, base.chunks_per_speaker)]
     else:
-        speakers = train_section.get("speakers_grid", SPEAKERS_GRID)
-        chunks = train_section.get("chunks_grid", CHUNKS_GRID)
-        shapes = [(min(s, n_train), c) for s in speakers for c in chunks]
-        shapes = sorted(set(shapes))
-
-    alphas = loss_section.get("alpha_grid", (base.alpha,))
-    margins = loss_section.get("margin_grid", (base.margin,))
-    lams = loss_section.get("lambda_grid", (base.lam,))
+        speakers = config.get("training", "speakers_grid", SPEAKERS_GRID)
+        chunks = config.get("training", "chunks_grid", CHUNKS_GRID)
+        shapes = sorted({(min(s, n_train), c) for s in speakers for c in chunks})
+    for name, key in HYPER_GRIDS.items():  # checks every grid value, read or not
+        for value in config.get("loss", key, ()):
+            replace(base, **{name: value})
+    hypers = [config.get("loss", HYPER_GRIDS[name], (getattr(base, name),)) for name in row.reads]
 
     return [
         replace(base, learning_rate=lr, speakers_per_batch=s, chunks_per_speaker=c,
-                alpha=alpha, margin=margin, lam=lam)
-        for lr, (s, c), alpha, margin, lam in itertools.product(lrs, shapes, alphas, margins, lams)
+                **dict(zip(row.reads, values)))
+        for lr, (s, c), *values in itertools.product(lrs, shapes, *hypers)
     ]
 
 

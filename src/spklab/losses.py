@@ -15,7 +15,8 @@ Two families:
 Every loss returns a LossOutput holding the scalar value and gradients with
 respect to the embeddings and, by name, any trainable arrays (class
 centers, bias, per-class penalty centers gamma). `finite_difference_check`
-is the verification oracle used by the test suite.
+is the verification oracle used by the test suite. `KINDS` is the one
+table of loss kinds, read by training, the grids and config validation.
 
 Gradient building block: with unit rows u_i = x_i/|x_i| and v_k = c_k/|c_k|
 and s = u_i . v_k,
@@ -36,20 +37,6 @@ import numpy as np
 from spklab.embedding import normalize_rows
 from spklab.errors import DomainError
 from spklab.sampling import TupleIndex
-
-LOSS_KINDS = (
-    "ce",
-    "ce_nobias",
-    "coco",
-    "aam",
-    "center",
-    "contrastive",
-    "triplet_hinge",
-    "triplet_sigmoid",
-)
-CLASSIFICATION_KINDS = ("ce", "ce_nobias", "coco", "aam", "center")
-PAIR_KINDS = ("contrastive",)
-TRIPLET_KINDS = ("triplet_hinge", "triplet_sigmoid")
 
 # Names of the arrays a loss can train, in the order they are drawn.
 TRAINED_ARRAYS = ("centers", "bias", "gamma")
@@ -209,20 +196,20 @@ def _cosine_parts(x: np.ndarray, c: np.ndarray):
     return u, xn, v, cn, u @ v.T
 
 
+def _angular_backward(w, u, xn, v, cn, s):
+    """Gradients of sum_ik W_ik s_ik w.r.t. the embeddings and the centers
+    (the building block above), as a `Logits.backward` result."""
+    dx = (w @ v - (w * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
+    dc = (w.T @ u - (w * s).sum(axis=0)[:, None] * v) / cn[:, None]
+    return dx, {"centers": dc}
+
+
 def logits_coco(embeddings, params: ClassifierParams, hyper: LossHyper) -> Logits:
     """Pure-angle logits: sigma_ik = alpha * cos(theta_ik)."""
     x = _check_batch(embeddings, params)
     u, xn, v, cn, s = _cosine_parts(x, params.centers)
     alpha = hyper.alpha
-    values = alpha * s
-
-    def backward(g: np.ndarray):
-        w = alpha * g
-        dx = (w @ v - (w * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
-        dc = (w.T @ u - (w * s).sum(axis=0)[:, None] * v) / cn[:, None]
-        return dx, {"centers": dc}
-
-    return Logits(values, backward)
+    return Logits(alpha * s, lambda g: _angular_backward(alpha * g, u, xn, v, cn, s))
 
 
 def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -> Logits:
@@ -239,27 +226,17 @@ def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -
     y = _check_labels(labels, x.shape[0], params.n_classes)
     u, xn, v, cn, s = _cosine_parts(x, params.centers)
     alpha, m = hyper.alpha, hyper.margin
-    n = x.shape[0]
-    rows = np.arange(n)
+    rows = np.arange(x.shape[0])
 
     s_target = np.clip(s[rows, y], -1.0, 1.0)
     theta = np.arccos(s_target)
     values = alpha * s.copy()
     values[rows, y] = alpha * np.cos(theta + m)
-
-    def backward(g: np.ndarray):
-        factor = np.ones((n, params.n_classes))
-        sin_t = np.sin(theta)
-        safe = sin_t >= AAM_SIN_GUARD
-        f = np.ones(n)
-        f[safe] = np.sin(theta[safe] + m) / sin_t[safe]
-        factor[rows, y] = f
-        w = alpha * g * factor
-        dx = (w @ v - (w * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
-        dc = (w.T @ u - (w * s).sum(axis=0)[:, None] * v) / cn[:, None]
-        return dx, {"centers": dc}
-
-    return Logits(values, backward)
+    sin_t = np.sin(theta)
+    safe = sin_t >= AAM_SIN_GUARD
+    factor = np.ones_like(s)
+    factor[rows[safe], y[safe]] = np.sin(theta[safe] + m) / sin_t[safe]
+    return Logits(values, lambda g: _angular_backward(alpha * g * factor, u, xn, v, cn, s))
 
 
 def _ce_core(values: np.ndarray, labels: np.ndarray):
@@ -638,6 +615,67 @@ class LossState:
     center_penalty: str = "squared_cos_distance"
 
 
+@dataclass(frozen=True)
+class LossKind:
+    """What a loss kind is: the `sampling.BATCH_MODES` mode of its batches, the
+    arrays it trains (of TRAINED_ARRAYS, in draw order), the hyper-parameters
+    it reads (of "alpha", "margin", "lam"), the TrainConfig fields where its
+    tuned point differs from TrainConfig's defaults (aam's point), and its
+    evaluation of one batch as (embeddings, labels, LossState) -> LossOutput."""
+
+    mode: str
+    arrays: tuple[str, ...]
+    reads: tuple[str, ...]
+    tuned: dict[str, object]
+    evaluate: Callable[[np.ndarray, np.ndarray, LossState], LossOutput]
+
+
+def _classifier(state: LossState) -> ClassifierParams:
+    return ClassifierParams(state.arrays["centers"], state.arrays.get("bias"))
+
+
+_CLASSIFICATION_TUNED = {"learning_rate": 0.1, "margin": 0.0}
+
+KINDS: dict[str, LossKind] = {
+    "ce": LossKind(
+        "classification", ("centers", "bias"), (), _CLASSIFICATION_TUNED,
+        lambda x, y, st: cross_entropy(logits_linear(x, _classifier(st)), y)),
+    "ce_nobias": LossKind(
+        "classification", ("centers",), (), _CLASSIFICATION_TUNED,
+        lambda x, y, st: cross_entropy(logits_nobias(x, _classifier(st)), y)),
+    "coco": LossKind(
+        "classification", ("centers",), ("alpha",), _CLASSIFICATION_TUNED,
+        lambda x, y, st: cross_entropy(logits_coco(x, _classifier(st), st.hyper), y)),
+    "aam": LossKind(
+        "classification", ("centers",), ("alpha", "margin"), {},
+        lambda x, y, st: cross_entropy(logits_aam(x, y, _classifier(st), st.hyper), y)),
+    "center": LossKind(
+        "classification", ("centers", "bias", "gamma"), ("lam",), _CLASSIFICATION_TUNED,
+        lambda x, y, st: center_loss(x, y, _classifier(st), CenterLossParams(
+            st.arrays["gamma"], st.lam, st.center_penalty))),
+    "contrastive": LossKind(
+        "pairs", (), ("margin",),
+        {"learning_rate": 0.1, "margin": 0.2, "speakers_per_batch": 20, "chunks_per_speaker": 3},
+        lambda x, y, st: contrastive_loss_dense(x, y, st.hyper)),
+    "triplet_hinge": LossKind(
+        "triplets", (), ("margin",),
+        {"margin": 0.1, "speakers_per_batch": 40, "chunks_per_speaker": 3},
+        lambda x, y, st: triplet_loss_hinge_dense(x, y, st.hyper)),
+    "triplet_sigmoid": LossKind(
+        "triplets", (), ("alpha",),
+        {"margin": 0.0, "speakers_per_batch": 40, "chunks_per_speaker": 3},
+        lambda x, y, st: triplet_loss_sigmoid_dense(x, y, st.hyper)),
+}
+LOSS_KINDS = tuple(KINDS)
+
+
+def loss_kind(name: str) -> LossKind:
+    """The table row of a loss kind; a DomainError for an unknown name."""
+    if name not in KINDS:
+        raise DomainError(f"unknown loss kind {name!r}")
+    return KINDS[name]
+
+
 def init_loss_state(
     kind: str,
     n_classes: int,
@@ -647,47 +685,24 @@ def init_loss_state(
     lam: float = 1.0,
     center_penalty: str = "squared_cos_distance",
 ) -> LossState:
-    """Create the trainable state a loss kind needs.
+    """Create the arrays a loss kind trains, in its row's draw order.
 
-    Centers and gamma start from a centered uniform distribution with scale
-    1/sqrt(m); the bias starts at zero.
+    Centers and gamma are drawn from a centered uniform distribution with
+    scale 1/sqrt(m); the bias starts at zero and draws nothing.
     """
-    if kind not in LOSS_KINDS:
-        raise DomainError(f"unknown loss kind {kind!r}")
     state = LossState(hyper, lam=lam, center_penalty=center_penalty)
-    if kind in CLASSIFICATION_KINDS:
-        scale = 1.0 / np.sqrt(embedding_dim)
-        state.arrays["centers"] = rng.uniform(-scale, scale, size=(n_classes, embedding_dim))
-        if kind in ("ce", "center"):
-            state.arrays["bias"] = np.zeros(n_classes)
-        if kind == "center":
-            gamma = rng.uniform(-scale, scale, size=(n_classes, embedding_dim))
-            # validates lambda and the penalty reading before any batch runs
-            state.arrays["gamma"] = CenterLossParams(gamma, lam, center_penalty).gamma
+    for name in loss_kind(kind).arrays:
+        if name == "bias":
+            state.arrays[name] = np.zeros(n_classes)
+        else:
+            scale = 1.0 / np.sqrt(embedding_dim)
+            state.arrays[name] = rng.uniform(-scale, scale, size=(n_classes, embedding_dim))
+    if "gamma" in state.arrays:  # validates lambda and the penalty reading before any batch runs
+        CenterLossParams(state.arrays["gamma"], lam, center_penalty)
     return state
 
 
 def evaluate_loss(kind, embeddings, labels, state: LossState) -> LossOutput:
-    """Dispatch one loss evaluation by kind; the contrast losses take every
-    tuple of the batch from its labels."""
-    arrays, hyper = state.arrays, state.hyper
-    if kind in CLASSIFICATION_KINDS:
-        params = ClassifierParams(arrays["centers"], arrays.get("bias"))
-    if kind == "ce":
-        return cross_entropy(logits_linear(embeddings, params), labels)
-    if kind == "ce_nobias":
-        return cross_entropy(logits_nobias(embeddings, params), labels)
-    if kind == "coco":
-        return cross_entropy(logits_coco(embeddings, params, hyper), labels)
-    if kind == "aam":
-        return cross_entropy(logits_aam(embeddings, labels, params, hyper), labels)
-    if kind == "center":
-        cparams = CenterLossParams(arrays["gamma"], state.lam, state.center_penalty)
-        return center_loss(embeddings, labels, params, cparams)
-    if kind == "contrastive":
-        return contrastive_loss_dense(embeddings, labels, hyper)
-    if kind == "triplet_hinge":
-        return triplet_loss_hinge_dense(embeddings, labels, hyper)
-    if kind == "triplet_sigmoid":
-        return triplet_loss_sigmoid_dense(embeddings, labels, hyper)
-    raise DomainError(f"unknown loss kind {kind!r}")
+    """Evaluate one batch with the kind's table row; the contrast losses take
+    every tuple of the batch from its labels."""
+    return loss_kind(kind).evaluate(embeddings, labels, state)

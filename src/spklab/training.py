@@ -48,8 +48,7 @@ class TrainConfig:
     augment_snr_db: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.loss_kind not in losses.LOSS_KINDS:
-            raise DomainError(f"unknown loss kind {self.loss_kind!r}")
+        losses.loss_kind(self.loss_kind)
         if not 0 <= self.learning_rate < math.inf:
             raise DomainError(f"learning rate must be non-negative and finite, "
                               f"got {self.learning_rate}")
@@ -60,14 +59,11 @@ class TrainConfig:
         for name in ("speakers_per_batch", "chunks_per_speaker"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
+        self.hyper()  # a bad alpha or margin fails when a grid is built, before training
 
     def batch_spec(self) -> sampling.BatchSpec:
-        mode = "classification"
-        if self.loss_kind in losses.PAIR_KINDS:
-            mode = "pairs"
-        elif self.loss_kind in losses.TRIPLET_KINDS:
-            mode = "triplets"
-        return sampling.BatchSpec(self.speakers_per_batch, self.chunks_per_speaker, mode)
+        return sampling.BatchSpec(self.speakers_per_batch, self.chunks_per_speaker,
+                                  losses.KINDS[self.loss_kind].mode)
 
     def hyper(self) -> losses.LossHyper:
         return losses.LossHyper(alpha=self.alpha, margin=self.margin)

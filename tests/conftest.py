@@ -77,7 +77,7 @@ def draw_instance(kind, rng, dim=8, n_classes=5, batch=6):
         gamma = rng.uniform(-scale, scale, size=(n_classes, dim))
         if kind == "contrastive":
             tuples = sampling.form_pairs(y)
-        elif kind in losses.TRIPLET_KINDS:
+        elif losses.KINDS[kind].mode == "triplets":
             tuples = sampling.form_triplets(y)
         else:
             tuples = sampling.TupleIndex()

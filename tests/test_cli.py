@@ -263,18 +263,35 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind, section, setting, message", [
-    ("triplet_sigmoid", "loss", "alpha = inf", "alpha must be positive and finite, got inf"),
-    ("contrastive", "loss", "margin = nan", "margin must be non-negative and finite, got nan"),
-    ("center", "loss", "lambda = nan", "lambda must be non-negative and finite, got nan"),
-    ("aam", "loss", "lambda = inf", "lambda must be non-negative and finite, got inf"),
-    ("aam", "training", "learning_rate = nan",
+@pytest.mark.parametrize("command, kind, section, setting, message", [
+    ("train", "triplet_sigmoid", "loss", "alpha = inf",
+     "alpha must be positive and finite, got inf"),
+    ("train", "contrastive", "loss", "margin = nan",
+     "margin must be non-negative and finite, got nan"),
+    ("train", "center", "loss", "lambda = nan", "lambda must be non-negative and finite, got nan"),
+    ("train", "aam", "loss", "lambda = inf", "lambda must be non-negative and finite, got inf"),
+    ("train", "aam", "training", "learning_rate = nan",
      "learning rate must be non-negative and finite, got nan"),
-], ids=["alpha_inf", "margin_nan", "lambda_nan", "aam_lambda_inf", "learning_rate_nan"])
-def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, kind, section,
-                                                          setting, message):
-    # rejected when the run is set up: one error line naming the value, no
-    # numpy warning and no "diverged" report from the first batch
+    # compare runs TINY_CFG's aam and coco
+    ("compare", "aam", "loss", "alpha = inf", "alpha must be positive and finite, got inf"),
+    # ce never reads the margin, yet a bad one fails
+    ("grid-search", "ce", "loss", "margin = nan",
+     "margin must be non-negative and finite, got nan"),
+    ("compare", "aam", "loss", "alpha_grid = 10, inf",
+     "alpha must be positive and finite, got inf"),
+    ("grid-search", "coco", "loss", "alpha_grid = 10, inf",
+     "alpha must be positive and finite, got inf"),
+    # ce's grid crosses no alpha values, yet a bad one fails
+    ("grid-search", "ce", "loss", "alpha_grid = 10, inf",
+     "alpha must be positive and finite, got inf"),
+], ids=["alpha_inf", "margin_nan", "lambda_nan", "aam_lambda_inf", "learning_rate_nan",
+        "compare_alpha_inf", "grid_search_margin_nan", "compare_alpha_grid_inf",
+        "grid_search_alpha_grid_inf", "grid_search_unread_alpha_grid_inf"])
+def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, command, kind,
+                                                          section, setting, message):
+    # rejected when the run or grid is set up: one error line naming the
+    # value, no numpy warning, no "diverged" report from the first batch and
+    # no candidate or loss dropped with a warning
     tmp_path, cfg, data = workdir
     text = TINY_CFG + f"\n[loss]\nkind = {kind}\n"
     bad = tmp_path / "bad.cfg"
@@ -283,7 +300,7 @@ def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, kind,
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["train", "--config", str(bad), "--seed", "3",
+        assert main([command, "--config", str(bad), "--seed", "3",
                      "--data", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not list(out.rglob("best.ckpt"))

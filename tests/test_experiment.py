@@ -94,6 +94,24 @@ class TestDefaults:
             assert shapes == {(10, 2), (10, 3)}
             assert len(grid) == 6
 
+    def test_grids_cross_only_the_hyper_parameters_a_kind_reads(self, wide, tmp_path):
+        # 3 learning rates, 4 batch shapes for the contrast losses, and the
+        # alpha and lambda grids only where the loss reads them; a grid over
+        # a value the loss never reads would train identical candidates
+        cfg = tmp_path / "grids.cfg"
+        cfg.write_text("[loss]\nalpha_grid = 5, 10\nlambda_grid = 0.5, 1, 2\n")
+        config = parse_config(cfg)
+        expected = {"ce": 3, "coco": 6, "aam": 6, "center": 9, "contrastive": 12,
+                    "triplet_sigmoid": 24}
+        for kind, count in expected.items():
+            grid = experiment.default_grid(kind, wide, 0, config)
+            assert len(grid) == len(set(grid)) == count, kind
+            base = experiment.base_config(kind, wide, 0, config)
+            alphas = {5.0, 10.0} if kind in ("coco", "aam", "triplet_sigmoid") else {base.alpha}
+            assert {c.alpha for c in grid} == alphas, kind
+            assert {c.lam for c in grid} == ({0.5, 1.0, 2.0} if kind == "center" else {base.lam})
+            assert {c.margin for c in grid} == {base.margin}
+
     def test_top_n_candidates_respect_cohort(self):
         opts = experiment.EvalOptions()
         cands = experiment.top_n_candidates(18, opts)

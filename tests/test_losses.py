@@ -603,7 +603,78 @@ class TestDenseAgainstSelectOracle:
         assert stable_sigmoid(z)[finite].tobytes() == expected[finite].tobytes()
 
 
+# The arrays each loss kind trains, in draw order, and its named loss function
+# called directly on a LossState's arrays: what evaluate_loss must reproduce.
+TRAINED = {
+    "ce": ("centers", "bias"), "ce_nobias": ("centers",), "coco": ("centers",),
+    "aam": ("centers",), "center": ("centers", "bias", "gamma"),
+    "contrastive": (), "triplet_hinge": (), "triplet_sigmoid": (),
+}
+
+
+def named_loss(kind, x, y, state):
+    arrays, hyper = state.arrays, state.hyper
+    params = ClassifierParams(arrays["centers"], arrays.get("bias")) if arrays else None
+    if kind == "ce":
+        return cross_entropy(logits_linear(x, params), y)
+    if kind == "ce_nobias":
+        return cross_entropy(logits_nobias(x, params), y)
+    if kind == "coco":
+        return cross_entropy(logits_coco(x, params, hyper), y)
+    if kind == "aam":
+        return cross_entropy(logits_aam(x, y, params, hyper), y)
+    if kind == "center":
+        cparams = CenterLossParams(arrays["gamma"], state.lam, state.center_penalty)
+        return center_loss(x, y, params, cparams)
+    return DENSE[kind](x, y, hyper)
+
+
 class TestLossStateDispatch:
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_dispatch_equals_named_loss(self, kind):
+        # a lambda and a penalty reading off their defaults, so the table
+        # must pass the state's own values through
+        rng = np.random.default_rng(20)
+        state = losses.init_loss_state(kind, 3, 4, conftest.INSTANCE_HYPER[kind], rng,
+                                       lam=0.5, center_penalty="one_minus_cos_sq")
+        if "bias" in state.arrays:
+            state.arrays["bias"] = 0.1 * rng.standard_normal(3)
+        x = rng.standard_normal((6, 4))
+        y = np.array([2, 0, 2, 1, 0, 1])
+        out = losses.evaluate_loss(kind, x, y, state)
+        expected = named_loss(kind, x, y, state)
+        assert_same_bits(out, expected)
+        assert out.reduction == expected.reduction
+        assert list(out.grads) == list(expected.grads) == list(TRAINED[kind])
+        for name, grad in out.grads.items():
+            assert grad.tobytes() == expected.grads[name].tobytes()
+        if expected.grad_logits is None:
+            assert out.grad_logits is None
+        else:
+            assert out.grad_logits.tobytes() == expected.grad_logits.tobytes()
+
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_init_state_draws_the_row_arrays_in_order(self, kind):
+        # centers, then gamma, from the run's generator; the bias draws nothing
+        rng = np.random.default_rng(21)
+        state = losses.init_loss_state(kind, 5, 4, LossHyper(), rng)
+        assert tuple(state.arrays) == losses.KINDS[kind].arrays == TRAINED[kind]
+        by_hand = np.random.default_rng(21)
+        for name in ("centers", "gamma"):
+            if name in state.arrays:
+                drawn = by_hand.uniform(-0.5, 0.5, size=(5, 4))
+                assert state.arrays[name].tobytes() == drawn.tobytes()
+        if "bias" in state.arrays:
+            assert state.arrays["bias"].tobytes() == np.zeros(5).tobytes()
+        assert rng.bit_generator.state == by_hand.bit_generator.state
+
+    def test_unknown_kind_fails(self):
+        state = losses.LossState(LossHyper())
+        with pytest.raises(DomainError, match="unknown loss kind 'arcface'"):
+            losses.init_loss_state("arcface", 3, 4, LossHyper(), np.random.default_rng(0))
+        with pytest.raises(DomainError, match="unknown loss kind 'arcface'"):
+            losses.evaluate_loss("arcface", np.ones((2, 4)), np.array([0, 1]), state)
+
     def test_init_state_shapes(self):
         rng = np.random.default_rng(22)
         state = losses.init_loss_state("center", 7, 5, LossHyper(), rng, lam=0.5)
@@ -620,7 +691,7 @@ class TestLossStateDispatch:
         rng = np.random.default_rng(24)
         x = rng.standard_normal((6, 4))
         y = np.array([2, 0, 2, 1, 0, 1])
-        for kind in ("contrastive",) + losses.TRIPLET_KINDS:
+        for kind in [k for k, row in losses.KINDS.items() if row.mode != "classification"]:
             state = losses.init_loss_state(kind, 3, 4, conftest.INSTANCE_HYPER[kind], rng)
             out = losses.evaluate_loss(kind, x, y, state)
             expected = oracle(kind, x, y, state.hyper)
