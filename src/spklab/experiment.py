@@ -100,15 +100,15 @@ def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Con
     n_train = len(dataset.partitions["train"])
 
     lrs = config.get("training", "lr_grid", LR_GRID)
+    speakers = config.get("training", "speakers_grid", SPEAKERS_GRID)
+    chunks = config.get("training", "chunks_grid", CHUNKS_GRID)
+    shapes = sorted({(min(s, n_train), c) for s in speakers for c in chunks})
+    checks = [dict(speakers_per_batch=s, chunks_per_speaker=c) for s, c in shapes]
+    checks += [{name: v} for name, key in HYPER_GRIDS.items() for v in config.get("loss", key, ())]
+    for values in checks:  # every grid value is checked, read or not
+        replace(base, **values)
     if row.mode == "classification":
         shapes = [(base.speakers_per_batch, base.chunks_per_speaker)]
-    else:
-        speakers = config.get("training", "speakers_grid", SPEAKERS_GRID)
-        chunks = config.get("training", "chunks_grid", CHUNKS_GRID)
-        shapes = sorted({(min(s, n_train), c) for s in speakers for c in chunks})
-    for name, key in HYPER_GRIDS.items():  # checks every grid value, read or not
-        for value in config.get("loss", key, ()):
-            replace(base, **{name: value})
     hypers = [config.get("loss", HYPER_GRIDS[name], (getattr(base, name),)) for name in row.reads]
 
     return [

@@ -220,8 +220,9 @@ def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -
     The target-entry derivative w.r.t. the cosine is sin(theta+m)/sin(theta),
     replaced by 1 when sin(theta) < AAM_SIN_GUARD.
     """
-    if not 0.0 <= hyper.margin <= 0.5:
-        raise DomainError(f"aam margin must lie in [0, 0.5], got {hyper.margin}")
+    lo, hi = KINDS["aam"].domains["margin"]
+    if not lo <= hyper.margin <= hi:
+        raise DomainError(f"aam margin must lie in [{lo}, {hi}], got {hyper.margin}")
     x = _check_batch(embeddings, params)
     y = _check_labels(labels, x.shape[0], params.n_classes)
     u, xn, v, cn, s = _cosine_parts(x, params.centers)
@@ -620,14 +621,16 @@ class LossKind:
     """What a loss kind is: the `sampling.BATCH_MODES` mode of its batches, the
     arrays it trains (of TRAINED_ARRAYS, in draw order), the hyper-parameters
     it reads (of "alpha", "margin", "lam"), the TrainConfig fields where its
-    tuned point differs from TrainConfig's defaults (aam's point), and its
-    evaluation of one batch as (embeddings, labels, LossState) -> LossOutput."""
+    tuned point differs from TrainConfig's defaults (aam's point), its
+    evaluation of one batch as (embeddings, labels, LossState) -> LossOutput,
+    and the closed range of each hyper-parameter it bounds beyond LossHyper's."""
 
     mode: str
     arrays: tuple[str, ...]
     reads: tuple[str, ...]
     tuned: dict[str, object]
     evaluate: Callable[[np.ndarray, np.ndarray, LossState], LossOutput]
+    domains: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
 def _classifier(state: LossState) -> ClassifierParams:
@@ -648,7 +651,8 @@ KINDS: dict[str, LossKind] = {
         lambda x, y, st: cross_entropy(logits_coco(x, _classifier(st), st.hyper), y)),
     "aam": LossKind(
         "classification", ("centers",), ("alpha", "margin"), {},
-        lambda x, y, st: cross_entropy(logits_aam(x, y, _classifier(st), st.hyper), y)),
+        lambda x, y, st: cross_entropy(logits_aam(x, y, _classifier(st), st.hyper), y),
+        domains={"margin": (0.0, 0.5)}),
     "center": LossKind(
         "classification", ("centers", "bias", "gamma"), ("lam",), _CLASSIFICATION_TUNED,
         lambda x, y, st: center_loss(x, y, _classifier(st), CenterLossParams(

@@ -223,52 +223,56 @@ def _split_scores(scored: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray]:
                          np.array([t.is_target for t in scored], dtype=bool))
 
 
-def _operating_points(tar: np.ndarray, non: np.ndarray):
-    """FAR/FRR swept over the sorted distinct scores plus an upper sentinel.
-
-    FAR(t) = fraction of non-targets >= t (starts at 1), FRR(t) = fraction
-    of targets < t (starts at 0); the sentinel past the max score closes
-    the sweep at (FAR, FRR) = (0, 1).
-    """
-    thresholds = np.unique(np.concatenate([tar, non]))
-    # counts via sorted positions: #tar < t and #non < t; all of them at the sentinel
-    below = [np.append(np.searchsorted(np.sort(c), thresholds), c.size) for c in (tar, non)]
-    far, frr = _rates(*below, tar.size, non.size)
-    return np.append(thresholds, thresholds[-1] + 1.0), far, frr
-
-
-def _rates(below_tar, below_non, n_tar: int, n_non: int):
-    """FAR = #non >= t / #non and FRR = #tar < t / #tar from integer counts."""
-    return (n_non - below_non) / n_non, below_tar / n_tar
+def _counts(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct scores of both classes, and the exclusive counts (#tar < t, #non < t)
+    at each distinct score t, then (n_tar, n_non). Equal scores (-0.0, 0.0) are one, stood
+    for by the first of their run in one np.sort."""
+    ranked = np.sort(np.concatenate([tar, non]))
+    first = np.ones(ranked.size + 1, dtype=bool)  # run starts, then the sentinel
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:-1])
+    starts = np.flatnonzero(first)  # #tar + #non < t at each score, then the total
+    scores = ranked[starts[:-1]]
+    below_tar = np.append(np.searchsorted(np.sort(tar), scores), tar.size)
+    return scores, np.stack([below_tar, starts - below_tar])
 
 
-def _resampled_rates(draws: np.ndarray, n_tar: int, n_scores: int):
-    """FAR/FRR rows, sentinel last, of resamples given as positions on the `n_scores` sorted
-    distinct scores (`n_tar` targets, then non-targets), from exclusive cumulative counts.
-    A row repeats its next present point at a score it lacks, so its crossing is unmoved."""
-    rows = len(draws)
-    row_of = np.arange(rows)[:, None] + rows * (np.arange(draws.shape[1]) >= n_tar)
-    counts = np.bincount((draws + n_scores * row_of).ravel(), minlength=2 * rows * n_scores)
+def _resampled_counts(positions: np.ndarray, n_tar: int, n_scores: int) -> np.ndarray:
+    """`_counts`' exclusive counts, as (2, rows, n_scores + 1), of resamples given as
+    positions on the `n_scores` sorted distinct scores (`n_tar` targets, then non-targets).
+    A row repeats its next present count at a score it lacks, so its crossing is unmoved."""
+    rows = len(positions)
+    row_of = np.arange(rows)[:, None] + rows * (np.arange(positions.shape[1]) >= n_tar)
+    counts = np.bincount((positions + n_scores * row_of).ravel(), minlength=2 * rows * n_scores)
     below = np.zeros((2, rows, n_scores + 1), dtype=np.int64)
     np.cumsum(counts.reshape(2, rows, n_scores), axis=2, out=below[:, :, 1:])
-    return _rates(*below, n_tar, draws.shape[1] - n_tar)
+    return below
 
 
-def _crossing(far: np.ndarray, frr: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
-    """Each row of `values` at the row's first point with FAR - FRR <= 0 if it is 0 there,
-    else interpolated from the point before (FAR - FRR runs from 1 to -1 in every row)."""
-    d = far - frr
-    k = np.argmax(d <= 0, axis=1) + d.shape[1] * np.arange(d.shape[0])  # flat indices
-    dk, dj = d.take(k), d.take(k - 1)
-    u = dj / (dj - dk)
-    return [np.where(dk == 0.0, vk, vj + u * (vk - vj))
-            for vk, vj in ((v.take(k), v.take(k - 1)) for v in values)]
+def _crossing(below: np.ndarray, n_tar: int, n_non: int,
+              thresholds: np.ndarray | None = None) -> list[np.ndarray]:
+    """EER of each row of exclusive counts `below` (2, rows, points), and of `thresholds`
+    there when given, at the row's first point k with FAR <= FRR: taken at k where
+    FAR - FRR is 0, else interpolated from k - 1. k is found exactly in integers,
+    (n_non - bn) * n_tar <= bt * n_non, and rates are divided only at k - 1 and k: distinct
+    rationals over n_tar and n_non lie 1 / (n_tar * n_non) apart, more than an ulp in
+    [0, 1] while n_tar * n_non < 2**52, the bound this checks."""
+    if n_tar * n_non >= 1 << 52:
+        raise DomainError(f"EER needs n_target * n_nontarget < 2**52, got {n_tar} * {n_non}")
+    bt, bn = below
+    k = np.argmax((n_non - bn) * n_tar <= bt * n_non, axis=1)
+    at = (np.arange(len(k))[:, None], k[:, None] - [1, 0])  # points k - 1 and k
+    far = (n_non - bn[at]) / n_non
+    d = far - bt[at] / n_tar
+    u = d[:, 0] / (d[:, 0] - d[:, 1])
+    return [np.where(d[:, 1] == 0.0, v[:, 1], v[:, 0] + u * (v[:, 1] - v[:, 0]))
+            for v in ([far] if thresholds is None else [far, thresholds[at]])]
 
 
 def eer_from_scores(tar: np.ndarray, non: np.ndarray) -> tuple[float, float]:
     """(EER, threshold) at the FAR/FRR crossing, linearly interpolated."""
-    thresholds, far, frr = _operating_points(tar, non)
-    eer_value, threshold = _crossing(far[None], frr[None], far[None], thresholds[None])
+    scores, below = _counts(tar, non)
+    thresholds = np.append(scores, scores[-1] + 1.0)[None]  # a sentinel past the max score
+    eer_value, threshold = _crossing(below[:, None], tar.size, non.size, thresholds)
     return float(eer_value[0]), float(threshold[0])
 
 
@@ -297,6 +301,15 @@ def _bootstrap_draws(seed: int, n_bootstrap: int, n_tar: int, n_non: int) -> np.
     return draws
 
 
+def _percentile(ranked: np.ndarray, percent: float) -> float:
+    """np.percentile of ascending `ranked` values by its default (linear) method and
+    arithmetic: virtual index (n - 1) * q, its neighbours lerped from the nearer one."""
+    v = (ranked.size - 1) * (percent / 100)
+    j = min(int(v), ranked.size - 1)
+    a, b, t = ranked[j], ranked[min(j + 1, ranked.size - 1)], v - j
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def eer_bootstrap_ci(
     scored: Sequence[Trial],
     n_bootstrap: int,
@@ -321,22 +334,24 @@ def eer_bootstrap_ci(
     tar, non = _split_scores(scored)
     value, threshold = eer_from_scores(tar, non)
 
-    scores, pos = np.unique(np.concatenate([tar, non]), return_inverse=True)
+    scores = _counts(tar, non)[0]
+    pos = np.searchsorted(scores, np.concatenate([tar, non]))  # each trial's score among them
     block = max(1, BOOTSTRAP_BLOCK_CELLS // (scores.size + 1))
     boot = np.empty(n_bootstrap)
     draws = _bootstrap_draws(seed, n_bootstrap, tar.size, non.size)
     for start in range(0, n_bootstrap, block):
         stop = min(start + block, n_bootstrap)
-        far, frr = _resampled_rates(pos[draws[start:stop]], tar.size, scores.size)
-        boot[start:stop], = _crossing(far, frr, far)
+        below = _resampled_counts(pos[draws[start:stop]], tar.size, scores.size)
+        boot[start:stop], = _crossing(below, tar.size, non.size)
 
+    boot.sort()
     half = 100.0 * (1.0 - confidence) / 2.0
-    lo, hi = np.percentile(boot, [half, 100.0 - half])
+    lo, hi = _percentile(boot, half), _percentile(boot, 100.0 - half)
     return EerReport(
         value,
         threshold,
-        ci_low=float(lo),
-        ci_high=float(hi),
+        ci_low=lo,
+        ci_high=hi,
         n_bootstrap=n_bootstrap,
         n_target=tar.size,
         n_nontarget=non.size,
@@ -346,8 +361,8 @@ def eer_bootstrap_ci(
 def det_points(scored: Sequence[Trial]) -> np.ndarray:
     """(FAR, FRR) operating points over the score sweep, for DET export."""
     tar, non = _split_scores(scored)
-    _, far, frr = _operating_points(tar, non)
-    return np.column_stack([far, frr])
+    bt, bn = _counts(tar, non)[1]
+    return np.column_stack([(non.size - bn) / non.size, bt / tar.size])
 
 
 def tune_cohort_size(embeddings: np.ndarray, index: TrialIndex, cohort_embeddings: np.ndarray,

@@ -60,6 +60,9 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
         self.hyper()  # a bad alpha or margin fails when a grid is built, before training
+        for name, (lo, hi) in losses.KINDS[self.loss_kind].domains.items():
+            if not lo <= (value := getattr(self, name)) <= hi:
+                raise DomainError(f"{self.loss_kind} {name} must lie in [{lo}, {hi}], got {value}")
 
     def batch_spec(self) -> sampling.BatchSpec:
         return sampling.BatchSpec(self.speakers_per_batch, self.chunks_per_speaker,

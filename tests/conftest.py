@@ -1,7 +1,7 @@
 """Shared test helpers: random loss instances away from hinge kinks, the
 finite-difference adapters per loss kind, the brute-force EER oracle, the
-per-trial scoring oracle, the embedding dict as scoring inputs, and a
-bootstrap-draw cache emptied before each test.
+float-sweep EER and DET oracle, the per-trial scoring oracle, the embedding
+dict as scoring inputs, and a bootstrap-draw cache emptied before each test.
 """
 
 import numpy as np
@@ -181,6 +181,26 @@ def brute_force_eer_bracket(tar, non):
     lo = max(frr[j], far[k])
     hi = min(far[j], frr[k])
     return float(lo), float(hi)
+
+
+def sweep_operating_points(tar, non):
+    """Thresholds (np.unique of both classes plus a sentinel past the max), FAR and FRR as
+    floats over them: the EER sweep that the integer count kernel replaced, its oracle."""
+    thresholds = np.unique(np.concatenate([tar, non]))
+    below = [np.append(np.searchsorted(np.sort(c), thresholds), c.size) for c in (tar, non)]
+    far, frr = (non.size - below[1]) / non.size, below[0] / tar.size
+    return np.append(thresholds, thresholds[-1] + 1.0), far, frr
+
+
+def sweep_eer(tar, non):
+    """(EER, threshold) of the float sweep: at the first point with FAR - FRR <= 0 if it is
+    0 there, else interpolated from the point before."""
+    thresholds, far, frr = sweep_operating_points(tar, non)
+    d = far - frr
+    k = int(np.argmax(d <= 0))
+    u = d[k - 1] / (d[k - 1] - d[k])
+    return tuple(float(v[k] if d[k] == 0.0 else v[k - 1] + u * (v[k] - v[k - 1]))
+                 for v in (far, thresholds))
 
 
 def rows_and_index(embeddings, trials):

@@ -1,5 +1,8 @@
 """End-to-end CLI runs on a tiny dataset, and on the README's example config."""
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -304,6 +307,55 @@ def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, comma
                      "--data", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not list(out.rglob("best.ckpt"))
+
+
+@pytest.mark.parametrize("command, kind, section, setting, message", [
+    ("train", "aam", "loss", "margin = 0.6", "aam margin must lie in [0.0, 0.5], got 0.6"),
+    ("grid-search", "aam", "loss", "margin = 0.6", "aam margin must lie in [0.0, 0.5], got 0.6"),
+    # compare runs TINY_CFG's aam and coco
+    ("compare", "coco", "loss", "margin = 0.6", "aam margin must lie in [0.0, 0.5], got 0.6"),
+    ("compare", "coco", "loss", "margin_grid = 0.05, 0.6",
+     "aam margin must lie in [0.0, 0.5], got 0.6"),
+    # ce trains at one batch shape, yet every value of the shape grids is checked
+    ("grid-search", "ce", "training", "speakers_grid = 0",
+     "speakers_per_batch must be at least 1, got 0"),
+    ("grid-search", "ce", "training", "chunks_grid = 2, 0",
+     "chunks_per_speaker must be at least 1, got 0"),
+    ("compare", "ce", "training", "speakers_grid = 5, 0",
+     "speakers_per_batch must be at least 1, got 0"),
+], ids=["train_aam_margin", "grid_search_aam_margin", "compare_aam_margin",
+        "compare_aam_margin_grid", "grid_search_ce_speakers_grid", "grid_search_ce_chunks_grid",
+        "compare_speakers_grid"])
+def test_out_of_domain_value_fails_before_training(workdir, capsys, monkeypatch, command, kind,
+                                                   section, setting, message):
+    # rejected when the run or grid is set up, before any loss trains: one error
+    # line naming the value, no candidate or loss dropped with a warning
+    tmp_path, cfg, data = workdir
+    text = TINY_CFG + f"\n[loss]\nkind = {kind}\n"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{setting}\n"))
+    monkeypatch.setattr(training, "train", lambda *args: pytest.fail("a loss trained"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), "--seed", "3",
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_compare_leaves_numpy_ma_unimported(workdir):
+    # np.unique and np.percentile import all of numpy.ma lazily, at 10-17 ms and about
+    # 1 MB of peak RSS per process; a compare run trains, grid-searches, scores dev EERs,
+    # tunes the cohort size, bootstraps and writes DET points without them
+    tmp_path, cfg, data = workdir
+    args = ["compare", "--config", str(cfg), "--seed", "3", "--data", str(data),
+            "--out", str(tmp_path / "cmp")]
+    code = f"import sys; from spklab.cli import main; print(main({args!r}), 'numpy.ma' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,5 +1,6 @@
 """Trial scoring, adaptive s-norm, EER against the brute-force threshold
-scan, bootstrap intervals, and the text file formats."""
+scan and the float-sweep oracle, bootstrap intervals and their percentiles,
+and the text file formats."""
 
 import logging
 import math
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_eer_bracket, rows_and_index, score_per_trial
+from conftest import (
+    brute_force_eer_bracket,
+    rows_and_index,
+    score_per_trial,
+    sweep_eer,
+    sweep_operating_points,
+)
 from spklab import scoring
 from spklab.embedding import cosine_similarity
 from spklab.errors import DegenerateCohortError, DomainError
@@ -199,6 +206,47 @@ class TestEer:
         pts = det_points(trials_from([0.9, 0.8], [0.1, 0.2]))
         assert pts[0, 0] == 1.0 and pts[0, 1] == 0.0
         assert pts[-1, 0] == 0.0 and pts[-1, 1] == 1.0
+
+
+def signed_rounded_scores(max_size=60):
+    """1..max_size scores rounded to 0-3 decimals, every zero of a random sign."""
+    def draw(c):
+        rng = np.random.default_rng(c[1])
+        x = np.round(rng.normal(0.0, 1.0, c[0]), c[2])
+        return np.where(x == 0.0, np.copysign(0.0, rng.random(c[0]) - 0.5), x)
+    return st.tuples(st.integers(1, max_size), st.integers(0, 2**32 - 1),
+                     st.integers(0, 3)).map(draw)
+
+
+class TestCountKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(tar=signed_rounded_scores(), non=signed_rounded_scores(20),
+           shift=st.sampled_from([0.0, 0.5]))
+    def test_eer_and_det_equal_float_sweep(self, tar, non, shift):
+        # classes of size 1 and of unequal sizes, tie-heavy scores and mixed +/-0.0
+        tar = tar + shift
+        assert eer_from_scores(tar, non) == sweep_eer(tar, non)
+        _, far, frr = sweep_operating_points(tar, non)
+        assert np.array_equal(det_points(trials_from(tar, non)), np.column_stack([far, frr]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1), decimals=st.integers(1, 4),
+           confidence=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_percentile_equals_numpy(self, n, seed, decimals, confidence):
+        ranked = np.sort(np.round(np.random.default_rng(seed).random(n), decimals))
+        half = 100.0 * (1.0 - confidence) / 2.0
+        got = (scoring._percentile(ranked, half), scoring._percentile(ranked, 100.0 - half))
+        assert got == tuple(np.percentile(ranked, [half, 100.0 - half]))
+
+    def test_counts_beyond_exact_bound_rejected(self):
+        # n_tar * n_non >= 2**52 could put two distinct rates within an ulp; one distinct
+        # score, whose sweep runs (FAR, FRR) = (1, 0) to (0, 1), shows where the bound is
+        def one_score(n_tar, n_non):
+            return scoring._crossing(np.array([[[0, n_tar]], [[0, n_non]]]), n_tar, n_non)
+
+        with pytest.raises(DomainError, match=r"2\*\*52"):
+            one_score(1 << 26, 1 << 26)
+        assert one_score(1, (1 << 52) - 1)[0].tolist() == [0.5]
 
 
 class TestAdaptiveSnorm:
