@@ -13,34 +13,21 @@ producing wrong gradients.
 
 import copy
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from spklab.errors import DomainError
 from spklab.losses import stable_sigmoid
 
-ACTIVATIONS = ("tanh", "identity", "sigmoid")
+# name -> (activation h = act(z), its derivative from z and h)
+ACTIVATION_TABLE: dict[str, tuple[Callable, Callable]] = {
+    "tanh": (np.tanh, lambda z, h: 1.0 - h**2),
+    "identity": (lambda z: z, lambda z, h: np.ones_like(z)),
+    "sigmoid": (stable_sigmoid, lambda z, h: h * (1.0 - h)),
+}
+ACTIVATIONS = tuple(ACTIVATION_TABLE)
 ENCODER_ARRAYS = ("w1", "b1", "w2", "b2")
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    if name == "sigmoid":
-        return stable_sigmoid(z)
-    raise DomainError(f"unknown activation {name!r}")
-
-
-def _act_prime(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - h**2
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "sigmoid":
-        return h * (1.0 - h)
-    raise DomainError(f"unknown activation {name!r}")
 
 
 @dataclass
@@ -126,7 +113,7 @@ def forward(params: EncoderParams, features) -> tuple[np.ndarray, ForwardCache]:
             f"features must be (N, {params.input_dim}), got shape {x.shape}"
         )
     z1 = x @ params.w1.T + params.b1
-    h = _act(params.activation, z1)
+    h = ACTIVATION_TABLE[params.activation][0](z1)
     e = h @ params.w2.T + params.b2
     cache = ForwardCache(x=x, z1=z1, h=h, params_id=id(params), params_version=params.version)
     return e, cache
@@ -141,7 +128,7 @@ def backward(params: EncoderParams, cache: ForwardCache, grad_embeddings) -> dic
     if de.shape != (cache.x.shape[0], params.embedding_dim):
         raise DomainError("grad_embeddings shape does not match the forward batch")
     dh = de @ params.w2
-    dz1 = dh * _act_prime(params.activation, cache.z1, cache.h)
+    dz1 = dh * ACTIVATION_TABLE[params.activation][1](cache.z1, cache.h)
     return {"w1": dz1.T @ cache.x, "b1": dz1.sum(axis=0),
             "w2": de.T @ cache.h, "b2": de.sum(axis=0)}
 

@@ -220,9 +220,7 @@ def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -
     The target-entry derivative w.r.t. the cosine is sin(theta+m)/sin(theta),
     replaced by 1 when sin(theta) < AAM_SIN_GUARD.
     """
-    lo, hi = KINDS["aam"].domains["margin"]
-    if not lo <= hyper.margin <= hi:
-        raise DomainError(f"aam margin must lie in [{lo}, {hi}], got {hyper.margin}")
+    check_domain("aam", "margin", hyper.margin)
     x = _check_batch(embeddings, params)
     y = _check_labels(labels, x.shape[0], params.n_classes)
     u, xn, v, cn, s = _cosine_parts(x, params.centers)
@@ -343,8 +341,7 @@ def contrastive_loss(embeddings, pairs: TupleIndex, hyper: LossHyper) -> LossOut
     max(m - (1 - cos), 0)^2. The hinge subgradient at exactly zero
     activation is 0.
     """
-    if not hyper.margin > 0:
-        raise DomainError("contrastive loss needs a positive margin")
+    check_domain("contrastive", "margin", hyper.margin)
     x = _check_embeddings(embeddings)
     for name, idx in (("positive", pairs.positives), ("negative", pairs.negatives)):
         if idx.size and np.any(idx[:, 0] == idx[:, 1]):
@@ -483,8 +480,7 @@ def contrastive_loss_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
     its square and doubled value are the negative terms and slopes; the
     positive ones are copied over them where the labels agree. Only the
     pairs above the diagonal count."""
-    if not hyper.margin > 0:
-        raise DomainError("contrastive loss needs a positive margin")
+    check_domain("contrastive", "margin", hyper.margin)
     y, u, xn, s = _batch_cosines(embeddings, labels)
     n = len(y)
     same = y[:, None] == y[None, :]
@@ -660,7 +656,8 @@ KINDS: dict[str, LossKind] = {
     "contrastive": LossKind(
         "pairs", (), ("margin",),
         {"learning_rate": 0.1, "margin": 0.2, "speakers_per_batch": 20, "chunks_per_speaker": 3},
-        lambda x, y, st: contrastive_loss_dense(x, y, st.hyper)),
+        lambda x, y, st: contrastive_loss_dense(x, y, st.hyper),
+        domains={"margin": (math.ulp(0.0), math.inf)}),  # ulp(0.0): the least float above 0
     "triplet_hinge": LossKind(
         "triplets", (), ("margin",),
         {"margin": 0.1, "speakers_per_batch": 40, "chunks_per_speaker": 3},
@@ -678,6 +675,13 @@ def loss_kind(name: str) -> LossKind:
     if name not in KINDS:
         raise DomainError(f"unknown loss kind {name!r}")
     return KINDS[name]
+
+
+def check_domain(kind: str, name: str, value: float) -> None:
+    """A DomainError unless `value` lies in the closed range the kind's row gives `name`."""
+    lo, hi = KINDS[kind].domains[name]
+    if not lo <= value <= hi:
+        raise DomainError(f"{kind} {name} must lie in [{lo}, {hi}], got {value}")
 
 
 def init_loss_state(

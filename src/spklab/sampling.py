@@ -94,10 +94,9 @@ class TupleIndex:
         self.triplets = np.asarray(self.triplets, dtype=np.int64).reshape(-1, 3)
 
 
-class TrainPool(Mapping):
+class TrainPool:
     """Every training chunk row in one `(rows, d)` float64 array, in label order: label k's
-    chunks are rows `offsets[k] : offsets[k] + sizes[k]`, for labels 0..K-1. As a mapping it
-    gives each label's rows as a view."""
+    chunks are rows `offsets[k] : offsets[k] + sizes[k]`, for labels 0..K-1."""
 
     def __init__(self, labels: Sequence[int], blocks: Sequence[np.ndarray]):
         """Pool row blocks under their labels, which must cover 0..K-1; the blocks of one
@@ -116,22 +115,12 @@ class TrainPool(Mapping):
 
     @classmethod
     def of(cls, chunks_by_label: Mapping[int, np.ndarray]) -> "TrainPool":
-        """The pool of a label -> chunk rows mapping (the pool itself if it is one)."""
-        if isinstance(chunks_by_label, cls):
-            return chunks_by_label
+        """The pool of a label -> chunk rows mapping."""
         return cls(list(chunks_by_label), list(chunks_by_label.values()))
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def __getitem__(self, label) -> np.ndarray:
-        if not 0 <= label < len(self.sizes):
-            raise KeyError(label)
-        return self.features[self.offsets[label]:self.offsets[label] + self.sizes[label]]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self.sizes)))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -152,41 +141,24 @@ def _floyd_picks(sizes: np.ndarray, c: int, rng: np.random.Generator) -> np.ndar
     return picks
 
 
-def _tail_picks(n: int, c: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted `rng.choice(n, c, replace=False)` where it does not use Floyd's algorithm: the
-    last c entries of range(n) after swapping each of them, from the top, with an entry at or
-    below it (a partial Fisher-Yates shuffle, kept sparse in a dict)."""
-    first = max(n - c, 1)
-    moved: dict[int, int] = {}
-    for i, j in zip(range(n - 1, first - 1, -1), rng.integers(0, np.arange(n, first, -1)).tolist()):
-        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-    return np.sort([moved.get(i, i) for i in range(n - c, n)])
-
-
 def balanced_batch(
-    chunks_by_speaker: Mapping[int, np.ndarray],
+    pool: TrainPool,
     spec: BatchSpec,
     rng: np.random.Generator,
-    speakers=None,
+    speakers: Sequence[int],
 ) -> LabeledBatch:
-    """Draw a batch with every chosen speaker equally represented.
+    """Draw a batch of the given speakers, each equally represented.
 
-    Speakers are drawn uniformly without replacement (or taken from the
-    `speakers` sequence when the epoch scheduler supplies one); each
-    contributes exactly `chunks_per_speaker` chunks sampled without
-    replacement from its pool, in pool order. The chunks of all speakers
-    come from one bounded-integer draw (see the module docstring), with the
-    values and generator state of one `rng.choice(pool_size, c,
-    replace=False)` per speaker in turn, and one gather from the pool.
-    A dict pool is converted with `TrainPool.of` first.
+    Each speaker contributes exactly `chunks_per_speaker` chunks sampled
+    without replacement from its pool, in pool order, with the values and
+    generator state of one `rng.choice(pool_size, c, replace=False)` per
+    speaker in turn. Where every pool takes choice's Floyd path, the chunks
+    of all speakers come from one bounded-integer draw (see the module
+    docstring); otherwise each speaker draws by `choice` itself. One gather
+    from the pool follows.
     """
-    pool = TrainPool.of(chunks_by_speaker)
     c = spec.chunks_per_speaker
-    if speakers is None:
-        if len(pool) < spec.speakers_per_batch:
-            raise DomainError(f"need {spec.speakers_per_batch} speakers, dataset has {len(pool)}")
-        speakers = rng.choice(len(pool), size=spec.speakers_per_batch, replace=False)
-    elif len(speakers) != spec.speakers_per_batch:
+    if len(speakers) != spec.speakers_per_batch:
         raise DomainError("speaker list length must equal speakers_per_batch")
     speakers = np.asarray(speakers, dtype=np.int64)
     if speakers.min() < 0 or speakers.max() >= len(pool):
@@ -197,11 +169,8 @@ def balanced_batch(
         short = np.argmax(sizes < c)
         raise DomainError(f"speaker {speakers[short]} has {sizes[short]} chunks, batch needs {c}")
     tail = (sizes > FLOYD_MAX_POOL) & (c > sizes // 50)
-    if tail.any():  # one speaker at a time, each as choice would pick
-        picks = np.array([
-            _tail_picks(int(sizes[i]), c, rng) if tail[i] else _floyd_picks(sizes[i:i + 1], c, rng)[0]
-            for i in range(len(sizes))
-        ])
+    if tail.any():
+        picks = np.array([np.sort(rng.choice(n, c, replace=False)) for n in sizes])
     else:
         picks = _floyd_picks(sizes, c, rng)
     rows = (pool.offsets[speakers][:, None] + picks).ravel()
@@ -209,7 +178,7 @@ def balanced_batch(
 
 
 def epoch_batches(
-    chunks_by_speaker: Mapping[int, np.ndarray],
+    pool: TrainPool,
     spec: BatchSpec,
     rng: np.random.Generator,
 ) -> Iterator[LabeledBatch]:
@@ -220,7 +189,6 @@ def epoch_batches(
     shuffled list when the speaker count is not a multiple of the batch's
     speaker count, so every speaker is visited at least once per epoch.
     """
-    pool = TrainPool.of(chunks_by_speaker)
     n = len(pool)
     if n < spec.speakers_per_batch:
         raise DomainError(f"need {spec.speakers_per_batch} speakers, dataset has {n}")
@@ -228,7 +196,7 @@ def epoch_batches(
     n_batches = -(-n // spec.speakers_per_batch)  # ceil
     for b in range(n_batches):
         idx = np.arange(b * spec.speakers_per_batch, (b + 1) * spec.speakers_per_batch) % n
-        yield balanced_batch(pool, spec, rng, speakers=order[idx])
+        yield balanced_batch(pool, spec, rng, order[idx])
 
 
 def form_pairs(labels) -> TupleIndex:

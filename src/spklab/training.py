@@ -56,13 +56,12 @@ class TrainConfig:
             raise DomainError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.epochs < 0:
             raise DomainError("epochs must be non-negative")
-        for name in ("speakers_per_batch", "chunks_per_speaker"):
+        for name in ("speakers_per_batch", "chunks_per_speaker", "hidden_dim", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
         self.hyper()  # a bad alpha or margin fails when a grid is built, before training
-        for name, (lo, hi) in losses.KINDS[self.loss_kind].domains.items():
-            if not lo <= (value := getattr(self, name)) <= hi:
-                raise DomainError(f"{self.loss_kind} {name} must lie in [{lo}, {hi}], got {value}")
+        for name in losses.KINDS[self.loss_kind].domains:
+            losses.check_domain(self.loss_kind, name, getattr(self, name))
 
     def batch_spec(self) -> sampling.BatchSpec:
         return sampling.BatchSpec(self.speakers_per_batch, self.chunks_per_speaker,
@@ -172,18 +171,17 @@ def init_run(
 
 
 def initial_checkpoint(
-    chunks_by_speaker: Mapping[int, np.ndarray],
+    pool: sampling.TrainPool,
     config: TrainConfig,
     dev_pack: EvalPack,
 ) -> Checkpoint:
     """Untrained snapshot (epoch -1) under the run seed, dev EER included."""
-    pool = sampling.TrainPool.of(chunks_by_speaker)
     params, _, _ = init_run(config, pool.feature_dim, len(pool))
     return Checkpoint(-1, params, dev_eer(params, dev_pack))
 
 
 def train(
-    chunks_by_speaker: Mapping[int, np.ndarray],
+    pool: sampling.TrainPool,
     config: TrainConfig,
     dev_pack: EvalPack,
 ) -> list[Checkpoint]:
@@ -193,7 +191,6 @@ def train(
     Deterministic given the config seed. Raises TrainingDiverged naming
     the batch index if the loss or any parameter goes non-finite.
     """
-    pool = sampling.TrainPool.of(chunks_by_speaker)
     params, state, rng = init_run(config, pool.feature_dim, len(pool))
     spec = config.batch_spec()
     lr = config.learning_rate
@@ -229,13 +226,13 @@ def train(
 
 
 def train_and_select(
-    chunks_by_speaker: Mapping[int, np.ndarray], config: TrainConfig, dev_pack: EvalPack
+    pool: sampling.TrainPool, config: TrainConfig, dev_pack: EvalPack
 ) -> tuple[list[Checkpoint], Checkpoint]:
     """Train for `config.epochs`; returns the per-epoch checkpoints and the
     best of them, or the untrained snapshot when there are no epochs."""
-    checkpoints = train(chunks_by_speaker, config, dev_pack)
+    checkpoints = train(pool, config, dev_pack)
     if not checkpoints:
-        return checkpoints, initial_checkpoint(chunks_by_speaker, config, dev_pack)
+        return checkpoints, initial_checkpoint(pool, config, dev_pack)
     return checkpoints, select_best(checkpoints)
 
 
@@ -251,7 +248,7 @@ def select_best(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
 
 
 def grid_search(
-    chunks_by_speaker: Mapping[int, np.ndarray],
+    pool: sampling.TrainPool,
     grid: Sequence[TrainConfig],
     budget_epochs: int,
     dev_pack: EvalPack,
@@ -262,7 +259,6 @@ def grid_search(
     """
     if len(grid) == 0:
         raise DomainError("grid_search: empty grid")
-    pool = sampling.TrainPool.of(chunks_by_speaker)
     best_config, best_eer = None, None
     for config in grid:
         short = replace(config, epochs=budget_epochs)

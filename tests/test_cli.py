@@ -323,15 +323,24 @@ def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, comma
      "chunks_per_speaker must be at least 1, got 0"),
     ("compare", "ce", "training", "speakers_grid = 5, 0",
      "speakers_per_batch must be at least 1, got 0"),
+    ("train", "contrastive", "loss", "margin = 0",
+     "contrastive margin must lie in [5e-324, inf], got 0.0"),
+    ("grid-search", "contrastive", "loss", "margin_grid = 0.2, 0",
+     "contrastive margin must lie in [5e-324, inf], got 0.0"),
+    ("compare", "aam", "encoder", "hidden_dim = 0", "hidden_dim must be at least 1, got 0"),
+    ("train", "aam", "encoder", "embedding_dim = 0", "embedding_dim must be at least 1, got 0"),
 ], ids=["train_aam_margin", "grid_search_aam_margin", "compare_aam_margin",
         "compare_aam_margin_grid", "grid_search_ce_speakers_grid", "grid_search_ce_chunks_grid",
-        "compare_speakers_grid"])
+        "compare_speakers_grid", "train_contrastive_margin", "grid_search_contrastive_margin_grid",
+        "compare_hidden_dim", "train_embedding_dim"])
 def test_out_of_domain_value_fails_before_training(workdir, capsys, monkeypatch, command, kind,
                                                    section, setting, message):
     # rejected when the run or grid is set up, before any loss trains: one error
     # line naming the value, no candidate or loss dropped with a warning
     tmp_path, cfg, data = workdir
     text = TINY_CFG + f"\n[loss]\nkind = {kind}\n"
+    key = setting.split(" = ")[0]  # the setting replaces TINY_CFG's own value, if any
+    text = "".join(line for line in text.splitlines(True) if not line.startswith(f"{key} = "))
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{setting}\n"))
     monkeypatch.setattr(training, "train", lambda *args: pytest.fail("a loss trained"))

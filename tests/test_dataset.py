@@ -76,9 +76,9 @@ class TestGeneration:
     def test_train_pool_labels(self):
         ds = generate_dataset(SMALL)
         pool = ds.train_pool()
-        assert sorted(pool) == list(range(8))
-        for chunks in pool.values():
-            assert chunks.shape == (6, 6)  # 3 files x 2 chunks
+        assert len(pool) == 8
+        np.testing.assert_array_equal(pool.sizes, [6] * 8)  # 3 files x 2 chunks
+        assert pool.features.shape == (48, 6)
 
     def test_eval_pack_per_partition(self):
         # dev and test packs index their own trials; train and cohort packs carry none

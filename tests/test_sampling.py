@@ -1,6 +1,8 @@
 """Balanced batching, exhaustive tuple formation, and SNR augmentation."""
 
+import copy
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -25,9 +27,9 @@ from spklab.sampling import (
 
 def make_pool(n_speakers, chunks_each, dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    return {
+    return TrainPool.of({
         spk: rng.standard_normal((chunks_each, dim)) for spk in range(n_speakers)
-    }
+    })
 
 
 class TestBatchSpec:
@@ -61,14 +63,14 @@ class TestBalancedBatch:
     def test_classification_batch_of_128(self):
         pool = make_pool(150, 2)
         rng = np.random.default_rng(1)
-        batch = balanced_batch(pool, BatchSpec(128, 1), rng)
+        batch = balanced_batch(pool, BatchSpec(128, 1), rng, rng.permutation(150)[:128])
         assert batch.features.shape == (128, 4)
         assert len(np.unique(batch.labels)) == 128
 
     def test_contrast_batch_counts(self):
         pool = make_pool(25, 5)
         rng = np.random.default_rng(2)
-        batch = balanced_batch(pool, BatchSpec(20, 3, "pairs"), rng)
+        batch = balanced_batch(pool, BatchSpec(20, 3, "pairs"), rng, np.arange(20))
         assert batch.features.shape[0] == 60
         labels, counts = np.unique(batch.labels, return_counts=True)
         assert len(labels) == 20
@@ -77,34 +79,37 @@ class TestBalancedBatch:
     def test_chunks_sampled_without_replacement(self):
         pool = make_pool(4, 3)
         rng = np.random.default_rng(3)
-        batch = balanced_batch(pool, BatchSpec(4, 3, "triplets"), rng)
+        batch = balanced_batch(pool, BatchSpec(4, 3, "triplets"), rng, [3, 1, 0, 2])
         for spk in range(4):
             rows = batch.features[batch.labels == spk]
             assert len(np.unique(rows.round(12), axis=0)) == 3
 
     def test_insufficient_speakers(self):
         pool = make_pool(10, 5)
-        with pytest.raises(DomainError, match="speakers"):
-            balanced_batch(pool, BatchSpec(20, 3, "pairs"), np.random.default_rng(0))
+        with pytest.raises(DomainError, match="need 20 speakers, dataset has 10"):
+            next(epoch_batches(pool, BatchSpec(20, 3, "pairs"), np.random.default_rng(0)))
+        with pytest.raises(DomainError, match="speaker 10 is not in the training pool"):
+            balanced_batch(pool, BatchSpec(2, 3, "pairs"), np.random.default_rng(0), [0, 10])
+        with pytest.raises(DomainError, match="length must equal"):
+            balanced_batch(pool, BatchSpec(2, 3, "pairs"), np.random.default_rng(0), [0])
 
     def test_insufficient_chunks(self):
         pool = make_pool(5, 2)
         with pytest.raises(DomainError, match="chunks"):
-            balanced_batch(pool, BatchSpec(5, 3, "pairs"), np.random.default_rng(0))
+            balanced_batch(pool, BatchSpec(5, 3, "pairs"), np.random.default_rng(0), np.arange(5))
 
     def test_deterministic_given_seed(self):
         pool = make_pool(30, 4)
-        a = balanced_batch(pool, BatchSpec(10, 2, "pairs"), np.random.default_rng(42))
-        b = balanced_batch(pool, BatchSpec(10, 2, "pairs"), np.random.default_rng(42))
+        spec, speakers = BatchSpec(10, 2, "pairs"), np.arange(10)
+        a = balanced_batch(pool, spec, np.random.default_rng(42), speakers)
+        b = balanced_batch(pool, spec, np.random.default_rng(42), speakers)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
-def reference_batch(pool, spec, rng, speakers=None):
+def reference_batch(pool, spec, rng, speakers):
     """The per-speaker draw that `balanced_batch` replaces, kept as its oracle: one
     `rng.choice` per speaker in turn, each speaker's picked rows in pool order."""
-    if speakers is None:
-        speakers = rng.choice(sorted(pool), size=spec.speakers_per_batch, replace=False)
     rows, labels = [], []
     for spk in speakers:
         chunks = np.asarray(pool[int(spk)], dtype=np.float64)
@@ -118,14 +123,18 @@ def reference_batch(pool, spec, rng, speakers=None):
 
 
 def assert_same_draw(pool, spec, seed, speakers=None):
-    """balanced_batch and the reference agree on the batch, or on the error, and leave
-    their generators in the same state."""
-    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    """balanced_batch of the dict `pool` and the reference agree on the batch, or on the
+    error, and leave their generators in the same state. Without `speakers`, they are
+    drawn first by `rng.choice` over the labels, from the stream both then go on with."""
+    rng = np.random.default_rng(seed)
+    if speakers is None:
+        speakers = rng.choice(len(pool), size=spec.speakers_per_batch, replace=False)
+    rng_ref = copy.deepcopy(rng)
     try:
         want = reference_batch(pool, spec, rng_ref, speakers)
     except DomainError as exc:
         with pytest.raises(DomainError) as got:
-            balanced_batch(pool, spec, rng, speakers)
+            balanced_batch(TrainPool.of(pool), spec, rng, speakers)
         assert str(got.value) == str(exc)
         return
     got = balanced_batch(TrainPool.of(pool), spec, rng, speakers)
@@ -165,7 +174,7 @@ class TestBatchDrawOracle:
         assert_same_draw(pool, BatchSpec(3, chunks), 8, np.array([1, 0, 2]))
 
     def test_short_pool_names_the_speaker(self):
-        pool = {0: np.ones((5, 2)), 1: np.ones((5, 2)), 2: np.ones((1, 2))}
+        pool = TrainPool.of({0: np.ones((5, 2)), 1: np.ones((5, 2)), 2: np.ones((1, 2))})
         with pytest.raises(DomainError, match="speaker 2 has 1 chunks, batch needs 3"):
             balanced_batch(pool, BatchSpec(2, 3), np.random.default_rng(0), speakers=[0, 2])
 
@@ -173,8 +182,10 @@ class TestBatchDrawOracle:
         pool = TrainPool([1, 0, 1], [np.full((2, 2), 1.0), np.zeros((3, 2)), np.full((1, 2), 2.0)])
         assert pool.features.shape == (6, 2)
         np.testing.assert_array_equal(pool.sizes, [3, 3])
-        np.testing.assert_array_equal(pool[1][:, 0], [1.0, 1.0, 2.0])
-        assert pool[1].base is pool.features
+        np.testing.assert_array_equal(pool.offsets, [0, 3])
+        np.testing.assert_array_equal(pool.features[:, 0], [0.0, 0.0, 0.0, 1.0, 1.0, 2.0])
+        assert len(pool) == 2 and pool.feature_dim == 2
+        assert not isinstance(pool, Mapping)
         with pytest.raises(DomainError, match="0..K-1"):
             TrainPool.of({0: np.ones((2, 2)), 2: np.ones((2, 2))})
         with pytest.raises(DomainError, match="rows of one d"):

@@ -38,10 +38,10 @@ def toy_problem(n_speakers=4, chunks=6, dim=6, spread=0.2, seed=0, files=2):
     rng = np.random.default_rng(seed)
     latents = rng.standard_normal((n_speakers, dim))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)
-    pool = {
+    pool = sampling.TrainPool.of({
         spk: latents[spk] + spread * rng.standard_normal((chunks, dim))
         for spk in range(n_speakers)
-    }
+    })
     dev_files = {}
     speakers = {}
     for spk in range(n_speakers):
@@ -96,10 +96,10 @@ class TestTrain:
         # two linearly separable speakers, batch-wise SGD with the angular
         # margin loss: the running loss goes down across the epoch
         rng = np.random.default_rng(1)
-        pool = {
+        pool = sampling.TrainPool.of({
             0: np.array([2.0, 0.0]) + 0.05 * rng.standard_normal((8, 2)),
             1: np.array([0.0, 2.0]) + 0.05 * rng.standard_normal((8, 2)),
-        }
+        })
         params = enc.init_encoder(2, 8, 4, rng)
         state = losses.init_loss_state("aam", 2, 4, losses.LossHyper(10.0, 0.05), rng)
         spec = sampling.BatchSpec(2, 4, "classification")
@@ -126,9 +126,9 @@ class TestTrain:
 
     def test_labels_must_be_contiguous(self):
         pool, dev = toy_problem()
-        pool = {k + 1: v for k, v in pool.items()}
+        blocks = np.split(pool.features, pool.offsets[1:])
         with pytest.raises(DomainError, match="0..K-1"):
-            train(pool, BASE, dev)
+            train(sampling.TrainPool([k + 1 for k in range(len(blocks))], blocks), BASE, dev)
 
     def test_augmented_training_runs(self):
         pool, dev = toy_problem()
