@@ -8,7 +8,10 @@ spread, optionally passed through the SNR augmentation. Files group a
 fixed number of chunks; trials compare file-level embeddings.
 
 On disk a dataset is a manifest (text) plus one flat .npy matrix holding
-all chunk rows, so identical seeds produce byte-identical files.
+all chunk rows, so identical seeds produce byte-identical files. A loaded
+dataset keeps that matrix, read-only, and its files are views of it; the
+training pool and the scoring stacks are views too wherever their files lie
+end to end in the matrix, as the files `save_dataset` writes do.
 """
 
 import math
@@ -19,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from spklab.errors import DomainError
-from spklab.sampling import TrainPool, augment_chunk
+from spklab.sampling import ChunkMatrix, TrainPool, augment_chunk
 from spklab.scoring import Trial, read_trials, write_trials
 from spklab.training import EvalPack
 
@@ -94,6 +97,7 @@ class SpeakerDataset:
     trials_dev: list[Trial]
     trials_test: list[Trial]
     spec_echo: dict[str, str] = field(default_factory=dict)
+    matrix: ChunkMatrix | None = None  # the loaded rows; None for a dataset built in memory
 
     def files_of(self, partition: str) -> dict[str, np.ndarray]:
         return {
@@ -103,10 +107,15 @@ class SpeakerDataset:
         }
 
     def train_pool(self) -> TrainPool:
-        """Chunks of the train speakers in one array, by train-local label 0..K-1."""
+        """Chunks of the train speakers in one array, by train-local label 0..K-1, files of
+        one label in manifest order: a view of the loaded rows when they lie so there."""
         label_of = {spk: i for i, spk in enumerate(self.partitions["train"])}
-        train = [rec for rec in self.files.values() if rec.partition == "train"]
-        return TrainPool([label_of[rec.speaker] for rec in train], [rec.features for rec in train])
+        train = sorted((rec for rec in self.files.values() if rec.partition == "train"),
+                       key=lambda rec: label_of[rec.speaker])
+        blocks = [rec.features for rec in train]
+        rows = None if self.matrix is None else self.matrix.span(
+            [rec.file_id for rec in train], [len(b) for b in blocks])
+        return TrainPool([label_of[rec.speaker] for rec in train], blocks, rows)
 
     def eval_pack(self, partition: str) -> EvalPack:
         """The partition staged for scoring, with the dev or the test trials; the train and
@@ -114,7 +123,7 @@ class SpeakerDataset:
         if partition not in PARTITIONS:
             raise DomainError(f"unknown partition {partition!r}, not one of {PARTITIONS}")
         trials = {"dev": self.trials_dev, "test": self.trials_test}.get(partition, ())
-        return EvalPack(self.files_of(partition), trials)
+        return EvalPack(self.files_of(partition), trials, self.matrix)
 
 
 def file_id(speaker: int, file_index: int) -> str:
@@ -254,11 +263,13 @@ def load_dataset(data_dir) -> SpeakerDataset:
         features = np.load(features_path)
     except ValueError as exc:  # a truncated or malformed .npy
         raise DomainError(f"{features_path}: {exc}") from None
+    features.flags.writeable = False  # every file, pool and stack may be a view of it
 
     feature_dim = None
     partitions: dict[str, list[int]] = {name: [] for name in PARTITIONS}
     files: dict[str, FileRecord] = {}
     line_of: dict[str, int] = {}
+    starts: dict[str, int] = {}
     with open(manifest_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
@@ -286,6 +297,7 @@ def load_dataset(data_dir) -> SpeakerDataset:
                 raise DomainError(f"{manifest_path}:{line_no}: rows {start}..{start + n} are not "
                                   f"inside the {features.shape[0]} rows of {FEATURES_NAME}")
             files[fid] = FileRecord(fid, speaker, partition, features[start : start + n])
+            starts[fid] = start
             if speaker not in partitions[partition]:
                 partitions[partition].append(speaker)
     if feature_dim is None:
@@ -314,6 +326,9 @@ def load_dataset(data_dir) -> SpeakerDataset:
         trials_dev=read_trials(os.path.join(data_dir, DEV_TRIALS_NAME)),
         trials_test=read_trials(os.path.join(data_dir, TEST_TRIALS_NAME)),
         spec_echo=spec_echo,
+        # the copy path makes C-ordered float64 rows; views of another dtype or order would differ
+        matrix=ChunkMatrix(features, starts)
+        if features.dtype == np.float64 and features.flags.c_contiguous else None,
     )
 
 

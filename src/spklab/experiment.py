@@ -100,13 +100,19 @@ def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Con
     n_train = len(dataset.partitions["train"])
 
     lrs = config.get("training", "lr_grid", LR_GRID)
-    speakers = config.get("training", "speakers_grid", SPEAKERS_GRID)
+    speakers = [min(s, n_train) for s in config.get("training", "speakers_grid", SPEAKERS_GRID)]
     chunks = config.get("training", "chunks_grid", CHUNKS_GRID)
-    shapes = sorted({(min(s, n_train), c) for s in speakers for c in chunks})
-    checks = [dict(speakers_per_batch=s, chunks_per_speaker=c) for s, c in shapes]
-    checks += [{name: v} for name, key in HYPER_GRIDS.items() for v in config.get("loss", key, ())]
-    for values in checks:  # every grid value is checked, read or not
-        replace(base, **values)
+    checks = [("training", "lr_grid", "learning_rate", lrs),
+              ("training", "speakers_grid", "speakers_per_batch", speakers),
+              ("training", "chunks_grid", "chunks_per_speaker", chunks)]
+    checks += [("loss", key, name, config.get("loss", key, ())) for name, key in HYPER_GRIDS.items()]
+    for section, key, name, values in checks:  # every grid value is checked, read or not
+        for value in values:
+            try:
+                replace(base, **{name: value})
+            except DomainError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    shapes = sorted({(s, c) for s in speakers for c in chunks})
     if row.mode == "classification":
         shapes = [(base.speakers_per_batch, base.chunks_per_speaker)]
     hypers = [config.get("loss", HYPER_GRIDS[name], (getattr(base, name),)) for name in row.reads]
@@ -139,20 +145,26 @@ def evaluate_encoder(
     test_pack = dataset.eval_pack("test")
     test_embeddings = training.embed_files(encoder, test_pack)
     scored_raw = scoring.score_trials(test_embeddings, test_pack.index)
-    raw_report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
-    scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), scored_raw)
-    scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
+    # the DET first: a test list without both classes fails there, before any file is written
     scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), scored_raw)
-    if not opts.use_snorm:
+    scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), scored_raw)
+    scored_norm = None
+    try:  # s-norm before the bootstrap, whose draws would add to its cohort-cosine peak
+        if opts.use_snorm:
+            cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
+            top_n = scoring.tune_cohort_size(
+                training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
+                candidates, opts.snorm_std,
+            )
+            cohort = scoring.Cohort(cohort_embeddings, top_n)
+            scored_norm = scoring.snorm_trials(test_embeddings, test_pack.index, cohort,
+                                               opts.snorm_std)
+    finally:  # the raw report is written even when s-norm fails
+        raw_report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
+        scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
+    if scored_norm is None:
         return raw_report, None
 
-    cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
-    top_n = scoring.tune_cohort_size(
-        training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings, candidates,
-        opts.snorm_std,
-    )
-    cohort = scoring.Cohort(cohort_embeddings, top_n)
-    scored_norm = scoring.snorm_trials(test_embeddings, test_pack.index, cohort, opts.snorm_std)
     normalized_report = scoring.eer_bootstrap_ci(scored_norm, opts.n_bootstrap, seed=seed)
     normalized_report.top_n = top_n
     scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), scored_norm)

@@ -8,7 +8,9 @@ the pair and triplet lists formed here enumerate the same tuples one by
 one and are the oracle those losses are tested against. White Gaussian
 noise at a drawn SNR stands in for real background-noise augmentation.
 
-A run's training chunks sit in one `TrainPool` array, label by label. A
+A run's training chunks sit in one `TrainPool` array, label by label: a
+read-only view of a loaded dataset's chunk matrix when its train files lie
+there in that order, as every generated dataset's do, else a copy. A
 batch draws its chunks with one bounded-integer call: per speaker of an
 n-row pool, c values below n - c + 1, ..., n pick c distinct rows by
 Floyd's algorithm (Bentley & Floyd 1987: a value already taken becomes
@@ -94,13 +96,36 @@ class TupleIndex:
         self.triplets = np.asarray(self.triplets, dtype=np.int64).reshape(-1, 3)
 
 
+@dataclass(frozen=True)
+class ChunkMatrix:
+    """A loaded, read-only `(rows, d)` float64 chunk matrix and the first row of each file
+    in it, as its manifest gives them."""
+
+    features: np.ndarray
+    starts: Mapping[str, int]
+
+    def span(self, file_ids: Sequence[str], n_rows: Sequence[int]) -> np.ndarray | None:
+        """The rows of the files, in the given order and with `n_rows` rows each, as one view
+        of the matrix when each file starts where the one before it ends; else None."""
+        if not file_ids:
+            return None
+        start = end = self.starts[file_ids[0]]
+        for fid, n in zip(file_ids, n_rows):
+            if self.starts[fid] != end:
+                return None
+            end += n
+        return self.features[start:end]
+
+
 class TrainPool:
     """Every training chunk row in one `(rows, d)` float64 array, in label order: label k's
     chunks are rows `offsets[k] : offsets[k] + sizes[k]`, for labels 0..K-1."""
 
-    def __init__(self, labels: Sequence[int], blocks: Sequence[np.ndarray]):
+    def __init__(self, labels: Sequence[int], blocks: Sequence[np.ndarray],
+                 rows: np.ndarray | None = None):
         """Pool row blocks under their labels, which must cover 0..K-1; the blocks of one
-        label keep their given order."""
+        label keep their given order. `rows`, when given, is those blocks already end to end
+        in that order (a `ChunkMatrix.span`), and the pool keeps it instead of a copy."""
         n_labels = len(set(labels))
         if sorted(set(labels)) != list(range(n_labels)) or n_labels == 0:
             raise DomainError("training pool labels must be 0..K-1")
@@ -108,7 +133,7 @@ class TrainPool:
         ordered = [np.asarray(blocks[i], dtype=np.float64) for i in order]
         if any(b.ndim != 2 or b.shape[1] != ordered[0].shape[1] for b in ordered):
             raise DomainError("training pool chunks must be (n, d) rows of one d")
-        self.features = np.concatenate(ordered)
+        self.features = np.concatenate(ordered) if rows is None else rows
         self.sizes = np.zeros(n_labels, dtype=np.int64)
         np.add.at(self.sizes, list(labels), [len(b) for b in blocks])
         self.offsets = np.cumsum(self.sizes) - self.sizes
@@ -147,7 +172,7 @@ def balanced_batch(
     rng: np.random.Generator,
     speakers: Sequence[int],
 ) -> LabeledBatch:
-    """Draw a batch of the given speakers, each equally represented.
+    """Draw a batch of the given distinct speakers, each equally represented.
 
     Each speaker contributes exactly `chunks_per_speaker` chunks sampled
     without replacement from its pool, in pool order, with the values and
@@ -164,6 +189,10 @@ def balanced_batch(
     if speakers.min() < 0 or speakers.max() >= len(pool):
         bad = speakers[(speakers < 0) | (speakers >= len(pool))][0]
         raise DomainError(f"speaker {bad} is not in the training pool")
+    ranked = np.sort(speakers)  # not np.unique, which imports numpy.ma
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if repeated.size:
+        raise DomainError(f"speaker {repeated[0]} is given more than once for one batch")
     sizes = pool.sizes[speakers]
     if sizes.min() < c:
         short = np.argmax(sizes < c)

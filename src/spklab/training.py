@@ -92,11 +92,14 @@ class EvalPack:
 
     Every file is an (n_chunks, feature_dim) matrix with n_chunks > 0, of the first such
     file's feature_dim; a file that is not fails the build naming the file, and a trial
-    naming an unknown file fails it as `scoring.TrialIndex.of` does.
+    naming an unknown file fails it as `scoring.TrialIndex.of` does. With `matrix`, the
+    loaded rows the files are views of, a stack whose files lie end to end there is a
+    read-only view of it; any other stack is a copy.
     """
 
     files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
     trials: Sequence[scoring.Trial] = ()
+    matrix: sampling.ChunkMatrix | None = None
     ids: list[str] = field(init=False)
     feature_dim: int | None = field(init=False)  # None for a pack without files
     # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
@@ -116,11 +119,17 @@ class EvalPack:
             by_count.setdefault(shape[0], []).append(row)
         parts = [rows[i:i + EMBED_STACK_FILES]
                  for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
-        self.stacks = [
-            (np.array(part), np.array([self.files[self.ids[r]] for r in part], dtype=np.float64))
-            for part in parts
-        ]
+        self.stacks = [(np.array(part), self._stack([self.ids[r] for r in part]))
+                       for part in parts]
         self.index = scoring.TrialIndex.of(self.trials, self.ids)
+
+    def _stack(self, ids: list[str]) -> np.ndarray:
+        """The (F, n_chunks, feature_dim) stack of files of one chunk count."""
+        n = len(self.files[ids[0]])
+        rows = None if self.matrix is None else self.matrix.span(ids, [n] * len(ids))
+        if rows is None:
+            return np.array([self.files[file_id] for file_id in ids], dtype=np.float64)
+        return rows.reshape(len(ids), n, self.feature_dim)
 
 
 def embed_files(params: enc.EncoderParams, pack: EvalPack) -> np.ndarray:

@@ -281,12 +281,12 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
     ("grid-search", "ce", "loss", "margin = nan",
      "margin must be non-negative and finite, got nan"),
     ("compare", "aam", "loss", "alpha_grid = 10, inf",
-     "alpha must be positive and finite, got inf"),
+     "[loss] alpha_grid: alpha must be positive and finite, got inf"),
     ("grid-search", "coco", "loss", "alpha_grid = 10, inf",
-     "alpha must be positive and finite, got inf"),
+     "[loss] alpha_grid: alpha must be positive and finite, got inf"),
     # ce's grid crosses no alpha values, yet a bad one fails
     ("grid-search", "ce", "loss", "alpha_grid = 10, inf",
-     "alpha must be positive and finite, got inf"),
+     "[loss] alpha_grid: alpha must be positive and finite, got inf"),
 ], ids=["alpha_inf", "margin_nan", "lambda_nan", "aam_lambda_inf", "learning_rate_nan",
         "compare_alpha_inf", "grid_search_margin_nan", "compare_alpha_grid_inf",
         "grid_search_alpha_grid_inf", "grid_search_unread_alpha_grid_inf"])
@@ -315,24 +315,29 @@ def test_non_finite_hyper_parameter_fails_before_training(workdir, capsys, comma
     # compare runs TINY_CFG's aam and coco
     ("compare", "coco", "loss", "margin = 0.6", "aam margin must lie in [0.0, 0.5], got 0.6"),
     ("compare", "coco", "loss", "margin_grid = 0.05, 0.6",
-     "aam margin must lie in [0.0, 0.5], got 0.6"),
+     "[loss] margin_grid: aam margin must lie in [0.0, 0.5], got 0.6"),
     # ce trains at one batch shape, yet every value of the shape grids is checked
     ("grid-search", "ce", "training", "speakers_grid = 0",
-     "speakers_per_batch must be at least 1, got 0"),
+     "[training] speakers_grid: speakers_per_batch must be at least 1, got 0"),
     ("grid-search", "ce", "training", "chunks_grid = 2, 0",
-     "chunks_per_speaker must be at least 1, got 0"),
+     "[training] chunks_grid: chunks_per_speaker must be at least 1, got 0"),
     ("compare", "ce", "training", "speakers_grid = 5, 0",
-     "speakers_per_batch must be at least 1, got 0"),
+     "[training] speakers_grid: speakers_per_batch must be at least 1, got 0"),
     ("train", "contrastive", "loss", "margin = 0",
      "contrastive margin must lie in [5e-324, inf], got 0.0"),
     ("grid-search", "contrastive", "loss", "margin_grid = 0.2, 0",
-     "contrastive margin must lie in [5e-324, inf], got 0.0"),
+     "[loss] margin_grid: contrastive margin must lie in [5e-324, inf], got 0.0"),
     ("compare", "aam", "encoder", "hidden_dim = 0", "hidden_dim must be at least 1, got 0"),
     ("train", "aam", "encoder", "embedding_dim = 0", "embedding_dim must be at least 1, got 0"),
+    ("grid-search", "ce", "training", "lr_grid = 0.01, nan",
+     "[training] lr_grid: learning rate must be non-negative and finite, got nan"),
+    ("compare", "aam", "loss", "lambda_grid = 1, inf",
+     "[loss] lambda_grid: lambda must be non-negative and finite, got inf"),
 ], ids=["train_aam_margin", "grid_search_aam_margin", "compare_aam_margin",
         "compare_aam_margin_grid", "grid_search_ce_speakers_grid", "grid_search_ce_chunks_grid",
         "compare_speakers_grid", "train_contrastive_margin", "grid_search_contrastive_margin_grid",
-        "compare_hidden_dim", "train_embedding_dim"])
+        "compare_hidden_dim", "train_embedding_dim", "grid_search_lr_grid_nan",
+        "compare_lambda_grid_inf"])
 def test_out_of_domain_value_fails_before_training(workdir, capsys, monkeypatch, command, kind,
                                                    section, setting, message):
     # rejected when the run or grid is set up, before any loss trains: one error

@@ -2,6 +2,7 @@
 degenerate-geometry behavior, and on-disk round trips."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import rows_and_index
 from spklab.dataset import (
+    PARTITIONS,
     SyntheticDatasetSpec,
     file_id,
     gen_synthetic_dataset,
@@ -20,6 +22,7 @@ from spklab.dataset import (
 )
 from spklab.embedding import mean_embedding
 from spklab.errors import DomainError
+from spklab.training import TrainConfig, dev_eer, init_run, train
 from spklab.scoring import Trial, eer, score_trials
 
 SMALL = SyntheticDatasetSpec(
@@ -230,6 +233,93 @@ class TestOnDisk:
 
     def test_file_id_format(self):
         assert file_id(3, 12) == "s0003_f12"
+
+
+def permute_rows(data_dir, seed):
+    """Rewrites the dataset's feature matrix with its files' rows in a seeded random file
+    order and the manifest's starts to match; the manifest keeps its line order."""
+    manifest = Path(data_dir) / "manifest.txt"
+    header, *lines = manifest.read_text().splitlines()
+    features = np.load(Path(data_dir) / "features.npy")
+    fields = [line.split() for line in lines]
+    start, blocks = 0, []
+    for k in np.random.default_rng(seed).permutation(len(fields)):
+        first, n = int(fields[k][3]), int(fields[k][4])
+        blocks.append(features[first:first + n])
+        fields[k][3] = str(start)
+        start += n
+    np.save(Path(data_dir) / "features.npy", np.concatenate(blocks))
+    manifest.write_text("\n".join([header] + [" ".join(f) for f in fields]) + "\n")
+
+
+class TestLoadedViews:
+    """A loaded dataset's training pool and scoring stacks are read-only views of its one
+    chunk matrix where the manifest lays their files end to end, and copies otherwise."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        # the default spec: a train pool of 320 KB, a cohort of 128 KB
+        views, copies = tmp_path_factory.mktemp("views"), tmp_path_factory.mktemp("copies")
+        gen_synthetic_dataset(SyntheticDatasetSpec(), views)
+        gen_synthetic_dataset(SyntheticDatasetSpec(), copies)
+        permute_rows(copies, seed=3)
+        return load_dataset(views), load_dataset(copies)
+
+    @staticmethod
+    def arrays(data):
+        return [data.train_pool().features] + [
+            stack for p in PARTITIONS for _, stack in data.eval_pack(p).stacks]
+
+    def test_pool_and_stacks_are_read_only_views(self, loaded):
+        data = loaded[0]
+        for array in self.arrays(data):
+            assert np.shares_memory(array, data.matrix.features)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1.0
+        for record in data.files.values():
+            with pytest.raises(ValueError, match="read-only"):
+                record.features[0, 0] = 0.0
+
+    def test_permuted_rows_are_copied_to_the_same_arrays(self, loaded):
+        views, copies = loaded
+        for view, copy in zip(self.arrays(views), self.arrays(copies), strict=True):
+            assert not np.shares_memory(copy, copies.matrix.features)
+            assert view.shape == copy.shape and np.array_equal(view, copy)
+        pool_v, pool_c = views.train_pool(), copies.train_pool()
+        np.testing.assert_array_equal(pool_v.sizes, pool_c.sizes)
+        np.testing.assert_array_equal(pool_v.offsets, pool_c.offsets)
+        for p in PARTITIONS:
+            pack_v, pack_c = views.eval_pack(p), copies.eval_pack(p)
+            assert pack_v.ids == pack_c.ids
+            for (rows_v, _), (rows_c, _) in zip(pack_v.stacks, pack_c.stacks, strict=True):
+                np.testing.assert_array_equal(rows_v, rows_c)
+
+    def test_permuted_rows_train_and_score_alike(self, loaded):
+        config = TrainConfig(loss_kind="contrastive", epochs=2, learning_rate=0.1, margin=0.2,
+                             speakers_per_batch=10, chunks_per_speaker=3, seed=2)
+        runs = [train(data.train_pool(), config, data.eval_pack("dev")) for data in loaded]
+        for ckpt_v, ckpt_c in zip(*runs, strict=True):
+            assert ckpt_v.dev_eer == ckpt_c.dev_eer
+            for name, array in ckpt_v.encoder.arrays().items():
+                assert np.array_equal(array, ckpt_c.encoder.arrays()[name]), name
+        params = init_run(config, 32, 50)[0]
+        for partition in ("dev", "test"):
+            assert (dev_eer(params, loaded[0].eval_pack(partition))
+                    == dev_eer(params, loaded[1].eval_pack(partition)))
+
+    def test_views_allocate_no_feature_copy(self, loaded):
+        # the copy path allocates every train and partition row again, far over the bound
+        peaks = []
+        for data in loaded:
+            tracemalloc.start()
+            try:
+                data.train_pool()
+                for p in PARTITIONS:
+                    data.eval_pack(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 64 * 1024 < peaks[1], peaks
 
 
 small_specs = st.builds(

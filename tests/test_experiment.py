@@ -180,6 +180,28 @@ class TestRunExperiment:
         assert "centers" in ckpt.encoder.loss_arrays
 
 
+class TestEvaluateEncoder:
+    def test_degenerate_cohort_still_writes_the_raw_outputs(self, tmp_path):
+        # one cohort file repeated gives every file a flat cohort, so s-norm fails after
+        # the raw scores, DET and report are written, with the bytes of a raw-only run
+        flat = ds.generate_dataset(SPEC)
+        cohort = [rec for rec in flat.files.values() if rec.partition == "cohort"]
+        for rec in cohort:
+            rec.features = cohort[0].features
+        params = training.init_run(training.TrainConfig(), SPEC.feature_dim, 10)[0]
+        (tmp_path / "snorm").mkdir()
+        (tmp_path / "raw").mkdir()
+        with pytest.raises(DomainError, match="every candidate cohort size was degenerate"):
+            experiment.evaluate_encoder(params, flat, tmp_path / "snorm", EVAL, seed=1)
+        raw_only = replace(EVAL, use_snorm=False)
+        experiment.evaluate_encoder(params, flat, tmp_path / "raw", raw_only, seed=1)
+        names = sorted(path.name for path in (tmp_path / "raw").iterdir())
+        assert names == ["det_raw.csv", "report_raw.txt", "scores_test_raw.txt"]
+        assert sorted(path.name for path in (tmp_path / "snorm").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "snorm" / name).read_bytes() == (tmp_path / "raw" / name).read_bytes()
+
+
 class TestCompare:
     def test_single_loss_row_matches_run_experiment(self, data, tmp_path):
         results = experiment.compare_losses(

@@ -178,6 +178,21 @@ class TestBatchDrawOracle:
         with pytest.raises(DomainError, match="speaker 2 has 1 chunks, batch needs 3"):
             balanced_batch(pool, BatchSpec(2, 3), np.random.default_rng(0), speakers=[0, 2])
 
+    def test_repeated_speaker_is_named(self):
+        # a pairs batch of one speaker twice would hold no negatives
+        pool = make_pool(3, 4)
+        for speakers in ([0, 0], [2, 1, 2]):
+            with pytest.raises(DomainError, match=f"speaker {speakers[-1]} is given more than once"):
+                balanced_batch(pool, BatchSpec(len(speakers), 2, "pairs"),
+                               np.random.default_rng(0), speakers)
+
+    def test_pool_keeps_given_rows(self):
+        blocks = [np.full((2, 2), 1.0), np.zeros((3, 2))]
+        rows = np.concatenate(blocks[::-1])
+        pool = TrainPool([1, 0], blocks, rows)
+        assert pool.features is rows
+        np.testing.assert_array_equal(pool.features, TrainPool([1, 0], blocks).features)
+
     def test_pool_is_one_array_in_label_order(self):
         pool = TrainPool([1, 0, 1], [np.full((2, 2), 1.0), np.zeros((3, 2)), np.full((1, 2), 2.0)])
         assert pool.features.shape == (6, 2)
