@@ -12,7 +12,6 @@ Common flags: --config <path>, --seed <int>, --out <dir>.
 """
 
 import argparse
-import ctypes
 import logging
 import os
 import sys
@@ -21,24 +20,6 @@ from spklab import dataset as ds
 from spklab import experiment, training
 from spklab.config import Config, dataset_spec_from_config, empty_config, parse_config
 from spklab.errors import ConfigError, DomainError, TrainingDiverged
-
-# glibc malloc.h parameters of mallopt
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-
-
-def _fix_malloc_thresholds() -> None:
-    """Fix glibc's malloc thresholds for the process: blocks under 256 KB come from the heap
-    and up to 1 MB of freed heap top is kept. glibc's own thresholds move with the largest
-    block freed so far, so whether a 40 x 3 contrast-loss batch faults its ~0.5 MB of
-    temporaries in afresh would depend on what the process freed before it: 20k minor
-    faults and about 8% of the CPU time of a README-scale `compare`. Does nothing without
-    glibc's mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(M_MMAP_THRESHOLD, 256 << 10)
-    mallopt(M_TRIM_THRESHOLD, 1 << 20)
 
 
 def _add_common(parser: argparse.ArgumentParser, data: bool = True) -> None:
@@ -164,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    _fix_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         if args.seed < 0:

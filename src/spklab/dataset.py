@@ -22,9 +22,9 @@ from typing import Mapping
 import numpy as np
 
 from spklab.errors import DomainError
-from spklab.sampling import ChunkMatrix, TrainPool, augment_chunk
+from spklab.sampling import TrainPool, augment_chunk
 from spklab.scoring import Trial, read_trials, write_trials
-from spklab.training import EvalPack
+from spklab.training import EvalPack, span
 
 PARTITIONS = ("train", "dev", "cohort", "test")
 
@@ -79,7 +79,7 @@ class SyntheticDatasetSpec:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileRecord:
     file_id: str
     speaker: int
@@ -97,7 +97,12 @@ class SpeakerDataset:
     trials_dev: list[Trial]
     trials_test: list[Trial]
     spec_echo: dict[str, str] = field(default_factory=dict)
-    matrix: ChunkMatrix | None = None  # the loaded rows; None for a dataset built in memory
+    # a loaded dataset's read-only (rows, d) chunk matrix, which its files are views of, and
+    # each file's first row there from the manifest; None and {} for a dataset built in
+    # memory. The pool and stacks view the matrix by these offsets alone, so the files of a
+    # loaded dataset must not be replaced.
+    matrix: np.ndarray | None = None
+    starts: dict[str, int] = field(default_factory=dict)
 
     def files_of(self, partition: str) -> dict[str, np.ndarray]:
         return {
@@ -113,8 +118,8 @@ class SpeakerDataset:
         train = sorted((rec for rec in self.files.values() if rec.partition == "train"),
                        key=lambda rec: label_of[rec.speaker])
         blocks = [rec.features for rec in train]
-        rows = None if self.matrix is None else self.matrix.span(
-            [rec.file_id for rec in train], [len(b) for b in blocks])
+        rows = None if self.matrix is None else span(
+            self.matrix, self.starts, [rec.file_id for rec in train], [len(b) for b in blocks])
         return TrainPool([label_of[rec.speaker] for rec in train], blocks, rows)
 
     def eval_pack(self, partition: str) -> EvalPack:
@@ -123,7 +128,7 @@ class SpeakerDataset:
         if partition not in PARTITIONS:
             raise DomainError(f"unknown partition {partition!r}, not one of {PARTITIONS}")
         trials = {"dev": self.trials_dev, "test": self.trials_test}.get(partition, ())
-        return EvalPack(self.files_of(partition), trials, self.matrix)
+        return EvalPack(self.files_of(partition), trials, self.matrix, self.starts)
 
 
 def file_id(speaker: int, file_index: int) -> str:
@@ -327,8 +332,9 @@ def load_dataset(data_dir) -> SpeakerDataset:
         trials_test=read_trials(os.path.join(data_dir, TEST_TRIALS_NAME)),
         spec_echo=spec_echo,
         # the copy path makes C-ordered float64 rows; views of another dtype or order would differ
-        matrix=ChunkMatrix(features, starts)
-        if features.dtype == np.float64 and features.flags.c_contiguous else None,
+        matrix=features if features.dtype == np.float64 and features.flags.c_contiguous
+        else None,
+        starts=starts,
     )
 
 

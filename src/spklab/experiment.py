@@ -148,23 +148,27 @@ def evaluate_encoder(
     # the DET first: a test list without both classes fails there, before any file is written
     scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), scored_raw)
     scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), scored_raw)
-    scored_norm = None
-    try:  # s-norm before the bootstrap, whose draws would add to its cohort-cosine peak
-        if opts.use_snorm:
-            cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
-            top_n = scoring.tune_cohort_size(
-                training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
-                candidates, opts.snorm_std,
-            )
-            cohort = scoring.Cohort(cohort_embeddings, top_n)
-            scored_norm = scoring.snorm_trials(test_embeddings, test_pack.index, cohort,
-                                               opts.snorm_std)
-    finally:  # the raw report is written even when s-norm fails
-        raw_report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
-        scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
-    if scored_norm is None:
-        return raw_report, None
 
+    def write_raw_report() -> scoring.EerReport:
+        report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
+        scoring.write_report(os.path.join(out_dir, "report_raw.txt"), report)
+        return report
+
+    if not opts.use_snorm:
+        return write_raw_report(), None
+    try:  # s-norm before the bootstrap, whose draws would add to its cohort-cosine peak
+        cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
+        top_n = scoring.tune_cohort_size(
+            training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
+            candidates, opts.snorm_std,
+        )
+        cohort = scoring.Cohort(cohort_embeddings, top_n)
+        scored_norm = scoring.snorm_trials(test_embeddings, test_pack.index, cohort,
+                                           opts.snorm_std)
+    except DomainError:  # a degenerate cohort still leaves the raw report
+        write_raw_report()
+        raise
+    raw_report = write_raw_report()
     normalized_report = scoring.eer_bootstrap_ci(scored_norm, opts.n_bootstrap, seed=seed)
     normalized_report.top_n = top_n
     scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), scored_norm)

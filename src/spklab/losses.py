@@ -416,19 +416,21 @@ def triplet_loss_hinge(embeddings, labels, tuples: TupleIndex, hyper: LossHyper)
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=len(triplets))
 
 
-def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+                   den: np.ndarray | None = None) -> np.ndarray:
     """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0 and
     e^z / (1 + e^z) below, with the exponent never positive.
 
     The numerator is max(e, z >= 0) with e = e^-|z| in [0, 1]: 1 where
     z >= 0, e below, and NaN for NaN, without a select over the sign
-    pattern, whose branches mispredict. `out` may be `z` itself."""
+    pattern, whose branches mispredict. `out` may be `z` itself; `den`,
+    another array of z's shape, takes the denominator."""
     z = np.asarray(z, dtype=np.float64)
     nonneg = z >= 0
     e = np.abs(z, out=np.empty_like(z) if out is None else out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    den = e + 1.0
+    den = np.add(e, 1.0, out=den)
     np.maximum(e, nonneg, out=e)
     e /= den
     return e
@@ -455,7 +457,20 @@ def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHype
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=len(triplets))
 
 
-def _batch_cosines(embeddings, labels):
+def _scratch(scratch: dict[str, np.ndarray] | None, name: str, shape) -> np.ndarray:
+    """An uninitialised float64 array of `shape` for a dense kernel's temporary: a fresh one
+    without `scratch`, else the one kept there under `name`, made again only when the batch
+    shape changes. A run passes its `LossState.scratch`, so its batches reuse their (N, N)
+    and (N, k, N) temporaries instead of faulting in new pages for them on every batch."""
+    if scratch is None:
+        return np.empty(shape)
+    array = scratch.get(name)
+    if array is None or array.shape != shape:
+        array = scratch[name] = np.empty(shape)
+    return array
+
+
+def _batch_cosines(embeddings, labels, scratch=None):
     """Checked labels, unit rows, row norms and the clipped batch cosine
     matrix S = U U^T of one batch."""
     x = _check_embeddings(embeddings)
@@ -463,38 +478,56 @@ def _batch_cosines(embeddings, labels):
     if y.shape != (x.shape[0],):
         raise DomainError("labels must match the number of embeddings")
     u, xn = normalize_rows(x, "embedding")
-    return y, u, xn, np.clip(u @ u.T, -1.0, 1.0)
+    s = np.matmul(u, u.T, out=_scratch(scratch, "s", (len(y), len(y))))
+    return y, u, xn, np.clip(s, -1.0, 1.0, out=s)
 
 
-def _cosine_weight_grads(g, u, xn, s):
-    """Embedding gradient of sum_ij G_ij S_ij (the building block above)."""
-    g = g + g.T
-    return (g @ u - (g * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
+def _cosine_weight_grads(g, u, xn, s, scratch=None):
+    """Embedding gradient of sum_ij G_ij S_ij (the building block above);
+    `g` is overwritten."""
+    g_sym = np.add(g, g.T, out=_scratch(scratch, "g_sym", g.shape))
+    g_s = np.multiply(g_sym, s, out=g)
+    return (g_sym @ u - g_s.sum(axis=1, keepdims=True) * u) / xn[:, None]
 
 
-def contrastive_loss_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
+def contrastive_loss_dense(embeddings, labels, hyper: LossHyper, scratch=None) -> LossOutput:
     """`contrastive_loss` over every unordered pair of the batch, from the
     batch cosine matrix and the label mask.
 
     The negative hinge max(m - (1 - S), 0) is 0 off the active pairs, so
     its square and doubled value are the negative terms and slopes; the
     positive ones are copied over them where the labels agree. Only the
-    pairs above the diagonal count."""
+    pairs above the diagonal count. `scratch` (see `_scratch`) keeps the
+    (N, N) temporaries from batch to batch."""
     check_domain("contrastive", "margin", hyper.margin)
-    y, u, xn, s = _batch_cosines(embeddings, labels)
+    y, u, xn, s = _batch_cosines(embeddings, labels, scratch)
     n = len(y)
     same = y[:, None] == y[None, :]
     upper = np.arange(n)[:, None] < np.arange(n)
-    dist = 1.0 - s
-    h = hyper.margin - dist
+    dist = np.subtract(1.0, s, out=_scratch(scratch, "dist", s.shape))
+    h = np.subtract(hyper.margin, dist, out=_scratch(scratch, "h", s.shape))
     np.maximum(h, 0.0, out=h)
-    terms = np.square(h)
+    terms = np.square(h, out=_scratch(scratch, "terms", s.shape))
     np.square(dist, out=terms, where=same)
     h *= 2.0
     np.multiply(dist, -2.0, out=h, where=same)
-    dx = _cosine_weight_grads(np.where(upper, h, 0.0), u, xn, s)
-    return LossOutput(float(terms[upper].sum()), grad_embeddings=dx, reduction="sum",
-                      n_terms=n * (n - 1) // 2)
+    np.copyto(h, 0.0, where=~upper)
+    dx = _cosine_weight_grads(h, u, xn, s, scratch)
+    value = float(_masked_into(terms, upper, dist).sum())  # terms[upper].sum()
+    return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=n * (n - 1) // 2)
+
+
+def _masked_into(values: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`values[mask]` written to the front of `out` (of values' size) and returned as that
+    front, gathered a block of leading rows at a time, so that no temporary exceeds 64 KB."""
+    flat = out.reshape(-1)
+    rows = max(1, 8192 // max(1, values[0].size)) if len(values) else 1
+    end = 0
+    for i in range(0, len(values), rows):
+        part = values[i:i + rows][mask[i:i + rows]]
+        flat[end:end + part.size] = part
+        end += part.size
+    return flat[:end]
 
 
 def _anchor_positives(y: np.ndarray):
@@ -517,7 +550,7 @@ def _anchor_positives(y: np.ndarray):
     return p, valid
 
 
-def _triplet_loss_dense(embeddings, labels, term, slope) -> LossOutput:
+def _triplet_loss_dense(embeddings, labels, term, slope, scratch=None) -> LossOutput:
     """Sum of term(S[a, n] - S[a, p]) over every (anchor, positive, negative)
     of the batch with y_a == y_p != y_n and a != p.
 
@@ -525,50 +558,54 @@ def _triplet_loss_dense(embeddings, labels, term, slope) -> LossOutput:
     positives in index order, padded with a itself up to k, the largest
     positive count, and `valid` marks the real ones, so unbalanced labels
     work too. `term` maps the differences to the terms and `slope` the
-    terms to d term / d difference, each in place on the one tensor; the
-    slopes are finite and never negative, so multiplying by the mask
-    zeroes the padding and the same-label negatives to +0.0.
+    terms to d term / d difference, each in place on the one tensor and
+    given a second tensor of its shape to use; the slopes are finite and
+    never negative, so multiplying by the mask zeroes the padding and the
+    same-label negatives to +0.0. `scratch` (see `_scratch`) keeps the
+    (N, N) and (N, k, N) temporaries from batch to batch.
     """
-    y, u, xn, s = _batch_cosines(embeddings, labels)
+    y, u, xn, s = _batch_cosines(embeddings, labels, scratch)
     p, valid = _anchor_positives(y)
     rows = np.arange(len(y))[:, None]
     mask = valid[:, :, None] & (y[:, None] != y[None, :])[:, None, :]
-    terms = term(s[:, None, :] - s[rows, p][:, :, None])
-    value = float(terms[mask].sum())
-    w = slope(terms)
+    spare = _scratch(scratch, "spare", mask.shape)
+    terms = term(np.subtract(s[:, None, :], s[rows, p][:, :, None],
+                             out=_scratch(scratch, "terms", mask.shape)), spare)
+    value = float(_masked_into(terms, mask, spare).sum())  # terms[mask].sum()
+    w = slope(terms, spare)
     w *= mask
-    g = w.sum(axis=1)  # weight on S[a, n]
+    g = np.sum(w, axis=1, out=_scratch(scratch, "g", s.shape))  # weight on S[a, n]
     g[rows, p] -= w.sum(axis=2)  # weight on S[a, p]; padding adds 0 to S[a, a]
-    dx = _cosine_weight_grads(g, u, xn, s)
+    dx = _cosine_weight_grads(g, u, xn, s, scratch)
     return LossOutput(value, grad_embeddings=dx, reduction="sum",
                       n_terms=int(np.count_nonzero(mask)))
 
 
-def triplet_loss_hinge_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
+def triplet_loss_hinge_dense(embeddings, labels, hyper: LossHyper, scratch=None) -> LossOutput:
     """`triplet_loss_hinge` over every triplet of the batch."""
-    def hinge(d):
+    def hinge(d, spare):
         d += hyper.margin
         return np.maximum(d, 0.0, out=d)
 
-    def step(t):  # t > 0 exactly where the hinge is active
+    def step(t, spare):  # t > 0 exactly where the hinge is active
         return np.greater(t, 0.0, out=t)
 
-    return _triplet_loss_dense(embeddings, labels, hinge, step)
+    return _triplet_loss_dense(embeddings, labels, hinge, step, scratch)
 
 
-def triplet_loss_sigmoid_dense(embeddings, labels, hyper: LossHyper) -> LossOutput:
+def triplet_loss_sigmoid_dense(embeddings, labels, hyper: LossHyper, scratch=None) -> LossOutput:
     """`triplet_loss_sigmoid` over every triplet of the batch."""
-    def sigmoid(d):
+    def sigmoid(d, spare):
         d *= hyper.alpha
-        return stable_sigmoid(d, out=d)
+        return stable_sigmoid(d, out=d, den=spare)
 
-    def slope(sig):  # alpha * sig * (1 - sig)
-        complement = 1.0 - sig
+    def slope(sig, spare):  # alpha * sig * (1 - sig)
+        complement = np.subtract(1.0, sig, out=spare)
         sig *= hyper.alpha
         sig *= complement
         return sig
 
-    return _triplet_loss_dense(embeddings, labels, sigmoid, slope)
+    return _triplet_loss_dense(embeddings, labels, sigmoid, slope, scratch)
 
 
 def finite_difference_check(loss_fn, inputs: dict, epsilon: float = 1e-5) -> float:
@@ -604,12 +641,14 @@ def finite_difference_check(loss_fn, inputs: dict, epsilon: float = 1e-5) -> flo
 @dataclass
 class LossState:
     """Hyper-parameters of one run's loss and the arrays it trains, by name:
-    "centers", "bias" and "gamma" where the loss kind has them."""
+    "centers", "bias" and "gamma" where the loss kind has them; `scratch`
+    holds the dense contrast kernels' temporaries between batches."""
 
     hyper: LossHyper
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
     lam: float = 1.0
     center_penalty: str = "squared_cos_distance"
+    scratch: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -656,16 +695,16 @@ KINDS: dict[str, LossKind] = {
     "contrastive": LossKind(
         "pairs", (), ("margin",),
         {"learning_rate": 0.1, "margin": 0.2, "speakers_per_batch": 20, "chunks_per_speaker": 3},
-        lambda x, y, st: contrastive_loss_dense(x, y, st.hyper),
+        lambda x, y, st: contrastive_loss_dense(x, y, st.hyper, st.scratch),
         domains={"margin": (math.ulp(0.0), math.inf)}),  # ulp(0.0): the least float above 0
     "triplet_hinge": LossKind(
         "triplets", (), ("margin",),
         {"margin": 0.1, "speakers_per_batch": 40, "chunks_per_speaker": 3},
-        lambda x, y, st: triplet_loss_hinge_dense(x, y, st.hyper)),
+        lambda x, y, st: triplet_loss_hinge_dense(x, y, st.hyper, st.scratch)),
     "triplet_sigmoid": LossKind(
         "triplets", (), ("alpha",),
         {"margin": 0.0, "speakers_per_batch": 40, "chunks_per_speaker": 3},
-        lambda x, y, st: triplet_loss_sigmoid_dense(x, y, st.hyper)),
+        lambda x, y, st: triplet_loss_sigmoid_dense(x, y, st.hyper, st.scratch)),
 }
 LOSS_KINDS = tuple(KINDS)
 

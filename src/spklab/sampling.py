@@ -96,27 +96,6 @@ class TupleIndex:
         self.triplets = np.asarray(self.triplets, dtype=np.int64).reshape(-1, 3)
 
 
-@dataclass(frozen=True)
-class ChunkMatrix:
-    """A loaded, read-only `(rows, d)` float64 chunk matrix and the first row of each file
-    in it, as its manifest gives them."""
-
-    features: np.ndarray
-    starts: Mapping[str, int]
-
-    def span(self, file_ids: Sequence[str], n_rows: Sequence[int]) -> np.ndarray | None:
-        """The rows of the files, in the given order and with `n_rows` rows each, as one view
-        of the matrix when each file starts where the one before it ends; else None."""
-        if not file_ids:
-            return None
-        start = end = self.starts[file_ids[0]]
-        for fid, n in zip(file_ids, n_rows):
-            if self.starts[fid] != end:
-                return None
-            end += n
-        return self.features[start:end]
-
-
 class TrainPool:
     """Every training chunk row in one `(rows, d)` float64 array, in label order: label k's
     chunks are rows `offsets[k] : offsets[k] + sizes[k]`, for labels 0..K-1."""
@@ -125,7 +104,8 @@ class TrainPool:
                  rows: np.ndarray | None = None):
         """Pool row blocks under their labels, which must cover 0..K-1; the blocks of one
         label keep their given order. `rows`, when given, is those blocks already end to end
-        in that order (a `ChunkMatrix.span`), and the pool keeps it instead of a copy."""
+        in that order (a `training.span` of the loaded matrix), and the pool keeps it instead
+        of a copy."""
         n_labels = len(set(labels))
         if sorted(set(labels)) != list(range(n_labels)) or n_labels == 0:
             raise DomainError("training pool labels must be 0..K-1")
@@ -133,6 +113,9 @@ class TrainPool:
         ordered = [np.asarray(blocks[i], dtype=np.float64) for i in order]
         if any(b.ndim != 2 or b.shape[1] != ordered[0].shape[1] for b in ordered):
             raise DomainError("training pool chunks must be (n, d) rows of one d")
+        if rows is not None and rows.shape != (sum(map(len, ordered)), ordered[0].shape[1]):
+            raise DomainError(f"training pool rows of shape {rows.shape} are not its blocks "
+                              "end to end")
         self.features = np.concatenate(ordered) if rows is None else rows
         self.sizes = np.zeros(n_labels, dtype=np.int64)
         np.add.at(self.sizes, list(labels), [len(b) for b in blocks])

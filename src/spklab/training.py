@@ -85,6 +85,22 @@ class Checkpoint:
             raise DomainError(f"dev EER out of [0, 1]: {self.dev_eer}")
 
 
+def span(features: np.ndarray, starts: Mapping[str, int], file_ids: Sequence[str],
+         n_rows: Sequence[int]) -> np.ndarray | None:
+    """The rows of the files, in the given order and with `n_rows` rows each, as one view of
+    a loaded chunk matrix `features` when its manifest `starts` put each file where the one
+    before it ends; else None, and the caller copies the files' own rows. The layout rule
+    reads the manifest offsets only, never the files' arrays."""
+    if not file_ids:
+        return None
+    start = end = starts[file_ids[0]]
+    for file_id, n in zip(file_ids, n_rows):
+        if starts[file_id] != end:
+            return None
+        end += n
+    return features[start:end]
+
+
 @dataclass(eq=False)
 class EvalPack:
     """One partition staged for scoring when built: its file ids in sorted order, the
@@ -93,13 +109,15 @@ class EvalPack:
     Every file is an (n_chunks, feature_dim) matrix with n_chunks > 0, of the first such
     file's feature_dim; a file that is not fails the build naming the file, and a trial
     naming an unknown file fails it as `scoring.TrialIndex.of` does. With `matrix`, the
-    loaded rows the files are views of, a stack whose files lie end to end there is a
-    read-only view of it; any other stack is a copy.
+    loaded rows the files are views of, and `starts`, each file's first row there, a stack
+    whose files lie end to end in the matrix is a read-only view of it (see `span`); any
+    other stack is a copy.
     """
 
     files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
     trials: Sequence[scoring.Trial] = ()
-    matrix: sampling.ChunkMatrix | None = None
+    matrix: np.ndarray | None = None
+    starts: Mapping[str, int] = field(default_factory=dict)
     ids: list[str] = field(init=False)
     feature_dim: int | None = field(init=False)  # None for a pack without files
     # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
@@ -126,7 +144,8 @@ class EvalPack:
     def _stack(self, ids: list[str]) -> np.ndarray:
         """The (F, n_chunks, feature_dim) stack of files of one chunk count."""
         n = len(self.files[ids[0]])
-        rows = None if self.matrix is None else self.matrix.span(ids, [n] * len(ids))
+        rows = None if self.matrix is None else span(self.matrix, self.starts, ids,
+                                                      [n] * len(ids))
         if rows is None:
             return np.array([self.files[file_id] for file_id in ids], dtype=np.float64)
         return rows.reshape(len(ids), n, self.feature_dim)

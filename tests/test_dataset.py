@@ -273,7 +273,7 @@ class TestLoadedViews:
     def test_pool_and_stacks_are_read_only_views(self, loaded):
         data = loaded[0]
         for array in self.arrays(data):
-            assert np.shares_memory(array, data.matrix.features)
+            assert np.shares_memory(array, data.matrix)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
         for record in data.files.values():
@@ -283,7 +283,7 @@ class TestLoadedViews:
     def test_permuted_rows_are_copied_to_the_same_arrays(self, loaded):
         views, copies = loaded
         for view, copy in zip(self.arrays(views), self.arrays(copies), strict=True):
-            assert not np.shares_memory(copy, copies.matrix.features)
+            assert not np.shares_memory(copy, copies.matrix)
             assert view.shape == copy.shape and np.array_equal(view, copy)
         pool_v, pool_c = views.train_pool(), copies.train_pool()
         np.testing.assert_array_equal(pool_v.sizes, pool_c.sizes)

@@ -187,7 +187,7 @@ class TestEvaluateEncoder:
         flat = ds.generate_dataset(SPEC)
         cohort = [rec for rec in flat.files.values() if rec.partition == "cohort"]
         for rec in cohort:
-            rec.features = cohort[0].features
+            flat.files[rec.file_id] = replace(rec, features=cohort[0].features)
         params = training.init_run(training.TrainConfig(), SPEC.feature_dim, 10)[0]
         (tmp_path / "snorm").mkdir()
         (tmp_path / "raw").mkdir()

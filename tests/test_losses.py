@@ -592,12 +592,32 @@ class TestDenseAgainstSelectOracle:
         if chunks == 1 and kind != "contrastive":
             assert out.value == 0.0 and out.n_terms == 0
 
+    @pytest.mark.parametrize("kind", sorted(DENSE))
+    def test_run_scratch_gives_the_bits_of_fresh_calls(self, kind):
+        # a run's batches share one scratch, through a change of batch shape and back;
+        # each batch keeps the bits of a call without it, and no result is a kept temporary
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
+        hyper = LossHyper(alpha=10.0, margin=0.3)
+        state = losses.LossState(hyper)
+        for speakers, chunks in ((40, 3), (40, 3), (7, 4), (40, 3)):
+            y = rng.permutation(np.repeat(rng.permutation(200)[:speakers], chunks))
+            x = rng.standard_normal((y.size, 16))
+            out = losses.evaluate_loss(kind, x, y, state)
+            assert_same_bits(out, DENSE[kind](x, y, hyper))
+            assert_same_bits(out, select_oracle(kind, x, y, hyper))
+            assert state.scratch
+            for array in state.scratch.values():
+                assert not np.shares_memory(out.grad_embeddings, array)
+
     def test_stable_sigmoid_special_values(self):
         z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4, 7.0, -7.0, 745.2, -745.2])
         expected = select_stable_sigmoid(z)
         assert np.array_equal(stable_sigmoid(z), expected, equal_nan=True)
         in_place = z.copy()
         assert stable_sigmoid(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, expected, equal_nan=True)
+        in_place, den = z.copy(), np.empty_like(z)
+        assert stable_sigmoid(in_place, out=in_place, den=den) is in_place
         assert np.array_equal(in_place, expected, equal_nan=True)
         finite = ~np.isnan(z)
         assert stable_sigmoid(z)[finite].tobytes() == expected[finite].tobytes()

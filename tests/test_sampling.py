@@ -192,6 +192,8 @@ class TestBatchDrawOracle:
         pool = TrainPool([1, 0], blocks, rows)
         assert pool.features is rows
         np.testing.assert_array_equal(pool.features, TrainPool([1, 0], blocks).features)
+        with pytest.raises(DomainError, match=r"rows of shape \(4, 2\) are not its blocks"):
+            TrainPool([1, 0], blocks, rows[1:])
 
     def test_pool_is_one_array_in_label_order(self):
         pool = TrainPool([1, 0, 1], [np.full((2, 2), 1.0), np.zeros((3, 2)), np.full((1, 2), 2.0)])
