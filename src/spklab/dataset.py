@@ -9,22 +9,24 @@ fixed number of chunks; trials compare file-level embeddings.
 
 On disk a dataset is a manifest (text) plus one flat .npy matrix holding
 all chunk rows, so identical seeds produce byte-identical files. A loaded
-dataset keeps that matrix, read-only, and its files are views of it; the
-training pool and the scoring stacks are views too wherever their files lie
-end to end in the matrix, as the files `save_dataset` writes do.
+dataset keeps that matrix as read-only float64 rows, and its files are views
+of it. `SpeakerDataset.rows` alone decides how a list of files is handed out:
+as one view of the matrix where the manifest lays them end to end, as
+`save_dataset` writes them, else as a copy. The training pool and the
+scoring stacks take their rows from it.
 """
 
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from spklab.errors import DomainError
 from spklab.sampling import TrainPool, augment_chunk
 from spklab.scoring import Trial, read_trials, write_trials
-from spklab.training import EvalPack, span
+from spklab.training import EvalPack
 
 PARTITIONS = ("train", "dev", "cohort", "test")
 
@@ -97,10 +99,10 @@ class SpeakerDataset:
     trials_dev: list[Trial]
     trials_test: list[Trial]
     spec_echo: dict[str, str] = field(default_factory=dict)
-    # a loaded dataset's read-only (rows, d) chunk matrix, which its files are views of, and
-    # each file's first row there from the manifest; None and {} for a dataset built in
-    # memory. The pool and stacks view the matrix by these offsets alone, so the files of a
-    # loaded dataset must not be replaced.
+    # a loaded dataset's read-only (rows, d) float64 chunk matrix, which its files are views
+    # of, and each file's first row there from the manifest; None and {} for a dataset built
+    # in memory. `rows` views the matrix by these offsets, so the files of a loaded dataset
+    # must not be replaced.
     matrix: np.ndarray | None = None
     starts: dict[str, int] = field(default_factory=dict)
 
@@ -111,16 +113,32 @@ class SpeakerDataset:
             if rec.partition == partition
         }
 
+    def rows(self, file_ids: Sequence[str]) -> np.ndarray:
+        """The files' chunk rows end to end in the given order, as one (rows, d) array: a
+        read-only view of the loaded matrix when the manifest starts put each file where the
+        one before it ends, as `save_dataset` writes them, else a float64 copy ((0, d) for
+        no files)."""
+        blocks = [self.files[fid].features for fid in file_ids]
+        if self.matrix is not None and file_ids:
+            start = end = self.starts[file_ids[0]]
+            for fid, block in zip(file_ids, blocks):
+                if self.starts[fid] != end:
+                    break
+                end += len(block)
+            else:
+                return self.matrix[start:end]
+        return np.concatenate([np.empty((0, self.feature_dim)), *blocks], dtype=np.float64)
+
     def train_pool(self) -> TrainPool:
         """Chunks of the train speakers in one array, by train-local label 0..K-1, files of
-        one label in manifest order: a view of the loaded rows when they lie so there."""
+        one label in manifest order (see `rows`)."""
         label_of = {spk: i for i, spk in enumerate(self.partitions["train"])}
         train = sorted((rec for rec in self.files.values() if rec.partition == "train"),
                        key=lambda rec: label_of[rec.speaker])
-        blocks = [rec.features for rec in train]
-        rows = None if self.matrix is None else span(
-            self.matrix, self.starts, [rec.file_id for rec in train], [len(b) for b in blocks])
-        return TrainPool([label_of[rec.speaker] for rec in train], blocks, rows)
+        sizes = [0] * len(label_of)
+        for rec in train:
+            sizes[label_of[rec.speaker]] += len(rec.features)
+        return TrainPool(self.rows([rec.file_id for rec in train]), sizes)
 
     def eval_pack(self, partition: str) -> EvalPack:
         """The partition staged for scoring, with the dev or the test trials; the train and
@@ -128,7 +146,7 @@ class SpeakerDataset:
         if partition not in PARTITIONS:
             raise DomainError(f"unknown partition {partition!r}, not one of {PARTITIONS}")
         trials = {"dev": self.trials_dev, "test": self.trials_test}.get(partition, ())
-        return EvalPack(self.files_of(partition), trials, self.matrix, self.starts)
+        return EvalPack(self.files_of(partition), trials, self.rows)
 
 
 def file_id(speaker: int, file_index: int) -> str:
@@ -264,14 +282,14 @@ def load_dataset(data_dir) -> SpeakerDataset:
     if not os.path.exists(manifest_path):
         raise DomainError(f"no dataset manifest at {manifest_path}")
     features_path = os.path.join(data_dir, FEATURES_NAME)
-    try:
-        features = np.load(features_path)
-    except ValueError as exc:  # a truncated or malformed .npy
+    try:  # every file, pool and stack may be a view of these rows
+        features = np.ascontiguousarray(np.load(features_path), dtype=np.float64)
+    except ValueError as exc:  # a truncated or malformed .npy, or values that are not numbers
         raise DomainError(f"{features_path}: {exc}") from None
-    features.flags.writeable = False  # every file, pool and stack may be a view of it
+    features.flags.writeable = False
 
     feature_dim = None
-    partitions: dict[str, list[int]] = {name: [] for name in PARTITIONS}
+    partition_of: dict[int, str] = {}  # speaker -> partition; the partitions are disjoint
     files: dict[str, FileRecord] = {}
     line_of: dict[str, int] = {}
     starts: dict[str, int] = {}
@@ -301,15 +319,15 @@ def load_dataset(data_dir) -> SpeakerDataset:
             if start < 0 or start + n > features.shape[0]:
                 raise DomainError(f"{manifest_path}:{line_no}: rows {start}..{start + n} are not "
                                   f"inside the {features.shape[0]} rows of {FEATURES_NAME}")
+            if partition_of.setdefault(speaker, partition) != partition:
+                raise DomainError(f"{manifest_path}:{line_no}: speaker {speaker} is in both the "
+                                  f"{partition_of[speaker]} and the {partition} partition")
             files[fid] = FileRecord(fid, speaker, partition, features[start : start + n])
             starts[fid] = start
-            if speaker not in partitions[partition]:
-                partitions[partition].append(speaker)
     if feature_dim is None:
         raise DomainError(f"{manifest_path}: missing feature_dim header")
-    # one pass; a bad row no file uses is harmless, and only float and
-    # complex values can be non-finite
-    if features.dtype.kind in "fc" and not np.isfinite(features).all():
+    # one pass; a bad row no file uses is harmless
+    if not np.isfinite(features).all():
         for fid, record in files.items():
             if not np.isfinite(record.features).all():
                 raise DomainError(f"{manifest_path}:{line_of[fid]}: file {fid} has a "
@@ -326,14 +344,13 @@ def load_dataset(data_dir) -> SpeakerDataset:
 
     return SpeakerDataset(
         feature_dim=feature_dim,
-        partitions={k: sorted(v) for k, v in partitions.items()},
+        partitions={p: sorted(spk for spk, q in partition_of.items() if q == p)
+                    for p in PARTITIONS},
         files=files,
         trials_dev=read_trials(os.path.join(data_dir, DEV_TRIALS_NAME)),
         trials_test=read_trials(os.path.join(data_dir, TEST_TRIALS_NAME)),
         spec_echo=spec_echo,
-        # the copy path makes C-ordered float64 rows; views of another dtype or order would differ
-        matrix=features if features.dtype == np.float64 and features.flags.c_contiguous
-        else None,
+        matrix=features,
         starts=starts,
     )
 

@@ -10,6 +10,7 @@ sequential, so a rerun reproduces every output file byte for byte.
 
 import itertools
 import logging
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -55,12 +56,10 @@ class ExperimentResult:
     improvement_pct: float
 
     def csv_row(self) -> str:
-        if self.normalized is None:
-            return (f"{self.loss_kind},{self.raw.eer:.9g},{self.raw.ci_low:.9g},"
-                    f"{self.raw.ci_high:.9g},nan,nan")
+        snorm, improvement = ((math.nan, math.nan) if self.normalized is None
+                              else (self.normalized.eer, self.improvement_pct))
         return (f"{self.loss_kind},{self.raw.eer:.9g},{self.raw.ci_low:.9g},"
-                f"{self.raw.ci_high:.9g},{self.normalized.eer:.9g},"
-                f"{self.improvement_pct:.9g}")
+                f"{self.raw.ci_high:.9g},{snorm:.9g},{improvement:.9g}")
 
 
 def base_config(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Config) -> training.TrainConfig:

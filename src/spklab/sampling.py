@@ -8,9 +8,9 @@ the pair and triplet lists formed here enumerate the same tuples one by
 one and are the oracle those losses are tested against. White Gaussian
 noise at a drawn SNR stands in for real background-noise augmentation.
 
-A run's training chunks sit in one `TrainPool` array, label by label: a
-read-only view of a loaded dataset's chunk matrix when its train files lie
-there in that order, as every generated dataset's do, else a copy. A
+A run's training chunks sit in one `TrainPool` array, label by label, which
+the pool keeps as it is given: the dataset hands over its train rows (see
+`dataset.SpeakerDataset.rows`), and `TrainPool.of` copies a mapping. A
 batch draws its chunks with one bounded-integer call: per speaker of an
 n-row pool, c values below n - c + 1, ..., n pick c distinct rows by
 Floyd's algorithm (Bentley & Floyd 1987: a value already taken becomes
@@ -100,31 +100,26 @@ class TrainPool:
     """Every training chunk row in one `(rows, d)` float64 array, in label order: label k's
     chunks are rows `offsets[k] : offsets[k] + sizes[k]`, for labels 0..K-1."""
 
-    def __init__(self, labels: Sequence[int], blocks: Sequence[np.ndarray],
-                 rows: np.ndarray | None = None):
-        """Pool row blocks under their labels, which must cover 0..K-1; the blocks of one
-        label keep their given order. `rows`, when given, is those blocks already end to end
-        in that order (a `training.span` of the loaded matrix), and the pool keeps it instead
-        of a copy."""
-        n_labels = len(set(labels))
-        if sorted(set(labels)) != list(range(n_labels)) or n_labels == 0:
-            raise DomainError("training pool labels must be 0..K-1")
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        ordered = [np.asarray(blocks[i], dtype=np.float64) for i in order]
-        if any(b.ndim != 2 or b.shape[1] != ordered[0].shape[1] for b in ordered):
-            raise DomainError("training pool chunks must be (n, d) rows of one d")
-        if rows is not None and rows.shape != (sum(map(len, ordered)), ordered[0].shape[1]):
-            raise DomainError(f"training pool rows of shape {rows.shape} are not its blocks "
-                              "end to end")
-        self.features = np.concatenate(ordered) if rows is None else rows
-        self.sizes = np.zeros(n_labels, dtype=np.int64)
-        np.add.at(self.sizes, list(labels), [len(b) for b in blocks])
+    def __init__(self, features: np.ndarray, sizes: Sequence[int]):
+        """Pool `features`, rows already in label order, `sizes[k]` of them for label k; the
+        array is kept as given, a loaded dataset's view included."""
+        self.features = features
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if len(self.sizes) == 0 or features.ndim != 2 or self.sizes.sum() != len(features):
+            raise DomainError(f"training pool rows of shape {features.shape} are not "
+                              f"{self.sizes.tolist()} rows for labels 0..K-1")
         self.offsets = np.cumsum(self.sizes) - self.sizes
 
     @classmethod
     def of(cls, chunks_by_label: Mapping[int, np.ndarray]) -> "TrainPool":
-        """The pool of a label -> chunk rows mapping."""
-        return cls(list(chunks_by_label), list(chunks_by_label.values()))
+        """The pool of a label -> chunk rows mapping, copied."""
+        if sorted(chunks_by_label) != list(range(len(chunks_by_label))) or not chunks_by_label:
+            raise DomainError("training pool labels must be 0..K-1")
+        blocks = [np.asarray(chunks_by_label[k], dtype=np.float64)
+                  for k in range(len(chunks_by_label))]
+        if any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1] for b in blocks):
+            raise DomainError("training pool chunks must be (n, d) rows of one d")
+        return cls(np.concatenate(blocks), [len(b) for b in blocks])
 
     @property
     def feature_dim(self) -> int:

@@ -12,7 +12,7 @@ dev EER is recorded as a checkpoint.
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,39 +85,21 @@ class Checkpoint:
             raise DomainError(f"dev EER out of [0, 1]: {self.dev_eer}")
 
 
-def span(features: np.ndarray, starts: Mapping[str, int], file_ids: Sequence[str],
-         n_rows: Sequence[int]) -> np.ndarray | None:
-    """The rows of the files, in the given order and with `n_rows` rows each, as one view of
-    a loaded chunk matrix `features` when its manifest `starts` put each file where the one
-    before it ends; else None, and the caller copies the files' own rows. The layout rule
-    reads the manifest offsets only, never the files' arrays."""
-    if not file_ids:
-        return None
-    start = end = starts[file_ids[0]]
-    for file_id, n in zip(file_ids, n_rows):
-        if starts[file_id] != end:
-            return None
-        end += n
-    return features[start:end]
-
-
 @dataclass(eq=False)
 class EvalPack:
     """One partition staged for scoring when built: its file ids in sorted order, the
     files' chunk stacks, and its trials' index over those files (a cohort has no trials).
 
-    Every file is an (n_chunks, feature_dim) matrix with n_chunks > 0, of the first such
+    Every file is an (n_chunks, feature_dim) array with n_chunks > 0, of the first such
     file's feature_dim; a file that is not fails the build naming the file, and a trial
-    naming an unknown file fails it as `scoring.TrialIndex.of` does. With `matrix`, the
-    loaded rows the files are views of, and `starts`, each file's first row there, a stack
-    whose files lie end to end in the matrix is a read-only view of it (see `span`); any
-    other stack is a copy.
+    naming an unknown file fails it as `scoring.TrialIndex.of` does. A stack is
+    `rows(ids)` for its file ids, those files' rows end to end (a dataset passes its
+    `SpeakerDataset.rows`, which may hand out a view); without `rows` it is a copy.
     """
 
     files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
     trials: Sequence[scoring.Trial] = ()
-    matrix: np.ndarray | None = None
-    starts: Mapping[str, int] = field(default_factory=dict)
+    rows: Callable[[list[str]], np.ndarray] | None = None
     ids: list[str] = field(init=False)
     feature_dim: int | None = field(init=False)  # None for a pack without files
     # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
@@ -133,7 +115,7 @@ class EvalPack:
         for row, (file_id, shape) in enumerate(zip(self.ids, shapes)):
             if len(shape) != 2 or shape[1] != self.feature_dim or shape[0] == 0:
                 raise DomainError(f"file {file_id}: features must be a non-empty (n_chunks, "
-                                  f"{self.feature_dim}) matrix, got shape {shape}")
+                                  f"{self.feature_dim}) array, got shape {shape}")
             by_count.setdefault(shape[0], []).append(row)
         parts = [rows[i:i + EMBED_STACK_FILES]
                  for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
@@ -143,16 +125,13 @@ class EvalPack:
 
     def _stack(self, ids: list[str]) -> np.ndarray:
         """The (F, n_chunks, feature_dim) stack of files of one chunk count."""
-        n = len(self.files[ids[0]])
-        rows = None if self.matrix is None else span(self.matrix, self.starts, ids,
-                                                      [n] * len(ids))
-        if rows is None:
-            return np.array([self.files[file_id] for file_id in ids], dtype=np.float64)
-        return rows.reshape(len(ids), n, self.feature_dim)
+        rows = (self.rows(ids) if self.rows is not None
+                else np.concatenate([self.files[file_id] for file_id in ids], dtype=np.float64))
+        return rows.reshape(len(ids), len(self.files[ids[0]]), self.feature_dim)
 
 
 def embed_files(params: enc.EncoderParams, pack: EvalPack) -> np.ndarray:
-    """The pack's file embeddings as an (n_files, embedding_dim) matrix in file order: each
+    """The pack's file embeddings as an (n_files, embedding_dim) array in file order: each
     file's chunks encoded and averaged, one forward per stack, so each row is bit for bit a
     per-file forward plus `mean_embedding`."""
     if pack.feature_dim not in (None, params.input_dim):
@@ -268,11 +247,7 @@ def select_best(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
     """Checkpoint with the lowest dev EER; ties break to the earliest epoch."""
     if len(checkpoints) == 0:
         raise DomainError("select_best: empty checkpoint list")
-    best = checkpoints[0]
-    for ckpt in checkpoints[1:]:
-        if ckpt.dev_eer < best.dev_eer:
-            best = ckpt
-    return best
+    return min(checkpoints, key=lambda ckpt: ckpt.dev_eer)
 
 
 def grid_search(

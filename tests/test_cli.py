@@ -444,3 +444,19 @@ def test_unknown_dev_file_fails_before_any_report(workdir, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: trial {first} vs ghost: unknown file id 'ghost'"]
     assert not list(out.glob("*"))
+
+
+def test_speaker_in_two_partitions_fails_cleanly(workdir, capsys):
+    tmp_path, cfg, data = workdir
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.split()[1:2] == ["test"])
+    fields = lines[k].split()
+    lines[k] = " ".join(fields[:2] + ["0"] + fields[3:])
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}:{k + 1}: speaker 0 is in both the train and the test "
+                   "partition"]

@@ -231,6 +231,26 @@ class TestOnDisk:
                                match=rf"manifest\.txt:5: file {fid} has a non-finite feature value$"):
                 load_dataset(tmp_path / "data")
 
+    def test_speaker_in_two_partitions_is_named(self, tmp_path):
+        # test trials would otherwise score a training speaker
+        gen_synthetic_dataset(SMALL, tmp_path / "data")
+        lines = (tmp_path / "data" / "manifest.txt").read_text().splitlines()
+        line_no = next(k for k, line in enumerate(lines, 1) if line.split()[1:2] == ["test"])
+        edit_manifest_field(tmp_path / "data", line_no, 2, "0")
+        with pytest.raises(DomainError, match=rf"manifest\.txt:{line_no}: speaker 0 is in both "
+                                              r"the train and the test partition$"):
+            load_dataset(tmp_path / "data")
+
+    def test_no_train_file_fails_the_pool(self, tmp_path):
+        gen_synthetic_dataset(SMALL, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.txt"
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if " train " not in line))
+        data = load_dataset(tmp_path / "data")
+        assert data.rows([]).shape == (0, SMALL.feature_dim)
+        with pytest.raises(DomainError, match="training pool"):
+            data.train_pool()
+
     def test_file_id_format(self):
         assert file_id(3, 12) == "s0003_f12"
 
@@ -265,6 +285,21 @@ class TestLoadedViews:
         permute_rows(copies, seed=3)
         return load_dataset(views), load_dataset(copies)
 
+    @pytest.fixture(scope="class")
+    def retyped(self, tmp_path_factory):
+        # (features saved as float32 or int64, features of the same values saved as float64)
+        pairs = {}
+        for dtype in (np.float32, np.int64):
+            pair = []
+            for saved in (dtype, np.float64):
+                out = tmp_path_factory.mktemp("retyped")
+                gen_synthetic_dataset(SyntheticDatasetSpec(), out)
+                features = np.load(out / "features.npy").astype(dtype)
+                np.save(out / "features.npy", features.astype(saved))
+                pair.append(load_dataset(out))
+            pairs[dtype] = pair
+        return pairs
+
     @staticmethod
     def arrays(data):
         return [data.train_pool().features] + [
@@ -279,6 +314,14 @@ class TestLoadedViews:
         for record in data.files.values():
             with pytest.raises(ValueError, match="read-only"):
                 record.features[0, 0] = 0.0
+
+    def test_other_dtypes_load_as_float64_views(self, retyped):
+        for data, reference in retyped.values():
+            assert data.matrix.dtype == np.float64
+            assert np.array_equal(data.matrix, reference.matrix)
+            for array, expected in zip(self.arrays(data), self.arrays(reference), strict=True):
+                assert array.dtype == np.float64 and np.shares_memory(array, data.matrix)
+                assert not array.flags.writeable and np.array_equal(array, expected)
 
     def test_permuted_rows_are_copied_to_the_same_arrays(self, loaded):
         views, copies = loaded
@@ -307,10 +350,10 @@ class TestLoadedViews:
             assert (dev_eer(params, loaded[0].eval_pack(partition))
                     == dev_eer(params, loaded[1].eval_pack(partition)))
 
-    def test_views_allocate_no_feature_copy(self, loaded):
+    def test_views_allocate_no_feature_copy(self, loaded, retyped):
         # the copy path allocates every train and partition row again, far over the bound
         peaks = []
-        for data in loaded:
+        for data in (loaded[0], retyped[np.float32][0], loaded[1]):
             tracemalloc.start()
             try:
                 data.train_pool()
@@ -319,7 +362,7 @@ class TestLoadedViews:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 64 * 1024 < peaks[1], peaks
+        assert max(peaks[:2]) < 64 * 1024 < peaks[2], peaks
 
 
 small_specs = st.builds(

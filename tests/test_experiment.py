@@ -220,6 +220,18 @@ class TestCompare:
         assert csv[0] == experiment.COMPARE_CSV_HEADER
         assert csv[1] == solo.csv_row()
 
+    def test_row_without_snorm_ends_in_nan(self, data, tmp_path):
+        config = replace(experiment.base_config("aam", data, 0, empty_config()),
+                         speakers_per_batch=5)
+        result = experiment.run_experiment(
+            data, "aam", tmp_path / "run", seed=0, budget_epochs=0, grid=[config],
+            eval_options=replace(EVAL, use_snorm=False),
+        )
+        assert result.normalized is None and result.csv_row().endswith(",nan,nan")
+        raw = replace(result.raw, eer=1 / 3, ci_low=0.1234567891234, ci_high=2 / 3)
+        assert (replace(result, raw=raw).csv_row()
+                == "aam,0.333333333,0.123456789,0.666666667,nan,nan")
+
     def test_failing_loss_recorded_others_proceed(self, data, tmp_path, caplog):
         import logging
 

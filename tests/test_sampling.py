@@ -187,16 +187,19 @@ class TestBatchDrawOracle:
                                np.random.default_rng(0), speakers)
 
     def test_pool_keeps_given_rows(self):
-        blocks = [np.full((2, 2), 1.0), np.zeros((3, 2))]
-        rows = np.concatenate(blocks[::-1])
-        pool = TrainPool([1, 0], blocks, rows)
+        blocks = {1: np.full((2, 2), 1.0), 0: np.zeros((3, 2))}
+        rows = np.concatenate([blocks[0], blocks[1]])
+        pool = TrainPool(rows, [3, 2])
         assert pool.features is rows
-        np.testing.assert_array_equal(pool.features, TrainPool([1, 0], blocks).features)
-        with pytest.raises(DomainError, match=r"rows of shape \(4, 2\) are not its blocks"):
-            TrainPool([1, 0], blocks, rows[1:])
+        np.testing.assert_array_equal(pool.features, TrainPool.of(blocks).features)
+        with pytest.raises(DomainError, match=r"rows of shape \(4, 2\) are not \[3, 2\] rows"):
+            TrainPool(rows[1:], [3, 2])
+        with pytest.raises(DomainError, match="labels 0..K-1"):
+            TrainPool(np.empty((0, 2)), [])
 
     def test_pool_is_one_array_in_label_order(self):
-        pool = TrainPool([1, 0, 1], [np.full((2, 2), 1.0), np.zeros((3, 2)), np.full((1, 2), 2.0)])
+        pool = TrainPool.of({1: np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
+                             0: np.zeros((3, 2))})
         assert pool.features.shape == (6, 2)
         np.testing.assert_array_equal(pool.sizes, [3, 3])
         np.testing.assert_array_equal(pool.offsets, [0, 3])

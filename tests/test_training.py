@@ -128,7 +128,7 @@ class TestTrain:
         pool, dev = toy_problem()
         blocks = np.split(pool.features, pool.offsets[1:])
         with pytest.raises(DomainError, match="0..K-1"):
-            train(sampling.TrainPool([k + 1 for k in range(len(blocks))], blocks), BASE, dev)
+            train(sampling.TrainPool.of({k + 1: b for k, b in enumerate(blocks)}), BASE, dev)
 
     def test_augmented_training_runs(self):
         pool, dev = toy_problem()
