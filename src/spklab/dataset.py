@@ -282,10 +282,13 @@ def load_dataset(data_dir) -> SpeakerDataset:
     if not os.path.exists(manifest_path):
         raise DomainError(f"no dataset manifest at {manifest_path}")
     features_path = os.path.join(data_dir, FEATURES_NAME)
-    try:  # every file, pool and stack may be a view of these rows
-        features = np.ascontiguousarray(np.load(features_path), dtype=np.float64)
-    except ValueError as exc:  # a truncated or malformed .npy, or values that are not numbers
+    try:  # a truncated or malformed .npy, or values that are not real numbers
+        features = np.load(features_path)
+        if features.dtype.kind not in "iuf":  # complex, bool or strings
+            raise ValueError(f"dtype {features.dtype} is not integer or float")
+    except ValueError as exc:
         raise DomainError(f"{features_path}: {exc}") from None
+    features = np.ascontiguousarray(features, dtype=np.float64)  # files, pool and stacks view it
     features.flags.writeable = False
 
     feature_dim = None

@@ -143,34 +143,25 @@ def evaluate_encoder(
         dev_pack = dataset.eval_pack("dev")
     test_pack = dataset.eval_pack("test")
     test_embeddings = training.embed_files(encoder, test_pack)
-    scored_raw = scoring.score_trials(test_embeddings, test_pack.index)
+    raw = scoring.score_trials(test_embeddings, test_pack.index)
     # the DET first: a test list without both classes fails there, before any file is written
-    scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), scored_raw)
-    scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), scored_raw)
+    scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), raw)
+    scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), raw)
 
-    def write_raw_report() -> scoring.EerReport:
-        report = scoring.eer_bootstrap_ci(scored_raw, opts.n_bootstrap, seed=seed)
-        scoring.write_report(os.path.join(out_dir, "report_raw.txt"), report)
-        return report
-
+    raw_report = scoring.eer_bootstrap_ci(raw, opts.n_bootstrap, seed=seed)
+    scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
     if not opts.use_snorm:
-        return write_raw_report(), None
-    try:  # s-norm before the bootstrap, whose draws would add to its cohort-cosine peak
-        cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
-        top_n = scoring.tune_cohort_size(
-            training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
-            candidates, opts.snorm_std,
-        )
-        cohort = scoring.Cohort(cohort_embeddings, top_n)
-        scored_norm = scoring.snorm_trials(test_embeddings, test_pack.index, cohort,
-                                           opts.snorm_std)
-    except DomainError:  # a degenerate cohort still leaves the raw report
-        write_raw_report()
-        raise
-    raw_report = write_raw_report()
-    normalized_report = scoring.eer_bootstrap_ci(scored_norm, opts.n_bootstrap, seed=seed)
+        return raw_report, None
+    cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
+    top_n = scoring.tune_cohort_size(
+        training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
+        candidates, opts.snorm_std,
+    )
+    cohort = scoring.Cohort(cohort_embeddings, top_n)
+    normalized = scoring.snorm_trials(test_embeddings, test_pack.index, cohort, opts.snorm_std)
+    normalized_report = scoring.eer_bootstrap_ci(normalized, opts.n_bootstrap, seed=seed)
     normalized_report.top_n = top_n
-    scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), scored_norm)
+    scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), normalized)
     scoring.write_report(os.path.join(out_dir, "report_snorm.txt"), normalized_report)
     return raw_report, normalized_report
 
@@ -278,6 +269,9 @@ def compare_losses(
     """
     if len(loss_kinds) < 1:
         raise DomainError("compare_losses needs at least one loss kind")
+    for i, kind in enumerate(loss_kinds):
+        if kind in loss_kinds[:i]:  # both would train into one directory and one csv row
+            raise DomainError(f"compare_losses lists {kind} twice")
     grids = {kind: default_grid(kind, dataset, seed, config or Config({})) for kind in loss_kinds}
     os.makedirs(out_dir, exist_ok=True)
     results: list[tuple[str, ExperimentResult | None]] = []

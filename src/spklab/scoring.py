@@ -22,16 +22,16 @@ logger = logging.getLogger(__name__)
 SNORM_STD_MODES = ("population", "sample")
 SNORM_MIN_STD = 1e-12
 BOOTSTRAP_BLOCK_CELLS = 1 << 13  # resamples x distinct scores in one bootstrap block
+SNORM_BLOCK_CELLS = 1 << 14  # files x cohort files in one s-norm block: 128 KB of cosines
 
 
 @dataclass
 class Trial:
-    """One enrollment/test comparison with its ground truth and score slot."""
+    """One enrollment/test comparison with its ground truth."""
 
     enroll: str
     test: str
     is_target: bool
-    score: float | None = None
 
 
 @dataclass
@@ -79,7 +79,7 @@ class EerReport:
 @dataclass(frozen=True)
 class TrialIndex:
     """Trials over the rows of a (files, dim) embedding matrix: each trial's enrollment row,
-    test row and target flag, with the trials themselves to name one in an error."""
+    test row and target flag, with the trials themselves to name one in errors and score files."""
 
     trials: Sequence[Trial]
     enroll: np.ndarray
@@ -100,14 +100,22 @@ class TrialIndex:
         return cls(list(trials), enroll, test, np.array([t.is_target for t in trials], dtype=bool))
 
 
-def score_trials(embeddings: np.ndarray, index: TrialIndex) -> list[Trial]:
-    """Score every trial with the cosine of its enrollment/test rows of `embeddings`.
+@dataclass(frozen=True)
+class Scores:
+    """One float64 score per trial of `index`, in the index's order."""
 
-    Returns new Trial objects in the index's order, each score equal to
-    cosine_similarity's bit for bit (`trial_cosines`).
-    """
-    scores = trial_cosines(embeddings, index)
-    return [Trial(t.enroll, t.test, t.is_target, float(s)) for t, s in zip(index.trials, scores)]
+    index: TrialIndex
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.values.shape != self.index.target.shape:
+            raise DomainError(f"{self.values.size} scores for {self.index.target.size} trials")
+
+
+def score_trials(embeddings: np.ndarray, index: TrialIndex) -> Scores:
+    """Score every trial with the cosine of its enrollment/test rows of `embeddings`, each
+    equal to cosine_similarity's bit for bit (`trial_cosines`)."""
+    return Scores(index, trial_cosines(embeddings, index))
 
 
 def trial_cosines(embeddings: np.ndarray, index: TrialIndex) -> np.ndarray:
@@ -159,33 +167,41 @@ def adaptive_snorm(raw_score: float, enroll, test, cohort: Cohort, std_mode: str
     return 0.5 * ((raw_score - mu_e) / sd_e + (raw_score - mu_t) / sd_t)
 
 
-def _sorted_cohort_cosines(embeddings: np.ndarray, cohort: Cohort) -> np.ndarray:
-    """Each file's cohort cosines sorted ascending per row (its top_n largest are the
-    row's last top_n). The cosines repeat cosine_similarity's arithmetic, so each equals
-    it bit for bit; cosine_matrix normalizes first and rounds differently."""
-    dim = cohort.embeddings.shape[1]
-    if embeddings.shape[1:] != (dim,):
-        raise DomainError(f"s-norm needs file embeddings of the cohort's dimension {dim}")
-    norms_f, norms_c = (np.sqrt(np.vecdot(m, m)) for m in (embeddings, cohort.embeddings))
-    if np.any(norms_f <= ZERO_NORM_EPS) or np.any(norms_c <= ZERO_NORM_EPS):
-        raise DomainError("s-norm needs nonzero file and cohort embeddings")
-    cosines = np.vecdot(embeddings[:, None, :], cohort.embeddings[None, :, :])
-    cosines /= norms_f[:, None] * norms_c[None, :]
-    np.clip(cosines, -1.0, 1.0, out=cosines)
-    cosines.sort(axis=1)
-    return cosines
-
-
-def _snorm_scores(raw: np.ndarray, cosines: np.ndarray, index: TrialIndex, top_n: int,
-                  std_mode: str) -> np.ndarray:
-    """Adaptive s-norm of every trial's raw score at one top_n from the sorted cohort
-    cosines, with the arithmetic of `adaptive_snorm` on whole arrays."""
+def _top_cohort_stats(embeddings: np.ndarray, cohort_embeddings: np.ndarray,
+                      top_ns: Sequence[int], std_mode: str) -> np.ndarray:
+    """(2, len(top_ns), files): each file's mean, then std, over its top_n largest cohort
+    cosines for each top_n, with `cohort_stats`' arithmetic so each equals it bit for bit
+    (cosine_matrix normalizes first and rounds differently). The files go a block of
+    SNORM_BLOCK_CELLS cosines at a time, each row sorted once for every top_n."""
     if std_mode not in SNORM_STD_MODES:
         raise DomainError(f"unknown std mode {std_mode!r}")
+    dim = cohort_embeddings.shape[1]
+    if embeddings.shape[1:] != (dim,):
+        raise DomainError(f"s-norm needs file embeddings of the cohort's dimension {dim}")
+    norms_f, norms_c = (np.sqrt(np.vecdot(m, m)) for m in (embeddings, cohort_embeddings))
+    if np.any(norms_f <= ZERO_NORM_EPS) or np.any(norms_c <= ZERO_NORM_EPS):
+        raise DomainError("s-norm needs nonzero file and cohort embeddings")
+    ddof = 0 if std_mode == "population" else 1
+    stats = np.empty((2, len(top_ns), len(embeddings)))
+    step = max(1, SNORM_BLOCK_CELLS // len(cohort_embeddings))
+    for start in range(0, len(embeddings), step):
+        rows = slice(start, start + step)
+        cosines = np.vecdot(embeddings[rows, None, :], cohort_embeddings)
+        cosines /= norms_f[rows, None] * norms_c
+        np.clip(cosines, -1.0, 1.0, out=cosines)
+        cosines.sort(axis=1)
+        for k, top_n in enumerate(top_ns):
+            top = cosines[:, -top_n:]
+            stats[0, k, rows] = top.mean(axis=1)
+            stats[1, k, rows] = top.std(axis=1, ddof=ddof)
+    return stats
+
+
+def _snorm(raw: np.ndarray, index: TrialIndex, top_n: int, mu: np.ndarray,
+           sd: np.ndarray) -> np.ndarray:
+    """Adaptive s-norm of every trial's raw score from each file's top_n cohort mean and
+    std, with the arithmetic of `adaptive_snorm` on whole arrays."""
     enroll, test = index.enroll, index.test
-    top = cosines[:, -top_n:]
-    mu = top.mean(axis=1)
-    sd = top.std(axis=1, ddof=0 if std_mode == "population" else 1)
     degenerate = np.flatnonzero((sd[enroll] < SNORM_MIN_STD) | (sd[test] < SNORM_MIN_STD))
     if degenerate.size:
         t = index.trials[degenerate[0]]
@@ -195,17 +211,13 @@ def _snorm_scores(raw: np.ndarray, cosines: np.ndarray, index: TrialIndex, top_n
 
 
 def snorm_trials(embeddings: np.ndarray, index: TrialIndex, cohort: Cohort,
-                 std_mode: str = "population") -> list[Trial]:
-    """Score every trial raw (`trial_cosines`) and apply adaptive s-norm.
-
-    Every file is scored against the cohort once, as one matrix; each
-    normalized score equals `adaptive_snorm` on its trial exactly.
-    """
+                 std_mode: str = "population") -> Scores:
+    """Score every trial raw (`trial_cosines`) and apply adaptive s-norm with each file's
+    cohort statistics from `_top_cohort_stats`, a block of files at a time; each normalized
+    score equals `adaptive_snorm` on its trial exactly."""
     raw = trial_cosines(embeddings, index)
-    cosines = _sorted_cohort_cosines(embeddings, cohort)
-    normalized = _snorm_scores(raw, cosines, index, cohort.top_n, std_mode)
-    return [Trial(t.enroll, t.test, t.is_target, float(s))
-            for t, s in zip(index.trials, normalized)]
+    stats = _top_cohort_stats(embeddings, cohort.embeddings, [cohort.top_n], std_mode)
+    return Scores(index, _snorm(raw, index, cohort.top_n, *stats[:, 0]))
 
 
 def split_classes(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,14 +225,6 @@ def split_classes(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, n
     if target.all() or not target.any():
         raise DomainError("EER needs at least one target and one non-target trial")
     return scores[target], scores[~target]
-
-
-def _split_scores(scored: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray]:
-    for t in scored:
-        if t.score is None:
-            raise DomainError(f"trial {t.enroll} vs {t.test} has no score")
-    return split_classes(np.array([t.score for t in scored], dtype=np.float64),
-                         np.array([t.is_target for t in scored], dtype=bool))
 
 
 def _counts(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +280,9 @@ def eer_from_scores(tar: np.ndarray, non: np.ndarray) -> tuple[float, float]:
     return float(eer_value[0]), float(threshold[0])
 
 
-def eer(scored: Sequence[Trial]) -> EerReport:
-    """Point EER report (no confidence interval) for a scored trial list."""
-    tar, non = _split_scores(scored)
+def eer(scores: Scores) -> EerReport:
+    """Point EER report (no confidence interval) of scored trials."""
+    tar, non = split_classes(scores.values, scores.index.target)
     value, threshold = eer_from_scores(tar, non)
     return EerReport(value, threshold, n_target=tar.size, n_nontarget=non.size)
 
@@ -311,7 +315,7 @@ def _percentile(ranked: np.ndarray, percent: float) -> float:
 
 
 def eer_bootstrap_ci(
-    scored: Sequence[Trial],
+    scores: Scores,
     n_bootstrap: int,
     confidence: float = 0.95,
     seed: int = 0,
@@ -331,17 +335,17 @@ def eer_bootstrap_ci(
     check_n_bootstrap(n_bootstrap)
     if not 0.0 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
-    tar, non = _split_scores(scored)
+    tar, non = split_classes(scores.values, scores.index.target)
     value, threshold = eer_from_scores(tar, non)
 
-    scores = _counts(tar, non)[0]
-    pos = np.searchsorted(scores, np.concatenate([tar, non]))  # each trial's score among them
-    block = max(1, BOOTSTRAP_BLOCK_CELLS // (scores.size + 1))
+    distinct = _counts(tar, non)[0]
+    pos = np.searchsorted(distinct, np.concatenate([tar, non]))  # each trial's score among them
+    block = max(1, BOOTSTRAP_BLOCK_CELLS // (distinct.size + 1))
     boot = np.empty(n_bootstrap)
     draws = _bootstrap_draws(seed, n_bootstrap, tar.size, non.size)
     for start in range(0, n_bootstrap, block):
         stop = min(start + block, n_bootstrap)
-        below = _resampled_counts(pos[draws[start:stop]], tar.size, scores.size)
+        below = _resampled_counts(pos[draws[start:stop]], tar.size, distinct.size)
         boot[start:stop], = _crossing(below, tar.size, non.size)
 
     boot.sort()
@@ -358,9 +362,9 @@ def eer_bootstrap_ci(
     )
 
 
-def det_points(scored: Sequence[Trial]) -> np.ndarray:
+def det_points(scores: Scores) -> np.ndarray:
     """(FAR, FRR) operating points over the score sweep, for DET export."""
-    tar, non = _split_scores(scored)
+    tar, non = split_classes(scores.values, scores.index.target)
     bt, bn = _counts(tar, non)[1]
     return np.column_stack([(non.size - bn) / non.size, bt / tar.size])
 
@@ -369,24 +373,23 @@ def tune_cohort_size(embeddings: np.ndarray, index: TrialIndex, cohort_embedding
                      candidates: Sequence[int], std_mode: str = "population") -> int:
     """Pick the top_n minimizing the EER of the trials after normalization.
 
-    The trials are scored and the cohort cosines sorted once for all
-    candidates. Ties go to the smallest candidate; candidates that hit a
+    The trials are scored once, and each file's cohort statistics for every
+    candidate come from one pass of `_top_cohort_stats`, a block of files at
+    a time. Ties go to the smallest candidate; candidates that hit a
     degenerate cohort are disqualified with a logged warning. Raises
     DomainError if no candidate survives.
     """
     if len(candidates) == 0:
         raise DomainError("tune_cohort_size: empty candidate list")
-    cohort_embeddings = np.asarray(cohort_embeddings, dtype=np.float64)
     raw = trial_cosines(embeddings, index)
     split_classes(raw, index.target)  # both classes present
-    cosines = None
+    top_ns = sorted(set(int(c) for c in candidates))
+    cohorts = [Cohort(cohort_embeddings, top_n) for top_n in top_ns]  # each size in range
+    stats = _top_cohort_stats(embeddings, cohorts[0].embeddings, top_ns, std_mode)
     best_n, best_eer = None, None
-    for top_n in sorted(set(int(c) for c in candidates)):
-        cohort = Cohort(cohort_embeddings, top_n)
-        if cosines is None:
-            cosines = _sorted_cohort_cosines(embeddings, cohort)
+    for top_n, mu, sd in zip(top_ns, *stats):
         try:
-            normalized = _snorm_scores(raw, cosines, index, top_n, std_mode)
+            normalized = _snorm(raw, index, top_n, mu, sd)
         except DegenerateCohortError as exc:
             logger.warning("cohort size %d disqualified: %s", top_n, exc)
             continue
@@ -424,12 +427,10 @@ def read_trials(path) -> list[Trial]:
     return out
 
 
-def write_scores(path, scored: Sequence[Trial]) -> None:
+def write_scores(path, scores: Scores) -> None:
     with open(path, "w") as fh:
-        for t in scored:
-            if t.score is None:
-                raise DomainError(f"trial {t.enroll} vs {t.test} has no score")
-            fh.write(f"{t.enroll} {t.test} {t.score:.9g}\n")
+        for t, score in zip(scores.index.trials, scores.values.tolist()):
+            fh.write(f"{t.enroll} {t.test} {score:.9g}\n")
 
 
 def read_scores(path) -> list[tuple[str, str, float]]:
@@ -464,8 +465,8 @@ def write_report(path, report: EerReport) -> None:
         fh.write(format_report(report))
 
 
-def write_det_csv(path, scored: Sequence[Trial]) -> None:
-    pts = det_points(scored)
+def write_det_csv(path, scores: Scores) -> None:
+    pts = det_points(scores)
     with open(path, "w") as fh:
         fh.write("far,frr\n")
         for far, frr in pts:

@@ -1,7 +1,8 @@
 """Shared test helpers: random loss instances away from hinge kinks, the
 finite-difference adapters per loss kind, the brute-force EER oracle, the
 float-sweep EER and DET oracle, the per-trial scoring oracle, the embedding
-dict as scoring inputs, and a bootstrap-draw cache emptied before each test.
+dict as scoring inputs, trials and their scores as `scoring.Scores`, and a
+bootstrap-draw cache emptied before each test.
 """
 
 import numpy as np
@@ -212,10 +213,17 @@ def rows_and_index(embeddings, trials):
     return rows, scoring.TrialIndex.of(trials, ids)
 
 
+def scores_of(trials, values):
+    """Trials and one score each as the `scoring.Scores` that the EER, the bootstrap and
+    the writers take: the values over the trials' index in sorted file id order."""
+    ids = sorted({ref for t in trials for ref in (t.enroll, t.test)})
+    return scoring.Scores(scoring.TrialIndex.of(trials, ids), np.array(values, dtype=np.float64))
+
+
 def score_per_trial(trials, embeddings):
     """Each trial scored alone with cosine_similarity over a {file_id: vector} dict; an error
     names the first trial that fails. The oracle of the staged scoring paths."""
-    scored = []
+    scores = []
     for t in trials:
         for ref in (t.enroll, t.test):
             if ref not in embeddings:
@@ -224,5 +232,5 @@ def score_per_trial(trials, embeddings):
             s = cosine_similarity(embeddings[t.enroll], embeddings[t.test])
         except DomainError as exc:
             raise DomainError(f"trial {t.enroll} vs {t.test}: {exc}") from exc
-        scored.append(scoring.Trial(t.enroll, t.test, t.is_target, s))
-    return scored
+        scores.append(s)
+    return scores_of(trials, scores)

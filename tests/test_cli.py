@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spklab import training
@@ -208,6 +209,7 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
     ("grid-search", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 0"), "grid_epochs"),
     ("compare", TINY_CFG.replace("epochs = 2", "epochs = -1"), "epochs"),
     ("compare", TINY_CFG.replace("aam, coco", "aam, arcface"), "compare_losses"),
+    ("compare", TINY_CFG.replace("aam, coco", "aam, coco, aam"), "compare_losses lists aam twice"),
     ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates = 1"),
      "top_n_candidates"),
     ("compare", TINY_CFG.replace("speakers_per_batch = 5", "speakers_per_batch = 0"),
@@ -215,8 +217,8 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
     ("compare", TINY_CFG.replace("speakers_per_batch = 5", "chunks_per_speaker = 0"),
      "chunks_per_speaker"),
 ], ids=["unknown_section", "n_bootstrap", "compare_grid_epochs", "grid_search_grid_epochs",
-        "epochs", "compare_losses", "top_n_candidates", "speakers_per_batch",
-        "chunks_per_speaker"])
+        "epochs", "compare_losses", "compare_losses_repeated", "top_n_candidates",
+        "speakers_per_batch", "chunks_per_speaker"])
 def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     # a bad value stops the run before any training: exit 1, one error line
     # naming the key, no checkpoint written
@@ -425,6 +427,28 @@ def test_feature_dimension_mismatch_names_both(workdir, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: the encoder takes 12-dim features, the files have 6"]
     assert not list(out.glob("*"))
+
+
+def test_non_real_features_fail_cleanly(workdir, capsys):
+    # complex values would lose their imaginary parts, and bools or numeric strings would
+    # load as numbers: one error line naming the file and its dtype, nothing written
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    features = np.load(data / "features.npy")
+    shifted = features + 0j
+    shifted[0] += 5j
+    for bad in (shifted, features > 0, features.astype(str)):
+        np.save(data / "features.npy", bad)
+        out = tmp_path / f"eval_{bad.dtype.kind}"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                     "--checkpoint", str(run / "best.ckpt")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        path = data / "features.npy"
+        assert err == [f"error: {path}: dtype {bad.dtype} is not integer or float"]
+        assert not list(out.glob("*"))
 
 
 def test_unknown_dev_file_fails_before_any_report(workdir, capsys):

@@ -1,6 +1,7 @@
 """Synthetic dataset generation: partition structure, trial lists,
 degenerate-geometry behavior, and on-disk round trips."""
 
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -202,6 +203,20 @@ class TestOnDisk:
         path.write_bytes(whole[:-100])
         with pytest.raises(DomainError, match="features.npy"):
             load_dataset(tmp_path / "data")
+
+    def test_non_real_features_rejected(self, tmp_path):
+        # complex values would lose their imaginary parts, bools and numeric strings would
+        # load as numbers
+        gen_synthetic_dataset(SMALL, tmp_path / "data")
+        path = tmp_path / "data" / "features.npy"
+        features = np.load(path)
+        shifted = features + 0j
+        shifted[0] += 5j
+        for bad in (shifted, features > 0, features.astype(str)):
+            np.save(path, bad)
+            dtype = re.escape(str(bad.dtype))
+            with pytest.raises(DomainError, match=rf"features\.npy: dtype {dtype} is not integer or float$"):
+                load_dataset(tmp_path / "data")
 
     def test_repeated_file_id_names_both_lines(self, tmp_path):
         # a repeated id would otherwise replace the earlier file's rows

@@ -4,6 +4,7 @@ and the text file formats."""
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     brute_force_eer_bracket,
     rows_and_index,
     score_per_trial,
+    scores_of,
     sweep_eer,
     sweep_operating_points,
 )
@@ -24,7 +26,9 @@ from spklab.scoring import (
     SNORM_STD_MODES,
     Cohort,
     EerReport,
+    Scores,
     Trial,
+    TrialIndex,
     adaptive_snorm,
     det_points,
     eer,
@@ -51,9 +55,9 @@ def tied_scores(max_size=60):
 
 
 def trials_from(tar, non):
-    out = [Trial(f"t{i}", f"x{i}", True, float(s)) for i, s in enumerate(tar)]
-    out += [Trial(f"n{i}", f"y{i}", False, float(s)) for i, s in enumerate(non)]
-    return out
+    trials = [Trial(f"t{i}", f"x{i}", True) for i in range(len(tar))]
+    trials += [Trial(f"n{i}", f"y{i}", False) for i in range(len(non))]
+    return scores_of(trials, [*tar, *non])
 
 
 class TestScoreTrials:
@@ -65,23 +69,23 @@ class TestScoreTrials:
 
     def test_same_file_scores_one(self):
         scored = score_trials(*rows_and_index(self.EMB, [Trial("a", "a", True)]))
-        assert abs(scored[0].score - 1.0) < 1e-12
+        assert abs(scored.values[0] - 1.0) < 1e-12
         exact = score_trials(*rows_and_index({"u": np.array([1.0, 0.0])}, [Trial("u", "u", True)]))
-        assert exact[0].score == 1.0
+        assert exact.values[0] == 1.0
 
     def test_orthogonal_scores_zero(self):
         scored = score_trials(*rows_and_index(self.EMB, [Trial("a", "ortho", False)]))
-        assert abs(scored[0].score) < 1e-15
+        assert abs(scored.values[0]) < 1e-15
 
     def test_hand_value(self):
         scored = score_trials(*rows_and_index(self.EMB, [Trial("a", "b", True)]))
-        assert abs(scored[0].score - 0.8) < 1e-12
+        assert abs(scored.values[0] - 0.8) < 1e-12
 
     def test_order_preserved_and_inputs_untouched(self):
         trials = [Trial("a", "b", True), Trial("b", "ortho", False)]
         scored = score_trials(*rows_and_index(self.EMB, trials))
-        assert [(t.enroll, t.test) for t in scored] == [("a", "b"), ("b", "ortho")]
-        assert trials[0].score is None
+        assert [(t.enroll, t.test) for t in scored.index.trials] == [("a", "b"), ("b", "ortho")]
+        assert trials == [Trial("a", "b", True), Trial("b", "ortho", False)]
 
     def test_unknown_reference_names_trial(self):
         with pytest.raises(DomainError, match="ghost"):
@@ -112,7 +116,7 @@ class TestScoreTrials:
             rows_and_index(emb, trials)
 
     def test_empty_trial_list(self):
-        assert score_trials(*rows_and_index(self.EMB, [])) == []
+        assert score_trials(*rows_and_index(self.EMB, [])).values.tolist() == []
 
     @settings(max_examples=150, deadline=None)
     @given(dim=st.integers(1, 32), n_files=st.integers(1, 12), n_trials=st.integers(1, 40),
@@ -124,9 +128,9 @@ class TestScoreTrials:
         pairs = rng.integers(0, n_files, size=(n_trials, 2))
         trials = [Trial(f"f{a}", f"f{b}", i % 2 == 0) for i, (a, b) in enumerate(pairs)]
         scored = score_trials(*rows_and_index(emb, trials))
-        assert [(t.enroll, t.test, t.is_target) for t in scored] == \
+        assert [(t.enroll, t.test, t.is_target) for t in scored.index.trials] == \
             [(t.enroll, t.test, t.is_target) for t in trials]
-        assert [t.score for t in scored] == \
+        assert scored.values.tolist() == \
             [cosine_similarity(emb[t.enroll], emb[t.test]) for t in trials]
 
 
@@ -154,8 +158,9 @@ class TestEer:
             eer(trials_from([], [0.5]))
 
     def test_unscored_trial_rejected(self):
-        with pytest.raises(DomainError, match="no score"):
-            eer([Trial("a", "b", True), Trial("a", "c", False, 0.1)])
+        index = TrialIndex.of([Trial("a", "b", True), Trial("a", "c", False)], ["a", "b", "c"])
+        with pytest.raises(DomainError, match="^1 scores for 2 trials$"):
+            eer(Scores(index, np.array([0.1])))
 
     def test_matches_brute_force_bracket(self):
         rng = np.random.default_rng(31)
@@ -194,7 +199,8 @@ class TestEer:
         trials = trials_from(rng.normal(0.5, 1.0, 30), rng.normal(0.0, 1.0, 30))
         base = eer(trials).eer
         for _ in range(5):
-            perm = [trials[i] for i in rng.permutation(len(trials))]
+            order = rng.permutation(trials.values.size)
+            perm = scores_of([trials.index.trials[i] for i in order], trials.values[order])
             assert eer(perm).eer == base
 
     def test_threshold_sits_at_crossing(self):
@@ -310,9 +316,9 @@ class TestAdaptiveSnorm:
         trials = [Trial("f0", "f1", True), Trial("f2", "f3", False), Trial("f4", "f5", True)]
         scored = score_trials(*rows_and_index(emb, trials))
         batched = snorm_trials(*rows_and_index(emb, trials), cohort)
-        for before, after in zip(scored, batched):
-            expected = adaptive_snorm(before.score, emb[before.enroll], emb[before.test], cohort)
-            assert abs(after.score - expected) < 1e-15
+        for t, before, after in zip(trials, scored.values, batched.values):
+            expected = adaptive_snorm(before, emb[t.enroll], emb[t.test], cohort)
+            assert abs(after - expected) < 1e-15
 
 
 @st.composite
@@ -341,24 +347,23 @@ def snorm_cases(draw):
 
 def scalar_snorm(scored, emb, cohort, std_mode):
     """Trial-by-trial adaptive_snorm; a degenerate trial raises."""
-    return [
-        Trial(t.enroll, t.test, t.is_target,
-              adaptive_snorm(t.score, emb[t.enroll], emb[t.test], cohort, std_mode))
-        for t in scored
-    ]
+    return scores_of(scored.index.trials, [
+        adaptive_snorm(score, emb[t.enroll], emb[t.test], cohort, std_mode)
+        for t, score in zip(scored.index.trials, scored.values)
+    ])
 
 
-def is_degenerate(trial, emb, cohort, std_mode):
+def is_degenerate(trial, score, emb, cohort, std_mode):
     try:
-        adaptive_snorm(trial.score, emb[trial.enroll], emb[trial.test], cohort, std_mode)
+        adaptive_snorm(score, emb[trial.enroll], emb[trial.test], cohort, std_mode)
     except DegenerateCohortError:
         return True
     return False
 
 
 class TestSnormAgainstScalarOracle:
-    """The sorted cohort matrix behind snorm_trials and tune_cohort_size
-    against the scalar path, one trial and one candidate at a time."""
+    """The cohort statistics behind snorm_trials and tune_cohort_size against the
+    scalar path, one trial and one candidate at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=snorm_cases(), data=st.data())
@@ -369,13 +374,13 @@ class TestSnormAgainstScalarOracle:
             expected = scalar_snorm(scored, emb, cohort, std_mode)
         except DegenerateCohortError:
             with pytest.raises(DegenerateCohortError):
-                snorm_trials(*rows_and_index(emb, scored), cohort, std_mode)
+                snorm_trials(*rows_and_index(emb, scored.index.trials), cohort, std_mode)
             return
-        got = snorm_trials(*rows_and_index(emb, scored), cohort, std_mode)
-        assert [(t.enroll, t.test, t.is_target) for t in got] == [
-            (t.enroll, t.test, t.is_target) for t in scored
+        got = snorm_trials(*rows_and_index(emb, scored.index.trials), cohort, std_mode)
+        assert [(t.enroll, t.test, t.is_target) for t in got.index.trials] == [
+            (t.enroll, t.test, t.is_target) for t in scored.index.trials
         ]
-        assert [t.score for t in got] == [t.score for t in expected]
+        assert got.values.tolist() == expected.values.tolist()
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -386,7 +391,8 @@ class TestSnormAgainstScalarOracle:
         best, best_eer, warnings = None, None, []
         for top_n in sorted(set(candidates)):
             cohort = Cohort(cohort_rows, top_n)
-            degenerate = next((t for t in scored if is_degenerate(t, emb, cohort, std_mode)), None)
+            degenerate = next((t for t, score in zip(scored.index.trials, scored.values)
+                               if is_degenerate(t, score, emb, cohort, std_mode)), None)
             if degenerate is not None:
                 warnings.append(
                     f"cohort size {top_n} disqualified: cohort top-{top_n} scores have "
@@ -399,7 +405,7 @@ class TestSnormAgainstScalarOracle:
         if np.all(cohort_rows == cohort_rows[0]):
             assert best is None  # identical rows leave no spread at any top_n
 
-        staged = rows_and_index(emb, scored)
+        staged = rows_and_index(emb, scored.index.trials)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="spklab.scoring"):
             if best is None:
@@ -408,6 +414,58 @@ class TestSnormAgainstScalarOracle:
             else:
                 assert tune_cohort_size(*staged, cohort_rows, candidates, std_mode) == best
         assert [r.getMessage() for r in caplog.records] == warnings
+
+
+def snorm_outcome(staged, cohort_rows, top_n, candidates, std_mode):
+    """snorm_trials' values at `top_n` and tune_cohort_size's pick over `candidates`, each
+    as the error text where it raises."""
+    outcome = []
+    cohort = Cohort(cohort_rows, top_n)
+    for run in (lambda: snorm_trials(*staged, cohort, std_mode).values.tolist(),
+                lambda: tune_cohort_size(*staged, cohort_rows, candidates, std_mode)):
+        try:
+            outcome.append(run())
+        except DomainError as exc:
+            outcome.append(str(exc))
+    return outcome
+
+
+class TestSnormBlocks:
+    """The cohort statistics a block of files at a time, against the default block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=snorm_cases(), data=st.data())
+    def test_block_size_moves_no_score(self, case, data):
+        # blocks of one file, of a few files not dividing the files, and of all files at once
+        emb, cohort_rows, scored, std_mode = case
+        top_n = data.draw(st.integers(2, len(cohort_rows)))
+        candidates = data.draw(st.lists(st.integers(2, len(cohort_rows)), min_size=1, max_size=7))
+        staged = rows_and_index(emb, scored.index.trials)
+        default = snorm_outcome(staged, cohort_rows, top_n, candidates, std_mode)
+        n_cells = len(emb) * len(cohort_rows)
+        for block_cells in (1, 3 * len(cohort_rows), n_cells, n_cells + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scoring, "SNORM_BLOCK_CELLS", block_cells)
+                assert snorm_outcome(staged, cohort_rows, top_n, candidates, std_mode) == default
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 800 files against 4,000 cohort files: a (files, cohort) cosine matrix alone is
+        # 25.6 MB, and the whole matrix with its temporaries peaked at 49 MB
+        rng = np.random.default_rng(57)
+        files = rng.standard_normal((800, 16))
+        cohort_rows = rng.standard_normal((4000, 16))
+        pairs = rng.integers(0, 800, size=(800, 2))
+        ids = [f"f{i:03d}" for i in range(800)]
+        index = TrialIndex.of([Trial(ids[a], ids[b], i % 2 == 0)
+                               for i, (a, b) in enumerate(pairs)], ids)
+        tracemalloc.start()
+        try:
+            top_n = tune_cohort_size(files, index, cohort_rows, [2, 5, 10, 20, 50, 100, 4000])
+            snorm_trials(files, index, Cohort(cohort_rows, top_n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024, peak
 
 
 class TestBootstrap:
@@ -436,8 +494,8 @@ class TestBootstrap:
         trials = trials_from(rng.normal(0.6, 1.0, 500), rng.normal(0.0, 1.0, 500))
         report = eer_bootstrap_ci(trials, 1000, seed=9)
         boot = []
-        tar = np.array([t.score for t in trials if t.is_target])
-        non = np.array([t.score for t in trials if not t.is_target])
+        tar = trials.values[trials.index.target]
+        non = trials.values[~trials.index.target]
         for i in range(1000):
             r = np.random.default_rng((9, i))
             boot.append(eer_from_scores(
@@ -563,7 +621,7 @@ class TestTuneCohortSize:
         # for top_n=2; the larger candidate survives
         emb = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 1e-9])}
         cohort = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        scored = [Trial("a", "b", True, 1.0), Trial("a", "a", False, 1.0)]
+        scored = [Trial("a", "b", True), Trial("a", "a", False)]
         with caplog.at_level(logging.WARNING):
             best = tune_cohort_size(*rows_and_index(emb, scored), cohort, [2, 3])
         assert best == 3
@@ -572,7 +630,7 @@ class TestTuneCohortSize:
     def test_all_degenerate_raises(self):
         emb = {"a": np.array([1.0, 0.0])}
         cohort = np.array([[1.0, 0.0], [2.0, 0.0]])
-        scored = [Trial("a", "a", True, 1.0), Trial("a", "a", False, 1.0)]
+        scored = [Trial("a", "a", True), Trial("a", "a", False)]
         with pytest.raises(DomainError, match="degenerate"):
             tune_cohort_size(*rows_and_index(emb, scored), cohort, [2])
 
@@ -610,15 +668,15 @@ class TestFileFormats:
             read_trials(path)
 
     def test_scores_nine_significant_digits(self, tmp_path):
-        trials = [Trial("e", "t", True, 1.0 / 3.0)]
         path = tmp_path / "scores.txt"
-        write_scores(path, trials)
+        write_scores(path, scores_of([Trial("e", "t", True)], [1.0 / 3.0]))
         assert path.read_text() == "e t 0.333333333\n"
         assert read_scores(path) == [("e", "t", 0.333333333)]
 
     def test_unscored_rejected(self, tmp_path):
+        index = TrialIndex.of([Trial("e", "t", True)], ["e", "t"])
         with pytest.raises(DomainError):
-            write_scores(tmp_path / "s.txt", [Trial("e", "t", True)])
+            write_scores(tmp_path / "s.txt", Scores(index, np.array([])))
 
     def test_report_format(self, tmp_path):
         report = EerReport(
