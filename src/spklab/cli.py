@@ -96,12 +96,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args)
     dataset = ds.load_dataset(args.data)
-    kinds = config.get("eval", "compare_losses", experiment.DEFAULT_COMPARE_LOSSES)
-
-    results = experiment.compare_losses(
-        dataset, kinds, args.out, seed=args.seed, grid_epochs=config.get("training", "grid_epochs"),
-        config=config, eval_options=experiment.eval_options(config),
-    )
+    results = experiment.compare_losses(dataset, args.out, args.seed, config)
     for kind, result in results:
         if result is None:
             print(f"{kind}: failed")

@@ -53,14 +53,15 @@ def mean_embedding(chunks) -> np.ndarray:
 def normalize_rows(mat: np.ndarray, what: str = "embedding") -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a matrix; returns (unit rows, row norms).
 
-    Raises DomainError naming `what` if any row has zero norm.
+    Raises DomainError naming `what` and the row if a row's norm is zero or
+    not finite (a NaN or inf entry, or an overflow).
     """
     mat = np.asarray(mat, dtype=np.float64)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(mat, axis=1)
     if not np.all(np.isfinite(norms)):
         bad = int(np.argmax(~np.isfinite(norms)))
-        raise DomainError(f"non-finite {what} norm at row {bad} (overflow)")
+        raise DomainError(f"non-finite {what} norm at row {bad}")
     if np.any(norms <= ZERO_NORM_EPS):
         bad = int(np.argmin(norms))
         raise DomainError(f"zero-norm {what} at row {bad}")

@@ -124,11 +124,17 @@ def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Con
 
 
 def top_n_candidates(cohort_size: int, opts: EvalOptions) -> list[int]:
-    """Cohort sizes to tune s-norm over, in [2, cohort_size]; a ConfigError if none."""
-    raw = opts.top_n_candidates or sorted({2, 5, 10, 20, 50, 100, cohort_size})
-    candidates = [n for n in raw if 2 <= n <= cohort_size]
+    """Cohort sizes to tune s-norm over: the configured ones, each of which must
+    lie in [2, cohort_size], or else the default sizes that do; a ConfigError
+    naming a configured size outside, or when no default fits."""
+    if opts.top_n_candidates:
+        for n in opts.top_n_candidates:
+            if not 2 <= n <= cohort_size:
+                raise ConfigError(f"[eval] top_n_candidates: {n} lies outside [2, {cohort_size} cohort files]")
+        return list(opts.top_n_candidates)
+    candidates = [n for n in sorted({2, 5, 10, 20, 50, 100, cohort_size}) if 2 <= n <= cohort_size]
     if not candidates:
-        raise ConfigError(f"[eval] top_n_candidates: none lies in [2, {cohort_size} cohort files]")
+        raise ConfigError(f"[eval] top_n_candidates: no default size lies in [2, {cohort_size} cohort files]")
     return candidates
 
 
@@ -180,17 +186,16 @@ def run_experiment(
     seed: int = 0,
     budget_epochs: int | None = None,
     grid_epochs: int | None = None,
-    config: Config | None = None,
     eval_options: EvalOptions | None = None,
     grid: list[training.TrainConfig] | None = None,
 ) -> ExperimentResult:
     """Full per-loss protocol; writes scores, reports, and the selected
-    checkpoint under `out_dir` and returns the result summary. The full
-    budget is `budget_epochs`, or the grid configs' own epochs."""
-    config = config or Config({})
+    checkpoint under `out_dir` and returns the result summary. `grid` defaults
+    to the kind's grid under an empty config; the full budget is
+    `budget_epochs`, or the grid configs' own epochs."""
     opts = eval_options or EvalOptions()
     if grid is None:
-        grid = default_grid(loss_kind, dataset, seed, config)
+        grid = default_grid(loss_kind, dataset, seed, Config({}))
     epochs = grid[0].epochs if budget_epochs is None else budget_epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
     if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
@@ -252,27 +257,24 @@ def _write_result_summary(path, result: ExperimentResult) -> None:
 
 
 def compare_losses(
-    dataset: SpeakerDataset,
-    loss_kinds,
-    out_dir,
-    seed: int = 0,
-    budget_epochs: int | None = None,
-    grid_epochs: int | None = None,
-    config: Config | None = None,
-    eval_options: EvalOptions | None = None,
+    dataset: SpeakerDataset, out_dir, seed: int, config: Config
 ) -> list[tuple[str, ExperimentResult | None]]:
-    """Run the full protocol once per loss and emit a comparison CSV.
+    """Run the full protocol once per loss of `[eval] compare_losses` and emit a
+    comparison CSV; the grid budget and the `[eval]` options come from `config` too.
 
     Every loss's grid is built, and a bad config value raised, before any
     loss trains. A loss that fails in training is recorded as a nan row
     and the others proceed.
     """
+    loss_kinds = config.get("eval", "compare_losses", DEFAULT_COMPARE_LOSSES)
+    grid_epochs = config.get("training", "grid_epochs")
+    opts = eval_options(config)
     if len(loss_kinds) < 1:
         raise DomainError("compare_losses needs at least one loss kind")
     for i, kind in enumerate(loss_kinds):
         if kind in loss_kinds[:i]:  # both would train into one directory and one csv row
             raise DomainError(f"compare_losses lists {kind} twice")
-    grids = {kind: default_grid(kind, dataset, seed, config or Config({})) for kind in loss_kinds}
+    grids = {kind: default_grid(kind, dataset, seed, config) for kind in loss_kinds}
     os.makedirs(out_dir, exist_ok=True)
     results: list[tuple[str, ExperimentResult | None]] = []
     failures: list[str] = []
@@ -280,8 +282,7 @@ def compare_losses(
         try:
             result = run_experiment(
                 dataset, kind, os.path.join(out_dir, kind),
-                seed=seed, budget_epochs=budget_epochs, grid_epochs=grid_epochs,
-                config=config, eval_options=eval_options, grid=grids[kind],
+                seed=seed, grid_epochs=grid_epochs, eval_options=opts, grid=grids[kind],
             )
             results.append((kind, result))
         except (DomainError, TrainingDiverged, OSError) as exc:

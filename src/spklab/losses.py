@@ -24,8 +24,12 @@ and s = u_i . v_k,
     d s / d x_i = (v_k - s * u_i) / |x_i|
     d s / d c_k = (u_i - s * v_k) / |c_k|
 
-Over one batch, a loss whose terms weigh the cosines S_ij with G_ij has
-dX = (G_sym U - rowsum(G_sym * S) U) / |x|, where G_sym = G + G^T.
+Every cosine-based loss stands on one layer: `_cosines` checks the rows
+through the norms that normalize them and returns U, V, the norms and
+S = U V^T (V = U for a batch), and `_cosine_grads` is the one gradient
+block, dX = (W V - rowsum(W * S) U) / |x| for a loss that weighs S_ik with
+W_ik. The angular logits take dC from it with the roles of U and V swapped;
+the contrast losses weigh each pair of the batch from both ends, W = G + G^T.
 """
 
 import math
@@ -142,72 +146,87 @@ class Logits:
     backward: Callable[[np.ndarray], tuple]
 
 
-def _check_batch(embeddings: np.ndarray, params: ClassifierParams) -> np.ndarray:
+def _check_embeddings(embeddings, dim: int | None = None) -> np.ndarray:
+    """The embeddings as a float64 (N, m) matrix, with m == `dim` where given. Only
+    the shape is checked here: a layer checks the values once, as it reads them
+    (`_cosines` through the norms, `logits_linear` entry by entry)."""
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
         raise DomainError("embeddings must be a (N, m) matrix")
-    if x.shape[1] != params.centers.shape[1]:
-        raise DomainError(
-            f"embedding dim {x.shape[1]} != center dim {params.centers.shape[1]}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise DomainError("embeddings contain non-finite entries")
+    if dim is not None and x.shape[1] != dim:
+        raise DomainError(f"embedding dim {x.shape[1]} != center dim {dim}")
     return x
 
 
-def _check_labels(labels, n_samples: int, n_classes: int) -> np.ndarray:
+def _check_labels(labels, n_samples: int, n_classes: int | None = None) -> np.ndarray:
+    """The labels as int64, one per sample and, where `n_classes` is given, in [0, n_classes)."""
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (n_samples,):
         raise DomainError(f"labels must have shape ({n_samples},), got {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
+    if n_classes is not None and y.size and (y.min() < 0 or y.max() >= n_classes):
         raise DomainError(f"label out of range [0, {n_classes}): {y[np.argmax((y < 0) | (y >= n_classes))]}")
     return y
 
 
 def logits_linear(embeddings, params: ClassifierParams) -> Logits:
-    """Linear classification layer: sigma_i = x_i . C^T + b."""
-    if params.bias is None:
-        raise DomainError("logits_linear requires a bias vector")
-    x = _check_batch(embeddings, params)
+    """Linear classification layer: sigma_i = x_i . C^T, plus the bias b where
+    `params` has one; only then does `backward` return a "bias" gradient."""
     c, b = params.centers, params.bias
-    values = x @ c.T + b
+    x = _check_embeddings(embeddings, c.shape[1])
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"non-finite embedding at row {int(np.argmin(np.isfinite(x).all(axis=1)))}")
+    values = x @ c.T
+    if b is not None:
+        values += b
 
     def backward(g: np.ndarray):
-        return g @ c, {"centers": g.T @ x, "bias": g.sum(axis=0)}
+        grads = {"centers": g.T @ x}
+        if b is not None:
+            grads["bias"] = g.sum(axis=0)
+        return g @ c, grads
 
     return Logits(values, backward)
 
 
 def logits_nobias(embeddings, params: ClassifierParams) -> Logits:
-    """Bias-free linear layer: sigma_ik = x_i . c_k = |x||c| cos(theta)."""
-    x = _check_batch(embeddings, params)
-    c = params.centers
-    values = x @ c.T
-
-    def backward(g: np.ndarray):
-        return g @ c, {"centers": g.T @ x}
-
-    return Logits(values, backward)
+    """Bias-free linear layer: sigma_ik = x_i . c_k = |x||c| cos(theta), the
+    linear layer over the centers alone."""
+    return logits_linear(embeddings, ClassifierParams(params.centers))
 
 
-def _cosine_parts(x: np.ndarray, c: np.ndarray):
+def _cosines(embeddings, centers: np.ndarray | None = None, scratch=None):
+    """(U, |x|, V, |c|, S): the unit rows and norms of the embeddings x, of the
+    centers (the batch itself without them: V = U) and S = U V^T.
+
+    Each input is checked once, by `normalize_rows`, through the norms that
+    normalize it: a NaN, inf or zero row fails with a DomainError naming it.
+    A batch's S, whose diagonal rounds past 1, is clipped to [-1, 1] as the
+    tuple oracles' pair cosines are, and kept in `scratch` (see `_scratch`)."""
+    x = _check_embeddings(embeddings, None if centers is None else centers.shape[1])
     u, xn = normalize_rows(x, "embedding")
-    v, cn = normalize_rows(c, "center")
+    if centers is None:
+        s = np.matmul(u, u.T, out=_scratch(scratch, "s", (len(u), len(u))))
+        return u, xn, u, xn, np.clip(s, -1.0, 1.0, out=s)
+    v, cn = normalize_rows(centers, "center")
     return u, xn, v, cn, u @ v.T
 
 
+def _cosine_grads(w, ws, u, xn, v):
+    """The building block above: the gradient of sum_ik W_ik S_ik w.r.t. the
+    rows x behind U, given ws = W * S."""
+    return (w @ v - ws.sum(axis=1, keepdims=True) * u) / xn[:, None]
+
+
 def _angular_backward(w, u, xn, v, cn, s):
-    """Gradients of sum_ik W_ik s_ik w.r.t. the embeddings and the centers
-    (the building block above), as a `Logits.backward` result."""
-    dx = (w @ v - (w * s).sum(axis=1, keepdims=True) * u) / xn[:, None]
-    dc = (w.T @ u - (w * s).sum(axis=0)[:, None] * v) / cn[:, None]
-    return dx, {"centers": dc}
+    """Gradients of sum_ik W_ik S_ik w.r.t. the embeddings and the centers, as
+    a `Logits.backward` result."""
+    ws = w * s
+    return _cosine_grads(w, ws, u, xn, v), {"centers": _cosine_grads(w.T, ws.T, v, cn, u)}
 
 
 def logits_coco(embeddings, params: ClassifierParams, hyper: LossHyper) -> Logits:
     """Pure-angle logits: sigma_ik = alpha * cos(theta_ik)."""
-    x = _check_batch(embeddings, params)
-    u, xn, v, cn, s = _cosine_parts(x, params.centers)
+    u, xn, v, cn, s = _cosines(embeddings, params.centers)
     alpha = hyper.alpha
     return Logits(alpha * s, lambda g: _angular_backward(alpha * g, u, xn, v, cn, s))
 
@@ -221,11 +240,10 @@ def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -
     replaced by 1 when sin(theta) < AAM_SIN_GUARD.
     """
     check_domain("aam", "margin", hyper.margin)
-    x = _check_batch(embeddings, params)
-    y = _check_labels(labels, x.shape[0], params.n_classes)
-    u, xn, v, cn, s = _cosine_parts(x, params.centers)
+    u, xn, v, cn, s = _cosines(embeddings, params.centers)
+    y = _check_labels(labels, len(u), params.n_classes)
     alpha, m = hyper.alpha, hyper.margin
-    rows = np.arange(x.shape[0])
+    rows = np.arange(len(u))
 
     s_target = np.clip(s[rows, y], -1.0, 1.0)
     theta = np.arccos(s_target)
@@ -238,18 +256,6 @@ def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -
     return Logits(values, lambda g: _angular_backward(alpha * g * factor, u, xn, v, cn, s))
 
 
-def _ce_core(values: np.ndarray, labels: np.ndarray):
-    """Mean negative log-softmax of the target logit, max-subtracted."""
-    n = values.shape[0]
-    z = values - values.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    value = float(-logp[np.arange(n), labels].mean())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return value, dlogits
-
-
 def cross_entropy(logits, labels) -> LossOutput:
     """Cross entropy over per-sample logits.
 
@@ -257,18 +263,22 @@ def cross_entropy(logits, labels) -> LossOutput:
     producing layer's embeddings/centers/bias) or a bare (N, K) array, in
     which case only `grad_logits` is populated.
     """
-    if isinstance(logits, Logits):
-        values = logits.values
-    else:
-        values = np.asarray(logits, dtype=np.float64)
+    values = logits.values if isinstance(logits, Logits) else np.asarray(logits, dtype=np.float64)
     if values.ndim != 2:
         raise DomainError("logits must be a (N, K) matrix")
     if not np.all(np.isfinite(values)):
         raise DomainError("logits contain non-finite entries")
-    y = _check_labels(labels, values.shape[0], values.shape[1])
+    n = values.shape[0]
+    y = _check_labels(labels, n, values.shape[1])
 
-    value, dlogits = _ce_core(values, y)
-    out = LossOutput(value, grad_logits=dlogits, reduction="mean", n_terms=values.shape[0])
+    # the mean negative log-softmax of the target logit, max-subtracted
+    z = values - values.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    out = LossOutput(float(-logp[np.arange(n), y].mean()), grad_logits=dlogits,
+                     reduction="mean", n_terms=n)
     if isinstance(logits, Logits):
         out.grad_embeddings, out.grads = logits.backward(dlogits)
     return out
@@ -281,16 +291,14 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
     Default penalty reading is the squared cosine distance (1 - cos)^2,
     matching the contrastive positive term; the `one_minus_cos_sq` switch
     selects the literal 1 - cos^2 reading instead. The cross-entropy part
-    uses the linear logits when a bias is present, the bias-free ones
-    otherwise.
+    uses the linear logits, with the bias where `params` has one.
     """
-    x = _check_batch(embeddings, params)
+    x = _check_embeddings(embeddings, params.centers.shape[1])
     y = _check_labels(labels, x.shape[0], params.n_classes)
     if cparams.gamma.shape != params.centers.shape:
         raise DomainError("gamma must have the same shape as the centers")
 
-    logit_fn = logits_linear if params.bias is not None else logits_nobias
-    out = cross_entropy(logit_fn(x, params), y)
+    out = cross_entropy(logits_linear(x, params), y)
     out.reduction = "mean_ce+sum_penalty"
 
     gamma_used = cparams.gamma[y]
@@ -313,15 +321,6 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
     np.add.at(grad_gamma, y, (w / g_norms)[:, None] * (u - s[:, None] * g_unit))
     out.grads["gamma"] = grad_gamma
     return out
-
-
-def _check_embeddings(embeddings) -> np.ndarray:
-    x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2:
-        raise DomainError("embeddings must be a (N, m) matrix")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("embeddings contain non-finite entries")
-    return x
 
 
 def _pair_cosines(u: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -371,10 +370,11 @@ def contrastive_loss(embeddings, pairs: TupleIndex, hyper: LossHyper) -> LossOut
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=n_terms)
 
 
-def _check_triplets(x: np.ndarray, labels, triplets: np.ndarray) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (x.shape[0],):
-        raise DomainError("labels must match the number of embeddings")
+def _check_triplets(embeddings, labels, triplets: np.ndarray):
+    """The embeddings of an explicit triplet list, checked with the list, and
+    their unit rows and norms."""
+    x = _check_embeddings(embeddings)
+    y = _check_labels(labels, len(x))
     if triplets.size:
         if triplets.min() < 0 or triplets.max() >= x.shape[0]:
             raise DomainError("triplet index out of range")
@@ -383,7 +383,7 @@ def _check_triplets(x: np.ndarray, labels, triplets: np.ndarray) -> np.ndarray:
             raise DomainError("triplet uses the same sample as anchor and positive")
         if np.any(y[a] != y[p]) or np.any(y[a] == y[n]):
             raise DomainError("triplet labels must satisfy y_a == y_p != y_n")
-    return y
+    return x, *normalize_rows(x, "embedding")
 
 
 def _triplet_grads(x, u, xn, triplets, w_an, w_ap):
@@ -400,13 +400,11 @@ def _triplet_grads(x, u, xn, triplets, w_an, w_ap):
 
 def triplet_loss_hinge(embeddings, labels, tuples: TupleIndex, hyper: LossHyper) -> LossOutput:
     """Hinge triplet loss: sum of max(cos(a,n) - cos(a,p) + m, 0)."""
-    x = _check_embeddings(embeddings)
     triplets = tuples.triplets
-    _check_triplets(x, labels, triplets)
+    x, u, xn = _check_triplets(embeddings, labels, triplets)
     if len(triplets) == 0:
         return LossOutput(0.0, grad_embeddings=np.zeros_like(x), reduction="sum")
 
-    u, xn = normalize_rows(x, "embedding")
     a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     g = _pair_cosines(u, a, n) - _pair_cosines(u, a, p) + hyper.margin
     active = g > 0
@@ -442,13 +440,11 @@ def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHype
     Every term lies in (0, 1), so large violations saturate instead of
     dominating the batch; no margin parameter is involved.
     """
-    x = _check_embeddings(embeddings)
     triplets = tuples.triplets
-    _check_triplets(x, labels, triplets)
+    x, u, xn = _check_triplets(embeddings, labels, triplets)
     if len(triplets) == 0:
         return LossOutput(0.0, grad_embeddings=np.zeros_like(x), reduction="sum")
 
-    u, xn = normalize_rows(x, "embedding")
     a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     sig = stable_sigmoid(hyper.alpha * (_pair_cosines(u, a, n) - _pair_cosines(u, a, p)))
     value = float(sig.sum())
@@ -470,26 +466,6 @@ def _scratch(scratch: dict[str, np.ndarray] | None, name: str, shape) -> np.ndar
     return array
 
 
-def _batch_cosines(embeddings, labels, scratch=None):
-    """Checked labels, unit rows, row norms and the clipped batch cosine
-    matrix S = U U^T of one batch."""
-    x = _check_embeddings(embeddings)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (x.shape[0],):
-        raise DomainError("labels must match the number of embeddings")
-    u, xn = normalize_rows(x, "embedding")
-    s = np.matmul(u, u.T, out=_scratch(scratch, "s", (len(y), len(y))))
-    return y, u, xn, np.clip(s, -1.0, 1.0, out=s)
-
-
-def _cosine_weight_grads(g, u, xn, s, scratch=None):
-    """Embedding gradient of sum_ij G_ij S_ij (the building block above);
-    `g` is overwritten."""
-    g_sym = np.add(g, g.T, out=_scratch(scratch, "g_sym", g.shape))
-    g_s = np.multiply(g_sym, s, out=g)
-    return (g_sym @ u - g_s.sum(axis=1, keepdims=True) * u) / xn[:, None]
-
-
 def contrastive_loss_dense(embeddings, labels, hyper: LossHyper, scratch=None) -> LossOutput:
     """`contrastive_loss` over every unordered pair of the batch, from the
     batch cosine matrix and the label mask.
@@ -500,7 +476,8 @@ def contrastive_loss_dense(embeddings, labels, hyper: LossHyper, scratch=None) -
     pairs above the diagonal count. `scratch` (see `_scratch`) keeps the
     (N, N) temporaries from batch to batch."""
     check_domain("contrastive", "margin", hyper.margin)
-    y, u, xn, s = _batch_cosines(embeddings, labels, scratch)
+    u, xn, _, _, s = _cosines(embeddings, scratch=scratch)
+    y = _check_labels(labels, len(u))
     n = len(y)
     same = y[:, None] == y[None, :]
     upper = np.arange(n)[:, None] < np.arange(n)
@@ -512,7 +489,8 @@ def contrastive_loss_dense(embeddings, labels, hyper: LossHyper, scratch=None) -
     h *= 2.0
     np.multiply(dist, -2.0, out=h, where=same)
     np.copyto(h, 0.0, where=~upper)
-    dx = _cosine_weight_grads(h, u, xn, s, scratch)
+    g_sym = np.add(h, h.T, out=_scratch(scratch, "g_sym", s.shape))  # W = G + G^T
+    dx = _cosine_grads(g_sym, np.multiply(g_sym, s, out=h), u, xn, u)
     value = float(_masked_into(terms, upper, dist).sum())  # terms[upper].sum()
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=n * (n - 1) // 2)
 
@@ -564,7 +542,8 @@ def _triplet_loss_dense(embeddings, labels, term, slope, scratch=None) -> LossOu
     same-label negatives to +0.0. `scratch` (see `_scratch`) keeps the
     (N, N) and (N, k, N) temporaries from batch to batch.
     """
-    y, u, xn, s = _batch_cosines(embeddings, labels, scratch)
+    u, xn, _, _, s = _cosines(embeddings, scratch=scratch)
+    y = _check_labels(labels, len(u))
     p, valid = _anchor_positives(y)
     rows = np.arange(len(y))[:, None]
     mask = valid[:, :, None] & (y[:, None] != y[None, :])[:, None, :]
@@ -576,7 +555,8 @@ def _triplet_loss_dense(embeddings, labels, term, slope, scratch=None) -> LossOu
     w *= mask
     g = np.sum(w, axis=1, out=_scratch(scratch, "g", s.shape))  # weight on S[a, n]
     g[rows, p] -= w.sum(axis=2)  # weight on S[a, p]; padding adds 0 to S[a, a]
-    dx = _cosine_weight_grads(g, u, xn, s, scratch)
+    g_sym = np.add(g, g.T, out=_scratch(scratch, "g_sym", s.shape))  # W = G + G^T
+    dx = _cosine_grads(g_sym, np.multiply(g_sym, s, out=g), u, xn, u)
     return LossOutput(value, grad_embeddings=dx, reduction="sum",
                       n_terms=int(np.count_nonzero(mask)))
 
@@ -680,7 +660,7 @@ KINDS: dict[str, LossKind] = {
         lambda x, y, st: cross_entropy(logits_linear(x, _classifier(st)), y)),
     "ce_nobias": LossKind(
         "classification", ("centers",), (), _CLASSIFICATION_TUNED,
-        lambda x, y, st: cross_entropy(logits_nobias(x, _classifier(st)), y)),
+        lambda x, y, st: cross_entropy(logits_linear(x, _classifier(st)), y)),
     "coco": LossKind(
         "classification", ("centers",), ("alpha",), _CLASSIFICATION_TUNED,
         lambda x, y, st: cross_entropy(logits_coco(x, _classifier(st), st.hyper), y)),

@@ -212,12 +212,18 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
     ("compare", TINY_CFG.replace("aam, coco", "aam, coco, aam"), "compare_losses lists aam twice"),
     ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates = 1"),
      "top_n_candidates"),
+    # one size in range does not excuse another outside the 15-file cohort
+    ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates = 5, 5000"),
+     "[eval] top_n_candidates: 5000"),
+    ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates = 1, 5"),
+     "[eval] top_n_candidates: 1"),
     ("compare", TINY_CFG.replace("speakers_per_batch = 5", "speakers_per_batch = 0"),
      "speakers_per_batch"),
     ("compare", TINY_CFG.replace("speakers_per_batch = 5", "chunks_per_speaker = 0"),
      "chunks_per_speaker"),
 ], ids=["unknown_section", "n_bootstrap", "compare_grid_epochs", "grid_search_grid_epochs",
         "epochs", "compare_losses", "compare_losses_repeated", "top_n_candidates",
+        "top_n_candidates_above_cohort", "top_n_candidates_below_two",
         "speakers_per_batch", "chunks_per_speaker"])
 def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     # a bad value stops the run before any training: exit 1, one error line

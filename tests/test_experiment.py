@@ -9,7 +9,7 @@ import pytest
 
 from spklab import dataset as ds
 from spklab import experiment, training
-from spklab.config import empty_config, parse_config
+from spklab.config import Config, empty_config, parse_config
 from spklab.errors import ConfigError, DomainError
 
 SPEC = ds.SyntheticDatasetSpec(
@@ -19,6 +19,13 @@ SPEC = ds.SyntheticDatasetSpec(
 )
 
 EVAL = experiment.EvalOptions(n_bootstrap=100)
+
+
+def compare_config(kinds, **training):
+    """A config for `compare_losses`: the loss kinds, EVAL's bootstrap size, one
+    epoch and one grid epoch, and any further `[training]` values."""
+    return Config({"eval": {"compare_losses": tuple(kinds), "n_bootstrap": 100},
+                   "training": {"epochs": 1, "grid_epochs": 1, **training}})
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +123,12 @@ class TestDefaults:
         opts = experiment.EvalOptions()
         cands = experiment.top_n_candidates(18, opts)
         assert cands[0] >= 2 and cands[-1] == 18
-        pinned = experiment.EvalOptions(top_n_candidates=(2, 4, 99))
-        assert experiment.top_n_candidates(18, pinned) == [2, 4]
-        with pytest.raises(ConfigError, match="top_n_candidates"):
-            experiment.top_n_candidates(18, experiment.EvalOptions(top_n_candidates=(1, 19)))
+        pinned = experiment.EvalOptions(top_n_candidates=(4, 2, 18))
+        assert experiment.top_n_candidates(18, pinned) == [4, 2, 18]
+        # a configured size outside [2, cohort files] fails, even beside sizes that fit
+        for sizes, bad in (((2, 4, 99), 99), ((1, 19), 1), ((5, 5000), 5000), ((1, 5), 1)):
+            with pytest.raises(ConfigError, match=rf"^\[eval\] top_n_candidates: {bad} lies outside"):
+                experiment.top_n_candidates(18, experiment.EvalOptions(top_n_candidates=sizes))
         with pytest.raises(ConfigError, match="top_n_candidates"):
             experiment.top_n_candidates(1, opts)  # a one-file cohort fits no default either
 
@@ -204,10 +213,7 @@ class TestEvaluateEncoder:
 
 class TestCompare:
     def test_single_loss_row_matches_run_experiment(self, data, tmp_path):
-        results = experiment.compare_losses(
-            data, ["aam"], tmp_path / "cmp", seed=0, budget_epochs=1,
-            grid_epochs=1, eval_options=EVAL,
-        )
+        results = experiment.compare_losses(data, tmp_path / "cmp", 0, compare_config(["aam"]))
         assert len(results) == 1
         kind, res = results[0]
         solo = experiment.run_experiment(
@@ -235,15 +241,10 @@ class TestCompare:
     def test_failing_loss_recorded_others_proceed(self, data, tmp_path, caplog):
         import logging
 
-        cfg_text = tmp_path / "bad.cfg"
         # no contrast-loss batch shape has the two chunks a triplet needs
-        cfg_text.write_text("[training]\nchunks_grid = 1\n")
-        config = parse_config(cfg_text)
+        config = compare_config(["aam", "triplet_sigmoid"], chunks_grid=(1,))
         with caplog.at_level(logging.WARNING):
-            results = experiment.compare_losses(
-                data, ["aam", "triplet_sigmoid"], tmp_path / "cmp", seed=0,
-                budget_epochs=1, grid_epochs=1, config=config, eval_options=EVAL,
-            )
+            results = experiment.compare_losses(data, tmp_path / "cmp", 0, config)
         by_kind = dict(results)
         assert by_kind["aam"] is not None
         assert by_kind["triplet_sigmoid"] is None
@@ -253,4 +254,4 @@ class TestCompare:
 
     def test_needs_at_least_one_loss(self, data, tmp_path):
         with pytest.raises(DomainError):
-            experiment.compare_losses(data, [], tmp_path / "cmp")
+            experiment.compare_losses(data, tmp_path / "cmp", 0, compare_config([]))

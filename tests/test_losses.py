@@ -2,6 +2,7 @@
 central differences, and the angular-loss identities."""
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -49,9 +50,22 @@ class TestLogitVariants:
         out = logits_linear(np.array([[0.0, 0.0]]), params)
         np.testing.assert_array_equal(out.values, [[1.0, 2.0]])
 
-    def test_linear_requires_bias(self):
-        with pytest.raises(DomainError):
-            logits_linear(np.array([[1.0, 0.0]]), ClassifierParams(BASIS.centers))
+    def test_linear_without_bias_is_nobias(self):
+        # the one linear layer: without a bias it is the bias-free layer, the
+        # plain products x C^T, g C and g^T x bit for bit, with no bias gradient
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n, k, m = rng.integers(1, 8, size=3)
+            x, c = rng.standard_normal((n, m)), rng.standard_normal((k, m))
+            g = rng.standard_normal((n, k))
+            linear = logits_linear(x, ClassifierParams(c))
+            nobias = logits_nobias(x, ClassifierParams(c, rng.standard_normal(k)))
+            for out in (linear, nobias):
+                assert out.values.tobytes() == (x @ c.T).tobytes()
+                dx, grads = out.backward(g)
+                assert dx.tobytes() == (g @ c).tobytes()
+                assert list(grads) == ["centers"]
+                assert grads["centers"].tobytes() == (g.T @ x).tobytes()
 
     def test_nobias_is_plain_dot(self):
         # |f|*|c|*cos: 2*3*1 = 6 for aligned rows, 0 for orthogonal ones
@@ -505,17 +519,25 @@ def select_stable_sigmoid(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def batch_grads(g, u, xn, s):
+    """The embedding gradient of sum_ij G_ij S_ij over a batch: the gradient
+    block with each pair weighed from both ends, W = G + G^T."""
+    w = g + g.T
+    return losses._cosine_grads(w, w * s, u, xn, u)
+
+
 def select_contrastive(x, labels, hyper):
     """`contrastive_loss_dense` with nested selects over the label and
     hinge masks."""
-    y, u, xn, s = losses._batch_cosines(x, labels)
+    y = np.asarray(labels)
+    u, xn, _, _, s = losses._cosines(x)
     same = y[:, None] == y[None, :]
     upper = np.triu(np.ones_like(same), k=1)
     h = hyper.margin - (1.0 - s)
     active = ~same & (h > 0)
     terms = np.where(same, (1.0 - s) ** 2, np.where(active, h**2, 0.0))
     slopes = np.where(same, -2.0 * (1.0 - s), np.where(active, 2.0 * h, 0.0))
-    dx = losses._cosine_weight_grads(np.where(upper, slopes, 0.0), u, xn, s)
+    dx = batch_grads(np.where(upper, slopes, 0.0), u, xn, s)
     return losses.LossOutput(float(terms[upper].sum()), grad_embeddings=dx,
                              reduction="sum", n_terms=int(upper.sum()))
 
@@ -524,7 +546,8 @@ def select_triplet(x, labels, term):
     """`_triplet_loss_dense` with each anchor's positives found by a stable
     argsort of its row of the label mask, and the mask applied by a select;
     `term` maps the differences to (terms, slopes)."""
-    y, u, xn, s = losses._batch_cosines(x, labels)
+    y = np.asarray(labels)
+    u, xn, _, _, s = losses._cosines(x)
     positive = y[:, None] == y[None, :]
     np.fill_diagonal(positive, False)
     k = int(positive.sum(axis=1).max(initial=0))
@@ -537,7 +560,7 @@ def select_triplet(x, labels, term):
     w = np.where(mask, slopes, 0.0)
     g = w.sum(axis=1)
     g[rows, p] -= w.sum(axis=2)
-    dx = losses._cosine_weight_grads(g, u, xn, s)
+    dx = batch_grads(g, u, xn, s)
     return losses.LossOutput(float(terms[mask].sum()), grad_embeddings=dx,
                              reduction="sum", n_terms=int(mask.sum()))
 
@@ -730,3 +753,39 @@ class TestLossStateDispatch:
         out = losses.evaluate_loss("contrastive", x, y, state)
         assert out.reduction == "sum"
         assert out.n_terms == 6
+
+
+def readme_batch(kind):
+    """The README batch shape of a kind, as (speakers, chunks): 25 x 1 for the
+    classification kinds, the tuned shape of each contrast kind's grid."""
+    tuned = losses.KINDS[kind].tuned
+    return tuned.get("speakers_per_batch", 25), tuned.get("chunks_per_speaker", 1)
+
+
+class TestRowChecks:
+    """Every kind checks its embeddings once, and a bad row fails with one
+    DomainError that names it."""
+
+    # the kinds whose only layer over the embeddings is the linear one, which is
+    # defined at a zero embedding (test_linear_zero_embedding_passes_bias)
+    LINEAR_ONLY = ("ce", "ce_nobias")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    @pytest.mark.parametrize("shape", ["batch6", "readme"])
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_bad_row_fails_naming_it(self, kind, shape, bad):
+        rng = np.random.default_rng(zlib.crc32(f"{kind} {shape} {bad}".encode()))
+        speakers, chunks = (3, 2) if shape == "batch6" else readme_batch(kind)
+        y = rng.permutation(np.repeat(np.arange(speakers), chunks))
+        state = losses.init_loss_state(kind, speakers, 16, conftest.INSTANCE_HYPER[kind], rng)
+        x = rng.standard_normal((y.size, 16))
+        row = y.size // 2 + 1
+        x[row] = 0.0
+        x[row, 1] = bad
+        if bad == 0.0 and kind in self.LINEAR_ONLY:
+            assert np.isfinite(losses.evaluate_loss(kind, x, y, state).value)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error comes alone, with no numpy warning
+            with pytest.raises(DomainError, match=rf"embedding.* at row {row}$"):
+                losses.evaluate_loss(kind, x, y, state)
