@@ -156,7 +156,7 @@ def parse_config(path) -> Config:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
     values: dict[str, dict[str, object]] = {}
@@ -173,6 +173,8 @@ def parse_config(path) -> Config:
                 value = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
+            if value == ():
+                raise ConfigError(f"{path}: [{section}] {key} lists no values")
             choices = _CHOICES.get((section, key))
             listed = value if isinstance(value, tuple) else (value,)
             if choices is not None and any(v not in choices for v in listed):

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from spklab.errors import DomainError
+from spklab.errors import DomainError, read_lines
 from spklab.sampling import TrainPool, augment_chunk
 from spklab.scoring import Trial, read_trials, write_trials
 from spklab.training import EvalPack
@@ -296,37 +296,36 @@ def load_dataset(data_dir) -> SpeakerDataset:
     files: dict[str, FileRecord] = {}
     line_of: dict[str, int] = {}
     starts: dict[str, int] = {}
-    with open(manifest_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != (2 if parts[0] == "feature_dim" else 5):
-                raise DomainError(f"{manifest_path}:{line_no}: bad manifest line")
-            if parts[0] == "feature_dim":
-                feature_dim, = _manifest_ints(manifest_path, line_no, parts[1:])
-                if features.shape[1:] != (feature_dim,):
-                    raise DomainError(f"{manifest_path}:{line_no}: feature_dim {feature_dim}, "
-                                      f"but {FEATURES_NAME} has shape {features.shape}")
-                continue
-            fid, partition = parts[:2]
-            speaker, start, n = _manifest_ints(manifest_path, line_no, parts[2:])
-            if partition not in PARTITIONS:
-                raise DomainError(f"{manifest_path}:{line_no}: unknown partition {partition!r}")
-            if fid in line_of:
-                raise DomainError(f"{manifest_path}:{line_no}: file id {fid} repeats line "
-                                  f"{line_of[fid]}")
-            line_of[fid] = line_no
-            if n <= 0:
-                raise DomainError(f"{manifest_path}:{line_no}: file {fid} has no rows (n = {n})")
-            if start < 0 or start + n > features.shape[0]:
-                raise DomainError(f"{manifest_path}:{line_no}: rows {start}..{start + n} are not "
-                                  f"inside the {features.shape[0]} rows of {FEATURES_NAME}")
-            if partition_of.setdefault(speaker, partition) != partition:
-                raise DomainError(f"{manifest_path}:{line_no}: speaker {speaker} is in both the "
-                                  f"{partition_of[speaker]} and the {partition} partition")
-            files[fid] = FileRecord(fid, speaker, partition, features[start : start + n])
-            starts[fid] = start
+    for line_no, line in enumerate(read_lines(manifest_path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != (2 if parts[0] == "feature_dim" else 5):
+            raise DomainError(f"{manifest_path}:{line_no}: bad manifest line")
+        if parts[0] == "feature_dim":
+            feature_dim, = _manifest_ints(manifest_path, line_no, parts[1:])
+            if features.shape[1:] != (feature_dim,):
+                raise DomainError(f"{manifest_path}:{line_no}: feature_dim {feature_dim}, "
+                                  f"but {FEATURES_NAME} has shape {features.shape}")
+            continue
+        fid, partition = parts[:2]
+        speaker, start, n = _manifest_ints(manifest_path, line_no, parts[2:])
+        if partition not in PARTITIONS:
+            raise DomainError(f"{manifest_path}:{line_no}: unknown partition {partition!r}")
+        if fid in line_of:
+            raise DomainError(f"{manifest_path}:{line_no}: file id {fid} repeats line "
+                              f"{line_of[fid]}")
+        line_of[fid] = line_no
+        if n <= 0:
+            raise DomainError(f"{manifest_path}:{line_no}: file {fid} has no rows (n = {n})")
+        if start < 0 or start + n > features.shape[0]:
+            raise DomainError(f"{manifest_path}:{line_no}: rows {start}..{start + n} are not "
+                              f"inside the {features.shape[0]} rows of {FEATURES_NAME}")
+        if partition_of.setdefault(speaker, partition) != partition:
+            raise DomainError(f"{manifest_path}:{line_no}: speaker {speaker} is in both the "
+                              f"{partition_of[speaker]} and the {partition} partition")
+        files[fid] = FileRecord(fid, speaker, partition, features[start : start + n])
+        starts[fid] = start
     if feature_dim is None:
         raise DomainError(f"{manifest_path}: missing feature_dim header")
     # one pass; a bad row no file uses is harmless
@@ -339,11 +338,10 @@ def load_dataset(data_dir) -> SpeakerDataset:
     spec_echo = {}
     spec_path = os.path.join(data_dir, SPEC_NAME)
     if os.path.exists(spec_path):
-        with open(spec_path) as fh:
-            for line in fh:
-                key, _, value = line.partition("=")
-                if value:
-                    spec_echo[key.strip()] = value.strip()
+        for line in read_lines(spec_path):
+            key, _, value = line.partition("=")
+            if value:
+                spec_echo[key.strip()] = value.strip()
 
     return SpeakerDataset(
         feature_dim=feature_dim,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one text-file reader
+that turns a file that is not UTF-8 text into a DomainError."""
 
 
 class DomainError(ValueError):
@@ -20,3 +21,12 @@ class TrainingDiverged(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for malformed configuration files or unknown keys."""
+
+
+def read_lines(path) -> list[str]:
+    """The lines of text file `path`; a DomainError naming it if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a UTF-8 text file: {exc}") from None

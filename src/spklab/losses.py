@@ -54,16 +54,24 @@ AAM_SIN_GUARD = 1e-6
 
 @dataclass(frozen=True)
 class LossHyper:
-    """Scale and margin hyper-parameters shared by the angular losses."""
+    """Every hyper-parameter a `KINDS` row reads: the angular losses' scale and
+    margin, and the center loss's penalty weight lam and penalty reading. Each
+    is checked here, whether or not the run's kind reads it."""
 
     alpha: float = 1.0
     margin: float = 0.0
+    lam: float = 1.0
+    center_penalty: str = "squared_cos_distance"
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 <= self.margin < math.inf:
             raise DomainError(f"margin must be non-negative and finite, got {self.margin}")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError(f"lambda must be non-negative and finite, got {self.lam}")
+        if self.center_penalty not in CENTER_PENALTIES:
+            raise DomainError(f"unknown center penalty {self.center_penalty!r}")
 
 
 @dataclass
@@ -110,13 +118,15 @@ class CenterLossParams:
             raise DomainError(f"unknown center penalty {self.penalty!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossOutput:
     """Scalar loss plus gradients, shaped exactly like their parameters.
 
     `reduction` reports how the terms were combined (classification losses
     are batch means, contrast losses are sums over the batch's tuples) so
-    learning rates stay interpretable across families.
+    learning rates stay interpretable across families. A loss builds its
+    output once, from its final value and gradients, so the one check below
+    (a finite, non-negative value) covers every kind's result.
     """
 
     value: float
@@ -127,7 +137,7 @@ class LossOutput:
     n_terms: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise DomainError(f"loss value is not finite: {self.value}")
         if self.value < 0.0:
             raise DomainError(f"loss value is negative: {self.value}")
@@ -275,13 +285,12 @@ def cross_entropy(logits, labels) -> LossOutput:
     z = values - values.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
+    rows = np.arange(n)
+    dlogits[rows, y] -= 1.0
     dlogits /= n
-    out = LossOutput(float(-logp[np.arange(n), y].mean()), grad_logits=dlogits,
-                     reduction="mean", n_terms=n)
-    if isinstance(logits, Logits):
-        out.grad_embeddings, out.grads = logits.backward(dlogits)
-    return out
+    grad_embeddings, grads = logits.backward(dlogits) if isinstance(logits, Logits) else (None, {})
+    return LossOutput(float(-logp[rows, y].mean()), grad_embeddings, grads, dlogits,
+                      reduction="mean", n_terms=n)
 
 
 def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLossParams) -> LossOutput:
@@ -294,12 +303,10 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
     uses the linear logits, with the bias where `params` has one.
     """
     x = _check_embeddings(embeddings, params.centers.shape[1])
-    y = _check_labels(labels, x.shape[0], params.n_classes)
     if cparams.gamma.shape != params.centers.shape:
         raise DomainError("gamma must have the same shape as the centers")
-
-    out = cross_entropy(logits_linear(x, params), y)
-    out.reduction = "mean_ce+sum_penalty"
+    y = np.asarray(labels, dtype=np.int64)
+    ce = cross_entropy(logits_linear(x, params), y)  # checks the labels against the centers
 
     gamma_used = cparams.gamma[y]
     g_unit, g_norms = normalize_rows(gamma_used, "gamma row")
@@ -314,13 +321,13 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
         dpen = -2.0 * s
 
     lam = cparams.lam
-    out.value = float(out.value + 0.5 * lam * pen.sum())
     w = 0.5 * lam * dpen
-    out.grad_embeddings = out.grad_embeddings + (w / xn)[:, None] * (g_unit - s[:, None] * u)
     grad_gamma = np.zeros_like(cparams.gamma)
     np.add.at(grad_gamma, y, (w / g_norms)[:, None] * (u - s[:, None] * g_unit))
-    out.grads["gamma"] = grad_gamma
-    return out
+    return LossOutput(float(ce.value + 0.5 * lam * pen.sum()),
+                      ce.grad_embeddings + (w / xn)[:, None] * (g_unit - s[:, None] * u),
+                      ce.grads | {"gamma": grad_gamma}, ce.grad_logits,
+                      reduction="mean_ce+sum_penalty", n_terms=ce.n_terms)
 
 
 def _pair_cosines(u: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -491,21 +498,8 @@ def contrastive_loss_dense(embeddings, labels, hyper: LossHyper, scratch=None) -
     np.copyto(h, 0.0, where=~upper)
     g_sym = np.add(h, h.T, out=_scratch(scratch, "g_sym", s.shape))  # W = G + G^T
     dx = _cosine_grads(g_sym, np.multiply(g_sym, s, out=h), u, xn, u)
-    value = float(_masked_into(terms, upper, dist).sum())  # terms[upper].sum()
+    value = float(terms[upper].sum())
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=n * (n - 1) // 2)
-
-
-def _masked_into(values: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`values[mask]` written to the front of `out` (of values' size) and returned as that
-    front, gathered a block of leading rows at a time, so that no temporary exceeds 64 KB."""
-    flat = out.reshape(-1)
-    rows = max(1, 8192 // max(1, values[0].size)) if len(values) else 1
-    end = 0
-    for i in range(0, len(values), rows):
-        part = values[i:i + rows][mask[i:i + rows]]
-        flat[end:end + part.size] = part
-        end += part.size
-    return flat[:end]
 
 
 def _anchor_positives(y: np.ndarray):
@@ -550,7 +544,7 @@ def _triplet_loss_dense(embeddings, labels, term, slope, scratch=None) -> LossOu
     spare = _scratch(scratch, "spare", mask.shape)
     terms = term(np.subtract(s[:, None, :], s[rows, p][:, :, None],
                              out=_scratch(scratch, "terms", mask.shape)), spare)
-    value = float(_masked_into(terms, mask, spare).sum())  # terms[mask].sum()
+    value = float(terms[mask].sum())
     w = slope(terms, spare)
     w *= mask
     g = np.sum(w, axis=1, out=_scratch(scratch, "g", s.shape))  # weight on S[a, n]
@@ -620,14 +614,13 @@ def finite_difference_check(loss_fn, inputs: dict, epsilon: float = 1e-5) -> flo
 
 @dataclass
 class LossState:
-    """Hyper-parameters of one run's loss and the arrays it trains, by name:
-    "centers", "bias" and "gamma" where the loss kind has them; `scratch`
-    holds the dense contrast kernels' temporaries between batches."""
+    """One run's loss: its hyper-parameters (all of them, in `hyper`), the
+    arrays it trains, by name: "centers", "bias" and "gamma" where the loss
+    kind has them, and in `scratch` the dense contrast kernels' temporaries
+    between batches."""
 
     hyper: LossHyper
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    lam: float = 1.0
-    center_penalty: str = "squared_cos_distance"
     scratch: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -671,7 +664,7 @@ KINDS: dict[str, LossKind] = {
     "center": LossKind(
         "classification", ("centers", "bias", "gamma"), ("lam",), _CLASSIFICATION_TUNED,
         lambda x, y, st: center_loss(x, y, _classifier(st), CenterLossParams(
-            st.arrays["gamma"], st.lam, st.center_penalty))),
+            st.arrays["gamma"], st.hyper.lam, st.hyper.center_penalty))),
     "contrastive": LossKind(
         "pairs", (), ("margin",),
         {"learning_rate": 0.1, "margin": 0.2, "speakers_per_batch": 20, "chunks_per_speaker": 3},
@@ -704,28 +697,21 @@ def check_domain(kind: str, name: str, value: float) -> None:
 
 
 def init_loss_state(
-    kind: str,
-    n_classes: int,
-    embedding_dim: int,
-    hyper: LossHyper,
-    rng: np.random.Generator,
-    lam: float = 1.0,
-    center_penalty: str = "squared_cos_distance",
+    kind: str, n_classes: int, embedding_dim: int, hyper: LossHyper, rng: np.random.Generator
 ) -> LossState:
-    """Create the arrays a loss kind trains, in its row's draw order.
+    """A run's loss state under `hyper`, which checked every hyper-parameter
+    when it was made, with the arrays the kind trains, in its row's draw order.
 
     Centers and gamma are drawn from a centered uniform distribution with
     scale 1/sqrt(m); the bias starts at zero and draws nothing.
     """
-    state = LossState(hyper, lam=lam, center_penalty=center_penalty)
+    state = LossState(hyper)
     for name in loss_kind(kind).arrays:
         if name == "bias":
             state.arrays[name] = np.zeros(n_classes)
         else:
             scale = 1.0 / np.sqrt(embedding_dim)
             state.arrays[name] = rng.uniform(-scale, scale, size=(n_classes, embedding_dim))
-    if "gamma" in state.arrays:  # validates lambda and the penalty reading before any batch runs
-        CenterLossParams(state.arrays["gamma"], lam, center_penalty)
     return state
 
 

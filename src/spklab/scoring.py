@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from spklab.embedding import ZERO_NORM_EPS, cosine_similarity
-from spklab.errors import DegenerateCohortError, DomainError
+from spklab.errors import DegenerateCohortError, DomainError, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -416,14 +416,13 @@ def write_trials(path, trials: Sequence[Trial]) -> None:
 
 def read_trials(path) -> list[Trial]:
     out = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3 or parts[0] not in ("0", "1"):
-                raise DomainError(f"{path}:{line_no}: bad trial line {line.rstrip()!r}")
-            out.append(Trial(parts[1], parts[2], parts[0] == "1"))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3 or parts[0] not in ("0", "1"):
+            raise DomainError(f"{path}:{line_no}: bad trial line {line.rstrip()!r}")
+        out.append(Trial(parts[1], parts[2], parts[0] == "1"))
     return out
 
 
@@ -435,14 +434,13 @@ def write_scores(path, scores: Scores) -> None:
 
 def read_scores(path) -> list[tuple[str, str, float]]:
     out = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise DomainError(f"{path}:{line_no}: bad score line {line.rstrip()!r}")
-            out.append((parts[0], parts[1], float(parts[2])))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise DomainError(f"{path}:{line_no}: bad score line {line.rstrip()!r}")
+        out.append((parts[0], parts[1], float(parts[2])))
     return out
 
 

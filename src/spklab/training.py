@@ -18,7 +18,7 @@ import numpy as np
 
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring
-from spklab.errors import DomainError, TrainingDiverged
+from spklab.errors import DomainError, TrainingDiverged, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -52,14 +52,12 @@ class TrainConfig:
         if not 0 <= self.learning_rate < math.inf:
             raise DomainError(f"learning rate must be non-negative and finite, "
                               f"got {self.learning_rate}")
-        if not 0 <= self.lam < math.inf:
-            raise DomainError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.epochs < 0:
             raise DomainError("epochs must be non-negative")
         for name in ("speakers_per_batch", "chunks_per_speaker", "hidden_dim", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
-        self.hyper()  # a bad alpha or margin fails when a grid is built, before training
+        self.hyper()  # a bad alpha, margin, lambda or penalty fails when a grid is built
         for name in losses.KINDS[self.loss_kind].domains:
             losses.check_domain(self.loss_kind, name, getattr(self, name))
 
@@ -68,7 +66,7 @@ class TrainConfig:
                                   losses.KINDS[self.loss_kind].mode)
 
     def hyper(self) -> losses.LossHyper:
-        return losses.LossHyper(alpha=self.alpha, margin=self.margin)
+        return losses.LossHyper(self.alpha, self.margin, self.lam, self.center_penalty)
 
 
 @dataclass
@@ -170,9 +168,7 @@ def init_run(
         feature_dim, config.hidden_dim, config.embedding_dim, rng, config.activation
     )
     state = losses.init_loss_state(
-        config.loss_kind, n_classes, config.embedding_dim, config.hyper(), rng,
-        lam=config.lam, center_penalty=config.center_penalty,
-    )
+        config.loss_kind, n_classes, config.embedding_dim, config.hyper(), rng)
     params.loss_arrays = state.arrays
     return params, state, rng
 
@@ -215,16 +211,11 @@ def train(
                 out = losses.evaluate_loss(config.loss_kind, embeddings, batch.labels, state)
             except DomainError as exc:
                 # mid-run numeric failure (overflowed activations, non-finite
-                # loss inputs) is divergence, not a caller contract violation
+                # loss inputs or value) is divergence, not a caller contract violation
                 raise TrainingDiverged(
                     f"loss evaluation failed at epoch {epoch} batch {batch_index}: {exc}",
                     epoch, batch_index,
                 ) from exc
-            if not np.isfinite(out.value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} batch {batch_index}",
-                    epoch, batch_index,
-                )
             grads = enc.backward(params, cache, out.grad_embeddings) | out.grads
             enc.sgd_step(params, grads, lr)
             _check_finite_params(params, epoch, batch_index)
@@ -316,8 +307,7 @@ def save_checkpoint(path, ckpt: Checkpoint, config: TrainConfig) -> None:
 
 def load_checkpoint(path) -> tuple[Checkpoint, dict]:
     """Read a checkpoint file back; returns (checkpoint, config echo dict)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0].split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
         raise DomainError(f"{path}: not a version-{CHECKPOINT_VERSION} checkpoint file")
 

@@ -221,10 +221,25 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
      "speakers_per_batch"),
     ("compare", TINY_CFG.replace("speakers_per_batch = 5", "chunks_per_speaker = 0"),
      "chunks_per_speaker"),
+    # a list-valued key with no values names the file, section and key
+    ("grid-search", TINY_CFG.replace("lr_grid = 0.01, 0.1", "lr_grid ="),
+     "bad.cfg: [training] lr_grid lists no values"),
+    ("compare", TINY_CFG.replace("lr_grid = 0.01, 0.1", "lr_grid ="),
+     "bad.cfg: [training] lr_grid lists no values"),
+    ("grid-search", TINY_CFG.replace("lr_grid = 0.01, 0.1", "lr_grid = 0.01\nspeakers_grid ="),
+     "bad.cfg: [training] speakers_grid lists no values"),
+    ("compare", TINY_CFG.replace("lr_grid = 0.01, 0.1", "lr_grid = 0.01\nchunks_grid ="),
+     "bad.cfg: [training] chunks_grid lists no values"),
+    ("compare", TINY_CFG + "\n[loss]\nalpha_grid =\n", "bad.cfg: [loss] alpha_grid lists no values"),
+    ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates ="),
+     "bad.cfg: [eval] top_n_candidates lists no values"),
+    ("compare", TINY_CFG.replace("aam, coco", ""), "bad.cfg: [eval] compare_losses lists no values"),
 ], ids=["unknown_section", "n_bootstrap", "compare_grid_epochs", "grid_search_grid_epochs",
         "epochs", "compare_losses", "compare_losses_repeated", "top_n_candidates",
         "top_n_candidates_above_cohort", "top_n_candidates_below_two",
-        "speakers_per_batch", "chunks_per_speaker"])
+        "speakers_per_batch", "chunks_per_speaker", "grid_search_empty_lr_grid",
+        "compare_empty_lr_grid", "grid_search_empty_speakers_grid", "compare_empty_chunks_grid",
+        "compare_empty_alpha_grid", "empty_top_n_candidates", "empty_compare_losses"])
 def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     # a bad value stops the run before any training: exit 1, one error line
     # naming the key, no checkpoint written
@@ -240,6 +255,27 @@ def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert not list(out.rglob("best.ckpt"))
+
+
+@pytest.mark.parametrize("kind", ["config", "manifest", "dataset_spec", "trials", "checkpoint"])
+def test_non_utf8_file_fails_cleanly(workdir, capsys, kind):
+    # a 0xff byte in a text input, or a binary file (features.npy) given as the checkpoint,
+    # which evaluate reads last: one error line naming the file, before anything is written
+    tmp_path, cfg, data = workdir
+    ckpt = data / "features.npy"
+    bad = {"config": cfg, "manifest": data / "manifest.txt",
+           "dataset_spec": data / "dataset_spec.txt", "trials": data / "trials_test.txt",
+           "checkpoint": ckpt}[kind]
+    if kind != "checkpoint":
+        bad.write_bytes(bad.read_bytes() + b"; \xff\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                 "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+    assert "can't decode byte" in err[0]
+    assert not out.exists()
 
 
 def test_evaluate_without_top_n_candidate_fails_before_scoring(workdir, capsys):

@@ -1,7 +1,9 @@
 """Loss values against hand-computed fixtures, gradient checks against
 central differences, and the angular-loss identities."""
 
+import dataclasses
 import math
+import re
 import warnings
 import zlib
 
@@ -237,6 +239,26 @@ class TestCenterLoss:
         gamma = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DomainError, match="gamma"):
             center_loss(x, np.array([0]), params, CenterLossParams(gamma, lam=1.0))
+
+    def test_overflowing_penalty_fails_the_value_check(self):
+        # gamma opposite every embedding: each penalty term is (1 - (-1))^2 = 4, and a
+        # finite lambda of 1e308 carries their sum past the largest float
+        x = np.eye(2)
+        params = ClassifierParams(np.eye(2), np.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="loss value is not finite"):
+                center_loss(x, np.array([0, 1]), params, CenterLossParams(-np.eye(2), lam=1e308))
+
+    @pytest.mark.parametrize("lam, penalty, message", [
+        (math.inf, "squared_cos_distance", "lambda must be non-negative and finite, got inf"),
+        (-1.0, "squared_cos_distance", "lambda must be non-negative and finite, got -1.0"),
+        (1.0, "bogus", "unknown center penalty 'bogus'"),
+    ])
+    def test_hyper_and_params_check_lambda_and_penalty_alike(self, lam, penalty, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            LossHyper(lam=lam, center_penalty=penalty)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            CenterLossParams(np.eye(2), lam, penalty)
 
 
 class TestContrastive:
@@ -667,7 +689,7 @@ def named_loss(kind, x, y, state):
     if kind == "aam":
         return cross_entropy(logits_aam(x, y, params, hyper), y)
     if kind == "center":
-        cparams = CenterLossParams(arrays["gamma"], state.lam, state.center_penalty)
+        cparams = CenterLossParams(arrays["gamma"], hyper.lam, hyper.center_penalty)
         return center_loss(x, y, params, cparams)
     return DENSE[kind](x, y, hyper)
 
@@ -678,8 +700,9 @@ class TestLossStateDispatch:
         # a lambda and a penalty reading off their defaults, so the table
         # must pass the state's own values through
         rng = np.random.default_rng(20)
-        state = losses.init_loss_state(kind, 3, 4, conftest.INSTANCE_HYPER[kind], rng,
-                                       lam=0.5, center_penalty="one_minus_cos_sq")
+        hyper = dataclasses.replace(conftest.INSTANCE_HYPER[kind], lam=0.5,
+                                    center_penalty="one_minus_cos_sq")
+        state = losses.init_loss_state(kind, 3, 4, hyper, rng)
         if "bias" in state.arrays:
             state.arrays["bias"] = 0.1 * rng.standard_normal(3)
         x = rng.standard_normal((6, 4))
@@ -720,11 +743,11 @@ class TestLossStateDispatch:
 
     def test_init_state_shapes(self):
         rng = np.random.default_rng(22)
-        state = losses.init_loss_state("center", 7, 5, LossHyper(), rng, lam=0.5)
+        state = losses.init_loss_state("center", 7, 5, LossHyper(lam=0.5), rng)
         assert state.arrays["centers"].shape == (7, 5)
         assert state.arrays["bias"].shape == (7,)
         assert state.arrays["gamma"].shape == (7, 5)
-        assert state.lam == 0.5
+        assert state.hyper.lam == 0.5
         state = losses.init_loss_state("coco", 7, 5, LossHyper(alpha=10.0), rng)
         assert "bias" not in state.arrays
         state = losses.init_loss_state("contrastive", 7, 5, LossHyper(margin=0.2), rng)
@@ -742,6 +765,13 @@ class TestLossStateDispatch:
             assert out.n_terms == expected.n_terms
             np.testing.assert_allclose(out.grad_embeddings, expected.grad_embeddings,
                                        rtol=0.0, atol=1e-12)
+
+    def test_output_is_frozen(self):
+        state = losses.init_loss_state("ce", 2, 2, LossHyper(), np.random.default_rng(25))
+        out = losses.evaluate_loss("ce", np.eye(2), np.array([0, 1]), state)
+        for name, value in (("value", 0.0), ("grads", {}), ("reduction", "sum")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(out, name, value)
 
     def test_reduction_metadata(self):
         rng = np.random.default_rng(26)

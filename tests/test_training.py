@@ -124,6 +124,19 @@ class TestTrain:
             with np.errstate(all="ignore"):
                 train(pool, config, dev)
 
+    def test_non_finite_center_loss_diverges_at_the_first_batch(self):
+        # a finite lambda of 1e308 carries the penalty sum of the first batch past the
+        # largest float; the loss's own value check reports it as divergence
+        pool, dev = toy_problem()
+        config = TrainConfig(**{**vars(BASE), "loss_kind": "center", "lam": 1e308})
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged, match="epoch 0 batch 0: loss value is not finite"):
+                train(pool, config, dev)
+
+    def test_bad_center_penalty_fails_at_construction(self):
+        with pytest.raises(DomainError, match="unknown center penalty 'bogus'"):
+            TrainConfig(loss_kind="center", center_penalty="bogus")
+
     def test_labels_must_be_contiguous(self):
         pool, dev = toy_problem()
         blocks = np.split(pool.features, pool.offsets[1:])
