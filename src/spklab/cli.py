@@ -1,14 +1,12 @@
 """Command-line driver.
 
-Subcommands:
+Subcommands; each takes --config, --seed, --out and, except gen-data, --data:
 
     gen-data     generate a synthetic dataset into --out
     train        train one configuration, save checkpoints and dev EERs
     grid-search  pick the best configuration on the dev set
-    evaluate     score test trials for a saved checkpoint (raw and s-norm)
+    evaluate     score test trials for a --checkpoint (raw and s-norm)
     compare      run the full protocol per loss and emit a comparison CSV
-
-Common flags: --config <path>, --seed <int>, --out <dir>.
 """
 
 import argparse
@@ -18,26 +16,11 @@ import sys
 
 from spklab import dataset as ds
 from spklab import experiment, training
-from spklab.config import Config, dataset_spec_from_config, empty_config, parse_config
+from spklab.config import dataset_spec_from_config, empty_config, parse_config
 from spklab.errors import ConfigError, DomainError, TrainingDiverged
 
 
-def _add_common(parser: argparse.ArgumentParser, data: bool = True) -> None:
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--out", required=True, help="output directory")
-    if data:
-        parser.add_argument("--data", required=True, help="dataset directory (from gen-data)")
-
-
-def _load_config(args) -> Config:
-    if args.config is None:
-        return empty_config()
-    return parse_config(args.config)
-
-
-def cmd_gen_data(args) -> int:
-    config = _load_config(args)
+def cmd_gen_data(args, config, dataset) -> int:
     spec = dataset_spec_from_config(config, seed=args.seed)
     ds.gen_synthetic_dataset(spec, args.out)
     total = spec.n_speakers_total
@@ -45,9 +28,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
-    dataset = ds.load_dataset(args.data)
+def cmd_train(args, config, dataset) -> int:
     kind = config.get("loss", "kind", training.TrainConfig.loss_kind)
     train_config = experiment.base_config(kind, dataset, args.seed, config)
 
@@ -63,9 +44,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_grid_search(args) -> int:
-    config = _load_config(args)
-    dataset = ds.load_dataset(args.data)
+def cmd_grid_search(args, config, dataset) -> int:
     kind = config.get("loss", "kind", training.TrainConfig.loss_kind)
     grid = experiment.default_grid(kind, dataset, args.seed, config)
     budget = experiment.grid_budget(config.get("training", "grid_epochs"), grid[0].epochs)
@@ -79,9 +58,7 @@ def cmd_grid_search(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args)
-    dataset = ds.load_dataset(args.data)
+def cmd_evaluate(args, config, dataset) -> int:
     ckpt, _ = training.load_checkpoint(args.checkpoint)
     opts = experiment.eval_options(config)
     os.makedirs(args.out, exist_ok=True)
@@ -93,9 +70,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    config = _load_config(args)
-    dataset = ds.load_dataset(args.data)
+def cmd_compare(args, config, dataset) -> int:
     results = experiment.compare_losses(dataset, args.out, args.seed, config)
     for kind, result in results:
         if result is None:
@@ -107,34 +82,31 @@ def cmd_compare(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "gen-data": ("generate a synthetic dataset", cmd_gen_data),
+    "train": ("train one configuration", cmd_train),
+    "grid-search": ("pick the best configuration on dev", cmd_grid_search),
+    "evaluate": ("score test trials for a checkpoint", cmd_evaluate),
+    "compare": ("compare loss functions end to end", cmd_compare),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spklab",
         description="Metric-learning laboratory for speaker verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    _add_common(p, data=False)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train one configuration")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("grid-search", help="pick the best configuration on dev")
-    _add_common(p)
-    p.set_defaults(func=cmd_grid_search)
-
-    p = sub.add_parser("evaluate", help="score test trials for a checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True, help="checkpoint file to evaluate")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="compare loss functions end to end")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
+    for name, (help_text, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="path to a key = value config file")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--out", required=True, help="output directory")
+        if name != "gen-data":
+            p.add_argument("--data", required=True, help="dataset directory (from gen-data)")
+        if name == "evaluate":
+            p.add_argument("--checkpoint", required=True, help="checkpoint file to evaluate")
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -144,7 +116,9 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        config = empty_config() if args.config is None else parse_config(args.config)
+        dataset = ds.load_dataset(args.data) if "data" in args else None
+        return args.func(args, config, dataset)
     except (ConfigError, DomainError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -186,20 +186,17 @@ def run_experiment(
     seed: int = 0,
     budget_epochs: int | None = None,
     grid_epochs: int | None = None,
-    eval_options: EvalOptions | None = None,
-    grid: list[training.TrainConfig] | None = None,
+    *,
+    grid: list[training.TrainConfig],
+    eval_options: EvalOptions,
 ) -> ExperimentResult:
-    """Full per-loss protocol; writes scores, reports, and the selected
-    checkpoint under `out_dir` and returns the result summary. `grid` defaults
-    to the kind's grid under an empty config; the full budget is
-    `budget_epochs`, or the grid configs' own epochs."""
-    opts = eval_options or EvalOptions()
-    if grid is None:
-        grid = default_grid(loss_kind, dataset, seed, Config({}))
+    """Full per-loss protocol over the candidate configs of `grid`; writes scores,
+    reports, and the selected checkpoint under `out_dir` and returns the result
+    summary. The full budget is `budget_epochs`, or the grid configs' own epochs."""
     epochs = grid[0].epochs if budget_epochs is None else budget_epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
-    if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
-        top_n_candidates(len(dataset.files_of("cohort")), opts)
+    if eval_options.use_snorm:  # a bad [eval] top_n_candidates fails before training
+        top_n_candidates(len(dataset.files_of("cohort")), eval_options)
     os.makedirs(out_dir, exist_ok=True)
 
     pool = dataset.train_pool()
@@ -215,7 +212,7 @@ def run_experiment(
     training.save_checkpoint(ckpt_path, best, chosen)
     write_config_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
 
-    raw_report, normalized_report = evaluate_encoder(best.encoder, dataset, out_dir, opts, seed)
+    raw_report, normalized_report = evaluate_encoder(best.encoder, dataset, out_dir, eval_options, seed)
     improvement = 0.0
     if normalized_report is not None and raw_report.eer > 0:
         improvement = 100.0 * (raw_report.eer - normalized_report.eer) / raw_report.eer

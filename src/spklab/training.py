@@ -199,27 +199,29 @@ def train(
     lr = config.learning_rate
 
     checkpoints = []
-    for epoch in range(config.epochs):
-        for batch_index, batch in enumerate(sampling.epoch_batches(pool, spec, rng)):
-            feats = batch.features
-            if config.augment_snr_db is not None:
-                feats = np.vstack([
-                    sampling.augment_chunk(row, config.augment_snr_db, rng) for row in feats
-                ])
-            try:
-                embeddings, cache = enc.forward(params, feats)
-                out = losses.evaluate_loss(config.loss_kind, embeddings, batch.labels, state)
-            except DomainError as exc:
-                # mid-run numeric failure (overflowed activations, non-finite
-                # loss inputs or value) is divergence, not a caller contract violation
-                raise TrainingDiverged(
-                    f"loss evaluation failed at epoch {epoch} batch {batch_index}: {exc}",
-                    epoch, batch_index,
-                ) from exc
-            grads = enc.backward(params, cache, out.grad_embeddings) | out.grads
-            enc.sgd_step(params, grads, lr)
-            _check_finite_params(params, epoch, batch_index)
-        checkpoints.append(Checkpoint(epoch, params.copy(), dev_eer(params, dev_pack)))
+    # no numpy warning on overflow: a non-finite loss or parameter raises TrainingDiverged below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for batch_index, batch in enumerate(sampling.epoch_batches(pool, spec, rng)):
+                feats = batch.features
+                if config.augment_snr_db is not None:
+                    feats = np.vstack([
+                        sampling.augment_chunk(row, config.augment_snr_db, rng) for row in feats
+                    ])
+                try:
+                    embeddings, cache = enc.forward(params, feats)
+                    out = losses.evaluate_loss(config.loss_kind, embeddings, batch.labels, state)
+                except DomainError as exc:
+                    # mid-run numeric failure (overflowed activations, non-finite
+                    # loss inputs or value) is divergence, not a caller contract violation
+                    raise TrainingDiverged(
+                        f"loss evaluation failed at epoch {epoch} batch {batch_index}: {exc}",
+                        epoch, batch_index,
+                    ) from exc
+                grads = enc.backward(params, cache, out.grad_embeddings) | out.grads
+                enc.sgd_step(params, grads, lr)
+                _check_finite_params(params, epoch, batch_index)
+            checkpoints.append(Checkpoint(epoch, params.copy(), dev_eer(params, dev_pack)))
     return checkpoints
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spklab import training
-from spklab.cli import main
+from spklab.cli import COMMANDS, build_parser, main
 from spklab.dataset import load_dataset
 from spklab.training import load_checkpoint
 
@@ -308,6 +308,51 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
     assert not out.exists()
+
+
+def test_parser_table_gives_each_subcommand_its_flags():
+    # every subcommand takes --config, --seed and --out; every one but gen-data
+    # requires --data, and evaluate alone takes --checkpoint, which it requires
+    parser = build_parser()
+    flags = {"gen-data": [], "train": ["--data", "d"], "grid-search": ["--data", "d"],
+             "evaluate": ["--data", "d", "--checkpoint", "c"], "compare": ["--data", "d"]}
+    assert list(flags) == list(COMMANDS)
+    for command, extra in flags.items():
+        args = parser.parse_args([command, "--config", "x.cfg", "--seed", "2", "--out", "o", *extra])
+        assert (args.config, args.seed, args.out) == ("x.cfg", 2, "o")
+        assert args.func is COMMANDS[command][1]
+    rejected = [["gen-data", "--out", "o", "--data", "d"],
+                ["evaluate", "--out", "o", "--data", "d"]]
+    rejected += [[command, "--out", "o", *extra[2:]]  # without --data
+                 for command, extra in flags.items() if command != "gen-data"]
+    rejected += [[command, "--out", "o", *extra, "--checkpoint", "c"]
+                 for command, extra in flags.items() if command != "evaluate"]
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("section, setting, message", [
+    ("loss", "lambda = 1e308",
+     "loss evaluation failed at epoch 0 batch 0: loss value is not finite: inf"),
+    ("training", "learning_rate = 1e308", "non-finite parameter after epoch 0 batch 0"),
+], ids=["lambda", "learning_rate"])
+def test_overflow_in_training_fails_with_one_line(workdir, capsys, section, setting, message):
+    # a finite but huge value passes every config check and overflows in the first
+    # batch: one error line and no numpy warning ahead of it
+    tmp_path, cfg, data = workdir
+    text = TINY_CFG + "\n[loss]\nkind = center\n"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{setting}\n"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", str(bad), "--seed", "3",
+                     "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not list(out.rglob("best.ckpt"))
 
 
 @pytest.mark.parametrize("command, kind, section, setting, message", [

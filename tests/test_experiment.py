@@ -219,6 +219,7 @@ class TestCompare:
         solo = experiment.run_experiment(
             data, "aam", tmp_path / "solo", seed=0, budget_epochs=1,
             grid_epochs=1, eval_options=EVAL,
+            grid=experiment.default_grid("aam", data, 0, empty_config()),
         )
         assert res.raw.eer == solo.raw.eer
         assert res.normalized.eer == solo.normalized.eer
