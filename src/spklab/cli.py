@@ -17,7 +17,7 @@ import sys
 from spklab import dataset as ds
 from spklab import experiment, training
 from spklab.config import dataset_spec_from_config, empty_config, parse_config
-from spklab.errors import ConfigError, DomainError, TrainingDiverged
+from spklab.errors import ConfigError, DomainError, TrainingDiverged, write_echo
 
 
 def cmd_gen_data(args, config, dataset) -> int:
@@ -37,7 +37,7 @@ def cmd_train(args, config, dataset) -> int:
         dataset.train_pool(), train_config, dataset.eval_pack("dev"))
 
     training.save_checkpoint(os.path.join(args.out, "best.ckpt"), best, train_config)
-    with open(os.path.join(args.out, "dev_eer_curve.txt"), "w") as fh:
+    with open(os.path.join(args.out, "dev_eer_curve.txt"), "w", encoding="utf-8") as fh:
         for ckpt in checkpoints:
             fh.write(f"{ckpt.epoch} {ckpt.dev_eer!r}\n")
     print(f"best epoch {best.epoch} dev EER {best.dev_eer:.4f}")
@@ -52,7 +52,7 @@ def cmd_grid_search(args, config, dataset) -> int:
     chosen = training.grid_search(dataset.train_pool(), grid, budget, dataset.eval_pack("dev"))
 
     os.makedirs(args.out, exist_ok=True)
-    experiment.write_config_echo(os.path.join(args.out, "chosen_config.txt"), chosen)
+    write_echo(os.path.join(args.out, "chosen_config.txt"), chosen)
     print(f"chosen: lr={chosen.learning_rate} speakers={chosen.speakers_per_batch} "
           f"chunks={chosen.chunks_per_speaker}")
     return 0

@@ -152,7 +152,7 @@ def parse_config(path) -> Config:
     """Read and validate a config file against the schema."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

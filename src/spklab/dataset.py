@@ -8,23 +8,26 @@ spread, optionally passed through the SNR augmentation. Files group a
 fixed number of chunks; trials compare file-level embeddings.
 
 On disk a dataset is a manifest (text) plus one flat .npy matrix holding
-all chunk rows, so identical seeds produce byte-identical files. A loaded
-dataset keeps that matrix as read-only float64 rows, and its files are views
-of it. `SpeakerDataset.rows` alone decides how a list of files is handed out:
-as one view of the matrix where the manifest lays them end to end, as
-`save_dataset` writes them, else as a copy. The training pool and the
-scoring stacks take their rows from it.
+all chunk rows, so identical seeds produce byte-identical files. A dataset,
+generated or loaded, keeps that matrix as read-only float64 rows, and its
+files are views of it. `SpeakerDataset.rows` alone decides how a list of
+files is handed out: as one view of the matrix where the layout puts them
+end to end, as `generate_dataset` lays them out and `save_dataset` writes
+them, else as a copy. The training pool and the scoring stacks take their
+rows from it.
 """
 
+import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from spklab.errors import DomainError, read_lines
-from spklab.sampling import TrainPool, augment_chunk
+from spklab.errors import DomainError, read_lines, write_echo
+from spklab.sampling import TrainPool, augment_chunk, snr_bounds
 from spklab.scoring import Trial, read_trials, write_trials
 from spklab.training import EvalPack
 
@@ -66,19 +69,20 @@ class SyntheticDatasetSpec:
                               f"got {self.intra_speaker_spread}")
         if self.trials_per_speaker < 2:
             raise DomainError("trials_per_speaker must be at least 2")
+        if self.augment_snr_db is not None:
+            snr_bounds(self.augment_snr_db)
 
     @property
     def n_speakers_total(self) -> int:
         return (self.n_speakers_train + self.n_speakers_dev
                 + self.n_speakers_cohort + self.n_speakers_test)
 
-    def partition_sizes(self) -> dict[str, int]:
-        return {
-            "train": self.n_speakers_train,
-            "dev": self.n_speakers_dev,
-            "cohort": self.n_speakers_cohort,
-            "test": self.n_speakers_test,
-        }
+    def partition_speakers(self) -> dict[str, range]:
+        """Each partition's speaker ids, consecutive from 0 in `PARTITIONS` order."""
+        sizes = (self.n_speakers_train, self.n_speakers_dev, self.n_speakers_cohort,
+                 self.n_speakers_test)
+        ends = itertools.accumulate(sizes)
+        return {p: range(end - n, end) for p, n, end in zip(PARTITIONS, sizes, ends)}
 
 
 @dataclass(frozen=True)
@@ -89,22 +93,25 @@ class FileRecord:
     features: np.ndarray  # (chunks_per_file, feature_dim)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpeakerDataset:
-    """In-memory dataset: partitioned speakers, their files, and trial lists."""
+    """Partitioned speakers, their files and the dev and test trial lists, over one
+    read-only (rows, d) float64 chunk matrix: file `fid`'s features are the view of its
+    rows from `starts[fid]`. `generate_dataset` lays the files end to end in file-id
+    order, as `save_dataset` writes them; `load_dataset` keeps the manifest's layout.
+    `files` and `starts` are read-only mappings, as `rows` reads the matrix by the starts,
+    not by the records."""
 
-    feature_dim: int
+    matrix: np.ndarray
+    starts: Mapping[str, int]
+    files: Mapping[str, FileRecord]
     partitions: dict[str, list[int]]
-    files: dict[str, FileRecord]
     trials_dev: list[Trial]
     trials_test: list[Trial]
-    spec_echo: dict[str, str] = field(default_factory=dict)
-    # a loaded dataset's read-only (rows, d) float64 chunk matrix, which its files are views
-    # of, and each file's first row there from the manifest; None and {} for a dataset built
-    # in memory. `rows` views the matrix by these offsets, so the files of a loaded dataset
-    # must not be replaced.
-    matrix: np.ndarray | None = None
-    starts: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.matrix.shape[1]
 
     def files_of(self, partition: str) -> dict[str, np.ndarray]:
         return {
@@ -115,11 +122,10 @@ class SpeakerDataset:
 
     def rows(self, file_ids: Sequence[str]) -> np.ndarray:
         """The files' chunk rows end to end in the given order, as one (rows, d) array: a
-        read-only view of the loaded matrix when the manifest starts put each file where the
-        one before it ends, as `save_dataset` writes them, else a float64 copy ((0, d) for
-        no files)."""
+        read-only view of the matrix when the starts put each file where the one before it
+        ends, else a float64 copy ((0, d) for no files)."""
         blocks = [self.files[fid].features for fid in file_ids]
-        if self.matrix is not None and file_ids:
+        if file_ids:
             start = end = self.starts[file_ids[0]]
             for fid, block in zip(file_ids, blocks):
                 if self.starts[fid] != end:
@@ -131,7 +137,7 @@ class SpeakerDataset:
 
     def train_pool(self) -> TrainPool:
         """Chunks of the train speakers in one array, by train-local label 0..K-1, files of
-        one label in manifest order (see `rows`)."""
+        one label in `files` order (see `rows`)."""
         label_of = {spk: i for i, spk in enumerate(self.partitions["train"])}
         train = sorted((rec for rec in self.files.values() if rec.partition == "train"),
                        key=lambda rec: label_of[rec.speaker])
@@ -173,14 +179,14 @@ def _unit_sphere(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 def _make_trials(
-    files_by_speaker: Mapping[int, list[str]],
+    speakers: Sequence[int],
     spec: SyntheticDatasetSpec,
     rng: np.random.Generator,
 ) -> list[Trial]:
-    """Per speaker: all same-speaker file pairs (capped at half the
-    per-speaker trial budget) plus an equal number of sampled cross-speaker
-    pairs."""
-    speakers = sorted(files_by_speaker)
+    """Per speaker, in the given order: all same-speaker file pairs (capped at half the
+    per-speaker trial budget) plus an equal number of sampled cross-speaker pairs."""
+    files_by_speaker = {spk: [file_id(spk, f) for f in range(spec.files_per_speaker)]
+                        for spk in speakers}
     trials: list[Trial] = []
     per_class = spec.trials_per_speaker // 2
     for spk in speakers:
@@ -203,67 +209,62 @@ def _make_trials(
 
 
 def generate_dataset(spec: SyntheticDatasetSpec) -> SpeakerDataset:
-    """Build the full dataset in memory, deterministically from the seed."""
+    """Build the full dataset in memory, deterministically from the seed, with the files
+    end to end in file-id order; a DomainError if a feature value overflows float64."""
     rng = np.random.default_rng(spec.seed)
-    sizes = spec.partition_sizes()
     latents = _unit_sphere(rng, spec.n_speakers_total, spec.feature_dim)
+    speakers = spec.partition_speakers()
 
-    partitions: dict[str, list[int]] = {}
-    next_speaker = 0
-    for name in PARTITIONS:
-        partitions[name] = list(range(next_speaker, next_speaker + sizes[name]))
-        next_speaker += sizes[name]
+    chunks: dict[str, tuple[str, int, np.ndarray]] = {}  # file id -> (partition, speaker, rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        for name in PARTITIONS:
+            for spk in speakers[name]:
+                for f in range(spec.files_per_speaker):
+                    chunks[file_id(spk, f)] = (name, spk, speaker_chunks(
+                        latents[spk], spec.chunks_per_file, spec.intra_speaker_spread,
+                        rng, spec.augment_snr_db,
+                    ))
+    order = sorted(chunks)
+    matrix = np.concatenate([chunks[fid][2] for fid in order])
+    if not np.isfinite(matrix).all():
+        raise DomainError(f"generated features overflow float64 (intra_speaker_spread "
+                          f"{spec.intra_speaker_spread}, augment_snr_db {spec.augment_snr_db})")
 
-    files: dict[str, FileRecord] = {}
-    for name in PARTITIONS:
-        for spk in partitions[name]:
-            for f in range(spec.files_per_speaker):
-                feats = speaker_chunks(
-                    latents[spk], spec.chunks_per_file, spec.intra_speaker_spread,
-                    rng, spec.augment_snr_db,
-                )
-                fid = file_id(spk, f)
-                files[fid] = FileRecord(fid, spk, name, feats)
+    n = spec.chunks_per_file
+    layout = [(fid, *chunks[fid][:2], i * n, n) for i, fid in enumerate(order)]
+    return _dataset(matrix, layout, _make_trials(speakers["dev"], spec, rng),
+                    _make_trials(speakers["test"], spec, rng))
 
-    def ids_by_speaker(partition: str) -> dict[int, list[str]]:
-        return {
-            spk: [file_id(spk, f) for f in range(spec.files_per_speaker)]
-            for spk in partitions[partition]
-        }
 
-    trials_dev = _make_trials(ids_by_speaker("dev"), spec, rng)
-    trials_test = _make_trials(ids_by_speaker("test"), spec, rng)
-
-    spec_echo = {k: repr(v) for k, v in sorted(vars(spec).items())}
+def _dataset(matrix: np.ndarray, layout: Sequence[tuple[str, str, int, int, int]],
+             trials_dev: list[Trial], trials_test: list[Trial]) -> SpeakerDataset:
+    """The dataset over float64 `matrix`, made read-only, of the files that `layout` places
+    there, one (file id, partition, speaker, start, n) per file."""
+    matrix.flags.writeable = False
     return SpeakerDataset(
-        feature_dim=spec.feature_dim,
-        partitions=partitions,
-        files=files,
+        matrix=matrix,
+        starts=MappingProxyType({fid: start for fid, _, _, start, _ in layout}),
+        files=MappingProxyType({
+            fid: FileRecord(fid, speaker, partition, matrix[start : start + n])
+            for fid, partition, speaker, start, n in layout}),
+        partitions={p: sorted({speaker for _, q, speaker, _, _ in layout if q == p})
+                    for p in PARTITIONS},
         trials_dev=trials_dev,
         trials_test=trials_test,
-        spec_echo=spec_echo,
     )
 
 
 def save_dataset(ds: SpeakerDataset, out_dir) -> None:
-    """Write manifest, flat feature matrix, spec echo, and trial lists."""
+    """Write the manifest (files in file-id order, at their starts), the chunk matrix as
+    laid out, and the trial lists."""
     os.makedirs(out_dir, exist_ok=True)
-    order = sorted(ds.files)
-    rows = []
-    manifest_lines = [f"feature_dim {ds.feature_dim}\n"]
-    start = 0
-    for fid in order:
-        rec = ds.files[fid]
-        n = rec.features.shape[0]
-        manifest_lines.append(f"{fid} {rec.partition} {rec.speaker} {start} {n}\n")
-        rows.append(rec.features)
-        start += n
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
-        fh.writelines(manifest_lines)
-    np.save(os.path.join(out_dir, FEATURES_NAME), np.vstack(rows))
-    with open(os.path.join(out_dir, SPEC_NAME), "w") as fh:
-        for key, value in ds.spec_echo.items():
-            fh.write(f"{key} = {value}\n")
+    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+        fh.write(f"feature_dim {ds.feature_dim}\n")
+        for fid in sorted(ds.files):
+            rec = ds.files[fid]
+            fh.write(f"{fid} {rec.partition} {rec.speaker} {ds.starts[fid]} "
+                     f"{len(rec.features)}\n")
+    np.save(os.path.join(out_dir, FEATURES_NAME), ds.matrix)
     write_trials(os.path.join(out_dir, DEV_TRIALS_NAME), ds.trials_dev)
     write_trials(os.path.join(out_dir, TEST_TRIALS_NAME), ds.trials_test)
 
@@ -289,13 +290,11 @@ def load_dataset(data_dir) -> SpeakerDataset:
     except ValueError as exc:
         raise DomainError(f"{features_path}: {exc}") from None
     features = np.ascontiguousarray(features, dtype=np.float64)  # files, pool and stacks view it
-    features.flags.writeable = False
 
     feature_dim = None
     partition_of: dict[int, str] = {}  # speaker -> partition; the partitions are disjoint
-    files: dict[str, FileRecord] = {}
+    layout: list[tuple[str, str, int, int, int]] = []
     line_of: dict[str, int] = {}
-    starts: dict[str, int] = {}
     for line_no, line in enumerate(read_lines(manifest_path), start=1):
         parts = line.split()
         if not parts:
@@ -324,40 +323,22 @@ def load_dataset(data_dir) -> SpeakerDataset:
         if partition_of.setdefault(speaker, partition) != partition:
             raise DomainError(f"{manifest_path}:{line_no}: speaker {speaker} is in both the "
                               f"{partition_of[speaker]} and the {partition} partition")
-        files[fid] = FileRecord(fid, speaker, partition, features[start : start + n])
-        starts[fid] = start
+        layout.append((fid, partition, speaker, start, n))
     if feature_dim is None:
         raise DomainError(f"{manifest_path}: missing feature_dim header")
     # one pass; a bad row no file uses is harmless
     if not np.isfinite(features).all():
-        for fid, record in files.items():
-            if not np.isfinite(record.features).all():
+        for fid, _, _, start, n in layout:
+            if not np.isfinite(features[start : start + n]).all():
                 raise DomainError(f"{manifest_path}:{line_of[fid]}: file {fid} has a "
                                   f"non-finite feature value")
-
-    spec_echo = {}
-    spec_path = os.path.join(data_dir, SPEC_NAME)
-    if os.path.exists(spec_path):
-        for line in read_lines(spec_path):
-            key, _, value = line.partition("=")
-            if value:
-                spec_echo[key.strip()] = value.strip()
-
-    return SpeakerDataset(
-        feature_dim=feature_dim,
-        partitions={p: sorted(spk for spk, q in partition_of.items() if q == p)
-                    for p in PARTITIONS},
-        files=files,
-        trials_dev=read_trials(os.path.join(data_dir, DEV_TRIALS_NAME)),
-        trials_test=read_trials(os.path.join(data_dir, TEST_TRIALS_NAME)),
-        spec_echo=spec_echo,
-        matrix=features,
-        starts=starts,
-    )
+    return _dataset(features, layout, read_trials(os.path.join(data_dir, DEV_TRIALS_NAME)),
+                    read_trials(os.path.join(data_dir, TEST_TRIALS_NAME)))
 
 
 def gen_synthetic_dataset(spec: SyntheticDatasetSpec, out_dir) -> SpeakerDataset:
-    """Generate a dataset and write it under `out_dir`."""
+    """Generate a dataset and write it under `out_dir`, with the spec's echo."""
     ds = generate_dataset(spec)
     save_dataset(ds, out_dir)
+    write_echo(os.path.join(out_dir, SPEC_NAME), spec)
     return ds

@@ -52,6 +52,10 @@ class EncoderParams:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise DomainError(f"unknown activation {self.activation!r}")
+        for name, ndim in zip(ENCODER_ARRAYS, (2, 1, 2, 1)):  # weight matrices, bias vectors
+            shape = np.shape(getattr(self, name))
+            if len(shape) != ndim:
+                raise DomainError(f"encoder array {name!r} has shape {shape}, not {ndim}-D")
         if self.w1.shape[0] != self.b1.shape[0] or self.w2.shape[0] != self.b2.shape[0]:
             raise DomainError("bias lengths must match weight output dims")
         if self.w2.shape[1] != self.w1.shape[0]:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one text-file reader
-that turns a file that is not UTF-8 text into a DomainError."""
+"""Exception types shared across the package, the one text-file reader that
+turns a file that is not UTF-8 text into a DomainError, and the one writer
+of `key = value` echo files."""
 
 
 class DomainError(ValueError):
@@ -30,3 +31,10 @@ def read_lines(path) -> list[str]:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a UTF-8 text file: {exc}") from None
+
+
+def write_echo(path, fields) -> None:
+    """One sorted `key = value!r` line per attribute of `fields`, a dataclass instance."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in sorted(vars(fields).items()):
+            fh.write(f"{key} = {value!r}\n")

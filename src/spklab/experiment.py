@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from spklab import losses, scoring, training
 from spklab.config import Config
 from spklab.dataset import SpeakerDataset
-from spklab.errors import ConfigError, DomainError, TrainingDiverged
+from spklab.errors import ConfigError, DomainError, TrainingDiverged, write_echo
 
 logger = logging.getLogger(__name__)
 
@@ -172,13 +172,6 @@ def evaluate_encoder(
     return raw_report, normalized_report
 
 
-def write_config_echo(path, config: training.TrainConfig) -> None:
-    """One sorted `key = value!r` line per config field."""
-    with open(path, "w") as fh:
-        for key, value in sorted(vars(config).items()):
-            fh.write(f"{key} = {value!r}\n")
-
-
 def run_experiment(
     dataset: SpeakerDataset,
     loss_kind: str,
@@ -210,7 +203,7 @@ def run_experiment(
 
     ckpt_path = os.path.join(out_dir, "best.ckpt")
     training.save_checkpoint(ckpt_path, best, chosen)
-    write_config_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
+    write_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
 
     raw_report, normalized_report = evaluate_encoder(best.encoder, dataset, out_dir, eval_options, seed)
     improvement = 0.0
@@ -249,7 +242,7 @@ def _write_result_summary(path, result: ExperimentResult) -> None:
         f"epochs: {result.config.epochs}",
         f"seed: {result.config.seed}",
     ]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -293,9 +286,9 @@ def compare_losses(
             csv_lines.append(f"{kind},nan,nan,nan,nan,nan")
         else:
             csv_lines.append(result.csv_row())
-    with open(os.path.join(out_dir, "compare.csv"), "w") as fh:
+    with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(csv_lines) + "\n")
     if failures:
-        with open(os.path.join(out_dir, "failures.txt"), "w") as fh:
+        with open(os.path.join(out_dir, "failures.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(failures) + "\n")
     return results

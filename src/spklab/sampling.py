@@ -21,6 +21,7 @@ but drawing them keeps the generator's stream, and every later batch,
 exactly as one `choice` call per speaker leaves it.
 """
 
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -244,17 +245,34 @@ def form_tuples(labels, mode: str) -> TupleIndex:
     return TupleIndex()
 
 
+def snr_bounds(snr_db_range) -> tuple[float, float]:
+    """The (low, high) bounds in dB of an augmentation SNR range, as floats; a DomainError
+    unless low <= high and each bound's power ratio 10^(dB/10) is a positive finite float
+    (a nan or infinite bound has none)."""
+    lo, hi = float(snr_db_range[0]), float(snr_db_range[1])
+    for bound in (lo, hi):
+        try:
+            ratio = 10.0 ** (bound / 10.0)
+        except OverflowError:
+            ratio = math.inf
+        if not 0.0 < ratio < math.inf:
+            raise DomainError(f"snr bound {bound} dB: its power ratio 10^(dB/10) is not a "
+                              f"positive finite float")
+    if lo > hi:
+        raise DomainError(f"snr range low {lo} > high {hi}")
+    return lo, hi
+
+
 def augment_chunk(features, snr_db_range, rng: np.random.Generator) -> np.ndarray:
-    """Add zero-mean white noise at an SNR drawn uniformly from the range.
+    """Add zero-mean white noise at an SNR drawn uniformly from the range (see
+    `snr_bounds`).
 
     The noise is rescaled so 10*log10(signal power / noise power) equals
     the drawn value exactly. All-zero features are rejected (their SNR is
     undefined).
     """
     x = np.asarray(features, dtype=np.float64)
-    lo, hi = float(snr_db_range[0]), float(snr_db_range[1])
-    if lo > hi:
-        raise DomainError(f"snr range low {lo} > high {hi}")
+    lo, hi = snr_bounds(snr_db_range)
     if not np.all(np.isfinite(x)):
         raise DomainError("augment_chunk: non-finite features")
     signal_power = float(np.mean(x**2))

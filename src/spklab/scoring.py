@@ -22,6 +22,9 @@ logger = logging.getLogger(__name__)
 SNORM_STD_MODES = ("population", "sample")
 SNORM_MIN_STD = 1e-12
 BOOTSTRAP_BLOCK_CELLS = 1 << 13  # resamples x distinct scores in one bootstrap block
+# each tail of the 95% bootstrap interval, in the float that 100 * (1 - 0.95) / 2 rounds to
+# (2.500000000000002), so the interval bounds keep their bits
+CI_TAIL_PERCENT = 100.0 * (1.0 - 0.95) / 2.0
 SNORM_BLOCK_CELLS = 1 << 14  # files x cohort files in one s-norm block: 128 KB of cosines
 
 
@@ -317,10 +320,9 @@ def _percentile(ranked: np.ndarray, percent: float) -> float:
 def eer_bootstrap_ci(
     scores: Scores,
     n_bootstrap: int,
-    confidence: float = 0.95,
     seed: int = 0,
 ) -> EerReport:
-    """EER with an empirical-percentile bootstrap confidence interval.
+    """EER with a 95% empirical-percentile bootstrap confidence interval.
 
     Targets and non-targets are resampled with replacement independently,
     preserving each class count, so every resample keeps both classes
@@ -333,8 +335,6 @@ def eer_bootstrap_ci(
     with `eer_from_scores`' EERs.
     """
     check_n_bootstrap(n_bootstrap)
-    if not 0.0 < confidence < 1.0:
-        raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     tar, non = split_classes(scores.values, scores.index.target)
     value, threshold = eer_from_scores(tar, non)
 
@@ -349,8 +349,7 @@ def eer_bootstrap_ci(
         boot[start:stop], = _crossing(below, tar.size, non.size)
 
     boot.sort()
-    half = 100.0 * (1.0 - confidence) / 2.0
-    lo, hi = _percentile(boot, half), _percentile(boot, 100.0 - half)
+    lo, hi = _percentile(boot, CI_TAIL_PERCENT), _percentile(boot, 100.0 - CI_TAIL_PERCENT)
     return EerReport(
         value,
         threshold,
@@ -409,7 +408,7 @@ def tune_cohort_size(embeddings: np.ndarray, index: TrialIndex, cohort_embedding
 
 
 def write_trials(path, trials: Sequence[Trial]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for t in trials:
             fh.write(f"{1 if t.is_target else 0} {t.enroll} {t.test}\n")
 
@@ -427,21 +426,9 @@ def read_trials(path) -> list[Trial]:
 
 
 def write_scores(path, scores: Scores) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for t, score in zip(scores.index.trials, scores.values.tolist()):
             fh.write(f"{t.enroll} {t.test} {score:.9g}\n")
-
-
-def read_scores(path) -> list[tuple[str, str, float]]:
-    out = []
-    for line_no, line in enumerate(read_lines(path), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise DomainError(f"{path}:{line_no}: bad score line {line.rstrip()!r}")
-        out.append((parts[0], parts[1], float(parts[2])))
-    return out
 
 
 def format_report(report: EerReport) -> str:
@@ -459,13 +446,13 @@ def format_report(report: EerReport) -> str:
 
 
 def write_report(path, report: EerReport) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
 
 
 def write_det_csv(path, scores: Scores) -> None:
     pts = det_points(scores)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("far,frr\n")
         for far, frr in pts:
             fh.write(f"{far:.9g},{frr:.9g}\n")

@@ -57,6 +57,8 @@ class TrainConfig:
         for name in ("speakers_per_batch", "chunks_per_speaker", "hidden_dim", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.augment_snr_db is not None:
+            sampling.snr_bounds(self.augment_snr_db)
         self.hyper()  # a bad alpha, margin, lambda or penalty fails when a grid is built
         for name in losses.KINDS[self.loss_kind].domains:
             losses.check_domain(self.loss_kind, name, getattr(self, name))
@@ -303,7 +305,7 @@ def save_checkpoint(path, ckpt: Checkpoint, config: TrainConfig) -> None:
     for name in sorted(arrays):
         parts.append(_format_array(name, arrays[name]))
     parts.append("end\n")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(parts))
 
 
@@ -362,8 +364,11 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
     for required in enc.ENCODER_ARRAYS:
         if required not in arrays:
             raise DomainError(f"{path}: missing encoder array {required!r}")
-    params = enc.EncoderParams(
-        **{name: arrays[name] for name in enc.ENCODER_ARRAYS}, activation=activation,
-        loss_arrays={name: arrays[name] for name in losses.TRAINED_ARRAYS if name in arrays},
-    )
+    try:
+        params = enc.EncoderParams(
+            **{name: arrays[name] for name in enc.ENCODER_ARRAYS}, activation=activation,
+            loss_arrays={name: arrays[name] for name in losses.TRAINED_ARRAYS if name in arrays},
+        )
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
     return Checkpoint(epoch, params, eer_value), config_echo

@@ -257,14 +257,13 @@ def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     assert not list(out.rglob("best.ckpt"))
 
 
-@pytest.mark.parametrize("kind", ["config", "manifest", "dataset_spec", "trials", "checkpoint"])
+@pytest.mark.parametrize("kind", ["config", "manifest", "trials", "checkpoint"])
 def test_non_utf8_file_fails_cleanly(workdir, capsys, kind):
     # a 0xff byte in a text input, or a binary file (features.npy) given as the checkpoint,
     # which evaluate reads last: one error line naming the file, before anything is written
     tmp_path, cfg, data = workdir
     ckpt = data / "features.npy"
-    bad = {"config": cfg, "manifest": data / "manifest.txt",
-           "dataset_spec": data / "dataset_spec.txt", "trials": data / "trials_test.txt",
+    bad = {"config": cfg, "manifest": data / "manifest.txt", "trials": data / "trials_test.txt",
            "checkpoint": ckpt}[kind]
     if kind != "checkpoint":
         bad.write_bytes(bad.read_bytes() + b"; \xff\n")
@@ -571,3 +570,130 @@ def test_speaker_in_two_partitions_fails_cleanly(workdir, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {manifest}:{k + 1}: speaker 0 is in both the train and the test "
                    "partition"]
+
+
+def with_setting(section, setting):
+    """TINY_CFG with `setting` lines added to its `[section]`."""
+    return TINY_CFG.replace(f"[{section}]\n", f"[{section}]\n{setting}\n")
+
+
+NO_POWER_RATIO = "dB: its power ratio 10^(dB/10) is not a positive finite float"
+
+
+@pytest.mark.parametrize("low, high, message", [
+    ("-4000", "0", f"snr bound -4000.0 {NO_POWER_RATIO}"),
+    ("0", "4000", f"snr bound 4000.0 {NO_POWER_RATIO}"),
+    ("nan", "0", f"snr bound nan {NO_POWER_RATIO}"),
+    ("20", "10", "snr range low 20.0 > high 10.0"),
+], ids=["low_-4000", "high_4000", "nan", "low_above_high"])
+@pytest.mark.parametrize("command, section", [("gen-data", "dataset"), ("train", "training")])
+def test_snr_range_fails_before_any_work(workdir, capsys, command, section, low, high, message):
+    # a ratio that underflows to 0 divided by zero, one that overflows raised OverflowError,
+    # and a nan bound reached rng.uniform
+    tmp_path, _, data = workdir
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(with_setting(section, f"augment_snr_low = {low}\naugment_snr_high = {high}"))
+    out = tmp_path / "out"
+    data_flag = [] if command == "gen-data" else ["--data", str(data)]
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), "--seed", "3", "--out", str(out),
+                 *data_flag]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, values", [
+    (TINY_CFG.replace("intra_speaker_spread = 0.3", "intra_speaker_spread = 1e308"),
+     "intra_speaker_spread 1e+308, augment_snr_db None"),
+    # a power ratio of 1e-320 is positive, so the range passes; the noise it scales to is not
+    (with_setting("dataset", "augment_snr_low = -3200\naugment_snr_high = -3200"),
+     "intra_speaker_spread 0.3, augment_snr_db (-3200.0, -3200.0)"),
+], ids=["spread_1e308", "snr_-3200"])
+def test_overflowing_dataset_is_never_written(tmp_path, capsys, text, values):
+    # the spread printed a numpy overflow warning and wrote inf features, exit 0
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "data"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["gen-data", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: generated features overflow float64 ({values})"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, header, shape", [
+    ("b2", "array b2 2 8 1", (8, 1)), ("w1", "array w1 3 12 12 1", (12, 12, 1)),
+])
+def test_checkpoint_array_of_wrong_rank_fails_cleanly(workdir, capsys, name, header, shape):
+    # a (8, 1) b2 made evaluate fail in numpy broadcasting; a (12, 12, 1) w1 loaded
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    ckpt = run / "best.ckpt"
+    lines = ckpt.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(f"array {name} "))
+    lines[k] = header
+    ckpt.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--seed", "3", "--data", str(data),
+                 "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+    ndim = 1 if name[0] == "b" else 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ckpt}: encoder array {name!r} has shape {shape}, not {ndim}-D"]
+    assert not out.exists()
+
+
+def run_python(flags, code, env_changes=()):
+    """Runs `code` in a fresh interpreter with `flags`, spklab importable; returns the run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUTF8", None)
+    env.update(env_changes)
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, env=env)
+
+
+def test_every_text_file_names_its_encoding(tmp_path):
+    # every file spklab reads or writes as text is opened with an explicit encoding: each
+    # command runs with an EncodingWarning made an error
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    common = ["--config", str(cfg), "--seed", "3"]
+    data = ["--data", str(tmp_path / "data")]
+    runs = [["gen-data", *common, "--out", str(tmp_path / "data")],
+            ["train", *common, *data, "--out", str(tmp_path / "run")],
+            ["grid-search", *common, *data, "--out", str(tmp_path / "grid")],
+            ["evaluate", *common, *data, "--out", str(tmp_path / "eval"),
+             "--checkpoint", str(tmp_path / "run" / "best.ckpt")],
+            ["compare", *common, *data, "--out", str(tmp_path / "cmp")]]
+    code = f"from spklab.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv"
+    run = run_python(["-X", "warn_default_encoding", "-W", "error::EncodingWarning"], code)
+    assert run.returncode == 0, run.stderr.decode()
+    assert (tmp_path / "cmp" / "compare.csv").is_file()
+
+
+def test_non_ascii_file_id_scores_alike_in_any_locale(workdir):
+    # an ASCII locale used to fail writing the scores of a file named s00NN_f00é; UTF-8
+    # mode (-X utf8=1) gives the default encoding of a UTF-8 locale
+    tmp_path, cfg, data = workdir
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(tmp_path / "run")]) == 0
+    fid = load_dataset(data).trials_test[0].enroll
+    for name in ("manifest.txt", "trials_test.txt"):
+        text = (data / name).read_text(encoding="utf-8")
+        (data / name).write_text(text.replace(fid, f"{fid}é"), encoding="utf-8")
+    outs = {}
+    for mode in ("0", "1"):
+        outs[mode] = tmp_path / f"eval_utf8_{mode}"
+        argv = ["evaluate", "--config", str(cfg), "--seed", "3", "--data", str(data),
+                "--out", str(outs[mode]), "--checkpoint", str(tmp_path / "run" / "best.ckpt")]
+        code = f"from spklab.cli import main\nraise SystemExit(main({argv!r}))"
+        run = run_python(["-X", f"utf8={mode}"], code, {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})
+        assert (run.returncode, run.stderr) == (0, b""), run.stderr.decode()
+    names = sorted(path.name for path in outs["0"].iterdir())
+    assert names == sorted(path.name for path in outs["1"].iterdir())
+    for name in names:
+        assert (outs["0"] / name).read_bytes() == (outs["1"] / name).read_bytes(), name
+    assert f"{fid}é ".encode() in (outs["0"] / "scores_test_raw.txt").read_bytes()

@@ -4,6 +4,7 @@ degenerate-geometry behavior, and on-disk round trips."""
 import re
 import tempfile
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,16 @@ class TestOnDisk:
                      "trials_test.txt", "dataset_spec.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_spec_echo_is_never_read(self, tmp_path):
+        # dataset_spec.txt records the spec for a reader; a directory in its place still loads
+        ds = gen_synthetic_dataset(SMALL, tmp_path / "data")
+        spec_echo = tmp_path / "data" / "dataset_spec.txt"
+        assert spec_echo.read_text() == "".join(
+            f"{key} = {value!r}\n" for key, value in sorted(vars(SMALL).items()))
+        spec_echo.unlink()
+        spec_echo.mkdir()
+        assert np.array_equal(load_dataset(tmp_path / "data").matrix, ds.matrix)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DomainError, match="manifest"):
             load_dataset(tmp_path)
@@ -329,6 +340,26 @@ class TestLoadedViews:
         for record in data.files.values():
             with pytest.raises(ValueError, match="read-only"):
                 record.features[0, 0] = 0.0
+
+    def test_generated_dataset_is_laid_out_as_loaded(self, loaded):
+        # generate_dataset hands out the same read-only views that load_dataset does
+        generated, data = generate_dataset(SyntheticDatasetSpec()), loaded[0]
+        assert np.array_equal(generated.matrix, data.matrix)
+        assert dict(generated.starts) == dict(data.starts)
+        for array, expected in zip(self.arrays(generated), self.arrays(data), strict=True):
+            assert np.shares_memory(array, generated.matrix) and not array.flags.writeable
+            assert np.array_equal(array, expected)
+
+    def test_file_records_cannot_be_replaced(self, loaded):
+        # rows() reads the matrix by the starts, so a replaced record would go unseen
+        for data in (loaded[0], generate_dataset(SMALL)):
+            fid = next(iter(data.files))
+            with pytest.raises(TypeError):
+                data.files[fid] = data.files[fid]
+            with pytest.raises(TypeError):
+                data.starts[fid] = 0
+            with pytest.raises(FrozenInstanceError):
+                data.files = {}
 
     def test_other_dtypes_load_as_float64_views(self, retyped):
         for data, reference in retyped.values():

@@ -192,11 +192,17 @@ class TestRunExperiment:
 class TestEvaluateEncoder:
     def test_degenerate_cohort_still_writes_the_raw_outputs(self, tmp_path):
         # one cohort file repeated gives every file a flat cohort, so s-norm fails after
-        # the raw scores, DET and report are written, with the bytes of a raw-only run
-        flat = ds.generate_dataset(SPEC)
-        cohort = [rec for rec in flat.files.values() if rec.partition == "cohort"]
-        for rec in cohort:
-            flat.files[rec.file_id] = replace(rec, features=cohort[0].features)
+        # the raw scores, DET and report are written, with the bytes of a raw-only run;
+        # the manifest points every cohort file at the first one's rows
+        ds.gen_synthetic_dataset(SPEC, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.txt"
+        lines = [line.split() for line in manifest.read_text().splitlines()]
+        first = next(fields for fields in lines if fields[1:2] == ["cohort"])
+        for fields in lines:
+            if fields[1:2] == ["cohort"]:
+                fields[3:] = first[3:]
+        manifest.write_text("".join(" ".join(fields) + "\n" for fields in lines))
+        flat = ds.load_dataset(tmp_path / "data")
         params = training.init_run(training.TrainConfig(), SPEC.feature_dim, 10)[0]
         (tmp_path / "snorm").mkdir()
         (tmp_path / "raw").mkdir()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spklab.dataset import SyntheticDatasetSpec
 from spklab.errors import DomainError
 from spklab.sampling import (
     FLOYD_MAX_POOL,
@@ -23,6 +24,7 @@ from spklab.sampling import (
     form_triplets,
     form_tuples,
 )
+from spklab.training import TrainConfig
 
 
 def make_pool(n_speakers, chunks_each, dim=4, seed=0):
@@ -362,6 +364,19 @@ class TestAugmentChunk:
     def test_bad_range_rejected(self):
         with pytest.raises(DomainError):
             augment_chunk(np.ones(8), (20.0, 10.0), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bounds", [(-4000.0, 0.0), (0.0, 4000.0), (math.nan, 0.0),
+                                        (0.0, math.inf), (-math.inf, 0.0)])
+    def test_range_without_finite_power_ratio_rejected(self, bounds):
+        # one check, in augment_chunk and in the dataset spec and training config that
+        # carry the range
+        message = r"snr bound .* dB: its power ratio 10\^\(dB/10\) is not a positive finite"
+        with pytest.raises(DomainError, match=message):
+            augment_chunk(np.ones(8), bounds, np.random.default_rng(0))
+        with pytest.raises(DomainError, match=message):
+            SyntheticDatasetSpec(augment_snr_db=bounds)
+        with pytest.raises(DomainError, match=message):
+            TrainConfig(augment_snr_db=bounds)
 
     def test_deterministic(self):
         x = np.linspace(1.0, 2.0, 16)

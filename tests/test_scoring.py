@@ -35,7 +35,6 @@ from spklab.scoring import (
     eer_bootstrap_ci,
     eer_from_scores,
     format_report,
-    read_scores,
     read_trials,
     score_trials,
     snorm_trials,
@@ -671,7 +670,6 @@ class TestFileFormats:
         path = tmp_path / "scores.txt"
         write_scores(path, scores_of([Trial("e", "t", True)], [1.0 / 3.0]))
         assert path.read_text() == "e t 0.333333333\n"
-        assert read_scores(path) == [("e", "t", 0.333333333)]
 
     def test_unscored_rejected(self, tmp_path):
         index = TrialIndex.of([Trial("e", "t", True)], ["e", "t"])
