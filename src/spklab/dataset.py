@@ -64,6 +64,11 @@ class SyntheticDatasetSpec:
         )
         if min(counts) < 1:
             raise DomainError("all dataset counts and dims must be positive")
+        # a trial list has both classes only with two speakers and two files of each
+        for name in ("n_speakers_dev", "n_speakers_test", "files_per_speaker"):
+            if getattr(self, name) < 2:
+                raise DomainError(f"{name} must be at least 2, so that the dev and test trials "
+                                  f"have both classes, got {getattr(self, name)}")
         if not 0 < self.intra_speaker_spread < math.inf:
             raise DomainError(f"intra_speaker_spread must be positive and finite, "
                               f"got {self.intra_speaker_spread}")

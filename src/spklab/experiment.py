@@ -4,8 +4,11 @@ score-normalized evaluation, and multi-loss comparison tables.
 The protocol per loss: grid-search candidate configs on dev EER with a
 short epoch budget, retrain the winner for the full budget, select the
 best epoch on dev, score the test trials raw, tune the s-norm cohort size
-on dev, then score the test trials normalized. Everything is seeded and
-sequential, so a rerun reproduces every output file byte for byte.
+on dev, then score the test trials normalized. The bootstrap intervals of
+every score set of a run (raw and normalized, of each loss in `compare`) come
+from one `eer_bootstrap_ci` pass after the last loss is scored, so each
+resample is drawn once. Everything is seeded and sequential, so a rerun
+reproduces every output file byte for byte.
 """
 
 import itertools
@@ -138,12 +141,21 @@ def top_n_candidates(cohort_size: int, opts: EvalOptions) -> list[int]:
     return candidates
 
 
-def evaluate_encoder(
-    encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions, seed: int
-) -> tuple[scoring.EerReport, scoring.EerReport | None]:
-    """Score the test trials raw and, unless s-norm is off, normalized with
-    top_n tuned on dev; write scores and reports under `out_dir`. Returns
-    the raw report and the normalized one (None without s-norm)."""
+@dataclass(frozen=True)
+class EvalScores:
+    """One encoder's scored test trials, written under `out_dir`: raw, and normalized at
+    the tuned cohort size unless s-norm is off or failed, when its error is kept."""
+
+    out_dir: str | os.PathLike
+    raw: scoring.Scores
+    normalized: scoring.Scores | None = None
+    top_n: int | None = None
+    snorm_error: DomainError | None = None
+
+
+def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> EvalScores:
+    """Score the test trials raw and, unless s-norm is off, normalized with top_n tuned on
+    dev; write the DET points and the score files under `out_dir`."""
     if opts.use_snorm:  # a bad option or dev trial list fails before any file is written
         candidates = top_n_candidates(len(dataset.files_of("cohort")), opts)
         dev_pack = dataset.eval_pack("dev")
@@ -153,23 +165,103 @@ def evaluate_encoder(
     # the DET first: a test list without both classes fails there, before any file is written
     scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), raw)
     scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), raw)
-
-    raw_report = scoring.eer_bootstrap_ci(raw, opts.n_bootstrap, seed=seed)
-    scoring.write_report(os.path.join(out_dir, "report_raw.txt"), raw_report)
     if not opts.use_snorm:
-        return raw_report, None
-    cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
-    top_n = scoring.tune_cohort_size(
-        training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
-        candidates, opts.snorm_std,
-    )
-    cohort = scoring.Cohort(cohort_embeddings, top_n)
-    normalized = scoring.snorm_trials(test_embeddings, test_pack.index, cohort, opts.snorm_std)
-    normalized_report = scoring.eer_bootstrap_ci(normalized, opts.n_bootstrap, seed=seed)
-    normalized_report.top_n = top_n
+        return EvalScores(out_dir, raw)
+    try:
+        cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
+        top_n = scoring.tune_cohort_size(
+            training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
+            candidates, opts.snorm_std,
+        )
+        cohort = scoring.Cohort(cohort_embeddings, top_n)
+        normalized = scoring.snorm_trials(test_embeddings, test_pack.index, cohort, opts.snorm_std)
+    except DomainError as exc:
+        return EvalScores(out_dir, raw, snorm_error=exc)
     scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), normalized)
-    scoring.write_report(os.path.join(out_dir, "report_snorm.txt"), normalized_report)
-    return raw_report, normalized_report
+    return EvalScores(out_dir, raw, normalized, top_n)
+
+
+def write_reports(
+    scored: list[EvalScores], opts: EvalOptions, seed: int
+) -> list[tuple[scoring.EerReport, scoring.EerReport | None]]:
+    """Each encoder's raw and normalized (None without s-norm scores) bootstrap reports,
+    from one `eer_bootstrap_ci` pass over every score set, each written under its
+    `out_dir`."""
+    sets = [(s.raw, None) for s in scored]
+    sets += [(s.normalized, s.top_n) for s in scored if s.normalized is not None]
+    reports = scoring.eer_bootstrap_ci([scores for scores, _ in sets], opts.n_bootstrap,
+                                       seed=seed, top_ns=[top_n for _, top_n in sets])
+    normalized_reports = iter(reports[len(scored):])
+    out = []
+    for s, raw in zip(scored, reports):
+        scoring.write_report(os.path.join(s.out_dir, "report_raw.txt"), raw)
+        normalized = None if s.normalized is None else next(normalized_reports)
+        if normalized is not None:
+            scoring.write_report(os.path.join(s.out_dir, "report_snorm.txt"), normalized)
+        out.append((raw, normalized))
+    return out
+
+
+def evaluate_encoder(
+    encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions, seed: int
+) -> tuple[scoring.EerReport, scoring.EerReport | None]:
+    """Score the test trials (`score_test`) and write their scores and reports under
+    `out_dir`, the raw report even when s-norm fails. Returns the raw report and the
+    normalized one (None without s-norm)."""
+    scored = score_test(encoder, dataset, out_dir, opts)
+    (raw, normalized), = write_reports([scored], opts, seed)
+    if scored.snorm_error is not None:
+        raise scored.snorm_error
+    return raw, normalized
+
+
+def train_and_score(
+    dataset: SpeakerDataset, loss_kind: str, out_dir, seed: int,
+    grid: list[training.TrainConfig], opts: EvalOptions,
+    budget_epochs: int | None = None, grid_epochs: int | None = None,
+) -> tuple[training.TrainConfig, EvalScores]:
+    """Grid-search `grid`, train the winner for the full budget (`budget_epochs`, or the
+    grid configs' own epochs), save the best epoch's checkpoint and score the test trials
+    with it under `out_dir`. Returns the chosen config and the scores."""
+    epochs = grid[0].epochs if budget_epochs is None else budget_epochs
+    grid_epochs = grid_budget(grid_epochs, epochs)
+    if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
+        top_n_candidates(len(dataset.files_of("cohort")), opts)
+    os.makedirs(out_dir, exist_ok=True)
+
+    pool = dataset.train_pool()
+    dev_pack = dataset.eval_pack("dev")
+    if len(grid) > 1:
+        chosen = training.grid_search(pool, grid, grid_epochs, dev_pack)
+    else:
+        chosen = grid[0]
+    chosen = replace(chosen, epochs=epochs)
+    _, best = training.train_and_select(pool, chosen, dev_pack)
+
+    training.save_checkpoint(os.path.join(out_dir, "best.ckpt"), best, chosen)
+    write_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
+    return chosen, score_test(best.encoder, dataset, out_dir, opts)
+
+
+def finish_run(loss_kind: str, chosen: training.TrainConfig, scored: EvalScores,
+               raw: scoring.EerReport, normalized: scoring.EerReport | None) -> ExperimentResult:
+    """The result of a loss trained and scored (`train_and_score`) and reported
+    (`write_reports`), with its summary written; raises its s-norm failure, if any."""
+    if scored.snorm_error is not None:
+        raise scored.snorm_error
+    improvement = 0.0
+    if normalized is not None and raw.eer > 0:
+        improvement = 100.0 * (raw.eer - normalized.eer) / raw.eer
+    result = ExperimentResult(
+        loss_kind=loss_kind,
+        config=chosen,
+        raw=raw,
+        normalized=normalized,
+        checkpoint_path=os.path.join(scored.out_dir, "best.ckpt"),
+        improvement_pct=improvement,
+    )
+    _write_result_summary(os.path.join(scored.out_dir, "result.txt"), result)
+    return result
 
 
 def run_experiment(
@@ -183,43 +275,14 @@ def run_experiment(
     grid: list[training.TrainConfig],
     eval_options: EvalOptions,
 ) -> ExperimentResult:
-    """Full per-loss protocol over the candidate configs of `grid`; writes scores,
-    reports, and the selected checkpoint under `out_dir` and returns the result
-    summary. The full budget is `budget_epochs`, or the grid configs' own epochs."""
-    epochs = grid[0].epochs if budget_epochs is None else budget_epochs
-    grid_epochs = grid_budget(grid_epochs, epochs)
-    if eval_options.use_snorm:  # a bad [eval] top_n_candidates fails before training
-        top_n_candidates(len(dataset.files_of("cohort")), eval_options)
-    os.makedirs(out_dir, exist_ok=True)
-
-    pool = dataset.train_pool()
-    dev_pack = dataset.eval_pack("dev")
-    if len(grid) > 1:
-        chosen = training.grid_search(pool, grid, grid_epochs, dev_pack)
-    else:
-        chosen = grid[0]
-    chosen = replace(chosen, epochs=epochs)
-    _, best = training.train_and_select(pool, chosen, dev_pack)
-
-    ckpt_path = os.path.join(out_dir, "best.ckpt")
-    training.save_checkpoint(ckpt_path, best, chosen)
-    write_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
-
-    raw_report, normalized_report = evaluate_encoder(best.encoder, dataset, out_dir, eval_options, seed)
-    improvement = 0.0
-    if normalized_report is not None and raw_report.eer > 0:
-        improvement = 100.0 * (raw_report.eer - normalized_report.eer) / raw_report.eer
-
-    result = ExperimentResult(
-        loss_kind=loss_kind,
-        config=chosen,
-        raw=raw_report,
-        normalized=normalized_report,
-        checkpoint_path=ckpt_path,
-        improvement_pct=improvement,
-    )
-    _write_result_summary(os.path.join(out_dir, "result.txt"), result)
-    return result
+    """Full per-loss protocol over the candidate configs of `grid`, the one-loss case of
+    `compare_losses`; writes scores, reports, and the selected checkpoint under `out_dir`
+    and returns the result summary. The full budget is `budget_epochs`, or the grid
+    configs' own epochs."""
+    chosen, scored = train_and_score(dataset, loss_kind, out_dir, seed, grid, eval_options,
+                                     budget_epochs, grid_epochs)
+    (raw, normalized), = write_reports([scored], eval_options, seed)
+    return finish_run(loss_kind, chosen, scored, raw, normalized)
 
 
 def _write_result_summary(path, result: ExperimentResult) -> None:
@@ -253,7 +316,10 @@ def compare_losses(
     comparison CSV; the grid budget and the `[eval]` options come from `config` too.
 
     Every loss's grid is built, and a bad config value raised, before any
-    loss trains. A loss that fails in training is recorded as a nan row
+    loss trains. Each loss is trained and scored (`train_and_score`), then one
+    bootstrap pass reports every loss's scores (`write_reports`) and each
+    loss's summary is written (`finish_run`). A loss that fails in training or
+    s-norm is recorded as a nan row, with its raw outputs when s-norm failed,
     and the others proceed.
     """
     loss_kinds = config.get("eval", "compare_losses", DEFAULT_COMPARE_LOSSES)
@@ -266,19 +332,26 @@ def compare_losses(
             raise DomainError(f"compare_losses lists {kind} twice")
     grids = {kind: default_grid(kind, dataset, seed, config) for kind in loss_kinds}
     os.makedirs(out_dir, exist_ok=True)
-    results: list[tuple[str, ExperimentResult | None]] = []
-    failures: list[str] = []
+    trained: dict[str, tuple[training.TrainConfig, EvalScores]] = {}
+    errors: dict[str, Exception] = {}
     for kind in loss_kinds:
         try:
-            result = run_experiment(
-                dataset, kind, os.path.join(out_dir, kind),
-                seed=seed, grid_epochs=grid_epochs, eval_options=opts, grid=grids[kind],
-            )
-            results.append((kind, result))
+            trained[kind] = train_and_score(dataset, kind, os.path.join(out_dir, kind), seed,
+                                            grids[kind], opts, grid_epochs=grid_epochs)
         except (DomainError, TrainingDiverged, OSError) as exc:
             logger.warning("loss %s failed: %s", kind, exc)
-            failures.append(f"{kind}: {exc}")
-            results.append((kind, None))
+            errors[kind] = exc
+    reports = dict(zip(trained, write_reports([s for _, s in trained.values()], opts, seed)))
+    results: list[tuple[str, ExperimentResult | None]] = []
+    for kind in loss_kinds:
+        result = None
+        if kind in trained:
+            try:
+                result = finish_run(kind, *trained[kind], *reports[kind])
+            except DomainError as exc:
+                logger.warning("loss %s failed: %s", kind, exc)
+                errors[kind] = exc
+        results.append((kind, result))
 
     csv_lines = [COMPARE_CSV_HEADER]
     for kind, result in results:
@@ -288,7 +361,7 @@ def compare_losses(
             csv_lines.append(result.csv_row())
     with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(csv_lines) + "\n")
-    if failures:
+    if errors:
         with open(os.path.join(out_dir, "failures.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(failures) + "\n")
+            fh.write("".join(f"{kind}: {errors[kind]}\n" for kind in loss_kinds if kind in errors))
     return results

@@ -7,7 +7,6 @@ false-rejection curves swept over the sorted distinct scores, linearly
 interpolated when no threshold hits the crossing exactly.
 """
 
-import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +20,7 @@ logger = logging.getLogger(__name__)
 
 SNORM_STD_MODES = ("population", "sample")
 SNORM_MIN_STD = 1e-12
-BOOTSTRAP_BLOCK_CELLS = 1 << 13  # resamples x distinct scores in one bootstrap block
+BOOTSTRAP_BLOCK_CELLS = 1 << 13  # resamples x trials in one bootstrap block
 # each tail of the 95% bootstrap interval, in the float that 100 * (1 - 0.95) / 2 rounds to
 # (2.500000000000002), so the interval bounds keep their bits
 CI_TAIL_PERCENT = 100.0 * (1.0 - 0.95) / 2.0
@@ -55,7 +54,7 @@ class Cohort:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EerReport:
     """EER point estimate and threshold, plus the bootstrap interval when
     one was computed (ci fields are None for point-only reports)."""
@@ -295,17 +294,19 @@ def check_n_bootstrap(n_bootstrap: int) -> None:
         raise DomainError(f"n_bootstrap must be >= 100, got {n_bootstrap}")
 
 
-@functools.lru_cache(maxsize=1)
-def _bootstrap_draws(seed: int, n_bootstrap: int, n_tar: int, n_non: int) -> np.ndarray:
-    """Read-only (n_bootstrap, n_tar + n_non) trial positions: row i holds the target draws,
-    then the non-target draws shifted by n_tar, of `default_rng((seed, i))`."""
-    draws = np.empty((n_bootstrap, n_tar + n_non), dtype=np.min_scalar_type(n_tar + n_non))
-    for i in range(n_bootstrap):
-        rng = np.random.default_rng((seed, i))
-        draws[i, :n_tar] = rng.integers(0, n_tar, size=n_tar)
-        draws[i, n_tar:] = n_tar + rng.integers(0, n_non, size=n_non)
-    draws.flags.writeable = False
-    return draws
+def _draw_blocks(seed: int, n_bootstrap: int, n_tar: int, n_non: int, rows: int):
+    """Yield (start, draws) for each block of up to `rows` resamples: row r of `draws` holds
+    the trial positions of resample start + r, the target draws, then the non-target draws
+    shifted by n_tar, of `default_rng((seed, start + r))`. `draws` is one buffer of the
+    smallest unsigned type that holds the positions, refilled for every block."""
+    buffer = np.empty((rows, n_tar + n_non), dtype=np.min_scalar_type(n_tar + n_non))
+    for start in range(0, n_bootstrap, rows):
+        draws = buffer[:n_bootstrap - start]
+        for i, row in enumerate(draws, start):
+            rng = np.random.default_rng((seed, i))
+            row[:n_tar] = rng.integers(0, n_tar, size=n_tar)
+            row[n_tar:] = n_tar + rng.integers(0, n_non, size=n_non)
+        yield start, draws
 
 
 def _percentile(ranked: np.ndarray, percent: float) -> float:
@@ -317,48 +318,54 @@ def _percentile(ranked: np.ndarray, percent: float) -> float:
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def eer_bootstrap_ci(
-    scores: Scores,
-    n_bootstrap: int,
-    seed: int = 0,
-) -> EerReport:
-    """EER with a 95% empirical-percentile bootstrap confidence interval.
+def eer_bootstrap_ci(scores: Sequence[Scores], n_bootstrap: int, seed: int = 0, *,
+                     top_ns: Sequence[int | None] | None = None) -> list[EerReport]:
+    """EER of each score set with a 95% empirical-percentile bootstrap confidence interval,
+    and its s-norm cohort size from `top_ns` when given.
 
     Targets and non-targets are resampled with replacement independently,
     preserving each class count, so every resample keeps both classes
     populated. Each resample draws its RNG substream from (seed, index),
-    making the interval deterministic and order-independent. The draws
-    depend only on (seed, n_bootstrap, class counts): they are built once
-    (`_bootstrap_draws`) and shared by every report of the process with
-    those values, at n_bootstrap x trials cells of at most 2 bytes up to
-    65,535 trials. Each block of resamples is swept as one count matrix,
-    with `eer_from_scores`' EERs.
+    making the interval deterministic and order-independent. The score sets
+    must share their class counts, so one draw of a resample serves them all:
+    one pass builds each resample's generator once and sweeps every score set
+    with the same block of draws (`_draw_blocks`), as one count matrix per
+    set with `eer_from_scores`' EERs. A block holds BOOTSTRAP_BLOCK_CELLS
+    trial positions or one resample, whichever is more, so memory is bounded
+    by the block, not by n_bootstrap x trials.
     """
     check_n_bootstrap(n_bootstrap)
-    tar, non = split_classes(scores.values, scores.index.target)
-    value, threshold = eer_from_scores(tar, non)
+    classes = [split_classes(s.values, s.index.target) for s in scores]
+    sizes = sorted({(tar.size, non.size) for tar, non in classes})
+    if len(sizes) > 1:
+        raise DomainError(f"bootstrap score sets must share class counts, got (targets, "
+                          f"non-targets) {', '.join(map(str, sizes))}")
+    if not classes:
+        return []
+    (n_tar, n_non), = sizes
+    ranked = []  # each set's distinct-score count, and each trial's position among them
+    for tar, non in classes:
+        distinct = _counts(tar, non)[0]
+        ranked.append((distinct.size, np.searchsorted(distinct, np.concatenate([tar, non]))))
 
-    distinct = _counts(tar, non)[0]
-    pos = np.searchsorted(distinct, np.concatenate([tar, non]))  # each trial's score among them
-    block = max(1, BOOTSTRAP_BLOCK_CELLS // (distinct.size + 1))
-    boot = np.empty(n_bootstrap)
-    draws = _bootstrap_draws(seed, n_bootstrap, tar.size, non.size)
-    for start in range(0, n_bootstrap, block):
-        stop = min(start + block, n_bootstrap)
-        below = _resampled_counts(pos[draws[start:stop]], tar.size, distinct.size)
-        boot[start:stop], = _crossing(below, tar.size, non.size)
+    boot = np.empty((len(ranked), n_bootstrap))
+    rows = max(1, BOOTSTRAP_BLOCK_CELLS // (n_tar + n_non))
+    for start, draws in _draw_blocks(seed, n_bootstrap, n_tar, n_non, rows):
+        for b, (n_scores, pos) in zip(boot, ranked):
+            below = _resampled_counts(pos[draws], n_tar, n_scores)
+            b[start:start + len(draws)], = _crossing(below, n_tar, n_non)
 
-    boot.sort()
-    lo, hi = _percentile(boot, CI_TAIL_PERCENT), _percentile(boot, 100.0 - CI_TAIL_PERCENT)
-    return EerReport(
-        value,
-        threshold,
-        ci_low=lo,
-        ci_high=hi,
-        n_bootstrap=n_bootstrap,
-        n_target=tar.size,
-        n_nontarget=non.size,
-    )
+    boot.sort(axis=1)
+    reports = []
+    for (tar, non), b, top_n in zip(classes, boot, top_ns or [None] * len(classes), strict=True):
+        value, threshold = eer_from_scores(tar, non)
+        reports.append(EerReport(
+            value, threshold,
+            ci_low=_percentile(b, CI_TAIL_PERCENT),
+            ci_high=_percentile(b, 100.0 - CI_TAIL_PERCENT),
+            n_bootstrap=n_bootstrap, n_target=n_tar, n_nontarget=n_non, top_n=top_n,
+        ))
+    return reports
 
 
 def det_points(scores: Scores) -> np.ndarray:

@@ -2,7 +2,7 @@
 finite-difference adapters per loss kind, the brute-force EER oracle, the
 float-sweep EER and DET oracle, the per-trial scoring oracle, the embedding
 dict as scoring inputs, trials and their scores as `scoring.Scores`, and a
-bootstrap-draw cache emptied before each test.
+fixture that records the seed of every numpy generator built.
 """
 
 import numpy as np
@@ -11,13 +11,6 @@ import pytest
 from spklab import losses, sampling, scoring
 from spklab.embedding import cosine_similarity
 from spklab.errors import DomainError
-
-
-@pytest.fixture(autouse=True)
-def cold_bootstrap_draws():
-    """Every test starts without cached bootstrap draws, so test order cannot decide
-    whether a report builds its draws or reuses them."""
-    scoring._bootstrap_draws.cache_clear()
 
 
 # Hyper-parameters used for random gradient-check instances (the tuned
@@ -234,3 +227,20 @@ def score_per_trial(trials, embeddings):
             raise DomainError(f"trial {t.enroll} vs {t.test}: {exc}") from exc
         scores.append(s)
     return scores_of(trials, scores)
+
+
+# bound at import, so that a patched np.random.default_rng does not count the oracles' generators
+DEFAULT_RNG = np.random.default_rng
+
+
+@pytest.fixture()
+def made_generators(monkeypatch):
+    """Seeds of the `np.random.default_rng` generators built from here on."""
+    seeds = []
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return DEFAULT_RNG(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return seeds

@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a tiny dataset, and on the README's example config."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -468,6 +469,22 @@ def test_non_finite_spread_fails_before_writing(tmp_path, capsys, value):
     assert main(["gen-data", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: intra_speaker_spread must be positive and finite, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_speakers_dev", 1), ("n_speakers_test", 1), ("files_per_speaker", 1),
+])
+def test_partition_without_both_trial_classes_fails_before_writing(tmp_path, capsys, key, value):
+    # one dev speaker wrote 3 dev trials, all targets, and one file per speaker wrote empty
+    # trial lists; both exited 0, and `train` then failed after making its --out
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(re.sub(rf"^{key} = \d+$", f"{key} = {value}", TINY_CFG, flags=re.M))
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {key} must be at least 2, so that the dev and test trials have both classes, "
+        f"got {value}"]
     assert not out.exists()
 
 

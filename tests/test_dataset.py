@@ -140,6 +140,9 @@ class TestGeneration:
             SyntheticDatasetSpec(n_speakers_train=0)
         with pytest.raises(DomainError):
             SyntheticDatasetSpec(intra_speaker_spread=0.0)
+        for name in ("n_speakers_dev", "n_speakers_test", "files_per_speaker"):
+            with pytest.raises(DomainError, match=f"^{name} must be at least 2"):
+                SyntheticDatasetSpec(**{name: 1})
 
 
 class TestTrials:
@@ -413,9 +416,9 @@ class TestLoadedViews:
 
 small_specs = st.builds(
     SyntheticDatasetSpec,
-    n_speakers_train=st.integers(1, 3), n_speakers_dev=st.integers(1, 3),
-    n_speakers_cohort=st.integers(1, 3), n_speakers_test=st.integers(1, 3),
-    files_per_speaker=st.integers(1, 3), chunks_per_file=st.integers(1, 3),
+    n_speakers_train=st.integers(1, 3), n_speakers_dev=st.integers(2, 3),
+    n_speakers_cohort=st.integers(1, 3), n_speakers_test=st.integers(2, 3),
+    files_per_speaker=st.integers(2, 3), chunks_per_file=st.integers(1, 3),
     feature_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
     trials_per_speaker=st.integers(2, 6),
 )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from spklab import dataset as ds
-from spklab import experiment, training
+from spklab import experiment, scoring, training
 from spklab.config import Config, empty_config, parse_config
 from spklab.errors import ConfigError, DomainError
 
@@ -258,6 +258,42 @@ class TestCompare:
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert "triplet_sigmoid,nan,nan,nan,nan,nan" in lines
         assert (tmp_path / "cmp" / "failures.txt").exists()
+
+    def test_each_resample_is_drawn_once(self, data, tmp_path, made_generators):
+        # the bootstrap is the only tuple-seeded generator: one per resample for every
+        # report of every loss, not one per report
+        experiment.compare_losses(data, tmp_path / "cmp", 0, compare_config(["aam", "coco"]))
+        assert [s for s in made_generators if isinstance(s, tuple)] == [(0, i) for i in range(100)]
+
+    def test_failed_snorm_keeps_the_raw_report_and_other_rows(self, data, tmp_path, monkeypatch):
+        # coco's cohort tuning (the second loss's) fails as a flat cohort does: coco is a
+        # failed row with the raw outputs of a clean run, and the aam row is unchanged
+        config = compare_config(["aam", "coco"])
+        clean = experiment.compare_losses(data, tmp_path / "clean", 0, config)
+        tune, calls = scoring.tune_cohort_size, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DomainError("every candidate cohort size was degenerate")
+            return tune(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "tune_cohort_size", second_fails)
+        failed = experiment.compare_losses(data, tmp_path / "failed", 0, config)
+        assert failed[0][1].csv_row() == clean[0][1].csv_row() and failed[1] == ("coco", None)
+        lines = (tmp_path / "failed" / "compare.csv").read_text().splitlines()
+        assert lines[:2] == (tmp_path / "clean" / "compare.csv").read_text().splitlines()[:2]
+        assert lines[2] == "coco,nan,nan,nan,nan,nan"
+        assert ((tmp_path / "failed" / "failures.txt").read_text()
+                == "coco: every candidate cohort size was degenerate\n")
+        kept = {"aam": sorted(path.name for path in (tmp_path / "clean" / "aam").iterdir()),
+                "coco": ["best.ckpt", "config_echo.txt", "det_raw.csv", "report_raw.txt",
+                         "scores_test_raw.txt"]}
+        for kind, names in kept.items():
+            assert sorted(path.name for path in (tmp_path / "failed" / kind).iterdir()) == names
+            for name in names:
+                assert ((tmp_path / "failed" / kind / name).read_bytes()
+                        == (tmp_path / "clean" / kind / name).read_bytes())
 
     def test_needs_at_least_one_loss(self, data, tmp_path):
         with pytest.raises(DomainError):

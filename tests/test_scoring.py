@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DEFAULT_RNG,
     brute_force_eer_bracket,
     rows_and_index,
     score_per_trial,
@@ -470,28 +471,28 @@ class TestSnormBlocks:
 class TestBootstrap:
     def test_perfect_separation_gives_zero_width_ci(self):
         trials = trials_from([0.9, 0.8, 0.7], [0.1, 0.2, 0.3])
-        report = eer_bootstrap_ci(trials, 200, seed=1)
+        report, = eer_bootstrap_ci([trials], 200, seed=1)
         assert report.ci_low == 0.0 and report.ci_high == 0.0
 
     def test_degenerate_equal_scores(self):
         trials = trials_from([0.5] * 4, [0.5] * 4)
-        report = eer_bootstrap_ci(trials, 150, seed=2)
+        report, = eer_bootstrap_ci([trials], 150, seed=2)
         assert report.ci_low == report.ci_high
         assert abs(report.eer - 0.5) < 1e-12
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(43)
         trials = trials_from(rng.normal(0.5, 1.0, 50), rng.normal(0.0, 1.0, 50))
-        a = eer_bootstrap_ci(trials, 200, seed=7)
-        b = eer_bootstrap_ci(trials, 200, seed=7)
+        a, = eer_bootstrap_ci([trials], 200, seed=7)
+        b, = eer_bootstrap_ci([trials], 200, seed=7)
         assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
-        c = eer_bootstrap_ci(trials, 200, seed=8)
+        c, = eer_bootstrap_ci([trials], 200, seed=8)
         assert (a.ci_low, a.ci_high) != (c.ci_low, c.ci_high)
 
     def test_percentile_interval_brackets_resample_median(self):
         rng = np.random.default_rng(45)
         trials = trials_from(rng.normal(0.6, 1.0, 500), rng.normal(0.0, 1.0, 500))
-        report = eer_bootstrap_ci(trials, 1000, seed=9)
+        report, = eer_bootstrap_ci([trials], 1000, seed=9)
         boot = []
         tar = trials.values[trials.index.target]
         non = trials.values[~trials.index.target]
@@ -518,24 +519,32 @@ class TestBootstrap:
                                         non[r.integers(0, non.size, non.size)])[0])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scoring, "BOOTSTRAP_BLOCK_CELLS", block_cells)
-            report = eer_bootstrap_ci(trials_from(tar, non), n_bootstrap, seed=seed)
+            report, = eer_bootstrap_ci([trials_from(tar, non)], n_bootstrap, seed=seed)
         half = 100.0 * (1.0 - 0.95) / 2.0  # the report's rank, 2.5 up to rounding
         assert (report.ci_low, report.ci_high) == tuple(np.percentile(boot, [half, 100.0 - half]))
         assert (report.eer, report.threshold) == eer_from_scores(tar, non)
 
+    def test_memory_is_bounded_by_the_block(self):
+        # 1,000 resamples of 10,000 trials: a matrix of every resample's draws alone is 20 MB
+        rng = np.random.default_rng(59)
+        trials = trials_from(rng.normal(0.5, 1.0, 4000), rng.normal(0.0, 1.0, 6000))
+        tracemalloc.start()
+        try:
+            eer_bootstrap_ci([trials], 1000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024, peak
+
     def test_needs_enough_resamples(self):
         with pytest.raises(DomainError):
-            eer_bootstrap_ci(trials_from([0.9], [0.1]), 50)
+            eer_bootstrap_ci([trials_from([0.9], [0.1])], 50)
 
     def test_report_invariants(self):
         with pytest.raises(DomainError):
             EerReport(eer=1.2, threshold=0.0)
         with pytest.raises(DomainError):
             EerReport(eer=0.5, threshold=0.0, ci_low=0.6, ci_high=0.4)
-
-
-# bound at import, so that a patched np.random.default_rng does not count the oracle's generators
-DEFAULT_RNG = np.random.default_rng
 
 
 def per_resample_interval(tar, non, n_bootstrap, seed):
@@ -551,47 +560,39 @@ def per_resample_interval(tar, non, n_bootstrap, seed):
 
 
 class TestSharedDraws:
-    @pytest.fixture()
-    def made(self, monkeypatch):
-        """Seeds of the generators built from here on."""
-        seeds = []
-
-        def counting(seed=None):
-            seeds.append(seed)
-            return DEFAULT_RNG(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
-        return seeds
-
-    def test_reports_with_equal_counts_build_the_draws_once(self, made):
+    def test_reports_with_equal_counts_build_the_draws_once(self, made_generators):
         rng = DEFAULT_RNG(47)
         cases = [(rng.normal(0.6, 1.0, 30), rng.normal(0.0, 1.0, 40)),
                  (np.round(rng.normal(0.2, 1.0, 30), 1), np.round(rng.normal(0.0, 1.0, 40), 1))]
-        reports = [eer_bootstrap_ci(trials_from(tar, non), 150, seed=5) for tar, non in cases]
-        assert made == [(5, i) for i in range(150)]
-        for report, (tar, non) in zip(reports, cases):
+        reports = eer_bootstrap_ci([trials_from(tar, non) for tar, non in cases], 150, seed=5)
+        assert made_generators == [(5, i) for i in range(150)]
+        for report, (tar, non) in zip(reports, cases, strict=True):
             assert (report.ci_low, report.ci_high) == per_resample_interval(tar, non, 150, 5)
+            assert (report.eer, report.threshold) == eer_from_scores(tar, non)
 
-    def test_draws_are_read_only_positions(self):
-        draws = scoring._bootstrap_draws(3, 100, 5, 7)
-        assert draws.shape == (100, 12) and draws.dtype == np.uint8
+    def test_block_holds_the_positions_in_the_smallest_unsigned_type(self):
+        (start, draws), = scoring._draw_blocks(3, 100, 5, 7, rows=100)
+        assert start == 0 and draws.shape == (100, 12) and draws.dtype == np.uint8
         assert draws[:, :5].max() < 5 and draws[:, 5:].min() >= 5 and draws.max() < 12
-        assert not draws.flags.writeable
-        with pytest.raises(ValueError):
-            draws[0, 0] = 1
-        assert scoring._bootstrap_draws(3, 1, 200, 200).dtype == np.uint16
-        assert scoring._bootstrap_draws(3, 1, 65_000, 535).dtype == np.uint16
+        for n_tar, n_non in ((200, 200), (65_000, 535)):
+            (_, draws), = scoring._draw_blocks(3, 1, n_tar, n_non, rows=1)
+            assert draws.dtype == np.uint16
 
-    def test_changed_seed_count_or_classes_draw_afresh(self, made):
+    def test_score_sets_must_share_class_counts(self):
+        with pytest.raises(DomainError, match="share class counts"):
+            eer_bootstrap_ci([trials_from([0.9, 0.8], [0.1]), trials_from([0.9], [0.1, 0.2])], 100)
+        assert eer_bootstrap_ci([], 100) == []
+
+    def test_changed_seed_count_or_classes_draw_afresh(self, made_generators):
         rng = DEFAULT_RNG(53)
         tar, non = rng.normal(0.5, 1.0, 25), rng.normal(0.0, 1.0, 35)
         for seed, n_bootstrap, n_tar, n_non in [(1, 120, 25, 35), (2, 120, 25, 35),
                                                 (2, 130, 25, 35), (2, 130, 24, 35),
                                                 (2, 130, 24, 34), (1, 120, 25, 35)]:
-            made.clear()
-            report = eer_bootstrap_ci(trials_from(tar[:n_tar], non[:n_non]), n_bootstrap,
-                                      seed=seed)
-            assert made == [(seed, i) for i in range(n_bootstrap)]
+            made_generators.clear()
+            report, = eer_bootstrap_ci([trials_from(tar[:n_tar], non[:n_non])], n_bootstrap,
+                                       seed=seed)
+            assert made_generators == [(seed, i) for i in range(n_bootstrap)]
             assert (report.ci_low, report.ci_high) == per_resample_interval(
                 tar[:n_tar], non[:n_non], n_bootstrap, seed)
 
