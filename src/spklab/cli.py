@@ -32,10 +32,10 @@ def cmd_train(args, config, dataset) -> int:
     kind = config.get("loss", "kind", training.TrainConfig.loss_kind)
     train_config = experiment.base_config(kind, dataset, args.seed, config)
 
-    os.makedirs(args.out, exist_ok=True)
     checkpoints, best = training.train_and_select(
         dataset.train_pool(), train_config, dataset.eval_pack("dev"))
 
+    os.makedirs(args.out, exist_ok=True)
     training.save_checkpoint(os.path.join(args.out, "best.ckpt"), best, train_config)
     with open(os.path.join(args.out, "dev_eer_curve.txt"), "w", encoding="utf-8") as fh:
         for ckpt in checkpoints:

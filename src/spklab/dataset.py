@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from spklab.errors import DomainError, read_lines, write_echo
-from spklab.sampling import TrainPool, augment_chunk, snr_bounds
+from spklab.sampling import TrainPool, augment_rows, snr_bounds
 from spklab.scoring import Trial, read_trials, write_trials
 from spklab.training import EvalPack
 
@@ -174,7 +174,7 @@ def speaker_chunks(
     """Draw chunk feature rows around one speaker's latent direction."""
     chunks = latent[None, :] + spread * rng.standard_normal((n_chunks, latent.size))
     if augment_snr_db is not None:
-        chunks = np.vstack([augment_chunk(row, augment_snr_db, rng) for row in chunks])
+        chunks = augment_rows(chunks, augment_snr_db, rng)
     return chunks
 
 

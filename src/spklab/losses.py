@@ -112,10 +112,7 @@ class CenterLossParams:
             raise DomainError("gamma must be a (K, m) matrix")
         if not np.all(np.isfinite(self.gamma)):
             raise DomainError("gamma contains non-finite entries")
-        if not 0 <= self.lam < math.inf:
-            raise DomainError(f"lambda must be non-negative and finite, got {self.lam}")
-        if self.penalty not in CENTER_PENALTIES:
-            raise DomainError(f"unknown center penalty {self.penalty!r}")
+        LossHyper(lam=self.lam, center_penalty=self.penalty)  # its lambda and penalty checks
 
 
 @dataclass(frozen=True)

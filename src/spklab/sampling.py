@@ -1,12 +1,14 @@
 """Speaker-balanced mini-batches, in-batch tuple lists, and augmentation.
 
-A batch stacks a fixed number of chunks from a fixed number of distinct
-speakers; a pair or triplet batch holds at least two speakers with two
-chunks each, so it has both positives and negatives. The contrast losses
-take every tuple the batch admits (no mining) straight from its labels;
-the pair and triplet lists formed here enumerate the same tuples one by
-one and are the oracle those losses are tested against. White Gaussian
-noise at a drawn SNR stands in for real background-noise augmentation.
+A batch is a `(features, labels)` pair: a fixed number of chunks from
+each of a fixed number of distinct speakers. A pair or triplet batch needs
+at least two speakers with two chunks each, or it has no positives or no
+negatives; `training.train` checks that rule. The contrast losses take
+every tuple the batch admits (no mining) straight from its labels; the
+pair and triplet lists formed here enumerate the same tuples one by one
+and are the oracle those losses are tested against. White Gaussian noise
+at a drawn SNR (`augment_rows`) stands in for real background-noise
+augmentation.
 
 A run's training chunks sit in one `TrainPool` array, label by label, which
 the pool keeps as it is given: the dataset hands over its train rows (see
@@ -33,49 +35,6 @@ BATCH_MODES = ("classification", "pairs", "triplets")
 # Generator.choice picks by Floyd's algorithm from pools up to this size; above it, when
 # more than 1/50 of the pool is picked, it shuffles the tail of range(n) instead.
 FLOYD_MAX_POOL = 10_000
-
-
-@dataclass(frozen=True)
-class BatchSpec:
-    """How to build one batch: speakers per batch, chunks per speaker, mode.
-
-    Classification batches default to 128 speakers x 1 chunk; pair/triplet
-    batches need 2+ speakers with 2+ chunks each, or a batch has no
-    negatives (or no positives) and its loss cannot move.
-    """
-
-    speakers_per_batch: int = 128
-    chunks_per_speaker: int = 1
-    mode: str = "classification"
-
-    def __post_init__(self):
-        if self.speakers_per_batch < 1 or self.chunks_per_speaker < 1:
-            raise DomainError("speakers_per_batch and chunks_per_speaker must be positive")
-        if self.mode not in BATCH_MODES:
-            raise DomainError(f"unknown batch mode {self.mode!r}")
-        if self.mode in ("pairs", "triplets"):
-            if self.chunks_per_speaker < 2:
-                raise DomainError(f"{self.mode} mode needs at least 2 chunks per speaker")
-            if self.speakers_per_batch < 2:
-                raise DomainError(f"{self.mode} mode needs at least 2 speakers per batch")
-
-    @property
-    def batch_size(self) -> int:
-        return self.speakers_per_batch * self.chunks_per_speaker
-
-
-@dataclass
-class LabeledBatch:
-    """Chunk feature rows with their speaker labels (train-local indices)."""
-
-    features: np.ndarray  # (N, d)
-    labels: np.ndarray  # (N,)
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise DomainError("features must be (N, d) with one label per row")
 
 
 @dataclass
@@ -147,11 +106,12 @@ def _floyd_picks(sizes: np.ndarray, c: int, rng: np.random.Generator) -> np.ndar
 
 def balanced_batch(
     pool: TrainPool,
-    spec: BatchSpec,
+    chunks_per_speaker: int,
     rng: np.random.Generator,
     speakers: Sequence[int],
-) -> LabeledBatch:
-    """Draw a batch of the given distinct speakers, each equally represented.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a batch of the given distinct speakers, each equally represented, as its
+    `(features, labels)` pair: (N, d) chunk rows and their (N,) train-local labels.
 
     Each speaker contributes exactly `chunks_per_speaker` chunks sampled
     without replacement from its pool, in pool order, with the values and
@@ -161,9 +121,7 @@ def balanced_batch(
     docstring); otherwise each speaker draws by `choice` itself. One gather
     from the pool follows.
     """
-    c = spec.chunks_per_speaker
-    if len(speakers) != spec.speakers_per_batch:
-        raise DomainError("speaker list length must equal speakers_per_batch")
+    c = chunks_per_speaker
     speakers = np.asarray(speakers, dtype=np.int64)
     if speakers.min() < 0 or speakers.max() >= len(pool):
         bad = speakers[(speakers < 0) | (speakers >= len(pool))][0]
@@ -182,15 +140,16 @@ def balanced_batch(
     else:
         picks = _floyd_picks(sizes, c, rng)
     rows = (pool.offsets[speakers][:, None] + picks).ravel()
-    return LabeledBatch(pool.features[rows], np.repeat(speakers, c))
+    return pool.features[rows], np.repeat(speakers, c)
 
 
 def epoch_batches(
     pool: TrainPool,
-    spec: BatchSpec,
+    speakers_per_batch: int,
+    chunks_per_speaker: int,
     rng: np.random.Generator,
-) -> Iterator[LabeledBatch]:
-    """Yield one epoch of balanced batches.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield one epoch of balanced batches, each a `balanced_batch` pair.
 
     The speaker list is shuffled once per epoch and consumed in
     consecutive groups; the final group wraps around to the front of the
@@ -198,13 +157,13 @@ def epoch_batches(
     speaker count, so every speaker is visited at least once per epoch.
     """
     n = len(pool)
-    if n < spec.speakers_per_batch:
-        raise DomainError(f"need {spec.speakers_per_batch} speakers, dataset has {n}")
+    if n < speakers_per_batch:
+        raise DomainError(f"need {speakers_per_batch} speakers, dataset has {n}")
     order = rng.permutation(n)
-    n_batches = -(-n // spec.speakers_per_batch)  # ceil
+    n_batches = -(-n // speakers_per_batch)  # ceil
     for b in range(n_batches):
-        idx = np.arange(b * spec.speakers_per_batch, (b + 1) * spec.speakers_per_batch) % n
-        yield balanced_batch(pool, spec, rng, order[idx])
+        idx = np.arange(b * speakers_per_batch, (b + 1) * speakers_per_batch) % n
+        yield balanced_batch(pool, chunks_per_speaker, rng, order[idx])
 
 
 def form_pairs(labels) -> TupleIndex:
@@ -237,7 +196,7 @@ def form_triplets(labels) -> TupleIndex:
 
 
 def form_tuples(labels, mode: str) -> TupleIndex:
-    """Tuple formation appropriate for a batch mode (empty for classification)."""
+    """Tuple formation appropriate for a `BATCH_MODES` mode (empty for classification)."""
     if mode == "pairs":
         return form_pairs(labels)
     if mode == "triplets":
@@ -283,3 +242,9 @@ def augment_chunk(features, snr_db_range, rng: np.random.Generator) -> np.ndarra
     noise_power = float(np.mean(noise**2))
     target_power = signal_power / 10.0 ** (snr_db / 10.0)
     return x + noise * np.sqrt(target_power / noise_power)
+
+
+def augment_rows(x: np.ndarray, snr_db_range, rng: np.random.Generator) -> np.ndarray:
+    """`augment_chunk` of each row of the (n, d) matrix `x` in turn, n >= 1, stacked: each
+    row draws its own SNR and noise from `rng`, so the draws are those of the row loop."""
+    return np.vstack([augment_chunk(row, snr_db_range, rng) for row in x])

@@ -63,10 +63,6 @@ class TrainConfig:
         for name in losses.KINDS[self.loss_kind].domains:
             losses.check_domain(self.loss_kind, name, getattr(self, name))
 
-    def batch_spec(self) -> sampling.BatchSpec:
-        return sampling.BatchSpec(self.speakers_per_batch, self.chunks_per_speaker,
-                                  losses.KINDS[self.loss_kind].mode)
-
     def hyper(self) -> losses.LossHyper:
         return losses.LossHyper(self.alpha, self.margin, self.lam, self.center_penalty)
 
@@ -194,25 +190,31 @@ def train(
     checkpoint per epoch (parameters and dev EER after that epoch).
 
     Deterministic given the config seed. Raises TrainingDiverged naming
-    the batch index if the loss or any parameter goes non-finite.
+    the batch index if the loss or any parameter goes non-finite. A pair or
+    triplet kind's batch without 2+ speakers x 2+ chunks has no negatives
+    or no positives: a DomainError before the first draw.
     """
+    mode = losses.KINDS[config.loss_kind].mode
+    if mode in ("pairs", "triplets"):
+        if config.chunks_per_speaker < 2:
+            raise DomainError(f"{mode} mode needs at least 2 chunks per speaker")
+        if config.speakers_per_batch < 2:
+            raise DomainError(f"{mode} mode needs at least 2 speakers per batch")
     params, state, rng = init_run(config, pool.feature_dim, len(pool))
-    spec = config.batch_spec()
     lr = config.learning_rate
 
     checkpoints = []
     # no numpy warning on overflow: a non-finite loss or parameter raises TrainingDiverged below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for batch_index, batch in enumerate(sampling.epoch_batches(pool, spec, rng)):
-                feats = batch.features
+            batches = sampling.epoch_batches(
+                pool, config.speakers_per_batch, config.chunks_per_speaker, rng)
+            for batch_index, (feats, labels) in enumerate(batches):
                 if config.augment_snr_db is not None:
-                    feats = np.vstack([
-                        sampling.augment_chunk(row, config.augment_snr_db, rng) for row in feats
-                    ])
+                    feats = sampling.augment_rows(feats, config.augment_snr_db, rng)
                 try:
                     embeddings, cache = enc.forward(params, feats)
-                    out = losses.evaluate_loss(config.loss_kind, embeddings, batch.labels, state)
+                    out = losses.evaluate_loss(config.loss_kind, embeddings, labels, state)
                 except DomainError as exc:
                     # mid-run numeric failure (overflowed activations, non-finite
                     # loss inputs or value) is divergence, not a caller contract violation

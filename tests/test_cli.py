@@ -166,12 +166,31 @@ def test_one_speaker_tuple_batches_fail_cleanly(workdir, capsys, kind):
     one = tmp_path / "one.cfg"
     one.write_text(TINY_CFG.replace("speakers_per_batch = 5", "speakers_per_batch = 1")
                    + f"\n[loss]\nkind = {kind}\n")
+    out = tmp_path / "run"
     capsys.readouterr()
     rc = main(["train", "--config", str(one), "--seed", "3",
-               "--data", str(data), "--out", str(tmp_path / "run")])
+               "--data", str(data), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "2 speakers" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, mode", [("contrastive", "pairs"), ("triplet_sigmoid", "triplets")])
+def test_one_chunk_tuple_batches_fail_before_writing(workdir, capsys, kind, mode):
+    # a contrast kind at one chunk per speaker, the README's batch shape, fails with the
+    # training run's one line and leaves no --out behind
+    tmp_path, cfg, data = workdir
+    one = tmp_path / "one.cfg"
+    one.write_text(with_setting("training", "chunks_per_speaker = 1")
+                   + f"\n[loss]\nkind = {kind}\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--config", str(one), "--seed", "3",
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {mode} mode needs at least 2 chunks per speaker"]
+    assert not out.exists()
 
 
 def test_missing_data_dir_fails_cleanly(tmp_path, capsys):
@@ -352,7 +371,7 @@ def test_overflow_in_training_fails_with_one_line(workdir, capsys, section, sett
         assert main(["train", "--config", str(bad), "--seed", "3",
                      "--data", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert not list(out.rglob("best.ckpt"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, kind, section, setting, message", [

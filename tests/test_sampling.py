@@ -13,11 +13,10 @@ from spklab.dataset import SyntheticDatasetSpec
 from spklab.errors import DomainError
 from spklab.sampling import (
     FLOYD_MAX_POOL,
-    BatchSpec,
-    LabeledBatch,
     TrainPool,
     TupleIndex,
     augment_chunk,
+    augment_rows,
     balanced_batch,
     epoch_batches,
     form_pairs,
@@ -34,115 +33,87 @@ def make_pool(n_speakers, chunks_each, dim=4, seed=0):
     })
 
 
-class TestBatchSpec:
-    def test_classification_default_is_128(self):
-        spec = BatchSpec()
-        assert spec.speakers_per_batch * spec.chunks_per_speaker == 128
-        assert spec.chunks_per_speaker == 1
-        assert spec.mode == "classification"
-
-    def test_contrast_modes_need_multiple_chunks(self):
-        with pytest.raises(DomainError):
-            BatchSpec(20, 1, "pairs")
-        with pytest.raises(DomainError):
-            BatchSpec(40, 1, "triplets")
-        assert BatchSpec(20, 3, "pairs").batch_size == 60
-
-    def test_positive_counts_required(self):
-        with pytest.raises(DomainError):
-            BatchSpec(0, 1)
-
-    @pytest.mark.parametrize("mode", ["pairs", "triplets"])
-    def test_contrast_modes_need_two_speakers(self, mode):
-        # one speaker gives no negatives: the loss and its gradients stay 0
-        with pytest.raises(DomainError, match="2 speakers"):
-            BatchSpec(1, 3, mode)
-        assert BatchSpec(2, 2, mode).batch_size == 4
-        assert BatchSpec(1, 3).batch_size == 3
-
-
 class TestBalancedBatch:
     def test_classification_batch_of_128(self):
         pool = make_pool(150, 2)
         rng = np.random.default_rng(1)
-        batch = balanced_batch(pool, BatchSpec(128, 1), rng, rng.permutation(150)[:128])
-        assert batch.features.shape == (128, 4)
-        assert len(np.unique(batch.labels)) == 128
+        features, labels = balanced_batch(pool, 1, rng, rng.permutation(150)[:128])
+        assert features.shape == (128, 4)
+        assert len(np.unique(labels)) == 128
 
     def test_contrast_batch_counts(self):
         pool = make_pool(25, 5)
         rng = np.random.default_rng(2)
-        batch = balanced_batch(pool, BatchSpec(20, 3, "pairs"), rng, np.arange(20))
-        assert batch.features.shape[0] == 60
-        labels, counts = np.unique(batch.labels, return_counts=True)
+        features, labels = balanced_batch(pool, 3, rng, np.arange(20))
+        assert features.shape[0] == 60
+        labels, counts = np.unique(labels, return_counts=True)
         assert len(labels) == 20
         assert np.all(counts == 3)
 
     def test_chunks_sampled_without_replacement(self):
         pool = make_pool(4, 3)
         rng = np.random.default_rng(3)
-        batch = balanced_batch(pool, BatchSpec(4, 3, "triplets"), rng, [3, 1, 0, 2])
+        features, labels = balanced_batch(pool, 3, rng, [3, 1, 0, 2])
         for spk in range(4):
-            rows = batch.features[batch.labels == spk]
+            rows = features[labels == spk]
             assert len(np.unique(rows.round(12), axis=0)) == 3
 
     def test_insufficient_speakers(self):
         pool = make_pool(10, 5)
         with pytest.raises(DomainError, match="need 20 speakers, dataset has 10"):
-            next(epoch_batches(pool, BatchSpec(20, 3, "pairs"), np.random.default_rng(0)))
+            next(epoch_batches(pool, 20, 3, np.random.default_rng(0)))
         with pytest.raises(DomainError, match="speaker 10 is not in the training pool"):
-            balanced_batch(pool, BatchSpec(2, 3, "pairs"), np.random.default_rng(0), [0, 10])
-        with pytest.raises(DomainError, match="length must equal"):
-            balanced_batch(pool, BatchSpec(2, 3, "pairs"), np.random.default_rng(0), [0])
+            balanced_batch(pool, 3, np.random.default_rng(0), [0, 10])
 
     def test_insufficient_chunks(self):
         pool = make_pool(5, 2)
         with pytest.raises(DomainError, match="chunks"):
-            balanced_batch(pool, BatchSpec(5, 3, "pairs"), np.random.default_rng(0), np.arange(5))
+            balanced_batch(pool, 3, np.random.default_rng(0), np.arange(5))
 
     def test_deterministic_given_seed(self):
         pool = make_pool(30, 4)
-        spec, speakers = BatchSpec(10, 2, "pairs"), np.arange(10)
-        a = balanced_batch(pool, spec, np.random.default_rng(42), speakers)
-        b = balanced_batch(pool, spec, np.random.default_rng(42), speakers)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        speakers = np.arange(10)
+        a = balanced_batch(pool, 2, np.random.default_rng(42), speakers)
+        b = balanced_batch(pool, 2, np.random.default_rng(42), speakers)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
 
-def reference_batch(pool, spec, rng, speakers):
+def reference_batch(pool, chunks_per_speaker, rng, speakers):
     """The per-speaker draw that `balanced_batch` replaces, kept as its oracle: one
     `rng.choice` per speaker in turn, each speaker's picked rows in pool order."""
     rows, labels = [], []
     for spk in speakers:
         chunks = np.asarray(pool[int(spk)], dtype=np.float64)
-        if chunks.shape[0] < spec.chunks_per_speaker:
+        if chunks.shape[0] < chunks_per_speaker:
             raise DomainError(f"speaker {spk} has {chunks.shape[0]} chunks, "
-                              f"batch needs {spec.chunks_per_speaker}")
-        picked = rng.choice(chunks.shape[0], size=spec.chunks_per_speaker, replace=False)
+                              f"batch needs {chunks_per_speaker}")
+        picked = rng.choice(chunks.shape[0], size=chunks_per_speaker, replace=False)
         rows.append(chunks[np.sort(picked)])
-        labels.extend([int(spk)] * spec.chunks_per_speaker)
-    return LabeledBatch(np.vstack(rows), np.asarray(labels, dtype=np.int64))
+        labels.extend([int(spk)] * chunks_per_speaker)
+    return np.vstack(rows), np.asarray(labels, dtype=np.int64)
 
 
-def assert_same_draw(pool, spec, seed, speakers=None):
+def assert_same_draw(pool, n_speakers, chunks_per_speaker, seed, speakers=None):
     """balanced_batch of the dict `pool` and the reference agree on the batch, or on the
-    error, and leave their generators in the same state. Without `speakers`, they are
-    drawn first by `rng.choice` over the labels, from the stream both then go on with."""
+    error, and leave their generators in the same state. Without `speakers`, `n_speakers`
+    of them are drawn first by `rng.choice` over the labels, from the stream both then go
+    on with."""
     rng = np.random.default_rng(seed)
     if speakers is None:
-        speakers = rng.choice(len(pool), size=spec.speakers_per_batch, replace=False)
+        speakers = rng.choice(len(pool), size=n_speakers, replace=False)
     rng_ref = copy.deepcopy(rng)
     try:
-        want = reference_batch(pool, spec, rng_ref, speakers)
+        want = reference_batch(pool, chunks_per_speaker, rng_ref, speakers)
     except DomainError as exc:
         with pytest.raises(DomainError) as got:
-            balanced_batch(TrainPool.of(pool), spec, rng, speakers)
+            balanced_batch(TrainPool.of(pool), chunks_per_speaker, rng, speakers)
         assert str(got.value) == str(exc)
         return
-    got = balanced_batch(TrainPool.of(pool), spec, rng, speakers)
-    np.testing.assert_array_equal(got.features, want.features)
-    np.testing.assert_array_equal(got.labels, want.labels)
-    assert got.labels.dtype == want.labels.dtype
+    features, labels = balanced_batch(TrainPool.of(pool), chunks_per_speaker, rng, speakers)
+    np.testing.assert_array_equal(features, want[0])
+    np.testing.assert_array_equal(labels, want[1])
+    assert features.dtype == want[0].dtype and labels.dtype == want[1].dtype
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -159,12 +130,11 @@ class TestBatchDrawOracle:
         rng = np.random.default_rng(seed)
         pool = {k: rng.standard_normal((n, 3)) for k, n in enumerate(sizes)}
         n_speakers = data.draw(st.integers(1, len(sizes)), label="speakers_per_batch")
-        spec = BatchSpec(n_speakers, chunks)
         if data.draw(st.booleans(), label="speakers passed"):
             speakers = data.draw(st.permutations(range(len(sizes))), label="order")[:n_speakers]
-            assert_same_draw(pool, spec, seed, np.asarray(speakers))
+            assert_same_draw(pool, n_speakers, chunks, seed, np.asarray(speakers))
         else:
-            assert_same_draw(pool, spec, seed)
+            assert_same_draw(pool, n_speakers, chunks, seed)
 
     @pytest.mark.parametrize("chunks", [201, 250])
     def test_matches_choice_past_floyd_pools(self, chunks):
@@ -173,20 +143,19 @@ class TestBatchDrawOracle:
         pool = {0: rng.standard_normal((300, 1)),
                 1: rng.standard_normal((FLOYD_MAX_POOL + 1, 1)),
                 2: rng.standard_normal((FLOYD_MAX_POOL + 1000, 1))}
-        assert_same_draw(pool, BatchSpec(3, chunks), 8, np.array([1, 0, 2]))
+        assert_same_draw(pool, 3, chunks, 8, np.array([1, 0, 2]))
 
     def test_short_pool_names_the_speaker(self):
         pool = TrainPool.of({0: np.ones((5, 2)), 1: np.ones((5, 2)), 2: np.ones((1, 2))})
         with pytest.raises(DomainError, match="speaker 2 has 1 chunks, batch needs 3"):
-            balanced_batch(pool, BatchSpec(2, 3), np.random.default_rng(0), speakers=[0, 2])
+            balanced_batch(pool, 3, np.random.default_rng(0), speakers=[0, 2])
 
     def test_repeated_speaker_is_named(self):
         # a pairs batch of one speaker twice would hold no negatives
         pool = make_pool(3, 4)
         for speakers in ([0, 0], [2, 1, 2]):
             with pytest.raises(DomainError, match=f"speaker {speakers[-1]} is given more than once"):
-                balanced_batch(pool, BatchSpec(len(speakers), 2, "pairs"),
-                               np.random.default_rng(0), speakers)
+                balanced_batch(pool, 2, np.random.default_rng(0), speakers)
 
     def test_pool_keeps_given_rows(self):
         blocks = {1: np.full((2, 2), 1.0), 0: np.zeros((3, 2))}
@@ -218,23 +187,23 @@ class TestEpochBatches:
     def test_visits_every_speaker(self):
         pool = make_pool(13, 3)
         rng = np.random.default_rng(5)
-        batches = list(epoch_batches(pool, BatchSpec(5, 1), rng))
+        batches = list(epoch_batches(pool, 5, 1, rng))
         assert len(batches) == math.ceil(13 / 5)
-        seen = np.unique(np.concatenate([b.labels for b in batches]))
+        seen = np.unique(np.concatenate([labels for _, labels in batches]))
         np.testing.assert_array_equal(seen, np.arange(13))
 
     def test_each_batch_balanced(self):
         pool = make_pool(13, 3)
         rng = np.random.default_rng(6)
-        for batch in epoch_batches(pool, BatchSpec(5, 2, "pairs"), rng):
-            labels, counts = np.unique(batch.labels, return_counts=True)
+        for _, labels in epoch_batches(pool, 5, 2, rng):
+            labels, counts = np.unique(labels, return_counts=True)
             assert len(labels) == 5
             assert np.all(counts == 2)
 
     def test_deterministic(self):
         pool = make_pool(9, 3)
-        a = [b.labels for b in epoch_batches(pool, BatchSpec(4, 1), np.random.default_rng(7))]
-        b = [b.labels for b in epoch_batches(pool, BatchSpec(4, 1), np.random.default_rng(7))]
+        a = [labels for _, labels in epoch_batches(pool, 4, 1, np.random.default_rng(7))]
+        b = [labels for _, labels in epoch_batches(pool, 4, 1, np.random.default_rng(7))]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -378,6 +347,17 @@ class TestAugmentChunk:
         with pytest.raises(DomainError, match=message):
             TrainConfig(augment_snr_db=bounds)
 
+    @pytest.mark.parametrize("shape", [(1, 8), (5, 3)], ids=["one_row", "five_rows"])
+    def test_rows_match_the_row_loop(self, shape):
+        # augment_rows is augment_chunk row by row: the same values and the same stream after
+        x = np.random.default_rng(14).standard_normal(shape)
+        rng, rng_ref = np.random.default_rng(15), np.random.default_rng(15)
+        got = augment_rows(x, (10.0, 20.0), rng)
+        want = np.vstack([augment_chunk(row, (10.0, 20.0), rng_ref) for row in x])
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == shape
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
     def test_deterministic(self):
         x = np.linspace(1.0, 2.0, 16)
         a = augment_chunk(x, (10.0, 20.0), np.random.default_rng(99))
@@ -385,11 +365,7 @@ class TestAugmentChunk:
         np.testing.assert_array_equal(a, b)
 
 
-class TestLabeledBatch:
-    def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            LabeledBatch(np.zeros((3, 2)), np.zeros(2, dtype=int))
-
+class TestTupleIndex:
     def test_tuple_index_reshapes(self):
         t = TupleIndex(positives=[[0, 1]], triplets=[[0, 1, 2]])
         assert t.positives.shape == (1, 2)

@@ -3,6 +3,7 @@ search, divergence handling, and checkpoint serialization."""
 
 import logging
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import score_per_trial
 from spklab import encoder as enc
-from spklab import losses, sampling, scoring
+from spklab import losses, sampling, scoring, training
 from spklab.embedding import mean_embedding
 from spklab.errors import DomainError, TrainingDiverged
 from spklab.training import (
@@ -102,18 +103,46 @@ class TestTrain:
         })
         params = enc.init_encoder(2, 8, 4, rng)
         state = losses.init_loss_state("aam", 2, 4, losses.LossHyper(10.0, 0.05), rng)
-        spec = sampling.BatchSpec(2, 4, "classification")
         values = []
         for _ in range(6):  # several passes to see the in-epoch trend
-            for batch in sampling.epoch_batches(pool, spec, rng):
-                embeddings, cache = enc.forward(params, batch.features)
-                out = losses.evaluate_loss("aam", embeddings, batch.labels, state)
+            for features, labels in sampling.epoch_batches(pool, 2, 4, rng):
+                embeddings, cache = enc.forward(params, features)
+                out = losses.evaluate_loss("aam", embeddings, labels, state)
                 values.append(out.value)
                 grads = enc.backward(params, cache, out.grad_embeddings)
                 enc.sgd_step(params, grads, 0.1)
                 state.arrays["centers"] -= 0.1 * out.grads["centers"]
         assert values[-1] < values[0]
         assert min(values) == values[-1] or values[-1] < np.median(values)
+
+    def test_contrast_batch_needs_two_chunks_per_speaker(self, monkeypatch):
+        # one chunk per speaker gives no positives; the rule holds before the run's first
+        # draw, for every contrast kind and whatever its epoch count
+        pool, dev = toy_problem()
+        monkeypatch.setattr(training, "init_run", lambda *args: pytest.fail("the run drew"))
+        for kind, mode in (("contrastive", "pairs"), ("triplet_hinge", "triplets"),
+                           ("triplet_sigmoid", "triplets")):
+            for epochs in (0, 1):
+                config = TrainConfig(**{**vars(BASE), "loss_kind": kind,
+                                        "chunks_per_speaker": 1, "epochs": epochs})
+                with pytest.raises(DomainError) as exc:
+                    train(pool, config, dev)
+                assert str(exc.value) == f"{mode} mode needs at least 2 chunks per speaker"
+
+    @pytest.mark.parametrize("kind, mode", [("contrastive", "pairs"),
+                                            ("triplet_sigmoid", "triplets")],
+                             ids=["pairs", "triplets"])
+    def test_contrast_batch_needs_two_speakers(self, kind, mode):
+        # one speaker gives no negatives: the loss and its gradients stay 0
+        pool, dev = toy_problem()
+        one = TrainConfig(**{**vars(BASE), "loss_kind": kind,
+                             "speakers_per_batch": 1, "chunks_per_speaker": 3})
+        with pytest.raises(DomainError) as exc:
+            train(pool, one, dev)
+        assert str(exc.value) == f"{mode} mode needs at least 2 speakers per batch"
+        # 2 x 2 is the least contrast batch; a classification batch may be one speaker
+        assert len(train(pool, replace(one, speakers_per_batch=2, chunks_per_speaker=2), dev)) == 3
+        assert len(train(pool, replace(one, loss_kind="aam"), dev)) == 3
 
     def test_divergence_names_batch(self):
         # linear logits are not scale-invariant, so a huge step rate drives
