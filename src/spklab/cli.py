@@ -61,9 +61,9 @@ def cmd_grid_search(args, config, dataset) -> int:
 def cmd_evaluate(args, config, dataset) -> int:
     ckpt, _ = training.load_checkpoint(args.checkpoint)
     opts = experiment.eval_options(config)
-    os.makedirs(args.out, exist_ok=True)
 
-    raw, norm = experiment.evaluate_encoder(ckpt.encoder, dataset, args.out, opts, args.seed)
+    result = experiment.evaluate_encoder(ckpt.encoder, dataset, args.out, opts, args.seed)
+    raw, norm = result.raw, result.normalized
     print(f"raw EER {raw.eer:.4f} [{raw.ci_low:.4f}, {raw.ci_high:.4f}]")
     if norm is not None:
         print(f"s-norm EER {norm.eer:.4f} (top_n={norm.top_n})")

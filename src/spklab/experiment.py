@@ -4,11 +4,12 @@ score-normalized evaluation, and multi-loss comparison tables.
 The protocol per loss: grid-search candidate configs on dev EER with a
 short epoch budget, retrain the winner for the full budget, select the
 best epoch on dev, score the test trials raw, tune the s-norm cohort size
-on dev, then score the test trials normalized. The bootstrap intervals of
-every score set of a run (raw and normalized, of each loss in `compare`) come
-from one `eer_bootstrap_ci` pass after the last loss is scored, so each
-resample is drawn once. Everything is seeded and sequential, so a rerun
-reproduces every output file byte for byte.
+on dev, then score the test trials normalized. Each scored encoder is one
+`ExperimentResult`. The bootstrap reports of every score set of a run (raw and
+normalized, of each loss in `compare`) come from one `eer_bootstrap_ci` pass
+after the last loss is scored (`write_reports`), so each resample is drawn
+once. Everything is seeded and sequential, so a rerun reproduces every output
+file byte for byte.
 """
 
 import itertools
@@ -47,22 +48,6 @@ class EvalOptions:
 
     def __post_init__(self):
         scoring.check_n_bootstrap(self.n_bootstrap)
-
-
-@dataclass
-class ExperimentResult:
-    loss_kind: str
-    config: training.TrainConfig
-    raw: scoring.EerReport
-    normalized: scoring.EerReport | None
-    checkpoint_path: str | None
-    improvement_pct: float
-
-    def csv_row(self) -> str:
-        snorm, improvement = ((math.nan, math.nan) if self.normalized is None
-                              else (self.normalized.eer, self.improvement_pct))
-        return (f"{self.loss_kind},{self.raw.eer:.9g},{self.raw.ci_low:.9g},"
-                f"{self.raw.ci_high:.9g},{snorm:.9g},{improvement:.9g}")
 
 
 def base_config(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Config) -> training.TrainConfig:
@@ -142,31 +127,50 @@ def top_n_candidates(cohort_size: int, opts: EvalOptions) -> list[int]:
 
 
 @dataclass(frozen=True)
-class EvalScores:
-    """One encoder's scored test trials, written under `out_dir`: raw, and normalized at
-    the tuned cohort size unless s-norm is off or failed, when its error is kept."""
+class ExperimentResult:
+    """One scored encoder, written under `out_dir`: its raw test scores, the normalized ones
+    at the tuned cohort size unless s-norm is off or failed (its error kept), a trained
+    loss's kind and chosen config, and the reports `write_reports` fills in."""
 
     out_dir: str | os.PathLike
-    raw: scoring.Scores
-    normalized: scoring.Scores | None = None
+    raw_scores: scoring.Scores
+    normalized_scores: scoring.Scores | None = None
     top_n: int | None = None
     snorm_error: DomainError | None = None
+    loss_kind: str | None = None
+    config: training.TrainConfig | None = None
+    raw: scoring.EerReport | None = None
+    normalized: scoring.EerReport | None = None
+
+    @property
+    def improvement_pct(self) -> float:
+        if self.normalized is None or self.raw.eer == 0:
+            return 0.0
+        return 100.0 * (self.raw.eer - self.normalized.eer) / self.raw.eer
+
+    def csv_row(self) -> str:
+        snorm, improvement = ((math.nan, math.nan) if self.normalized is None
+                              else (self.normalized.eer, self.improvement_pct))
+        return (f"{self.loss_kind},{self.raw.eer:.9g},{self.raw.ci_low:.9g},"
+                f"{self.raw.ci_high:.9g},{snorm:.9g},{improvement:.9g}")
 
 
-def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> EvalScores:
+def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> ExperimentResult:
     """Score the test trials raw and, unless s-norm is off, normalized with top_n tuned on
-    dev; write the DET points and the score files under `out_dir`."""
+    dev; write the DET points and the score files under `out_dir`, made once the raw
+    scores hold both classes."""
     if opts.use_snorm:  # a bad option or dev trial list fails before any file is written
         candidates = top_n_candidates(len(dataset.files_of("cohort")), opts)
         dev_pack = dataset.eval_pack("dev")
     test_pack = dataset.eval_pack("test")
     test_embeddings = training.embed_files(encoder, test_pack)
     raw = scoring.score_trials(test_embeddings, test_pack.index)
-    # the DET first: a test list without both classes fails there, before any file is written
+    scoring.split_classes(raw.values, raw.index.target)  # both classes, or no --out
+    os.makedirs(out_dir, exist_ok=True)
     scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), raw)
     scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), raw)
     if not opts.use_snorm:
-        return EvalScores(out_dir, raw)
+        return ExperimentResult(out_dir, raw)
     try:
         cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
         top_n = scoring.tune_cohort_size(
@@ -176,58 +180,63 @@ def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> 
         cohort = scoring.Cohort(cohort_embeddings, top_n)
         normalized = scoring.snorm_trials(test_embeddings, test_pack.index, cohort, opts.snorm_std)
     except DomainError as exc:
-        return EvalScores(out_dir, raw, snorm_error=exc)
+        return ExperimentResult(out_dir, raw, snorm_error=exc)
     scoring.write_scores(os.path.join(out_dir, "scores_test_snorm.txt"), normalized)
-    return EvalScores(out_dir, raw, normalized, top_n)
+    return ExperimentResult(out_dir, raw, normalized, top_n)
 
 
 def write_reports(
-    scored: list[EvalScores], opts: EvalOptions, seed: int
-) -> list[tuple[scoring.EerReport, scoring.EerReport | None]]:
-    """Each encoder's raw and normalized (None without s-norm scores) bootstrap reports,
-    from one `eer_bootstrap_ci` pass over every score set, each written under its
-    `out_dir`."""
-    sets = [(s.raw, None) for s in scored]
-    sets += [(s.normalized, s.top_n) for s in scored if s.normalized is not None]
-    reports = scoring.eer_bootstrap_ci([scores for scores, _ in sets], opts.n_bootstrap,
-                                       seed=seed, top_ns=[top_n for _, top_n in sets])
-    normalized_reports = iter(reports[len(scored):])
+    results: list[ExperimentResult], opts: EvalOptions, seed: int
+) -> list[ExperimentResult]:
+    """Each record with its raw and normalized (None without s-norm scores) bootstrap
+    reports, from one `eer_bootstrap_ci` pass over every score set, written under its
+    `out_dir`, with the summary of a trained loss whose s-norm did not fail."""
+    sets = [r.raw_scores for r in results]
+    sets += [r.normalized_scores for r in results if r.normalized_scores is not None]
+    reports = scoring.eer_bootstrap_ci(sets, opts.n_bootstrap, seed=seed)
+    normalized_reports = iter(reports[len(results):])
     out = []
-    for s, raw in zip(scored, reports):
-        scoring.write_report(os.path.join(s.out_dir, "report_raw.txt"), raw)
-        normalized = None if s.normalized is None else next(normalized_reports)
-        if normalized is not None:
-            scoring.write_report(os.path.join(s.out_dir, "report_snorm.txt"), normalized)
-        out.append((raw, normalized))
+    for result, raw in zip(results, reports):
+        scoring.write_report(os.path.join(result.out_dir, "report_raw.txt"), raw)
+        normalized = None
+        if result.normalized_scores is not None:
+            normalized = replace(next(normalized_reports), top_n=result.top_n)
+            scoring.write_report(os.path.join(result.out_dir, "report_snorm.txt"), normalized)
+        result = replace(result, raw=raw, normalized=normalized)
+        if result.config is not None and result.snorm_error is None:
+            _write_result_summary(os.path.join(result.out_dir, "result.txt"), result)
+        out.append(result)
     return out
+
+
+def _report_one(result: ExperimentResult, opts: EvalOptions, seed: int) -> ExperimentResult:
+    """The one record `write_reports` reports; raises its s-norm failure, if any."""
+    result, = write_reports([result], opts, seed)
+    if result.snorm_error is not None:
+        raise result.snorm_error
+    return result
 
 
 def evaluate_encoder(
     encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions, seed: int
-) -> tuple[scoring.EerReport, scoring.EerReport | None]:
+) -> ExperimentResult:
     """Score the test trials (`score_test`) and write their scores and reports under
-    `out_dir`, the raw report even when s-norm fails. Returns the raw report and the
-    normalized one (None without s-norm)."""
-    scored = score_test(encoder, dataset, out_dir, opts)
-    (raw, normalized), = write_reports([scored], opts, seed)
-    if scored.snorm_error is not None:
-        raise scored.snorm_error
-    return raw, normalized
+    `out_dir`, the raw report even when s-norm fails."""
+    return _report_one(score_test(encoder, dataset, out_dir, opts), opts, seed)
 
 
 def train_and_score(
     dataset: SpeakerDataset, loss_kind: str, out_dir, seed: int,
     grid: list[training.TrainConfig], opts: EvalOptions,
     budget_epochs: int | None = None, grid_epochs: int | None = None,
-) -> tuple[training.TrainConfig, EvalScores]:
+) -> ExperimentResult:
     """Grid-search `grid`, train the winner for the full budget (`budget_epochs`, or the
     grid configs' own epochs), save the best epoch's checkpoint and score the test trials
-    with it under `out_dir`. Returns the chosen config and the scores."""
+    with it under `out_dir`, made once training has succeeded."""
     epochs = grid[0].epochs if budget_epochs is None else budget_epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
     if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
         top_n_candidates(len(dataset.files_of("cohort")), opts)
-    os.makedirs(out_dir, exist_ok=True)
 
     pool = dataset.train_pool()
     dev_pack = dataset.eval_pack("dev")
@@ -238,30 +247,11 @@ def train_and_score(
     chosen = replace(chosen, epochs=epochs)
     _, best = training.train_and_select(pool, chosen, dev_pack)
 
+    os.makedirs(out_dir, exist_ok=True)
     training.save_checkpoint(os.path.join(out_dir, "best.ckpt"), best, chosen)
     write_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
-    return chosen, score_test(best.encoder, dataset, out_dir, opts)
-
-
-def finish_run(loss_kind: str, chosen: training.TrainConfig, scored: EvalScores,
-               raw: scoring.EerReport, normalized: scoring.EerReport | None) -> ExperimentResult:
-    """The result of a loss trained and scored (`train_and_score`) and reported
-    (`write_reports`), with its summary written; raises its s-norm failure, if any."""
-    if scored.snorm_error is not None:
-        raise scored.snorm_error
-    improvement = 0.0
-    if normalized is not None and raw.eer > 0:
-        improvement = 100.0 * (raw.eer - normalized.eer) / raw.eer
-    result = ExperimentResult(
-        loss_kind=loss_kind,
-        config=chosen,
-        raw=raw,
-        normalized=normalized,
-        checkpoint_path=os.path.join(scored.out_dir, "best.ckpt"),
-        improvement_pct=improvement,
-    )
-    _write_result_summary(os.path.join(scored.out_dir, "result.txt"), result)
-    return result
+    scored = score_test(best.encoder, dataset, out_dir, opts)
+    return replace(scored, loss_kind=loss_kind, config=chosen)
 
 
 def run_experiment(
@@ -277,12 +267,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full per-loss protocol over the candidate configs of `grid`, the one-loss case of
     `compare_losses`; writes scores, reports, and the selected checkpoint under `out_dir`
-    and returns the result summary. The full budget is `budget_epochs`, or the grid
-    configs' own epochs."""
-    chosen, scored = train_and_score(dataset, loss_kind, out_dir, seed, grid, eval_options,
-                                     budget_epochs, grid_epochs)
-    (raw, normalized), = write_reports([scored], eval_options, seed)
-    return finish_run(loss_kind, chosen, scored, raw, normalized)
+    and returns the reported record, or raises its s-norm failure. The full budget is
+    `budget_epochs`, or the grid configs' own epochs."""
+    scored = train_and_score(dataset, loss_kind, out_dir, seed, grid, eval_options,
+                             budget_epochs, grid_epochs)
+    return _report_one(scored, eval_options, seed)
 
 
 def _write_result_summary(path, result: ExperimentResult) -> None:
@@ -317,10 +306,11 @@ def compare_losses(
 
     Every loss's grid is built, and a bad config value raised, before any
     loss trains. Each loss is trained and scored (`train_and_score`), then one
-    bootstrap pass reports every loss's scores (`write_reports`) and each
-    loss's summary is written (`finish_run`). A loss that fails in training or
-    s-norm is recorded as a nan row, with its raw outputs when s-norm failed,
-    and the others proceed.
+    bootstrap pass reports every loss's scores and writes its summary
+    (`write_reports`). A loss that fails in training or s-norm is recorded as
+    a nan row, with its raw outputs when s-norm failed, and the others
+    proceed. `out_dir` is made by the first loss trained, or else before
+    `compare.csv`.
     """
     loss_kinds = config.get("eval", "compare_losses", DEFAULT_COMPARE_LOSSES)
     grid_epochs = config.get("training", "grid_epochs")
@@ -331,37 +321,33 @@ def compare_losses(
         if kind in loss_kinds[:i]:  # both would train into one directory and one csv row
             raise DomainError(f"compare_losses lists {kind} twice")
     grids = {kind: default_grid(kind, dataset, seed, config) for kind in loss_kinds}
-    os.makedirs(out_dir, exist_ok=True)
-    trained: dict[str, tuple[training.TrainConfig, EvalScores]] = {}
+    scored: list[ExperimentResult] = []
     errors: dict[str, Exception] = {}
     for kind in loss_kinds:
         try:
-            trained[kind] = train_and_score(dataset, kind, os.path.join(out_dir, kind), seed,
-                                            grids[kind], opts, grid_epochs=grid_epochs)
+            scored.append(train_and_score(dataset, kind, os.path.join(out_dir, kind), seed,
+                                          grids[kind], opts, grid_epochs=grid_epochs))
         except (DomainError, TrainingDiverged, OSError) as exc:
             logger.warning("loss %s failed: %s", kind, exc)
             errors[kind] = exc
-    reports = dict(zip(trained, write_reports([s for _, s in trained.values()], opts, seed)))
-    results: list[tuple[str, ExperimentResult | None]] = []
-    for kind in loss_kinds:
-        result = None
-        if kind in trained:
-            try:
-                result = finish_run(kind, *trained[kind], *reports[kind])
-            except DomainError as exc:
-                logger.warning("loss %s failed: %s", kind, exc)
-                errors[kind] = exc
-        results.append((kind, result))
+    results: dict[str, ExperimentResult | None] = dict.fromkeys(loss_kinds)
+    for result in write_reports(scored, opts, seed):
+        if result.snorm_error is None:
+            results[result.loss_kind] = result
+        else:
+            logger.warning("loss %s failed: %s", result.loss_kind, result.snorm_error)
+            errors[result.loss_kind] = result.snorm_error
 
     csv_lines = [COMPARE_CSV_HEADER]
-    for kind, result in results:
+    for kind, result in results.items():
         if result is None:
             csv_lines.append(f"{kind},nan,nan,nan,nan,nan")
         else:
             csv_lines.append(result.csv_row())
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(csv_lines) + "\n")
     if errors:
         with open(os.path.join(out_dir, "failures.txt"), "w", encoding="utf-8") as fh:
             fh.write("".join(f"{kind}: {errors[kind]}\n" for kind in loss_kinds if kind in errors))
-    return results
+    return list(results.items())

@@ -318,10 +318,9 @@ def _percentile(ranked: np.ndarray, percent: float) -> float:
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def eer_bootstrap_ci(scores: Sequence[Scores], n_bootstrap: int, seed: int = 0, *,
-                     top_ns: Sequence[int | None] | None = None) -> list[EerReport]:
-    """EER of each score set with a 95% empirical-percentile bootstrap confidence interval,
-    and its s-norm cohort size from `top_ns` when given.
+def eer_bootstrap_ci(scores: Sequence[Scores], n_bootstrap: int, seed: int = 0) -> list[EerReport]:
+    """EER of each score set with a 95% empirical-percentile bootstrap confidence interval;
+    a report's `top_n` stays None, for a caller that normalized the scores to set.
 
     Targets and non-targets are resampled with replacement independently,
     preserving each class count, so every resample keeps both classes
@@ -357,13 +356,13 @@ def eer_bootstrap_ci(scores: Sequence[Scores], n_bootstrap: int, seed: int = 0, 
 
     boot.sort(axis=1)
     reports = []
-    for (tar, non), b, top_n in zip(classes, boot, top_ns or [None] * len(classes), strict=True):
+    for (tar, non), b in zip(classes, boot):
         value, threshold = eer_from_scores(tar, non)
         reports.append(EerReport(
             value, threshold,
             ci_low=_percentile(b, CI_TAIL_PERCENT),
             ci_high=_percentile(b, 100.0 - CI_TAIL_PERCENT),
-            n_bootstrap=n_bootstrap, n_target=n_tar, n_nontarget=n_non, top_n=top_n,
+            n_bootstrap=n_bootstrap, n_target=n_tar, n_nontarget=n_non,
         ))
     return reports
 

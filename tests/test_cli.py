@@ -262,7 +262,7 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
         "compare_empty_alpha_grid", "empty_top_n_candidates", "empty_compare_losses"])
 def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     # a bad value stops the run before any training: exit 1, one error line
-    # naming the key, no checkpoint written
+    # naming the key, no --out made
     tmp_path, cfg, data = workdir
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
@@ -274,7 +274,7 @@ def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     assert main(args) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
-    assert not list(out.rglob("best.ckpt"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["config", "manifest", "trials", "checkpoint"])
@@ -312,7 +312,7 @@ def test_evaluate_without_top_n_candidate_fails_before_scoring(workdir, capsys):
                  "--checkpoint", str(run / "best.ckpt")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "top_n_candidates" in err[0]
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-data", "compare"])
@@ -549,6 +549,26 @@ def test_feature_dimension_mismatch_names_both(workdir, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: the encoder takes 12-dim features, the files have 6"]
     assert not list(out.glob("*"))
+
+
+def test_evaluate_failing_before_its_first_file_leaves_no_out(workdir, capsys):
+    # a 12-dim checkpoint on a 10-dim dataset fails before any score is written,
+    # and the --out directory is not made either
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    ten_cfg = tmp_path / "ten.cfg"
+    ten_cfg.write_text(TINY_CFG.replace("feature_dim = 12", "feature_dim = 10"))
+    ten = tmp_path / "ten"
+    assert main(["gen-data", "--config", str(ten_cfg), "--seed", "3", "--out", str(ten)]) == 0
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--data", str(ten), "--out", str(out),
+                 "--checkpoint", str(run / "best.ckpt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the encoder takes 12-dim features, the files have 10"]
+    assert not out.exists()
 
 
 def test_non_real_features_fail_cleanly(workdir, capsys):

@@ -184,7 +184,7 @@ class TestRunExperiment:
             data, "coco", tmp_path / "run", seed=0, budget_epochs=1,
             grid=[config], eval_options=EVAL,
         )
-        ckpt, echo = training.load_checkpoint(result.checkpoint_path)
+        ckpt, echo = training.load_checkpoint(tmp_path / "run" / "best.ckpt")
         assert echo["loss_kind"] == "'coco'"
         assert "centers" in ckpt.encoder.loss_arrays
 
@@ -258,6 +258,7 @@ class TestCompare:
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert "triplet_sigmoid,nan,nan,nan,nan,nan" in lines
         assert (tmp_path / "cmp" / "failures.txt").exists()
+        assert not (tmp_path / "cmp" / "triplet_sigmoid").exists()
 
     def test_each_resample_is_drawn_once(self, data, tmp_path, made_generators):
         # the bootstrap is the only tuple-seeded generator: one per resample for every
