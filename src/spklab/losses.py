@@ -178,10 +178,15 @@ def _check_labels(labels, n_samples: int, n_classes: int | None = None) -> np.nd
 def logits_linear(embeddings, params: ClassifierParams) -> Logits:
     """Linear classification layer: sigma_i = x_i . C^T, plus the bias b where
     `params` has one; only then does `backward` return a "bias" gradient."""
-    c, b = params.centers, params.bias
-    x = _check_embeddings(embeddings, c.shape[1])
+    x = _check_embeddings(embeddings, params.centers.shape[1])
     if not np.all(np.isfinite(x)):
         raise DomainError(f"non-finite embedding at row {int(np.argmin(np.isfinite(x).all(axis=1)))}")
+    return _linear(x, params)
+
+
+def _linear(x: np.ndarray, params: ClassifierParams) -> Logits:
+    """`logits_linear` of (N, m) float64 rows that the caller has checked."""
+    c, b = params.centers, params.bias
     values = x @ c.T
     if b is not None:
         values += b
@@ -302,12 +307,12 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
     x = _check_embeddings(embeddings, params.centers.shape[1])
     if cparams.gamma.shape != params.centers.shape:
         raise DomainError("gamma must have the same shape as the centers")
+    u, xn = normalize_rows(x, "embedding")  # the one check of the rows, through their norms
     y = np.asarray(labels, dtype=np.int64)
-    ce = cross_entropy(logits_linear(x, params), y)  # checks the labels against the centers
+    ce = cross_entropy(_linear(x, params), y)  # checks the labels against the centers
 
     gamma_used = cparams.gamma[y]
     g_unit, g_norms = normalize_rows(gamma_used, "gamma row")
-    u, xn = normalize_rows(x, "embedding")
     s = np.clip((u * g_unit).sum(axis=1), -1.0, 1.0)
 
     if cparams.penalty == "squared_cos_distance":

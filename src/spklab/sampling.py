@@ -10,13 +10,13 @@ and are the oracle those losses are tested against. White Gaussian noise
 at a drawn SNR (`augment_rows`) stands in for real background-noise
 augmentation.
 
-A run's training chunks sit in one `TrainPool` array, label by label, which
-the pool keeps as it is given: the dataset hands over its train rows (see
-`dataset.SpeakerDataset.rows`), and `TrainPool.of` copies a mapping. A
-batch draws its chunks with one bounded-integer call: per speaker of an
-n-row pool, c values below n - c + 1, ..., n pick c distinct rows by
-Floyd's algorithm (Bentley & Floyd 1987: a value already taken becomes
-the bound's own top, n - c + k), followed by c - 1 values below c, ..., 2.
+A run's training chunks sit in one `TrainPool` array, label by label, which the
+pool keeps as given: `dataset.SpeakerDataset.train_pool` hands over the train rows,
+whose files were checked where the dataset was loaded or generated. A batch draws
+its chunks with one bounded-integer call: per speaker of an n-row pool, c values
+below n - c + 1, ..., n pick c distinct rows by Floyd's algorithm (Bentley & Floyd
+1987: a value already taken becomes the bound's own top, n - c + k), followed by
+c - 1 values below c, ..., 2.
 Those last values are the shuffle `Generator.choice(n, c, replace=False)`
 makes of its picks; the batch sorts its picks and so throws them away,
 but drawing them keeps the generator's stream, and every later batch,
@@ -24,7 +24,7 @@ exactly as one `choice` call per speaker leaves it.
 """
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,17 +69,6 @@ class TrainPool:
             raise DomainError(f"training pool rows of shape {features.shape} are not "
                               f"{self.sizes.tolist()} rows for labels 0..K-1")
         self.offsets = np.cumsum(self.sizes) - self.sizes
-
-    @classmethod
-    def of(cls, chunks_by_label: Mapping[int, np.ndarray]) -> "TrainPool":
-        """The pool of a label -> chunk rows mapping, copied."""
-        if sorted(chunks_by_label) != list(range(len(chunks_by_label))) or not chunks_by_label:
-            raise DomainError("training pool labels must be 0..K-1")
-        blocks = [np.asarray(chunks_by_label[k], dtype=np.float64)
-                  for k in range(len(chunks_by_label))]
-        if any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1] for b in blocks):
-            raise DomainError("training pool chunks must be (n, d) rows of one d")
-        return cls(np.concatenate(blocks), [len(b) for b in blocks])
 
     @property
     def feature_dim(self) -> int:

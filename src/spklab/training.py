@@ -83,19 +83,17 @@ class Checkpoint:
 
 @dataclass(eq=False)
 class EvalPack:
-    """One partition staged for scoring when built: its file ids in sorted order, the
-    files' chunk stacks, and its trials' index over those files (a cohort has no trials).
-
-    Every file is an (n_chunks, feature_dim) array with n_chunks > 0, of the first such
-    file's feature_dim; a file that is not fails the build naming the file, and a trial
-    naming an unknown file fails it as `scoring.TrialIndex.of` does. A stack is
-    `rows(ids)` for its file ids, those files' rows end to end (a dataset passes its
-    `SpeakerDataset.rows`, which may hand out a view); without `rows` it is a copy.
-    """
+    """A dataset partition staged for scoring when built (`SpeakerDataset.eval_pack`): its
+    file ids in sorted order, the files' chunk stacks, and its trials' index over those
+    files (a cohort has no trials); a trial naming an unknown file fails the build as
+    `scoring.TrialIndex.of` does. The files are non-empty (n_chunks, feature_dim) arrays
+    of one feature_dim, as loading or generating a dataset checks. A stack is the files'
+    rows end to end as `rows` (`SpeakerDataset.rows`) hands them out: a view of the
+    dataset's matrix where they lie end to end there, else a copy."""
 
     files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
-    trials: Sequence[scoring.Trial] = ()
-    rows: Callable[[list[str]], np.ndarray] | None = None
+    trials: Sequence[scoring.Trial]
+    rows: Callable[[list[str]], np.ndarray]
     ids: list[str] = field(init=False)
     feature_dim: int | None = field(init=False)  # None for a pack without files
     # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
@@ -105,25 +103,15 @@ class EvalPack:
 
     def __post_init__(self):
         self.ids = sorted(self.files)
-        shapes = [np.shape(self.files[file_id]) for file_id in self.ids]
-        self.feature_dim = next((s[1] for s in shapes if len(s) == 2), None)
+        self.feature_dim = self.files[self.ids[0]].shape[1] if self.ids else None
         by_count: dict[int, list[int]] = {}
-        for row, (file_id, shape) in enumerate(zip(self.ids, shapes)):
-            if len(shape) != 2 or shape[1] != self.feature_dim or shape[0] == 0:
-                raise DomainError(f"file {file_id}: features must be a non-empty (n_chunks, "
-                                  f"{self.feature_dim}) array, got shape {shape}")
-            by_count.setdefault(shape[0], []).append(row)
+        for row, file_id in enumerate(self.ids):
+            by_count.setdefault(len(self.files[file_id]), []).append(row)
         parts = [rows[i:i + EMBED_STACK_FILES]
                  for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
-        self.stacks = [(np.array(part), self._stack([self.ids[r] for r in part]))
-                       for part in parts]
+        self.stacks = [(np.array(part), self.rows([self.ids[r] for r in part])
+                        .reshape(len(part), -1, self.feature_dim)) for part in parts]
         self.index = scoring.TrialIndex.of(self.trials, self.ids)
-
-    def _stack(self, ids: list[str]) -> np.ndarray:
-        """The (F, n_chunks, feature_dim) stack of files of one chunk count."""
-        rows = (self.rows(ids) if self.rows is not None
-                else np.concatenate([self.files[file_id] for file_id in ids], dtype=np.float64))
-        return rows.reshape(len(ids), len(self.files[ids[0]]), self.feature_dim)
 
 
 def embed_files(params: enc.EncoderParams, pack: EvalPack) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Shared test helpers: random loss instances away from hinge kinks, the
 finite-difference adapters per loss kind, the brute-force EER oracle, the
 float-sweep EER and DET oracle, the per-trial scoring oracle, the embedding
-dict as scoring inputs, trials and their scores as `scoring.Scores`, and a
-fixture that records the seed of every numpy generator built.
+dict as scoring inputs, trials and their scores as `scoring.Scores`, the
+datasets, training pools and evaluation packs of given files, and a fixture
+that records the seed of every numpy generator built.
 """
 
 import numpy as np
 import pytest
 
-from spklab import losses, sampling, scoring
+from spklab import dataset, losses, sampling, scoring
 from spklab.embedding import cosine_similarity
 from spklab.errors import DomainError
 
@@ -227,6 +228,34 @@ def score_per_trial(trials, embeddings):
             raise DomainError(f"trial {t.enroll} vs {t.test}: {exc}") from exc
         scores.append(s)
     return scores_of(trials, scores)
+
+
+def dataset_of(files, trials=(), partition="dev", speakers=None):
+    """A dataset of the {file_id: (n, d) chunk rows} `files`, all in `partition`, with
+    `trials` as its dev trials: the files end to end in file-id order in one matrix, built
+    by `dataset._dataset`, which `generate_dataset` and `load_dataset` share, so its pools
+    and packs are the views and copies a command gets. File `fid` is speaker
+    `speakers[fid]`, or speaker 0 without `speakers`."""
+    ids = sorted(files)
+    blocks = [np.asarray(files[fid], dtype=np.float64) for fid in ids]
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    layout = [(fid, partition, speakers[fid] if speakers else 0, int(start), len(block))
+              for fid, start, block in zip(ids, starts, blocks)]
+    return dataset._dataset(np.concatenate(blocks), layout, list(trials), [])
+
+
+def pack_of(files, trials=()):
+    """The `training.EvalPack` of the {file_id: (n, d) chunk rows} `files` and `trials`, as
+    a dataset stages its dev partition (see `dataset_of`)."""
+    return dataset_of(files, trials).eval_pack("dev")
+
+
+def pool_of(blocks):
+    """The `sampling.TrainPool` of the {label: (n, d) chunk rows} `blocks`, labels 0..K-1,
+    as a dataset hands it out: label k is train speaker k with one file, `s0000`, `s0001`, ..."""
+    files = {f"s{k:04d}": rows for k, rows in blocks.items()}
+    return dataset_of(files, partition="train",
+                      speakers={fid: int(fid[1:]) for fid in files}).train_pool()
 
 
 # bound at import, so that a patched np.random.default_rng does not count the oracles' generators

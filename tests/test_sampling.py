@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dataset_of, pool_of
 from spklab.dataset import SyntheticDatasetSpec
 from spklab.errors import DomainError
 from spklab.sampling import (
@@ -28,9 +29,8 @@ from spklab.training import TrainConfig
 
 def make_pool(n_speakers, chunks_each, dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    return TrainPool.of({
-        spk: rng.standard_normal((chunks_each, dim)) for spk in range(n_speakers)
-    })
+    return TrainPool(rng.standard_normal((n_speakers * chunks_each, dim)),
+                     [chunks_each] * n_speakers)
 
 
 class TestBalancedBatch:
@@ -107,10 +107,10 @@ def assert_same_draw(pool, n_speakers, chunks_per_speaker, seed, speakers=None):
         want = reference_batch(pool, chunks_per_speaker, rng_ref, speakers)
     except DomainError as exc:
         with pytest.raises(DomainError) as got:
-            balanced_batch(TrainPool.of(pool), chunks_per_speaker, rng, speakers)
+            balanced_batch(pool_of(pool), chunks_per_speaker, rng, speakers)
         assert str(got.value) == str(exc)
         return
-    features, labels = balanced_batch(TrainPool.of(pool), chunks_per_speaker, rng, speakers)
+    features, labels = balanced_batch(pool_of(pool), chunks_per_speaker, rng, speakers)
     np.testing.assert_array_equal(features, want[0])
     np.testing.assert_array_equal(labels, want[1])
     assert features.dtype == want[0].dtype and labels.dtype == want[1].dtype
@@ -146,7 +146,7 @@ class TestBatchDrawOracle:
         assert_same_draw(pool, 3, chunks, 8, np.array([1, 0, 2]))
 
     def test_short_pool_names_the_speaker(self):
-        pool = TrainPool.of({0: np.ones((5, 2)), 1: np.ones((5, 2)), 2: np.ones((1, 2))})
+        pool = TrainPool(np.ones((11, 2)), [5, 5, 1])
         with pytest.raises(DomainError, match="speaker 2 has 1 chunks, batch needs 3"):
             balanced_batch(pool, 3, np.random.default_rng(0), speakers=[0, 2])
 
@@ -162,25 +162,24 @@ class TestBatchDrawOracle:
         rows = np.concatenate([blocks[0], blocks[1]])
         pool = TrainPool(rows, [3, 2])
         assert pool.features is rows
-        np.testing.assert_array_equal(pool.features, TrainPool.of(blocks).features)
+        np.testing.assert_array_equal(pool.features, pool_of(blocks).features)
         with pytest.raises(DomainError, match=r"rows of shape \(4, 2\) are not \[3, 2\] rows"):
             TrainPool(rows[1:], [3, 2])
         with pytest.raises(DomainError, match="labels 0..K-1"):
             TrainPool(np.empty((0, 2)), [])
 
     def test_pool_is_one_array_in_label_order(self):
-        pool = TrainPool.of({1: np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
-                             0: np.zeros((3, 2))})
+        # speaker 1's file comes first in file-id order, so the dataset copies the rows
+        data = dataset_of({"a": np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
+                           "b": np.zeros((3, 2))}, partition="train", speakers={"a": 1, "b": 0})
+        pool = data.train_pool()
         assert pool.features.shape == (6, 2)
+        assert not np.shares_memory(pool.features, data.matrix)
         np.testing.assert_array_equal(pool.sizes, [3, 3])
         np.testing.assert_array_equal(pool.offsets, [0, 3])
         np.testing.assert_array_equal(pool.features[:, 0], [0.0, 0.0, 0.0, 1.0, 1.0, 2.0])
         assert len(pool) == 2 and pool.feature_dim == 2
         assert not isinstance(pool, Mapping)
-        with pytest.raises(DomainError, match="0..K-1"):
-            TrainPool.of({0: np.ones((2, 2)), 2: np.ones((2, 2))})
-        with pytest.raises(DomainError, match="rows of one d"):
-            TrainPool.of({0: np.ones((2, 2)), 1: np.ones((2, 3))})
 
 
 class TestEpochBatches:
