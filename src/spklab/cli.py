@@ -32,8 +32,9 @@ def cmd_train(args, config, dataset) -> int:
     kind = config.get("loss", "kind", training.TrainConfig.loss_kind)
     train_config = experiment.base_config(kind, dataset, args.seed, config)
 
-    checkpoints, best = training.train_and_select(
-        dataset.train_pool(), train_config, dataset.eval_pack("dev"))
+    pool, dev_pack = dataset.train_pool(), dataset.eval_pack("dev")
+    checkpoints = training.train(pool, train_config, dev_pack)
+    best = training.best_checkpoint(pool, train_config, dev_pack, checkpoints)
 
     os.makedirs(args.out, exist_ok=True)
     training.save_checkpoint(os.path.join(args.out, "best.ckpt"), best, train_config)
@@ -49,7 +50,8 @@ def cmd_grid_search(args, config, dataset) -> int:
     grid = experiment.default_grid(kind, dataset, args.seed, config)
     budget = experiment.grid_budget(config.get("training", "grid_epochs"), grid[0].epochs)
 
-    chosen = training.grid_search(dataset.train_pool(), grid, budget, dataset.eval_pack("dev"))
+    chosen = training.grid_search(
+        dataset.train_pool(), grid, budget, dataset.eval_pack("dev")).config
 
     os.makedirs(args.out, exist_ok=True)
     write_echo(os.path.join(args.out, "chosen_config.txt"), chosen)

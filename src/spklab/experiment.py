@@ -2,9 +2,9 @@
 score-normalized evaluation, and multi-loss comparison tables.
 
 The protocol per loss: grid-search candidate configs on dev EER with a
-short epoch budget, retrain the winner for the full budget, select the
-best epoch on dev, score the test trials raw, tune the s-norm cohort size
-on dev, then score the test trials normalized. Each scored encoder is one
+short epoch budget, continue the winner's run to the full budget, select
+the best epoch on dev, score the test trials raw, tune the s-norm cohort
+size on dev, then score the test trials normalized. Each scored encoder is one
 `ExperimentResult`. The bootstrap reports of every score set of a run (raw and
 normalized, of each loss in `compare`) come from one `eer_bootstrap_ci` pass
 after the last loss is scored (`write_reports`), so each resample is drawn
@@ -230,8 +230,9 @@ def train_and_score(
     grid: list[training.TrainConfig], opts: EvalOptions,
     budget_epochs: int | None = None, grid_epochs: int | None = None,
 ) -> ExperimentResult:
-    """Grid-search `grid`, train the winner for the full budget (`budget_epochs`, or the
-    grid configs' own epochs), save the best epoch's checkpoint and score the test trials
+    """Grid-search `grid` (a grid of one is trained without a search), continue the winner's
+    run to the full budget (`budget_epochs`, or the grid configs' own epochs), save the best
+    of its first full-budget epochs (the untrained snapshot at 0) and score the test trials
     with it under `out_dir`, made once training has succeeded."""
     epochs = grid[0].epochs if budget_epochs is None else budget_epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
@@ -240,12 +241,11 @@ def train_and_score(
 
     pool = dataset.train_pool()
     dev_pack = dataset.eval_pack("dev")
-    if len(grid) > 1:
-        chosen = training.grid_search(pool, grid, grid_epochs, dev_pack)
-    else:
-        chosen = grid[0]
-    chosen = replace(chosen, epochs=epochs)
-    _, best = training.train_and_select(pool, chosen, dev_pack)
+    run = (training.grid_search(pool, grid, grid_epochs, dev_pack) if len(grid) > 1
+           else training.init_run(grid[0], pool))
+    training.continue_run(run, pool, dev_pack, max(0, epochs - len(run.checkpoints)))
+    chosen = replace(run.config, epochs=epochs)
+    best = training.best_checkpoint(pool, chosen, dev_pack, run.checkpoints[:epochs])
 
     os.makedirs(out_dir, exist_ok=True)
     training.save_checkpoint(os.path.join(out_dir, "best.ckpt"), best, chosen)

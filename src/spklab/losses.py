@@ -647,15 +647,19 @@ def _classifier(state: LossState) -> ClassifierParams:
     return ClassifierParams(state.arrays["centers"], state.arrays.get("bias"))
 
 
+def _linear_ce(embeddings, labels, state: LossState) -> LossOutput:
+    """Cross entropy over the linear layer, which is defined at a zero embedding; a batch
+    rejects a zero row here all the same, naming it as every other kind does."""
+    logits = logits_linear(embeddings, _classifier(state))  # shape and finiteness checked
+    normalize_rows(embeddings)  # the norms every cosine layer checks
+    return cross_entropy(logits, labels)
+
+
 _CLASSIFICATION_TUNED = {"learning_rate": 0.1, "margin": 0.0}
 
 KINDS: dict[str, LossKind] = {
-    "ce": LossKind(
-        "classification", ("centers", "bias"), (), _CLASSIFICATION_TUNED,
-        lambda x, y, st: cross_entropy(logits_linear(x, _classifier(st)), y)),
-    "ce_nobias": LossKind(
-        "classification", ("centers",), (), _CLASSIFICATION_TUNED,
-        lambda x, y, st: cross_entropy(logits_linear(x, _classifier(st)), y)),
+    "ce": LossKind("classification", ("centers", "bias"), (), _CLASSIFICATION_TUNED, _linear_ce),
+    "ce_nobias": LossKind("classification", ("centers",), (), _CLASSIFICATION_TUNED, _linear_ce),
     "coco": LossKind(
         "classification", ("centers",), ("alpha",), _CLASSIFICATION_TUNED,
         lambda x, y, st: cross_entropy(logits_coco(x, _classifier(st), st.hyper), y)),

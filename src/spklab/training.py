@@ -1,12 +1,14 @@
 """SGD training loop, dev-set model selection, grid search, and checkpoint
 serialization.
 
-One run owns its parameter state and RNG stream; every batch takes one
-plain SGD step over the run's one name -> array mapping: the encoder
-weights and whatever the loss trains alongside (class centers, bias,
-penalty centers), all at the same fixed learning rate. After each epoch
-the encoder is frozen, the dev files are embedded and averaged, and the
-dev EER is recorded as a checkpoint.
+One `Run` owns its config, parameter state, RNG stream and checkpoints, and
+`continue_run` trains it on by any number of epochs, so a grid winner goes on
+to the full budget where its search left off. Every batch takes one plain SGD
+step over the run's one name -> array mapping: the encoder weights and
+whatever the loss trains alongside (class centers, bias, penalty centers), all
+at the same fixed learning rate. After each epoch the encoder is frozen, the
+dev files are embedded and averaged, and the dev EER is recorded as a
+checkpoint.
 """
 
 import logging
@@ -135,74 +137,65 @@ def dev_eer(params: enc.EncoderParams, pack: EvalPack) -> float:
     return scoring.eer_from_scores(*scoring.split_classes(scores, pack.index.target))[0]
 
 
-def _check_finite_params(params: enc.EncoderParams, epoch: int, batch_index: int) -> None:
-    for a in params.arrays().values():
-        if not np.all(np.isfinite(a)):
-            raise TrainingDiverged(
-                f"non-finite parameter after epoch {epoch} batch {batch_index}",
-                epoch, batch_index,
-            )
+@dataclass(eq=False)
+class Run:
+    """One training run: its config as given (the epochs trained so far are its checkpoints,
+    not `config.epochs`), the params, which hold the loss state's arrays too, the loss state,
+    the generator, and one checkpoint per epoch trained so far. A run that raised is spent."""
+
+    config: TrainConfig
+    params: enc.EncoderParams
+    state: losses.LossState
+    rng: np.random.Generator
+    checkpoints: list[Checkpoint] = field(default_factory=list)
 
 
-def init_run(
-    config: TrainConfig, feature_dim: int, n_classes: int
-) -> tuple[enc.EncoderParams, losses.LossState, np.random.Generator]:
-    """Fresh encoder and loss state drawn from the run seed, encoder first.
-    The params hold the state's arrays too, so one SGD step updates both."""
-    rng = np.random.default_rng(config.seed)
-    params = enc.init_encoder(
-        feature_dim, config.hidden_dim, config.embedding_dim, rng, config.activation
-    )
-    state = losses.init_loss_state(
-        config.loss_kind, n_classes, config.embedding_dim, config.hyper(), rng)
-    params.loss_arrays = state.arrays
-    return params, state, rng
-
-
-def initial_checkpoint(
-    pool: sampling.TrainPool,
-    config: TrainConfig,
-    dev_pack: EvalPack,
-) -> Checkpoint:
-    """Untrained snapshot (epoch -1) under the run seed, dev EER included."""
-    params, _, _ = init_run(config, pool.feature_dim, len(pool))
-    return Checkpoint(-1, params, dev_eer(params, dev_pack))
-
-
-def train(
-    pool: sampling.TrainPool,
-    config: TrainConfig,
-    dev_pack: EvalPack,
-) -> list[Checkpoint]:
-    """Run `config.epochs` epochs of balanced-batch SGD; returns one
-    checkpoint per epoch (parameters and dev EER after that epoch).
-
-    Deterministic given the config seed. Raises TrainingDiverged naming
-    the batch index if the loss or any parameter goes non-finite. A pair or
-    triplet kind's batch without 2+ speakers x 2+ chunks has no negatives
-    or no positives: a DomainError before the first draw.
-    """
+def init_run(config: TrainConfig, pool: sampling.TrainPool) -> Run:
+    """A fresh run of `config` on `pool`, encoder then loss state drawn from the run seed. A
+    pair or triplet kind's batch without 2+ speakers x 2+ chunks has no negatives or no
+    positives: a DomainError before any draw."""
     mode = losses.KINDS[config.loss_kind].mode
     if mode in ("pairs", "triplets"):
         if config.chunks_per_speaker < 2:
             raise DomainError(f"{mode} mode needs at least 2 chunks per speaker")
         if config.speakers_per_batch < 2:
             raise DomainError(f"{mode} mode needs at least 2 speakers per batch")
-    params, state, rng = init_run(config, pool.feature_dim, len(pool))
-    lr = config.learning_rate
+    rng = np.random.default_rng(config.seed)
+    params = enc.init_encoder(
+        pool.feature_dim, config.hidden_dim, config.embedding_dim, rng, config.activation
+    )
+    state = losses.init_loss_state(
+        config.loss_kind, len(pool), config.embedding_dim, config.hyper(), rng)
+    params.loss_arrays = state.arrays
+    return Run(config, params, state, rng)
 
-    checkpoints = []
+
+def initial_checkpoint(
+    pool: sampling.TrainPool, config: TrainConfig, dev_pack: EvalPack
+) -> Checkpoint:
+    """Untrained snapshot (epoch -1) under the run seed, dev EER included."""
+    params = init_run(config, pool).params
+    return Checkpoint(-1, params, dev_eer(params, dev_pack))
+
+
+def continue_run(run: Run, pool: sampling.TrainPool, dev_pack: EvalPack, epochs: int) -> Run:
+    """Train `run` on by `epochs` epochs of balanced-batch SGD, adding one checkpoint per
+    epoch (parameters and dev EER after it), numbered on from the run's last; returns the
+    run. Continuing by a epochs and then by b is bit for bit one continuation by a + b.
+    Raises TrainingDiverged naming the epoch and batch if the loss or a parameter goes
+    non-finite."""
+    config, params = run.config, run.params
     # no numpy warning on overflow: a non-finite loss or parameter raises TrainingDiverged below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
+        for epoch in range(len(run.checkpoints), len(run.checkpoints) + epochs):
             batches = sampling.epoch_batches(
-                pool, config.speakers_per_batch, config.chunks_per_speaker, rng)
+                pool, config.speakers_per_batch, config.chunks_per_speaker, run.rng)
             for batch_index, (feats, labels) in enumerate(batches):
                 if config.augment_snr_db is not None:
-                    feats = sampling.augment_rows(feats, config.augment_snr_db, rng)
+                    feats = sampling.augment_rows(feats, config.augment_snr_db, run.rng)
                 try:
                     embeddings, cache = enc.forward(params, feats)
-                    out = losses.evaluate_loss(config.loss_kind, embeddings, labels, state)
+                    out = losses.evaluate_loss(config.loss_kind, embeddings, labels, run.state)
                 except DomainError as exc:
                     # mid-run numeric failure (overflowed activations, non-finite
                     # loss inputs or value) is divergence, not a caller contract violation
@@ -211,21 +204,25 @@ def train(
                         epoch, batch_index,
                     ) from exc
                 grads = enc.backward(params, cache, out.grad_embeddings) | out.grads
-                enc.sgd_step(params, grads, lr)
-                _check_finite_params(params, epoch, batch_index)
-            checkpoints.append(Checkpoint(epoch, params.copy(), dev_eer(params, dev_pack)))
-    return checkpoints
+                enc.sgd_step(params, grads, config.learning_rate)
+                if not all(np.all(np.isfinite(a)) for a in params.arrays().values()):
+                    raise TrainingDiverged(f"non-finite parameter after epoch {epoch} batch "
+                                           f"{batch_index}", epoch, batch_index)
+            run.checkpoints.append(Checkpoint(epoch, params.copy(), dev_eer(params, dev_pack)))
+    run.state.scratch.clear()  # a run waiting to go on (a grid's best) holds no batch temporaries
+    return run
 
 
-def train_and_select(
-    pool: sampling.TrainPool, config: TrainConfig, dev_pack: EvalPack
-) -> tuple[list[Checkpoint], Checkpoint]:
-    """Train for `config.epochs`; returns the per-epoch checkpoints and the
-    best of them, or the untrained snapshot when there are no epochs."""
-    checkpoints = train(pool, config, dev_pack)
-    if not checkpoints:
-        return checkpoints, initial_checkpoint(pool, config, dev_pack)
-    return checkpoints, select_best(checkpoints)
+def train(pool: sampling.TrainPool, config: TrainConfig, dev_pack: EvalPack) -> list[Checkpoint]:
+    """Run `config.epochs` epochs of a fresh run (`init_run`, `continue_run`); returns its
+    checkpoints. Deterministic given the config seed."""
+    return continue_run(init_run(config, pool), pool, dev_pack, config.epochs).checkpoints
+
+
+def best_checkpoint(pool: sampling.TrainPool, config: TrainConfig, dev_pack: EvalPack,
+                    checkpoints: Sequence[Checkpoint]) -> Checkpoint:
+    """The best of a run's `checkpoints`, or with none the untrained snapshot of `config`."""
+    return select_best(checkpoints) if checkpoints else initial_checkpoint(pool, config, dev_pack)
 
 
 def select_best(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
@@ -235,32 +232,28 @@ def select_best(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
     return min(checkpoints, key=lambda ckpt: ckpt.dev_eer)
 
 
-def grid_search(
-    pool: sampling.TrainPool,
-    grid: Sequence[TrainConfig],
-    budget_epochs: int,
-    dev_pack: EvalPack,
-) -> TrainConfig:
-    """Train every config for `budget_epochs` and return the one whose best
-    dev EER is lowest (first in grid order on ties). A config that fails
-    to train is disqualified with a logged warning.
+def grid_search(pool: sampling.TrainPool, grid: Sequence[TrainConfig], budget_epochs: int,
+                dev_pack: EvalPack) -> Run:
+    """Train a run of every config for `budget_epochs` and return the one whose best dev EER
+    is lowest (first in grid order on ties), ready to continue to its config's full epochs.
+    A config that fails to train is disqualified with a logged warning.
     """
     if len(grid) == 0:
         raise DomainError("grid_search: empty grid")
-    best_config, best_eer = None, None
+    best_run, best_eer = None, None
     for config in grid:
-        short = replace(config, epochs=budget_epochs)
         try:
-            checkpoints = train(pool, short, dev_pack)
+            run = continue_run(init_run(config, pool), pool, dev_pack, budget_epochs)
         except (TrainingDiverged, DomainError) as exc:
-            logger.warning("grid config %s disqualified: %s", short, exc)
+            logger.warning("grid config %s disqualified: %s",
+                           replace(config, epochs=budget_epochs), exc)
             continue
-        candidate = select_best(checkpoints).dev_eer
+        candidate = select_best(run.checkpoints).dev_eer
         if best_eer is None or candidate < best_eer:
-            best_config, best_eer = config, candidate
-    if best_config is None:
+            best_run, best_eer = run, candidate
+    if best_run is None:
         raise DomainError("grid_search: every configuration failed to train")
-    return best_config
+    return best_run
 
 
 # --- checkpoint container ----------------------------------------------------

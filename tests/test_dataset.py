@@ -394,7 +394,7 @@ class TestLoadedViews:
             assert ckpt_v.dev_eer == ckpt_c.dev_eer
             for name, array in ckpt_v.encoder.arrays().items():
                 assert np.array_equal(array, ckpt_c.encoder.arrays()[name]), name
-        params = init_run(config, 32, 50)[0]
+        params = init_run(config, loaded[0].train_pool()).params
         for partition in ("dev", "test"):
             assert (dev_eer(params, loaded[0].eval_pack(partition))
                     == dev_eer(params, loaded[1].eval_pack(partition)))

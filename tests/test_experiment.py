@@ -5,12 +5,13 @@ from dataclasses import replace
 from pathlib import Path
 
 
+import numpy as np
 import pytest
 
 from spklab import dataset as ds
-from spklab import experiment, scoring, training
+from spklab import encoder, experiment, scoring, training
 from spklab.config import Config, empty_config, parse_config
-from spklab.errors import ConfigError, DomainError
+from spklab.errors import ConfigError, DomainError, TrainingDiverged
 
 SPEC = ds.SyntheticDatasetSpec(
     n_speakers_train=10, n_speakers_dev=4, n_speakers_cohort=6, n_speakers_test=4,
@@ -189,6 +190,68 @@ class TestRunExperiment:
         assert "centers" in ckpt.encoder.loss_arrays
 
 
+class TestTrainAndScore:
+    """The grid winner's run goes on from its grid epochs to the full budget, so no epoch
+    trains twice, and its outputs are those of retraining the winner from epoch 0."""
+
+    @staticmethod
+    def grid(data):
+        # three batch shapes, so each candidate makes its own steps per epoch; over three
+        # epochs the winner's best is its last, below its first two
+        base = experiment.base_config("aam", data, 0, empty_config())
+        return [replace(base, learning_rate=lr, speakers_per_batch=s, chunks_per_speaker=2)
+                for lr, s in ((0.05, 3), (0.1, 4), (0.3, 5))]
+
+    def test_winner_continues_from_its_grid_epochs(self, data, tmp_path, monkeypatch):
+        grid, n_train = self.grid(data), len(data.partitions["train"])
+        winner = training.grid_search(data.train_pool(), grid, 1, data.eval_pack("dev")).config
+        steps, runs = [], []
+        sgd_step, init_run = encoder.sgd_step, training.init_run
+        monkeypatch.setattr(encoder, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
+        monkeypatch.setattr(training, "init_run",
+                            lambda *args: runs.append(args[0]) or init_run(*args))
+        experiment.train_and_score(data, "aam", tmp_path / "run", 0, grid, EVAL,
+                                   budget_epochs=3, grid_epochs=1)
+        per_epoch = [-(-n_train // config.speakers_per_batch) for config in grid]
+        assert len(steps) == sum(per_epoch) + 2 * per_epoch[grid.index(winner)]
+        assert runs == grid
+
+    @pytest.mark.parametrize("epochs", [2, 0])
+    def test_budget_below_the_grid_epochs_selects_among_its_first(self, data, tmp_path, epochs):
+        grid, pool, dev = self.grid(data), data.train_pool(), data.eval_pack("dev")
+        searched = training.grid_search(pool, grid, 3, dev)
+        assert training.select_best(searched.checkpoints).epoch == 2  # the case this pins
+        result = experiment.train_and_score(data, "aam", tmp_path / "run", 0, grid, EVAL,
+                                            budget_epochs=epochs, grid_epochs=3)
+        chosen = replace(searched.config, epochs=epochs)
+        retrained = training.best_checkpoint(pool, chosen, dev, training.train(pool, chosen, dev))
+        assert retrained.epoch == (0 if epochs else -1)
+        training.save_checkpoint(tmp_path / "retrained.ckpt", retrained, chosen)
+        assert ((tmp_path / "run" / "best.ckpt").read_bytes()
+                == (tmp_path / "retrained.ckpt").read_bytes())
+        test_pack = data.eval_pack("test")
+        embeddings = training.embed_files(retrained.encoder, test_pack)
+        assert np.array_equal(result.raw_scores.values,
+                              scoring.score_trials(embeddings, test_pack.index).values)
+
+    def test_grid_of_one_trains_without_a_search(self, data, tmp_path, monkeypatch):
+        monkeypatch.setattr(training, "grid_search", lambda *args: pytest.fail("searched"))
+        config = self.grid(data)[0]
+        result = experiment.train_and_score(data, "aam", tmp_path / "run", 0, [config], EVAL,
+                                            budget_epochs=2, grid_epochs=1)
+        assert result.config == replace(config, epochs=2)
+        # divergence raises the text a fresh run of the config raises
+        bad = replace(experiment.base_config("ce", data, 0, empty_config()), learning_rate=1e200)
+        pool, dev = data.train_pool(), data.eval_pack("dev")
+        with pytest.raises(TrainingDiverged) as fresh, np.errstate(all="ignore"):
+            training.train(pool, replace(bad, epochs=3), dev)
+        with pytest.raises(TrainingDiverged) as scored, np.errstate(all="ignore"):
+            experiment.train_and_score(data, "ce", tmp_path / "bad", 0, [bad], EVAL,
+                                       budget_epochs=3, grid_epochs=1)
+        assert str(scored.value) == str(fresh.value)
+        assert not (tmp_path / "bad").exists()
+
+
 class TestEvaluateEncoder:
     def test_degenerate_cohort_still_writes_the_raw_outputs(self, tmp_path):
         # one cohort file repeated gives every file a flat cohort, so s-norm fails after
@@ -203,7 +266,7 @@ class TestEvaluateEncoder:
                 fields[3:] = first[3:]
         manifest.write_text("".join(" ".join(fields) + "\n" for fields in lines))
         flat = ds.load_dataset(tmp_path / "data")
-        params = training.init_run(training.TrainConfig(), SPEC.feature_dim, 10)[0]
+        params = training.init_run(training.TrainConfig(), flat.train_pool()).params
         (tmp_path / "snorm").mkdir()
         (tmp_path / "raw").mkdir()
         with pytest.raises(DomainError, match="every candidate cohort size was degenerate"):

@@ -796,10 +796,6 @@ class TestRowChecks:
     """Every kind checks its embeddings once, and a bad row fails with one
     DomainError that names it."""
 
-    # the kinds whose only layer over the embeddings is the linear one, which is
-    # defined at a zero embedding (test_linear_zero_embedding_passes_bias)
-    LINEAR_ONLY = ("ce", "ce_nobias")
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
     @pytest.mark.parametrize("shape", ["batch6", "readme"])
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
@@ -812,9 +808,6 @@ class TestRowChecks:
         row = y.size // 2 + 1
         x[row] = 0.0
         x[row, 1] = bad
-        if bad == 0.0 and kind in self.LINEAR_ONLY:
-            assert np.isfinite(losses.evaluate_loss(kind, x, y, state).value)
-            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the error comes alone, with no numpy warning
             with pytest.raises(DomainError, match=rf"embedding.* at row {row}$"):

@@ -117,7 +117,7 @@ class TestTrain:
         # one chunk per speaker gives no positives; the rule holds before the run's first
         # draw, for every contrast kind and whatever its epoch count
         pool, dev = toy_problem()
-        monkeypatch.setattr(training, "init_run", lambda *args: pytest.fail("the run drew"))
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("the run drew"))
         for kind, mode in (("contrastive", "pairs"), ("triplet_hinge", "triplets"),
                            ("triplet_sigmoid", "triplets")):
             for epochs in (0, 1):
@@ -188,6 +188,48 @@ class TestTrain:
         assert len(checkpoints) == 2
 
 
+def assert_same_run(run, other):
+    """Bit for bit the same run: generator state, live arrays, and every checkpoint's epoch,
+    dev EER and arrays. Between continuations a run keeps no batch temporaries."""
+    assert run.rng.bit_generator.state == other.rng.bit_generator.state
+    assert run.state.scratch == {}
+    assert run.params.loss_arrays is run.state.arrays
+    pairs = [(run.params, other.params)] + [
+        (ckpt.encoder, expected.encoder)
+        for ckpt, expected in zip(run.checkpoints, other.checkpoints, strict=True)]
+    for params, expected in pairs:
+        assert list(params.arrays()) == list(expected.arrays())
+        for name, array in expected.arrays().items():
+            assert np.array_equal(params.arrays()[name], array), name
+    assert ([(c.epoch, c.dev_eer) for c in run.checkpoints]
+            == [(c.epoch, c.dev_eer) for c in other.checkpoints])
+
+
+class TestRun:
+    @pytest.mark.parametrize("augment", [None, (10.0, 20.0)], ids=["plain", "augmented"])
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_continuing_equals_one_longer_run(self, kind, augment):
+        # a run continued by a epochs and then by b is one run of a + b epochs
+        pool, dev = toy_problem()
+        config = replace(BASE, loss_kind=kind, chunks_per_speaker=2, augment_snr_db=augment)
+        whole = training.continue_run(init_run(config, pool), pool, dev, 3)
+        assert [c.epoch for c in whole.checkpoints] == [0, 1, 2]
+        for a, b in ((0, 3), (1, 2), (2, 1), (3, 0)):
+            run = training.continue_run(init_run(config, pool), pool, dev, a)
+            assert training.continue_run(run, pool, dev, b) is run
+            assert_same_run(run, whole)
+
+    def test_continued_divergence_names_the_run_epoch(self):
+        # epochs and batches count on from the run's last checkpoint
+        pool, dev = toy_problem()
+        run = training.continue_run(init_run(replace(BASE, loss_kind="ce"), pool), pool, dev, 2)
+        run.config = replace(run.config, learning_rate=1e200)
+        with pytest.raises(TrainingDiverged, match=r"epoch 2 batch \d") as exc, \
+                np.errstate(all="ignore"):
+            training.continue_run(run, pool, dev, 1)
+        assert exc.value.epoch == 2
+
+
 class TestSelectBest:
     def _ckpt(self, epoch, dev_eer):
         params = enc.init_encoder(2, 2, 2, np.random.default_rng(0))
@@ -219,7 +261,7 @@ class TestSelectBest:
 class TestGridSearch:
     def test_grid_of_one(self):
         pool, dev = toy_problem()
-        assert grid_search(pool, [BASE], 1, dev) is BASE
+        assert grid_search(pool, [BASE], 1, dev).config is BASE
 
     def test_zero_lr_loses_on_learnable_problem(self):
         # untrained dev EER is ~0.46 on this fixture; a live learning rate
@@ -228,14 +270,14 @@ class TestGridSearch:
         frozen = TrainConfig(**{**vars(BASE), "learning_rate": 0.0})
         live = TrainConfig(**{**vars(BASE), "learning_rate": 0.05})
         chosen = grid_search(pool, [frozen, live], 8, dev)
-        assert chosen is live
+        assert chosen.config is live
 
     def test_diverging_config_disqualified(self, caplog):
         pool, dev = toy_problem()
         bad = TrainConfig(**{**vars(BASE), "loss_kind": "ce", "learning_rate": 1e200})
         with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
             chosen = grid_search(pool, [bad, BASE], 1, dev)
-        assert chosen is BASE
+        assert chosen.config is BASE
         assert any("disqualified" in r.message for r in caplog.records)
 
     def test_all_failing_raises(self):
@@ -284,8 +326,10 @@ class TestCheckpointIO:
         # array of the run comes back under its name, in the run's order
         feature_dim, hidden_dim, embedding_dim, n_classes = dims
         config = TrainConfig(loss_kind=kind, seed=seed, hidden_dim=hidden_dim,
-                             embedding_dim=embedding_dim, activation=activation)
-        params, _, _ = init_run(config, feature_dim, n_classes)
+                             embedding_dim=embedding_dim, activation=activation,
+                             speakers_per_batch=2, chunks_per_speaker=2)  # every kind's shape
+        pool = sampling.TrainPool(np.zeros((2 * n_classes, feature_dim)), [2] * n_classes)
+        params = init_run(config, pool).params
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "first.ckpt", Path(tmp) / "second.ckpt"
             save_checkpoint(first, Checkpoint(-1, params, dev_eer), config)
