@@ -14,7 +14,8 @@ files are views of it. `SpeakerDataset.rows` alone decides how a list of
 files is handed out: as one view of the matrix where the layout puts them
 end to end, as `generate_dataset` lays them out and `save_dataset` writes
 them, else as a copy. The training pool and the scoring stacks take their
-rows from it.
+rows from it. A partition staged for scoring is an `EvalPack`, built by
+`SpeakerDataset.eval_pack`.
 """
 
 import itertools
@@ -28,16 +29,15 @@ import numpy as np
 
 from spklab.errors import DomainError, read_lines, write_echo
 from spklab.sampling import TrainPool, augment_rows, snr_bounds
-from spklab.scoring import Trial, read_trials, write_trials
-from spklab.training import EvalPack
+from spklab.scoring import Trial, TrialIndex, read_trials, write_trials
 
 PARTITIONS = ("train", "dev", "cohort", "test")
+TRIAL_PARTITIONS = ("dev", "test")  # the partitions with a trial list, trials_<name>.txt
+EMBED_STACK_FILES = 128  # files per stacked forward in embed_files; bounds its temporaries
 
 MANIFEST_NAME = "manifest.txt"
 FEATURES_NAME = "features.npy"
 SPEC_NAME = "dataset_spec.txt"
-DEV_TRIALS_NAME = "trials_dev.txt"
-TEST_TRIALS_NAME = "trials_test.txt"
 
 
 @dataclass(frozen=True)
@@ -95,50 +95,52 @@ class FileRecord:
     file_id: str
     speaker: int
     partition: str
-    features: np.ndarray  # (chunks_per_file, feature_dim)
+    start: int  # its first row in the dataset's matrix
+    features: np.ndarray  # (chunks_per_file, feature_dim), the view of its rows from start
+
+
+@dataclass(frozen=True, eq=False)
+class EvalPack:
+    """A dataset partition staged for scoring (`SpeakerDataset.eval_pack`): its file ids in
+    sorted order, the files' chunk stacks, and its trials' index over those files (a train
+    or cohort pack has no trials)."""
+
+    ids: list[str]
+    feature_dim: int | None  # None for a pack without files
+    # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
+    # (groups in order of first appearance), rows in file order, at most EMBED_STACK_FILES
+    stacks: list[tuple[np.ndarray, np.ndarray]]
+    index: TrialIndex
 
 
 @dataclass(frozen=True, eq=False)
 class SpeakerDataset:
-    """Partitioned speakers, their files and the dev and test trial lists, over one
-    read-only (rows, d) float64 chunk matrix: file `fid`'s features are the view of its
-    rows from `starts[fid]`. `generate_dataset` lays the files end to end in file-id
-    order, as `save_dataset` writes them; `load_dataset` keeps the manifest's layout.
-    `files` and `starts` are read-only mappings, as `rows` reads the matrix by the starts,
-    not by the records."""
+    """Partitioned speakers, their files and the trial list of each of `TRIAL_PARTITIONS`,
+    over one read-only (rows, d) float64 chunk matrix: a file's features are the view of
+    its rows from its record's `start`. `generate_dataset` lays the files end to end in
+    file-id order, as `save_dataset` writes them; `load_dataset` keeps the manifest's
+    layout. `files` is a read-only mapping of frozen records, as `rows` reads the matrix by
+    their starts."""
 
     matrix: np.ndarray
-    starts: Mapping[str, int]
     files: Mapping[str, FileRecord]
     partitions: dict[str, list[int]]
-    trials_dev: list[Trial]
-    trials_test: list[Trial]
+    trials: dict[str, list[Trial]]
 
     @property
     def feature_dim(self) -> int:
         return self.matrix.shape[1]
 
-    def files_of(self, partition: str) -> dict[str, np.ndarray]:
-        return {
-            fid: rec.features
-            for fid, rec in self.files.items()
-            if rec.partition == partition
-        }
-
     def rows(self, file_ids: Sequence[str]) -> np.ndarray:
         """The files' chunk rows end to end in the given order, as one (rows, d) array: a
         read-only view of the matrix when the starts put each file where the one before it
         ends, else a float64 copy ((0, d) for no files)."""
-        blocks = [self.files[fid].features for fid in file_ids]
-        if file_ids:
-            start = end = self.starts[file_ids[0]]
-            for fid, block in zip(file_ids, blocks):
-                if self.starts[fid] != end:
-                    break
-                end += len(block)
-            else:
-                return self.matrix[start:end]
-        return np.concatenate([np.empty((0, self.feature_dim)), *blocks], dtype=np.float64)
+        records = [self.files[fid] for fid in file_ids]
+        ends = [rec.start + len(rec.features) for rec in records]
+        if records and all(rec.start == end for rec, end in zip(records[1:], ends)):
+            return self.matrix[records[0].start : ends[-1]]
+        return np.concatenate([np.empty((0, self.feature_dim)),
+                               *(rec.features for rec in records)], dtype=np.float64)
 
     def train_pool(self) -> TrainPool:
         """Chunks of the train speakers in one array, by train-local label 0..K-1, files of
@@ -152,12 +154,21 @@ class SpeakerDataset:
         return TrainPool(self.rows([rec.file_id for rec in train]), sizes)
 
     def eval_pack(self, partition: str) -> EvalPack:
-        """The partition staged for scoring, with the dev or the test trials; the train and
-        cohort partitions have none."""
+        """The partition staged for scoring, with its trials if it has any; each stack is
+        what `rows` gives for its files, a view where they lie end to end, else a copy. A
+        trial naming a file outside the partition fails as `TrialIndex.of` does."""
         if partition not in PARTITIONS:
             raise DomainError(f"unknown partition {partition!r}, not one of {PARTITIONS}")
-        trials = {"dev": self.trials_dev, "test": self.trials_test}.get(partition, ())
-        return EvalPack(self.files_of(partition), trials, self.rows)
+        ids = sorted(fid for fid, rec in self.files.items() if rec.partition == partition)
+        by_count: dict[int, list[int]] = {}
+        for row, fid in enumerate(ids):
+            by_count.setdefault(len(self.files[fid].features), []).append(row)
+        parts = [rows[i:i + EMBED_STACK_FILES]
+                 for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
+        stacks = [(np.array(part), self.rows([ids[r] for r in part])
+                   .reshape(len(part), -1, self.feature_dim)) for part in parts]
+        return EvalPack(ids, self.feature_dim if ids else None, stacks,
+                        TrialIndex.of(self.trials.get(partition, ()), ids))
 
 
 def file_id(speaker: int, file_index: int) -> str:
@@ -237,25 +248,23 @@ def generate_dataset(spec: SyntheticDatasetSpec) -> SpeakerDataset:
 
     n = spec.chunks_per_file
     layout = [(fid, *chunks[fid][:2], i * n, n) for i, fid in enumerate(order)]
-    return _dataset(matrix, layout, _make_trials(speakers["dev"], spec, rng),
-                    _make_trials(speakers["test"], spec, rng))
+    return _dataset(matrix, layout,
+                    {p: _make_trials(speakers[p], spec, rng) for p in TRIAL_PARTITIONS})
 
 
 def _dataset(matrix: np.ndarray, layout: Sequence[tuple[str, str, int, int, int]],
-             trials_dev: list[Trial], trials_test: list[Trial]) -> SpeakerDataset:
+             trials: dict[str, list[Trial]]) -> SpeakerDataset:
     """The dataset over float64 `matrix`, made read-only, of the files that `layout` places
     there, one (file id, partition, speaker, start, n) per file."""
     matrix.flags.writeable = False
     return SpeakerDataset(
         matrix=matrix,
-        starts=MappingProxyType({fid: start for fid, _, _, start, _ in layout}),
         files=MappingProxyType({
-            fid: FileRecord(fid, speaker, partition, matrix[start : start + n])
+            fid: FileRecord(fid, speaker, partition, start, matrix[start : start + n])
             for fid, partition, speaker, start, n in layout}),
         partitions={p: sorted({speaker for _, q, speaker, _, _ in layout if q == p})
                     for p in PARTITIONS},
-        trials_dev=trials_dev,
-        trials_test=trials_test,
+        trials=trials,
     )
 
 
@@ -267,11 +276,11 @@ def save_dataset(ds: SpeakerDataset, out_dir) -> None:
         fh.write(f"feature_dim {ds.feature_dim}\n")
         for fid in sorted(ds.files):
             rec = ds.files[fid]
-            fh.write(f"{fid} {rec.partition} {rec.speaker} {ds.starts[fid]} "
+            fh.write(f"{fid} {rec.partition} {rec.speaker} {rec.start} "
                      f"{len(rec.features)}\n")
     np.save(os.path.join(out_dir, FEATURES_NAME), ds.matrix)
-    write_trials(os.path.join(out_dir, DEV_TRIALS_NAME), ds.trials_dev)
-    write_trials(os.path.join(out_dir, TEST_TRIALS_NAME), ds.trials_test)
+    for p in TRIAL_PARTITIONS:
+        write_trials(os.path.join(out_dir, f"trials_{p}.txt"), ds.trials[p])
 
 
 def _manifest_ints(path, line_no: int, fields: list[str]) -> list[int]:
@@ -337,8 +346,8 @@ def load_dataset(data_dir) -> SpeakerDataset:
             if not np.isfinite(features[start : start + n]).all():
                 raise DomainError(f"{manifest_path}:{line_of[fid]}: file {fid} has a "
                                   f"non-finite feature value")
-    return _dataset(features, layout, read_trials(os.path.join(data_dir, DEV_TRIALS_NAME)),
-                    read_trials(os.path.join(data_dir, TEST_TRIALS_NAME)))
+    return _dataset(features, layout, {p: read_trials(os.path.join(data_dir, f"trials_{p}.txt"))
+                                       for p in TRIAL_PARTITIONS})
 
 
 def gen_synthetic_dataset(spec: SyntheticDatasetSpec, out_dir) -> SpeakerDataset:

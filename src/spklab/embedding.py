@@ -66,3 +66,23 @@ def normalize_rows(mat: np.ndarray, what: str = "embedding") -> tuple[np.ndarray
         bad = int(np.argmin(norms))
         raise DomainError(f"zero-norm {what} at row {bad}")
     return mat / norms[:, None], norms
+
+
+def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+                   den: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, with the exponent never positive.
+
+    The numerator is max(e, z >= 0) with e = e^-|z| in [0, 1]: 1 where
+    z >= 0, e below, and NaN for NaN, without a select over the sign
+    pattern, whose branches mispredict. `out` may be `z` itself; `den`,
+    another array of z's shape, takes the denominator."""
+    z = np.asarray(z, dtype=np.float64)
+    nonneg = z >= 0
+    e = np.abs(z, out=np.empty_like(z) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = np.add(e, 1.0, out=den)
+    np.maximum(e, nonneg, out=e)
+    e /= den
+    return e

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from spklab.embedding import stable_sigmoid
 from spklab.errors import DomainError
-from spklab.losses import stable_sigmoid
 
 # name -> (activation h = act(z), its derivative from z and h)
 ACTIVATION_TABLE: dict[str, tuple[Callable, Callable]] = {

@@ -68,12 +68,15 @@ def eval_options(config: Config) -> EvalOptions:
 
 
 def grid_budget(grid_epochs: int | None, epochs: int) -> int:
-    """Epochs each grid candidate trains: `grid_epochs` when set, else a
-    tenth of the full budget of `epochs`, at least 1."""
+    """Epochs each grid candidate trains: `grid_epochs` when set, at most the
+    full budget of `epochs`, else a tenth of that budget, at least 1."""
     if grid_epochs is None:
         return max(1, epochs // 10)
     if grid_epochs < 1:
         raise ConfigError(f"[training] grid_epochs must be at least 1, got {grid_epochs}")
+    if grid_epochs > epochs:
+        raise ConfigError(f"[training] grid_epochs must be at most epochs ({epochs}), "
+                          f"got {grid_epochs}")
     return grid_epochs
 
 
@@ -160,7 +163,8 @@ def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> 
     dev; write the DET points and the score files under `out_dir`, made once the raw
     scores hold both classes."""
     if opts.use_snorm:  # a bad option or dev trial list fails before any file is written
-        candidates = top_n_candidates(len(dataset.files_of("cohort")), opts)
+        cohort_pack = dataset.eval_pack("cohort")
+        candidates = top_n_candidates(len(cohort_pack.ids), opts)
         dev_pack = dataset.eval_pack("dev")
     test_pack = dataset.eval_pack("test")
     test_embeddings = training.embed_files(encoder, test_pack)
@@ -172,7 +176,7 @@ def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> 
     if not opts.use_snorm:
         return ExperimentResult(out_dir, raw)
     try:
-        cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
+        cohort_embeddings = training.embed_files(encoder, cohort_pack)
         top_n = scoring.tune_cohort_size(
             training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
             candidates, opts.snorm_std,
@@ -237,7 +241,7 @@ def train_and_score(
     epochs = grid[0].epochs if budget_epochs is None else budget_epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
     if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
-        top_n_candidates(len(dataset.files_of("cohort")), opts)
+        top_n_candidates(len(dataset.eval_pack("cohort").ids), opts)
 
     pool = dataset.train_pool()
     dev_pack = dataset.eval_pack("dev")

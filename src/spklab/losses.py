@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from spklab.embedding import normalize_rows
+from spklab.embedding import normalize_rows, stable_sigmoid
 from spklab.errors import DomainError
 from spklab.sampling import TupleIndex
 
@@ -421,26 +421,6 @@ def triplet_loss_hinge(embeddings, labels, tuples: TupleIndex, hyper: LossHyper)
     w = active.astype(np.float64)
     dx = _triplet_grads(x, u, xn, triplets, w, -w)
     return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=len(triplets))
-
-
-def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None,
-                   den: np.ndarray | None = None) -> np.ndarray:
-    """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0 and
-    e^z / (1 + e^z) below, with the exponent never positive.
-
-    The numerator is max(e, z >= 0) with e = e^-|z| in [0, 1]: 1 where
-    z >= 0, e below, and NaN for NaN, without a select over the sign
-    pattern, whose branches mispredict. `out` may be `z` itself; `den`,
-    another array of z's shape, takes the denominator."""
-    z = np.asarray(z, dtype=np.float64)
-    nonneg = z >= 0
-    e = np.abs(z, out=np.empty_like(z) if out is None else out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = np.add(e, 1.0, out=den)
-    np.maximum(e, nonneg, out=e)
-    e /= den
-    return e
 
 
 def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHyper) -> LossOutput:

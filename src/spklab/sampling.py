@@ -3,7 +3,7 @@
 A batch is a `(features, labels)` pair: a fixed number of chunks from
 each of a fixed number of distinct speakers. A pair or triplet batch needs
 at least two speakers with two chunks each, or it has no positives or no
-negatives; `training.train` checks that rule. The contrast losses take
+negatives; `training.init_run` checks that rule. The contrast losses take
 every tuple the batch admits (no mining) straight from its labels; the
 pair and triplet lists formed here enumerate the same tuples one by one
 and are the oracle those losses are tested against. White Gaussian noise

@@ -7,19 +7,20 @@ to the full budget where its search left off. Every batch takes one plain SGD
 step over the run's one name -> array mapping: the encoder weights and
 whatever the loss trains alongside (class centers, bias, penalty centers), all
 at the same fixed learning rate. After each epoch the encoder is frozen, the
-dev files are embedded and averaged, and the dev EER is recorded as a
-checkpoint.
+dev files (a `dataset.EvalPack`) are embedded and averaged, and the dev EER
+is recorded as a checkpoint.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring
+from spklab.dataset import EvalPack
 from spklab.errors import DomainError, TrainingDiverged, read_lines
 
 logger = logging.getLogger(__name__)
@@ -27,7 +28,6 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = "SPKLABCKPT"
 CHECKPOINT_VERSION = 1
 ARRAY_NAMES = enc.ENCODER_ARRAYS + losses.TRAINED_ARRAYS
-EMBED_STACK_FILES = 128  # files per stacked forward in embed_files; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -81,39 +81,6 @@ class Checkpoint:
     def __post_init__(self):
         if not 0.0 <= self.dev_eer <= 1.0:
             raise DomainError(f"dev EER out of [0, 1]: {self.dev_eer}")
-
-
-@dataclass(eq=False)
-class EvalPack:
-    """A dataset partition staged for scoring when built (`SpeakerDataset.eval_pack`): its
-    file ids in sorted order, the files' chunk stacks, and its trials' index over those
-    files (a cohort has no trials); a trial naming an unknown file fails the build as
-    `scoring.TrialIndex.of` does. The files are non-empty (n_chunks, feature_dim) arrays
-    of one feature_dim, as loading or generating a dataset checks. A stack is the files'
-    rows end to end as `rows` (`SpeakerDataset.rows`) hands them out: a view of the
-    dataset's matrix where they lie end to end there, else a copy."""
-
-    files: Mapping[str, np.ndarray]  # file_id -> (n_chunks, feature_dim)
-    trials: Sequence[scoring.Trial]
-    rows: Callable[[list[str]], np.ndarray]
-    ids: list[str] = field(init=False)
-    feature_dim: int | None = field(init=False)  # None for a pack without files
-    # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
-    # (groups in order of first appearance), rows in file order, at most EMBED_STACK_FILES
-    stacks: list[tuple[np.ndarray, np.ndarray]] = field(init=False)
-    index: scoring.TrialIndex = field(init=False)
-
-    def __post_init__(self):
-        self.ids = sorted(self.files)
-        self.feature_dim = self.files[self.ids[0]].shape[1] if self.ids else None
-        by_count: dict[int, list[int]] = {}
-        for row, file_id in enumerate(self.ids):
-            by_count.setdefault(len(self.files[file_id]), []).append(row)
-        parts = [rows[i:i + EMBED_STACK_FILES]
-                 for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
-        self.stacks = [(np.array(part), self.rows([self.ids[r] for r in part])
-                        .reshape(len(part), -1, self.feature_dim)) for part in parts]
-        self.index = scoring.TrialIndex.of(self.trials, self.ids)
 
 
 def embed_files(params: enc.EncoderParams, pack: EvalPack) -> np.ndarray:

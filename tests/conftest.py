@@ -241,11 +241,11 @@ def dataset_of(files, trials=(), partition="dev", speakers=None):
     starts = np.cumsum([0] + [len(b) for b in blocks])
     layout = [(fid, partition, speakers[fid] if speakers else 0, int(start), len(block))
               for fid, start, block in zip(ids, starts, blocks)]
-    return dataset._dataset(np.concatenate(blocks), layout, list(trials), [])
+    return dataset._dataset(np.concatenate(blocks), layout, {"dev": list(trials), "test": []})
 
 
 def pack_of(files, trials=()):
-    """The `training.EvalPack` of the {file_id: (n, d) chunk rows} `files` and `trials`, as
+    """The `dataset.EvalPack` of the {file_id: (n, d) chunk rows} `files` and `trials`, as
     a dataset stages its dev partition (see `dataset_of`)."""
     return dataset_of(files, trials).eval_pack("dev")
 

@@ -227,6 +227,11 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
     ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 50"), "n_bootstrap"),
     ("compare", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 0"), "grid_epochs"),
     ("grid-search", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 0"), "grid_epochs"),
+    # an explicit grid budget above the full one
+    ("compare", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 3"),
+     "[training] grid_epochs must be at most epochs (2), got 3"),
+    ("grid-search", TINY_CFG.replace("grid_epochs = 1", "grid_epochs = 3"),
+     "[training] grid_epochs must be at most epochs (2), got 3"),
     ("compare", TINY_CFG.replace("epochs = 2", "epochs = -1"), "epochs"),
     ("compare", TINY_CFG.replace("aam, coco", "aam, arcface"), "compare_losses"),
     ("compare", TINY_CFG.replace("aam, coco", "aam, coco, aam"), "compare_losses lists aam twice"),
@@ -255,7 +260,7 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
      "bad.cfg: [eval] top_n_candidates lists no values"),
     ("compare", TINY_CFG.replace("aam, coco", ""), "bad.cfg: [eval] compare_losses lists no values"),
 ], ids=["unknown_section", "n_bootstrap", "compare_grid_epochs", "grid_search_grid_epochs",
-        "epochs", "compare_losses", "compare_losses_repeated", "top_n_candidates",
+        "compare_grid_epochs_above_epochs", "grid_search_grid_epochs_above_epochs", "epochs", "compare_losses", "compare_losses_repeated", "top_n_candidates",
         "top_n_candidates_above_cohort", "top_n_candidates_below_two",
         "speakers_per_batch", "chunks_per_speaker", "grid_search_empty_lr_grid",
         "compare_empty_lr_grid", "grid_search_empty_speakers_grid", "compare_empty_chunks_grid",
@@ -736,7 +741,7 @@ def test_non_ascii_file_id_scores_alike_in_any_locale(workdir):
     tmp_path, cfg, data = workdir
     assert main(["train", "--config", str(cfg), "--seed", "3",
                  "--data", str(data), "--out", str(tmp_path / "run")]) == 0
-    fid = load_dataset(data).trials_test[0].enroll
+    fid = load_dataset(data).trials["test"][0].enroll
     for name in ("manifest.txt", "trials_test.txt"):
         text = (data / name).read_text(encoding="utf-8")
         (data / name).write_text(text.replace(fid, f"{fid}é"), encoding="utf-8")

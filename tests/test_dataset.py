@@ -74,8 +74,8 @@ class TestGeneration:
         b = generate_dataset(SMALL)
         for fid in a.files:
             np.testing.assert_array_equal(a.files[fid].features, b.files[fid].features)
-        assert [(t.enroll, t.test, t.is_target) for t in a.trials_dev] == [
-            (t.enroll, t.test, t.is_target) for t in b.trials_dev
+        assert [(t.enroll, t.test, t.is_target) for t in a.trials["dev"]] == [
+            (t.enroll, t.test, t.is_target) for t in b.trials["dev"]
         ]
 
     def test_train_pool_labels(self):
@@ -90,9 +90,9 @@ class TestGeneration:
         ds = generate_dataset(SMALL)
         for partition in ("train", "cohort"):
             pack = ds.eval_pack(partition)
-            assert pack.ids == sorted(ds.files_of(partition))
-            assert not pack.trials and pack.index.enroll.size == 0
-        for partition, trials in (("dev", ds.trials_dev), ("test", ds.trials_test)):
+            assert pack.ids == sorted(f for f, r in ds.files.items() if r.partition == partition)
+            assert pack.feature_dim == SMALL.feature_dim and pack.index.enroll.size == 0
+        for partition, trials in ds.trials.items():
             pack = ds.eval_pack(partition)
             assert [pack.ids[i] for i in pack.index.enroll] == [t.enroll for t in trials]
             assert [pack.ids[i] for i in pack.index.test] == [t.test for t in trials]
@@ -106,8 +106,8 @@ class TestGeneration:
         spec = SyntheticDatasetSpec(**{**vars(SMALL), "intra_speaker_spread": 1e-9})
         ds = generate_dataset(spec)
         pack = ds.eval_pack("test")
-        embeddings = {fid: mean_embedding(chunks) for fid, chunks in pack.files.items()}
-        assert eer(score_trials(*rows_and_index(embeddings, pack.trials))).eer == 0.0
+        embeddings = {fid: mean_embedding(ds.files[fid].features) for fid in pack.ids}
+        assert eer(score_trials(*rows_and_index(embeddings, ds.trials["test"]))).eer == 0.0
 
     def test_identical_latents_are_indistinguishable(self):
         # two speakers sharing one latent: scores carry no label signal, so
@@ -149,20 +149,20 @@ class TestTrials:
     def test_labels_consistent_with_speakers(self):
         ds = generate_dataset(SMALL)
         speaker_of = {fid: rec.speaker for fid, rec in ds.files.items()}
-        for t in ds.trials_dev + ds.trials_test:
+        for t in ds.trials["dev"] + ds.trials["test"]:
             assert t.enroll != t.test
             assert t.is_target == (speaker_of[t.enroll] == speaker_of[t.test])
 
     def test_trials_stay_inside_partition(self):
         ds = generate_dataset(SMALL)
         part_of = {fid: rec.partition for fid, rec in ds.files.items()}
-        assert all(part_of[t.enroll] == part_of[t.test] == "dev" for t in ds.trials_dev)
-        assert all(part_of[t.enroll] == part_of[t.test] == "test" for t in ds.trials_test)
+        assert all(part_of[t.enroll] == part_of[t.test] == "dev" for t in ds.trials["dev"])
+        assert all(part_of[t.enroll] == part_of[t.test] == "test" for t in ds.trials["test"])
 
     def test_per_speaker_budget(self):
         ds = generate_dataset(SMALL)  # trials_per_speaker=4 -> 2 target + 2 non
-        targets = sum(t.is_target for t in ds.trials_dev)
-        nontargets = sum(not t.is_target for t in ds.trials_dev)
+        targets = sum(t.is_target for t in ds.trials["dev"])
+        nontargets = sum(not t.is_target for t in ds.trials["dev"])
         assert targets == nontargets == 2 * 3  # 3 dev speakers
 
 
@@ -176,8 +176,8 @@ class TestOnDisk:
         for fid in ds.files:
             np.testing.assert_array_equal(back.files[fid].features, ds.files[fid].features)
             assert back.files[fid].speaker == ds.files[fid].speaker
-        assert [(t.enroll, t.test, t.is_target) for t in back.trials_test] == [
-            (t.enroll, t.test, t.is_target) for t in ds.trials_test
+        assert [(t.enroll, t.test, t.is_target) for t in back.trials["test"]] == [
+            (t.enroll, t.test, t.is_target) for t in ds.trials["test"]
         ]
 
     def test_byte_identical_regeneration(self, tmp_path):
@@ -348,19 +348,21 @@ class TestLoadedViews:
         # generate_dataset hands out the same read-only views that load_dataset does
         generated, data = generate_dataset(SyntheticDatasetSpec()), loaded[0]
         assert np.array_equal(generated.matrix, data.matrix)
-        assert dict(generated.starts) == dict(data.starts)
+        assert ({fid: rec.start for fid, rec in generated.files.items()}
+                == {fid: rec.start for fid, rec in data.files.items()})
         for array, expected in zip(self.arrays(generated), self.arrays(data), strict=True):
             assert np.shares_memory(array, generated.matrix) and not array.flags.writeable
             assert np.array_equal(array, expected)
 
     def test_file_records_cannot_be_replaced(self, loaded):
-        # rows() reads the matrix by the starts, so a replaced record would go unseen
+        # rows() reads the matrix by the records' starts, so a changed start would hand out
+        # rows that are not the record's features
         for data in (loaded[0], generate_dataset(SMALL)):
             fid = next(iter(data.files))
             with pytest.raises(TypeError):
                 data.files[fid] = data.files[fid]
-            with pytest.raises(TypeError):
-                data.starts[fid] = 0
+            with pytest.raises(FrozenInstanceError):
+                data.files[fid].start = 0
             with pytest.raises(FrozenInstanceError):
                 data.files = {}
 
@@ -442,8 +444,8 @@ class TestLoaderProperties:
             np.testing.assert_array_equal(back.files[fid].features, rec.features)
             assert (back.files[fid].speaker, back.files[fid].partition) == (rec.speaker,
                                                                              rec.partition)
-        assert trial_tuples(back.trials_dev) == trial_tuples(ds.trials_dev)
-        assert trial_tuples(back.trials_test) == trial_tuples(ds.trials_test)
+        assert trial_tuples(back.trials["dev"]) == trial_tuples(ds.trials["dev"])
+        assert trial_tuples(back.trials["test"]) == trial_tuples(ds.trials["test"])
 
     @settings(max_examples=40, deadline=None)
     @given(spec=small_specs, mutation=st.sampled_from(

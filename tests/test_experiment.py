@@ -219,13 +219,21 @@ class TestTrainAndScore:
     @pytest.mark.parametrize("epochs", [2, 0])
     def test_budget_below_the_grid_epochs_selects_among_its_first(self, data, tmp_path, epochs):
         grid, pool, dev = self.grid(data), data.train_pool(), data.eval_pack("dev")
-        searched = training.grid_search(pool, grid, 3, dev)
-        assert training.select_best(searched.checkpoints).epoch == 2  # the case this pins
+        if epochs:  # an explicit grid budget above the full one fails before training
+            with pytest.raises(ConfigError, match=r"^\[training\] grid_epochs must be at most "
+                                                  r"epochs \(2\), got 3$"):
+                experiment.train_and_score(data, "aam", tmp_path / "run", 0, grid, EVAL,
+                                           budget_epochs=epochs, grid_epochs=3)
+            assert not (tmp_path / "run").exists()
+            return
+        # the default grid budget, one epoch, is still above a budget of 0: the winner's
+        # untrained snapshot is saved
+        searched = training.grid_search(pool, grid, 1, dev)
         result = experiment.train_and_score(data, "aam", tmp_path / "run", 0, grid, EVAL,
-                                            budget_epochs=epochs, grid_epochs=3)
+                                            budget_epochs=epochs)
         chosen = replace(searched.config, epochs=epochs)
         retrained = training.best_checkpoint(pool, chosen, dev, training.train(pool, chosen, dev))
-        assert retrained.epoch == (0 if epochs else -1)
+        assert retrained.epoch == -1
         training.save_checkpoint(tmp_path / "retrained.ckpt", retrained, chosen)
         assert ((tmp_path / "run" / "best.ckpt").read_bytes()
                 == (tmp_path / "retrained.ckpt").read_bytes())

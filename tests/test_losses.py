@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import conftest
 from conftest import KINK_GAP, draw_instance, gradient_check_instance
 from spklab import losses
+from spklab.embedding import stable_sigmoid
 from spklab.errors import DomainError
 from spklab.losses import (
     CenterLossParams,
@@ -28,7 +29,6 @@ from spklab.losses import (
     logits_coco,
     logits_linear,
     logits_nobias,
-    stable_sigmoid,
     triplet_loss_hinge,
     triplet_loss_sigmoid,
 )

@@ -15,9 +15,9 @@ from conftest import dataset_of, pack_of, score_per_trial
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring, training
 from spklab.embedding import mean_embedding
+from spklab.dataset import EMBED_STACK_FILES
 from spklab.errors import DomainError, TrainingDiverged
 from spklab.training import (
-    EMBED_STACK_FILES,
     Checkpoint,
     TrainConfig,
     dev_eer,
