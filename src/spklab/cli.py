@@ -17,7 +17,7 @@ import sys
 from spklab import dataset as ds
 from spklab import experiment, training
 from spklab.config import dataset_spec_from_config, empty_config, parse_config
-from spklab.errors import ConfigError, DomainError, TrainingDiverged, write_echo
+from spklab.errors import ConfigError, DomainError, TrainingDiverged, write_echo, write_text
 
 
 def cmd_gen_data(args, config, dataset) -> int:
@@ -36,11 +36,9 @@ def cmd_train(args, config, dataset) -> int:
     checkpoints = training.train(pool, train_config, dev_pack)
     best = training.best_checkpoint(pool, train_config, dev_pack, checkpoints)
 
-    os.makedirs(args.out, exist_ok=True)
     training.save_checkpoint(os.path.join(args.out, "best.ckpt"), best, train_config)
-    with open(os.path.join(args.out, "dev_eer_curve.txt"), "w", encoding="utf-8") as fh:
-        for ckpt in checkpoints:
-            fh.write(f"{ckpt.epoch} {ckpt.dev_eer!r}\n")
+    write_text(os.path.join(args.out, "dev_eer_curve.txt"),
+               "".join(f"{ckpt.epoch} {ckpt.dev_eer!r}\n" for ckpt in checkpoints))
     print(f"best epoch {best.epoch} dev EER {best.dev_eer:.4f}")
     return 0
 
@@ -53,7 +51,6 @@ def cmd_grid_search(args, config, dataset) -> int:
     chosen = training.grid_search(
         dataset.train_pool(), grid, budget, dataset.eval_pack("dev")).config
 
-    os.makedirs(args.out, exist_ok=True)
     write_echo(os.path.join(args.out, "chosen_config.txt"), chosen)
     print(f"chosen: lr={chosen.learning_rate} speakers={chosen.speakers_per_batch} "
           f"chunks={chosen.chunks_per_speaker}")
@@ -118,6 +115,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if not args.out:  # an empty --out would put every output file in the working directory
+            raise ConfigError("--out must name a directory, got ''")
         config = empty_config() if args.config is None else parse_config(args.config)
         dataset = ds.load_dataset(args.data) if "data" in args else None
         return args.func(args, config, dataset)

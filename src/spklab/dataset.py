@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from spklab.errors import DomainError, read_lines, write_echo
+from spklab.errors import DomainError, read_lines, write_echo, write_text
 from spklab.sampling import TrainPool, augment_rows, snr_bounds
 from spklab.scoring import Trial, TrialIndex, read_trials, write_trials
 
@@ -271,13 +271,10 @@ def _dataset(matrix: np.ndarray, layout: Sequence[tuple[str, str, int, int, int]
 def save_dataset(ds: SpeakerDataset, out_dir) -> None:
     """Write the manifest (files in file-id order, at their starts), the chunk matrix as
     laid out, and the trial lists."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write(f"feature_dim {ds.feature_dim}\n")
-        for fid in sorted(ds.files):
-            rec = ds.files[fid]
-            fh.write(f"{fid} {rec.partition} {rec.speaker} {rec.start} "
-                     f"{len(rec.features)}\n")
+    lines = [f"feature_dim {ds.feature_dim}"] + [
+        f"{fid} {rec.partition} {rec.speaker} {rec.start} {len(rec.features)}"
+        for fid, rec in sorted(ds.files.items())]
+    write_text(os.path.join(out_dir, MANIFEST_NAME), "\n".join(lines) + "\n")
     np.save(os.path.join(out_dir, FEATURES_NAME), ds.matrix)
     for p in TRIAL_PARTITIONS:
         write_trials(os.path.join(out_dir, f"trials_{p}.txt"), ds.trials[p])

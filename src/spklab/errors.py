@@ -1,6 +1,9 @@
 """Exception types shared across the package, the one text-file reader that
-turns a file that is not UTF-8 text into a DomainError, and the one writer
-of `key = value` echo files."""
+turns a file that is not UTF-8 text into a DomainError, and the one text-file
+writer, which makes a file's directory as it writes the file, so an output
+directory comes into being with the first file written into it."""
+
+import os
 
 
 class DomainError(ValueError):
@@ -33,8 +36,13 @@ def read_lines(path) -> list[str]:
         raise DomainError(f"{path}: not a UTF-8 text file: {exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, first making `path`'s directory if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_echo(path, fields) -> None:
     """One sorted `key = value!r` line per attribute of `fields`, a dataclass instance."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in sorted(vars(fields).items()):
-            fh.write(f"{key} = {value!r}\n")
+    write_text(path, "".join(f"{key} = {value!r}\n" for key, value in sorted(vars(fields).items())))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from spklab import losses, scoring, training
 from spklab.config import Config
 from spklab.dataset import SpeakerDataset
-from spklab.errors import ConfigError, DomainError, TrainingDiverged, write_echo
+from spklab.errors import ConfigError, DomainError, TrainingDiverged, write_echo, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -160,8 +160,8 @@ class ExperimentResult:
 
 def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> ExperimentResult:
     """Score the test trials raw and, unless s-norm is off, normalized with top_n tuned on
-    dev; write the DET points and the score files under `out_dir`, made once the raw
-    scores hold both classes."""
+    dev; write the DET points and the score files under `out_dir` once the raw scores hold
+    both classes."""
     if opts.use_snorm:  # a bad option or dev trial list fails before any file is written
         cohort_pack = dataset.eval_pack("cohort")
         candidates = top_n_candidates(len(cohort_pack.ids), opts)
@@ -170,7 +170,6 @@ def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> 
     test_embeddings = training.embed_files(encoder, test_pack)
     raw = scoring.score_trials(test_embeddings, test_pack.index)
     scoring.split_classes(raw.values, raw.index.target)  # both classes, or no --out
-    os.makedirs(out_dir, exist_ok=True)
     scoring.write_det_csv(os.path.join(out_dir, "det_raw.csv"), raw)
     scoring.write_scores(os.path.join(out_dir, "scores_test_raw.txt"), raw)
     if not opts.use_snorm:
@@ -237,7 +236,7 @@ def train_and_score(
     """Grid-search `grid` (a grid of one is trained without a search), continue the winner's
     run to the full budget (`budget_epochs`, or the grid configs' own epochs), save the best
     of its first full-budget epochs (the untrained snapshot at 0) and score the test trials
-    with it under `out_dir`, made once training has succeeded."""
+    with it, writing under `out_dir` only once training has succeeded."""
     epochs = grid[0].epochs if budget_epochs is None else budget_epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
     if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
@@ -251,7 +250,6 @@ def train_and_score(
     chosen = replace(run.config, epochs=epochs)
     best = training.best_checkpoint(pool, chosen, dev_pack, run.checkpoints[:epochs])
 
-    os.makedirs(out_dir, exist_ok=True)
     training.save_checkpoint(os.path.join(out_dir, "best.ckpt"), best, chosen)
     write_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
     scored = score_test(best.encoder, dataset, out_dir, opts)
@@ -298,8 +296,7 @@ def _write_result_summary(path, result: ExperimentResult) -> None:
         f"epochs: {result.config.epochs}",
         f"seed: {result.config.seed}",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def compare_losses(
@@ -313,8 +310,7 @@ def compare_losses(
     bootstrap pass reports every loss's scores and writes its summary
     (`write_reports`). A loss that fails in training or s-norm is recorded as
     a nan row, with its raw outputs when s-norm failed, and the others
-    proceed. `out_dir` is made by the first loss trained, or else before
-    `compare.csv`.
+    proceed.
     """
     loss_kinds = config.get("eval", "compare_losses", DEFAULT_COMPARE_LOSSES)
     grid_epochs = config.get("training", "grid_epochs")
@@ -348,10 +344,8 @@ def compare_losses(
             csv_lines.append(f"{kind},nan,nan,nan,nan,nan")
         else:
             csv_lines.append(result.csv_row())
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
+    write_text(os.path.join(out_dir, "compare.csv"), "\n".join(csv_lines) + "\n")
     if errors:
-        with open(os.path.join(out_dir, "failures.txt"), "w", encoding="utf-8") as fh:
-            fh.write("".join(f"{kind}: {errors[kind]}\n" for kind in loss_kinds if kind in errors))
+        write_text(os.path.join(out_dir, "failures.txt"),
+                   "".join(f"{kind}: {errors[kind]}\n" for kind in loss_kinds if kind in errors))
     return list(results.items())

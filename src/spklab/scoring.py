@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from spklab.embedding import ZERO_NORM_EPS, cosine_similarity
-from spklab.errors import DegenerateCohortError, DomainError, read_lines
+from spklab.errors import DegenerateCohortError, DomainError, read_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -414,9 +414,7 @@ def tune_cohort_size(embeddings: np.ndarray, index: TrialIndex, cohort_embedding
 
 
 def write_trials(path, trials: Sequence[Trial]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trials:
-            fh.write(f"{1 if t.is_target else 0} {t.enroll} {t.test}\n")
+    write_text(path, "".join(f"{1 if t.is_target else 0} {t.enroll} {t.test}\n" for t in trials))
 
 
 def read_trials(path) -> list[Trial]:
@@ -432,9 +430,8 @@ def read_trials(path) -> list[Trial]:
 
 
 def write_scores(path, scores: Scores) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, score in zip(scores.index.trials, scores.values.tolist()):
-            fh.write(f"{t.enroll} {t.test} {score:.9g}\n")
+    write_text(path, "".join(f"{t.enroll} {t.test} {score:.9g}\n"
+                             for t, score in zip(scores.index.trials, scores.values.tolist())))
 
 
 def format_report(report: EerReport) -> str:
@@ -452,13 +449,9 @@ def format_report(report: EerReport) -> str:
 
 
 def write_report(path, report: EerReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
+    write_text(path, format_report(report))
 
 
 def write_det_csv(path, scores: Scores) -> None:
-    pts = det_points(scores)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("far,frr\n")
-        for far, frr in pts:
-            fh.write(f"{far:.9g},{frr:.9g}\n")
+    write_text(path, "far,frr\n" + "".join(f"{far:.9g},{frr:.9g}\n"
+                                         for far, frr in det_points(scores)))

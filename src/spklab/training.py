@@ -21,7 +21,7 @@ import numpy as np
 from spklab import encoder as enc
 from spklab import losses, sampling, scoring
 from spklab.dataset import EvalPack
-from spklab.errors import DomainError, TrainingDiverged, read_lines
+from spklab.errors import DomainError, TrainingDiverged, read_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -255,8 +255,7 @@ def save_checkpoint(path, ckpt: Checkpoint, config: TrainConfig) -> None:
     for name in sorted(arrays):
         parts.append(_format_array(name, arrays[name]))
     parts.append("end\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+    write_text(path, "".join(parts))
 
 
 def load_checkpoint(path) -> tuple[Checkpoint, dict]:
@@ -319,6 +318,6 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
             **{name: arrays[name] for name in enc.ENCODER_ARRAYS}, activation=activation,
             loss_arrays={name: arrays[name] for name in losses.TRAINED_ARRAYS if name in arrays},
         )
+        return Checkpoint(epoch, params, eer_value), config_echo
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
-    return Checkpoint(epoch, params, eer_value), config_echo

@@ -115,7 +115,7 @@ def test_compare_emits_csv(workdir):
 def test_readme_example_compares(tmp_path):
     # the README's ```ini example, as a user would run it: six rows, no nan, each CI
     # around its EER
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
     data, out = tmp_path / "data", tmp_path / "cmp"
@@ -131,7 +131,8 @@ def test_readme_example_compares(tmp_path):
         assert ci_low <= eer_raw <= ci_high, row
 
 
-@pytest.mark.parametrize("damage", ["short", "non_numeric", "unknown_name", "repeated_name"])
+@pytest.mark.parametrize("damage", ["short", "non_numeric", "unknown_name", "repeated_name",
+                                    "dev_eer_2.5", "dev_eer_nan"])
 def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     tmp_path, cfg, data = workdir
     run = tmp_path / "run"
@@ -147,6 +148,9 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
         name = "b3"
     elif damage == "repeated_name":
         lines[k + 1:k + 1] = lines[k - 1:k + 1]
+    elif damage.startswith("dev_eer_"):
+        eer = damage.removeprefix("dev_eer_")
+        lines = [f"dev_eer {eer}" if line.startswith("dev_eer ") else line for line in lines]
     else:
         lines[k] = " ".join(values[:-1] if damage == "short" else ["nan?"] + values[1:])
     ckpt.write_text("\n".join(lines) + "\n")
@@ -157,7 +161,10 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert str(ckpt) in err[0] and f"array {name} " in err[0]
+    if damage.startswith("dev_eer_"):
+        assert err[0] == f"error: {ckpt}: dev EER out of [0, 1]: {eer}"
+    else:
+        assert str(ckpt) in err[0] and f"array {name} " in err[0]
 
 
 @pytest.mark.parametrize("kind", ["contrastive", "triplet_sigmoid"])
@@ -332,6 +339,21 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_empty_out_fails_before_any_work(workdir, capsys, monkeypatch, command):
+    # an empty --out names no directory; the files must not land in the working directory
+    tmp_path, cfg, data = workdir
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    args = [command, "--config", str(cfg), "--out", ""]
+    if command != "gen-data":
+        args += ["--data", str(data)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --out must name a directory, got ''"]
+    assert not list(cwd.iterdir())
 
 
 def test_parser_table_gives_each_subcommand_its_flags():

@@ -80,7 +80,7 @@ class TestParse:
             parse_config(write(tmp_path, "[encoder]\nactivation = relu\n"))
 
     def test_readme_example_parses(self, tmp_path):
-        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         config = parse_config(write(tmp_path, block))
         assert config.get("dataset", "n_speakers_train") == 50

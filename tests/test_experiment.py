@@ -66,7 +66,7 @@ class TestDefaults:
     @pytest.mark.parametrize("kind", sorted(TUNED))
     def test_tuned_operating_points(self, kind, wide, tmp_path):
         # the repr pins each value's type too (a margin of 0.0, not 0)
-        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         cfg = tmp_path / "readme.cfg"
         cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
         for config, point in ((empty_config(), TUNED[kind]), (parse_config(cfg), README_POINT)):
