@@ -1,15 +1,15 @@
 """Experiment orchestration: grid search, full training, raw and
 score-normalized evaluation, and multi-loss comparison tables.
 
-The protocol per loss: grid-search candidate configs on dev EER with a
-short epoch budget, continue the winner's run to the full budget, select
-the best epoch on dev, score the test trials raw, tune the s-norm cohort
-size on dev, then score the test trials normalized. Each scored encoder is one
-`ExperimentResult`. The bootstrap reports of every score set of a run (raw and
-normalized, of each loss in `compare`) come from one `eer_bootstrap_ci` pass
-after the last loss is scored (`write_reports`), so each resample is drawn
-once. Everything is seeded and sequential, so a rerun reproduces every output
-file byte for byte.
+The protocol per loss: grid-search candidate configs on dev EER with a short
+epoch budget (none for a lone config or a budget of 0), continue the winner's
+run to the full budget, select the best epoch on dev, score the test trials
+raw, tune the s-norm cohort size on dev, then score the test trials normalized.
+Each scored encoder is one `ExperimentResult`. The bootstrap reports of every
+score set of a run (raw and s-norm, of each loss in `compare`) come from one
+`eer_bootstrap_ci` pass after the last loss is scored (`write_reports`), so
+each resample is drawn once. Everything is seeded and sequential, so a rerun
+reproduces every output file byte for byte.
 """
 
 import itertools
@@ -68,10 +68,10 @@ def eval_options(config: Config) -> EvalOptions:
 
 
 def grid_budget(grid_epochs: int | None, epochs: int) -> int:
-    """Epochs each grid candidate trains: `grid_epochs` when set, at most the
-    full budget of `epochs`, else a tenth of that budget, at least 1."""
+    """Epochs each grid candidate trains: `grid_epochs` when set, at most the full
+    budget of `epochs`, else a tenth of that budget, at least 1 but never above it."""
     if grid_epochs is None:
-        return max(1, epochs // 10)
+        return min(epochs, max(1, epochs // 10))
     if grid_epochs < 1:
         raise ConfigError(f"[training] grid_epochs must be at least 1, got {grid_epochs}")
     if grid_epochs > epochs:
@@ -90,19 +90,21 @@ def default_grid(loss_kind: str, dataset: SpeakerDataset, seed: int, config: Con
     n_train = len(dataset.partitions["train"])
 
     lrs = config.get("training", "lr_grid", LR_GRID)
-    speakers = [min(s, n_train) for s in config.get("training", "speakers_grid", SPEAKERS_GRID)]
+    speakers = config.get("training", "speakers_grid", SPEAKERS_GRID)
     chunks = config.get("training", "chunks_grid", CHUNKS_GRID)
     checks = [("training", "lr_grid", "learning_rate", lrs),
               ("training", "speakers_grid", "speakers_per_batch", speakers),
               ("training", "chunks_grid", "chunks_per_speaker", chunks)]
     checks += [("loss", key, name, config.get("loss", key, ())) for name, key in HYPER_GRIDS.items()]
     for section, key, name, values in checks:  # every grid value is checked, read or not
-        for value in values:
+        for i, value in enumerate(values):
             try:
                 replace(base, **{name: value})
             except DomainError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
-    shapes = sorted({(s, c) for s in speakers for c in chunks})
+            if value in values[:i]:  # two candidates that train alike
+                raise ConfigError(f"[{section}] {key} lists {value} twice")
+    shapes = sorted({(min(s, n_train), c) for s in speakers for c in chunks})
     if row.mode == "classification":
         shapes = [(base.speakers_per_batch, base.chunks_per_speaker)]
     hypers = [config.get("loss", HYPER_GRIDS[name], (getattr(base, name),)) for name in row.reads]
@@ -229,26 +231,23 @@ def evaluate_encoder(
 
 
 def train_and_score(
-    dataset: SpeakerDataset, loss_kind: str, out_dir, seed: int,
-    grid: list[training.TrainConfig], opts: EvalOptions,
-    budget_epochs: int | None = None, grid_epochs: int | None = None,
+    dataset: SpeakerDataset, loss_kind: str, out_dir,
+    grid: list[training.TrainConfig], opts: EvalOptions, grid_epochs: int | None = None,
 ) -> ExperimentResult:
-    """Grid-search `grid` (a grid of one is trained without a search), continue the winner's
-    run to the full budget (`budget_epochs`, or the grid configs' own epochs), save the best
-    of its first full-budget epochs (the untrained snapshot at 0) and score the test trials
+    """Grid-search `grid`, continue the winner's run to the full budget, the first config's
+    epochs, save its best checkpoint (the untrained snapshot at 0) and score the test trials
     with it, writing under `out_dir` only once training has succeeded."""
-    epochs = grid[0].epochs if budget_epochs is None else budget_epochs
+    epochs = grid[0].epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
     if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
         top_n_candidates(len(dataset.eval_pack("cohort").ids), opts)
 
     pool = dataset.train_pool()
     dev_pack = dataset.eval_pack("dev")
-    run = (training.grid_search(pool, grid, grid_epochs, dev_pack) if len(grid) > 1
-           else training.init_run(grid[0], pool))
-    training.continue_run(run, pool, dev_pack, max(0, epochs - len(run.checkpoints)))
+    run = training.grid_search(pool, grid, grid_epochs, dev_pack)
+    training.continue_run(run, pool, dev_pack, epochs - len(run.checkpoints))
     chosen = replace(run.config, epochs=epochs)
-    best = training.best_checkpoint(pool, chosen, dev_pack, run.checkpoints[:epochs])
+    best = training.best_checkpoint(pool, chosen, dev_pack, run.checkpoints)
 
     training.save_checkpoint(os.path.join(out_dir, "best.ckpt"), best, chosen)
     write_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
@@ -271,8 +270,9 @@ def run_experiment(
     `compare_losses`; writes scores, reports, and the selected checkpoint under `out_dir`
     and returns the reported record, or raises its s-norm failure. The full budget is
     `budget_epochs`, or the grid configs' own epochs."""
-    scored = train_and_score(dataset, loss_kind, out_dir, seed, grid, eval_options,
-                             budget_epochs, grid_epochs)
+    if budget_epochs is not None:
+        grid = [replace(config, epochs=budget_epochs) for config in grid]
+    scored = train_and_score(dataset, loss_kind, out_dir, grid, eval_options, grid_epochs)
     return _report_one(scored, eval_options, seed)
 
 
@@ -325,8 +325,8 @@ def compare_losses(
     errors: dict[str, Exception] = {}
     for kind in loss_kinds:
         try:
-            scored.append(train_and_score(dataset, kind, os.path.join(out_dir, kind), seed,
-                                          grids[kind], opts, grid_epochs=grid_epochs))
+            scored.append(train_and_score(dataset, kind, os.path.join(out_dir, kind),
+                                          grids[kind], opts, grid_epochs))
         except (DomainError, TrainingDiverged, OSError) as exc:
             logger.warning("loss %s failed: %s", kind, exc)
             errors[kind] = exc

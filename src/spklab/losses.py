@@ -630,9 +630,9 @@ def _classifier(state: LossState) -> ClassifierParams:
 def _linear_ce(embeddings, labels, state: LossState) -> LossOutput:
     """Cross entropy over the linear layer, which is defined at a zero embedding; a batch
     rejects a zero row here all the same, naming it as every other kind does."""
-    logits = logits_linear(embeddings, _classifier(state))  # shape and finiteness checked
-    normalize_rows(embeddings)  # the norms every cosine layer checks
-    return cross_entropy(logits, labels)
+    x = _check_embeddings(embeddings, state.arrays["centers"].shape[1])
+    normalize_rows(x)  # the one check of the rows, through the norms every cosine layer checks
+    return cross_entropy(_linear(x, _classifier(state)), labels)
 
 
 _CLASSIFICATION_TUNED = {"learning_rate": 0.1, "margin": 0.0}

@@ -2,13 +2,13 @@
 serialization.
 
 One `Run` owns its config, parameter state, RNG stream and checkpoints, and
-`continue_run` trains it on by any number of epochs, so a grid winner goes on
-to the full budget where its search left off. Every batch takes one plain SGD
-step over the run's one name -> array mapping: the encoder weights and
-whatever the loss trains alongside (class centers, bias, penalty centers), all
-at the same fixed learning rate. After each epoch the encoder is frozen, the
-dev files (a `dataset.EvalPack`) are embedded and averaged, and the dev EER
-is recorded as a checkpoint.
+`continue_run` trains it on by any number of epochs, so the run that
+`grid_search` ranks first goes on to the full budget where its search left off.
+Every batch takes one plain SGD step over the run's one name -> array mapping:
+the encoder weights and whatever the loss trains alongside (class centers,
+bias, penalty centers), all at the same fixed learning rate. After each epoch
+the encoder is frozen, the dev files (a `dataset.EvalPack`) are embedded and
+averaged, and the dev EER is recorded as a checkpoint.
 """
 
 import logging
@@ -202,25 +202,23 @@ def select_best(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
 def grid_search(pool: sampling.TrainPool, grid: Sequence[TrainConfig], budget_epochs: int,
                 dev_pack: EvalPack) -> Run:
     """Train a run of every config for `budget_epochs` and return the one whose best dev EER
-    is lowest (first in grid order on ties), ready to continue to its config's full epochs.
-    A config that fails to train is disqualified with a logged warning.
-    """
+    is lowest (first in grid order on ties), ready to continue to its config's full epochs;
+    a config that fails to train is disqualified with a logged warning. With one config or
+    a budget of 0 nothing is ranked: the first config's run comes back untrained."""
     if len(grid) == 0:
         raise DomainError("grid_search: empty grid")
-    best_run, best_eer = None, None
+    if len(grid) == 1 or budget_epochs == 0:
+        return init_run(grid[0], pool)
+    runs = []
     for config in grid:
         try:
-            run = continue_run(init_run(config, pool), pool, dev_pack, budget_epochs)
+            runs.append(continue_run(init_run(config, pool), pool, dev_pack, budget_epochs))
         except (TrainingDiverged, DomainError) as exc:
             logger.warning("grid config %s disqualified: %s",
                            replace(config, epochs=budget_epochs), exc)
-            continue
-        candidate = select_best(run.checkpoints).dev_eer
-        if best_eer is None or candidate < best_eer:
-            best_run, best_eer = run, candidate
-    if best_run is None:
+    if not runs:
         raise DomainError("grid_search: every configuration failed to train")
-    return best_run
+    return min(runs, key=lambda run: select_best(run.checkpoints).dev_eer)
 
 
 # --- checkpoint container ----------------------------------------------------
@@ -293,6 +291,8 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
                 shape = tuple(int(d) for d in fields[2:])
                 if len(shape) != int(fields[1]):
                     raise ValueError(f"{len(shape)} dimensions given for ndim {fields[1]}")
+                if min(shape, default=1) < 1:
+                    raise ValueError(f"array {fields[0]!r} has a dimension below 1")
                 if fields[0] not in ARRAY_NAMES:
                     raise ValueError(f"unknown array name {fields[0]!r}")
                 if fields[0] in arrays:

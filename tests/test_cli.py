@@ -132,7 +132,7 @@ def test_readme_example_compares(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["short", "non_numeric", "unknown_name", "repeated_name",
-                                    "dev_eer_2.5", "dev_eer_nan"])
+                                    "dev_eer_2.5", "dev_eer_nan", "negative_dim", "zero_dim"])
 def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     tmp_path, cfg, data = workdir
     run = tmp_path / "run"
@@ -151,6 +151,10 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     elif damage.startswith("dev_eer_"):
         eer = damage.removeprefix("dev_eer_")
         lines = [f"dev_eer {eer}" if line.startswith("dev_eer ") else line for line in lines]
+    elif damage == "negative_dim":  # the values left as they are, which reshape(-1) would take
+        lines[k - 1] = f"array {name} 1 -1"
+    elif damage == "zero_dim":
+        lines[k - 1], lines[k] = f"array {name} 1 0", ""
     else:
         lines[k] = " ".join(values[:-1] if damage == "short" else ["nan?"] + values[1:])
     ckpt.write_text("\n".join(lines) + "\n")
@@ -266,12 +270,17 @@ def test_grid_search_and_compare_share_grid_epochs(workdir, monkeypatch):
     ("compare", TINY_CFG.replace("n_bootstrap = 100", "n_bootstrap = 100\ntop_n_candidates ="),
      "bad.cfg: [eval] top_n_candidates lists no values"),
     ("compare", TINY_CFG.replace("aam, coco", ""), "bad.cfg: [eval] compare_losses lists no values"),
+    # a repeated grid value would train the same candidate twice
+    ("grid-search", TINY_CFG.replace("lr_grid = 0.01, 0.1", "lr_grid = 0.01, 0.1, 0.01"),
+     "[training] lr_grid lists 0.01 twice"),
+    ("compare", TINY_CFG + "\n[loss]\nalpha_grid = 5, 5\n", "[loss] alpha_grid lists 5.0 twice"),
 ], ids=["unknown_section", "n_bootstrap", "compare_grid_epochs", "grid_search_grid_epochs",
         "compare_grid_epochs_above_epochs", "grid_search_grid_epochs_above_epochs", "epochs", "compare_losses", "compare_losses_repeated", "top_n_candidates",
         "top_n_candidates_above_cohort", "top_n_candidates_below_two",
         "speakers_per_batch", "chunks_per_speaker", "grid_search_empty_lr_grid",
         "compare_empty_lr_grid", "grid_search_empty_speakers_grid", "compare_empty_chunks_grid",
-        "compare_empty_alpha_grid", "empty_top_n_candidates", "empty_compare_losses"])
+        "compare_empty_alpha_grid", "empty_top_n_candidates", "empty_compare_losses",
+        "grid_search_repeated_lr_grid", "compare_repeated_alpha_grid"])
 def test_bad_config_fails_cleanly(workdir, capsys, command, text, key):
     # a bad value stops the run before any training: exit 1, one error line
     # naming the key, no --out made

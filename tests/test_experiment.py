@@ -195,43 +195,40 @@ class TestTrainAndScore:
     trains twice, and its outputs are those of retraining the winner from epoch 0."""
 
     @staticmethod
-    def grid(data):
+    def grid(data, epochs):
         # three batch shapes, so each candidate makes its own steps per epoch; over three
         # epochs the winner's best is its last, below its first two
         base = experiment.base_config("aam", data, 0, empty_config())
-        return [replace(base, learning_rate=lr, speakers_per_batch=s, chunks_per_speaker=2)
-                for lr, s in ((0.05, 3), (0.1, 4), (0.3, 5))]
+        return [replace(base, learning_rate=lr, speakers_per_batch=s, chunks_per_speaker=2,
+                        epochs=epochs) for lr, s in ((0.05, 3), (0.1, 4), (0.3, 5))]
 
     def test_winner_continues_from_its_grid_epochs(self, data, tmp_path, monkeypatch):
-        grid, n_train = self.grid(data), len(data.partitions["train"])
+        grid, n_train = self.grid(data, epochs=3), len(data.partitions["train"])
         winner = training.grid_search(data.train_pool(), grid, 1, data.eval_pack("dev")).config
         steps, runs = [], []
         sgd_step, init_run = encoder.sgd_step, training.init_run
         monkeypatch.setattr(encoder, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
         monkeypatch.setattr(training, "init_run",
                             lambda *args: runs.append(args[0]) or init_run(*args))
-        experiment.train_and_score(data, "aam", tmp_path / "run", 0, grid, EVAL,
-                                   budget_epochs=3, grid_epochs=1)
+        experiment.train_and_score(data, "aam", tmp_path / "run", grid, EVAL, grid_epochs=1)
         per_epoch = [-(-n_train // config.speakers_per_batch) for config in grid]
         assert len(steps) == sum(per_epoch) + 2 * per_epoch[grid.index(winner)]
         assert runs == grid
 
     @pytest.mark.parametrize("epochs", [2, 0])
     def test_budget_below_the_grid_epochs_selects_among_its_first(self, data, tmp_path, epochs):
-        grid, pool, dev = self.grid(data), data.train_pool(), data.eval_pack("dev")
+        grid, pool, dev = self.grid(data, epochs), data.train_pool(), data.eval_pack("dev")
         if epochs:  # an explicit grid budget above the full one fails before training
             with pytest.raises(ConfigError, match=r"^\[training\] grid_epochs must be at most "
                                                   r"epochs \(2\), got 3$"):
-                experiment.train_and_score(data, "aam", tmp_path / "run", 0, grid, EVAL,
-                                           budget_epochs=epochs, grid_epochs=3)
+                experiment.train_and_score(data, "aam", tmp_path / "run", grid, EVAL,
+                                           grid_epochs=3)
             assert not (tmp_path / "run").exists()
             return
-        # the default grid budget, one epoch, is still above a budget of 0: the winner's
-        # untrained snapshot is saved
-        searched = training.grid_search(pool, grid, 1, dev)
-        result = experiment.train_and_score(data, "aam", tmp_path / "run", 0, grid, EVAL,
-                                            budget_epochs=epochs)
-        chosen = replace(searched.config, epochs=epochs)
+        # at a full budget of 0 the default grid budget is 0 too: nothing is ranked, and the
+        # first config's untrained snapshot is saved
+        result = experiment.train_and_score(data, "aam", tmp_path / "run", grid, EVAL)
+        chosen = grid[0]
         retrained = training.best_checkpoint(pool, chosen, dev, training.train(pool, chosen, dev))
         assert retrained.epoch == -1
         training.save_checkpoint(tmp_path / "retrained.ckpt", retrained, chosen)
@@ -242,20 +239,19 @@ class TestTrainAndScore:
         assert np.array_equal(result.raw_scores.values,
                               scoring.score_trials(embeddings, test_pack.index).values)
 
-    def test_grid_of_one_trains_without_a_search(self, data, tmp_path, monkeypatch):
-        monkeypatch.setattr(training, "grid_search", lambda *args: pytest.fail("searched"))
-        config = self.grid(data)[0]
-        result = experiment.train_and_score(data, "aam", tmp_path / "run", 0, [config], EVAL,
-                                            budget_epochs=2, grid_epochs=1)
-        assert result.config == replace(config, epochs=2)
+    def test_grid_of_one_trains_without_a_search(self, data, tmp_path):
+        config = self.grid(data, epochs=2)[0]
+        result = experiment.train_and_score(data, "aam", tmp_path / "run", [config], EVAL,
+                                            grid_epochs=1)
+        assert result.config == config
         # divergence raises the text a fresh run of the config raises
-        bad = replace(experiment.base_config("ce", data, 0, empty_config()), learning_rate=1e200)
+        bad = replace(experiment.base_config("ce", data, 0, empty_config()), learning_rate=1e200,
+                      epochs=3)
         pool, dev = data.train_pool(), data.eval_pack("dev")
         with pytest.raises(TrainingDiverged) as fresh, np.errstate(all="ignore"):
-            training.train(pool, replace(bad, epochs=3), dev)
+            training.train(pool, bad, dev)
         with pytest.raises(TrainingDiverged) as scored, np.errstate(all="ignore"):
-            experiment.train_and_score(data, "ce", tmp_path / "bad", 0, [bad], EVAL,
-                                       budget_epochs=3, grid_epochs=1)
+            experiment.train_and_score(data, "ce", tmp_path / "bad", [bad], EVAL, grid_epochs=1)
         assert str(scored.value) == str(fresh.value)
         assert not (tmp_path / "bad").exists()
 

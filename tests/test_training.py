@@ -281,10 +281,26 @@ class TestGridSearch:
         assert any("disqualified" in r.message for r in caplog.records)
 
     def test_all_failing_raises(self):
+        # two configs, since a lone config is returned untrained, with nothing to rank
         pool, dev = toy_problem()
         bad = TrainConfig(**{**vars(BASE), "loss_kind": "ce", "learning_rate": 1e200})
         with pytest.raises(DomainError, match="failed"), np.errstate(all="ignore"):
-            grid_search(pool, [bad], 1, dev)
+            grid_search(pool, [bad, replace(bad, learning_rate=1e300)], 1, dev)
+
+    def test_tie_goes_to_the_first_config(self):
+        # a search never reads `epochs`, so the two candidates train alike
+        pool, dev = toy_problem()
+        first, second = BASE, replace(BASE, epochs=BASE.epochs + 1)
+        assert grid_search(pool, [first, second], 2, dev).config is first
+
+    @pytest.mark.parametrize("n_configs, budget", [(1, 2), (2, 0)], ids=["grid_of_one", "budget_0"])
+    def test_nothing_to_rank_trains_nothing(self, monkeypatch, n_configs, budget):
+        # the first config's run comes back untrained: no SGD step, no checkpoint
+        pool, dev = toy_problem()
+        steps, sgd_step = [], enc.sgd_step
+        monkeypatch.setattr(enc, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
+        run = grid_search(pool, [BASE, replace(BASE, learning_rate=0.1)][:n_configs], budget, dev)
+        assert run.config is BASE and run.checkpoints == [] and steps == []
 
     def test_empty_grid_rejected(self):
         pool, dev = toy_problem()
