@@ -9,11 +9,11 @@ fixed number of chunks; trials compare file-level embeddings.
 
 On disk a dataset is a manifest (text) plus one flat .npy matrix holding
 all chunk rows, so identical seeds produce byte-identical files. A dataset,
-generated or loaded, keeps that matrix as read-only float64 rows, and its
-files are views of it. `SpeakerDataset.rows` alone decides how a list of
-files is handed out: as one view of the matrix where the layout puts them
-end to end, as `generate_dataset` lays them out and `save_dataset` writes
-them, else as a copy. The training pool and the scoring stacks take their
+generated or loaded, keeps that matrix as read-only float64 rows, and each
+file is a run of its rows. `SpeakerDataset.rows` alone reads them and decides
+how a list of files is handed out: as one view of the matrix where the layout
+puts them end to end, as `generate_dataset` lays them out and `save_dataset`
+writes them, else as a copy. The training pool and the scoring stacks take their
 rows from it. A partition staged for scoring is an `EvalPack`, built by
 `SpeakerDataset.eval_pack`.
 """
@@ -96,7 +96,7 @@ class FileRecord:
     speaker: int
     partition: str
     start: int  # its first row in the dataset's matrix
-    features: np.ndarray  # (chunks_per_file, feature_dim), the view of its rows from start
+    n: int  # its row count, one row per chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +116,10 @@ class EvalPack:
 @dataclass(frozen=True, eq=False)
 class SpeakerDataset:
     """Partitioned speakers, their files and the trial list of each of `TRIAL_PARTITIONS`,
-    over one read-only (rows, d) float64 chunk matrix: a file's features are the view of
-    its rows from its record's `start`. `generate_dataset` lays the files end to end in
-    file-id order, as `save_dataset` writes them; `load_dataset` keeps the manifest's
-    layout. `files` is a read-only mapping of frozen records, as `rows` reads the matrix by
-    their starts."""
+    over one read-only (rows, d) float64 chunk matrix: a file's features are its record's
+    `n` rows from its `start`, and `rows` is their one reader. `generate_dataset` lays the
+    files end to end in file-id order, as `save_dataset` writes them; `load_dataset` keeps
+    the manifest's layout. `files` is a read-only mapping of frozen records."""
 
     matrix: np.ndarray
     files: Mapping[str, FileRecord]
@@ -136,11 +135,12 @@ class SpeakerDataset:
         read-only view of the matrix when the starts put each file where the one before it
         ends, else a float64 copy ((0, d) for no files)."""
         records = [self.files[fid] for fid in file_ids]
-        ends = [rec.start + len(rec.features) for rec in records]
+        ends = [rec.start + rec.n for rec in records]
         if records and all(rec.start == end for rec, end in zip(records[1:], ends)):
             return self.matrix[records[0].start : ends[-1]]
         return np.concatenate([np.empty((0, self.feature_dim)),
-                               *(rec.features for rec in records)], dtype=np.float64)
+                               *(self.matrix[rec.start : end] for rec, end in zip(records, ends))],
+                              dtype=np.float64)
 
     def train_pool(self) -> TrainPool:
         """Chunks of the train speakers in one array, by train-local label 0..K-1, files of
@@ -150,7 +150,7 @@ class SpeakerDataset:
                        key=lambda rec: label_of[rec.speaker])
         sizes = [0] * len(label_of)
         for rec in train:
-            sizes[label_of[rec.speaker]] += len(rec.features)
+            sizes[label_of[rec.speaker]] += rec.n
         return TrainPool(self.rows([rec.file_id for rec in train]), sizes)
 
     def eval_pack(self, partition: str) -> EvalPack:
@@ -162,7 +162,7 @@ class SpeakerDataset:
         ids = sorted(fid for fid, rec in self.files.items() if rec.partition == partition)
         by_count: dict[int, list[int]] = {}
         for row, fid in enumerate(ids):
-            by_count.setdefault(len(self.files[fid].features), []).append(row)
+            by_count.setdefault(self.files[fid].n, []).append(row)
         parts = [rows[i:i + EMBED_STACK_FILES]
                  for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
         stacks = [(np.array(part), self.rows([ids[r] for r in part])
@@ -259,9 +259,8 @@ def _dataset(matrix: np.ndarray, layout: Sequence[tuple[str, str, int, int, int]
     matrix.flags.writeable = False
     return SpeakerDataset(
         matrix=matrix,
-        files=MappingProxyType({
-            fid: FileRecord(fid, speaker, partition, start, matrix[start : start + n])
-            for fid, partition, speaker, start, n in layout}),
+        files=MappingProxyType({fid: FileRecord(fid, speaker, partition, start, n)
+                                for fid, partition, speaker, start, n in layout}),
         partitions={p: sorted({speaker for _, q, speaker, _, _ in layout if q == p})
                     for p in PARTITIONS},
         trials=trials,
@@ -272,7 +271,7 @@ def save_dataset(ds: SpeakerDataset, out_dir) -> None:
     """Write the manifest (files in file-id order, at their starts), the chunk matrix as
     laid out, and the trial lists."""
     lines = [f"feature_dim {ds.feature_dim}"] + [
-        f"{fid} {rec.partition} {rec.speaker} {rec.start} {len(rec.features)}"
+        f"{fid} {rec.partition} {rec.speaker} {rec.start} {rec.n}"
         for fid, rec in sorted(ds.files.items())]
     write_text(os.path.join(out_dir, MANIFEST_NAME), "\n".join(lines) + "\n")
     np.save(os.path.join(out_dir, FEATURES_NAME), ds.matrix)
@@ -300,7 +299,7 @@ def load_dataset(data_dir) -> SpeakerDataset:
             raise ValueError(f"dtype {features.dtype} is not integer or float")
     except ValueError as exc:
         raise DomainError(f"{features_path}: {exc}") from None
-    features = np.ascontiguousarray(features, dtype=np.float64)  # files, pool and stacks view it
+    features = np.ascontiguousarray(features, dtype=np.float64)  # `rows` hands out views of it
 
     feature_dim = None
     partition_of: dict[int, str] = {}  # speaker -> partition; the partitions are disjoint

@@ -11,7 +11,6 @@ parameter version so a stale cache is rejected instead of silently
 producing wrong gradients.
 """
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -73,7 +72,11 @@ class EncoderParams:
         return {name: getattr(self, name) for name in ENCODER_ARRAYS} | self.loss_arrays
 
     def copy(self) -> "EncoderParams":
-        return copy.deepcopy(self)
+        """An independent copy: each array copied, `loss_arrays` in its order, with the same
+        activation and version."""
+        return EncoderParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
+                             self.activation, self.version,
+                             {name: arr.copy() for name, arr in self.loss_arrays.items()})
 
 
 @dataclass

@@ -129,7 +129,6 @@ class LossOutput:
     value: float
     grad_embeddings: np.ndarray | None = None
     grads: dict[str, np.ndarray] = field(default_factory=dict)  # centers, bias, gamma
-    grad_logits: np.ndarray | None = None
     reduction: str = "mean"
     n_terms: int = 0
 
@@ -268,14 +267,10 @@ def logits_aam(embeddings, labels, params: ClassifierParams, hyper: LossHyper) -
     return Logits(values, lambda g: _angular_backward(alpha * g * factor, u, xn, v, cn, s))
 
 
-def cross_entropy(logits, labels) -> LossOutput:
-    """Cross entropy over per-sample logits.
-
-    Accepts either a `Logits` object (gradients are pushed through to the
-    producing layer's embeddings/centers/bias) or a bare (N, K) array, in
-    which case only `grad_logits` is populated.
-    """
-    values = logits.values if isinstance(logits, Logits) else np.asarray(logits, dtype=np.float64)
+def cross_entropy(logits: Logits, labels) -> LossOutput:
+    """Cross entropy over a layer's per-sample logits; the gradient is pushed
+    through the layer's `backward` to its embeddings and its centers and bias."""
+    values = logits.values
     if values.ndim != 2:
         raise DomainError("logits must be a (N, K) matrix")
     if not np.all(np.isfinite(values)):
@@ -290,8 +285,8 @@ def cross_entropy(logits, labels) -> LossOutput:
     rows = np.arange(n)
     dlogits[rows, y] -= 1.0
     dlogits /= n
-    grad_embeddings, grads = logits.backward(dlogits) if isinstance(logits, Logits) else (None, {})
-    return LossOutput(float(-logp[rows, y].mean()), grad_embeddings, grads, dlogits,
+    grad_embeddings, grads = logits.backward(dlogits)
+    return LossOutput(float(-logp[rows, y].mean()), grad_embeddings, grads,
                       reduction="mean", n_terms=n)
 
 
@@ -328,7 +323,7 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
     np.add.at(grad_gamma, y, (w / g_norms)[:, None] * (u - s[:, None] * g_unit))
     return LossOutput(float(ce.value + 0.5 * lam * pen.sum()),
                       ce.grad_embeddings + (w / xn)[:, None] * (g_unit - s[:, None] * u),
-                      ce.grads | {"gamma": grad_gamma}, ce.grad_logits,
+                      ce.grads | {"gamma": grad_gamma},
                       reduction="mean_ce+sum_penalty", n_terms=ce.n_terms)
 
 

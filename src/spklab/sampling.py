@@ -17,10 +17,13 @@ its chunks with one bounded-integer call: per speaker of an n-row pool, c values
 below n - c + 1, ..., n pick c distinct rows by Floyd's algorithm (Bentley & Floyd
 1987: a value already taken becomes the bound's own top, n - c + k), followed by
 c - 1 values below c, ..., 2.
-Those last values are the shuffle `Generator.choice(n, c, replace=False)`
-makes of its picks; the batch sorts its picks and so throws them away,
-but drawing them keeps the generator's stream, and every later batch,
-exactly as one `choice` call per speaker leaves it.
+Those last values are the shuffle that numpy's `Generator.choice`, drawing c of
+n without replacement, makes of its picks; the batch sorts its picks and so
+throws them away, but drawing them keeps the generator's stream, and every later
+batch, exactly as one `choice` call per speaker leaves it wherever `choice` draws
+by Floyd's algorithm (pools up to 10,000 rows, or at most a fiftieth of a larger
+pool). Beyond that, where `choice` shuffles a tail of range(n) instead, Floyd's
+draw is the definition: its picks are still uniform, but not `choice`'s.
 """
 
 import math
@@ -32,9 +35,6 @@ import numpy as np
 from spklab.errors import DomainError
 
 BATCH_MODES = ("classification", "pairs", "triplets")
-# Generator.choice picks by Floyd's algorithm from pools up to this size; above it, when
-# more than 1/50 of the pool is picked, it shuffles the tail of range(n) instead.
-FLOYD_MAX_POOL = 10_000
 
 
 @dataclass
@@ -80,8 +80,8 @@ class TrainPool:
 
 def _floyd_picks(sizes: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted picks of c distinct rows from pools of `sizes` rows, one row of picks per pool,
-    with the draws of one `rng.choice(n, c, replace=False)` per pool in turn (n <= FLOYD_MAX_POOL
-    or c <= n // 50): Floyd's c draws, then the c - 1 draws of choice's shuffle, all in one call."""
+    from one bounded-integer call: per pool in turn, Floyd's c draws, then the c - 1 draws of
+    `choice`'s shuffle (see the module docstring)."""
     highs = np.empty((len(sizes), 2 * c - 1), dtype=np.int64)
     highs[:, :c] = sizes[:, None] + np.arange(1 - c, 1)
     highs[:, c:] = np.arange(c, 1, -1)
@@ -103,12 +103,11 @@ def balanced_batch(
     `(features, labels)` pair: (N, d) chunk rows and their (N,) train-local labels.
 
     Each speaker contributes exactly `chunks_per_speaker` chunks sampled
-    without replacement from its pool, in pool order, with the values and
-    generator state of one `rng.choice(pool_size, c, replace=False)` per
-    speaker in turn. Where every pool takes choice's Floyd path, the chunks
-    of all speakers come from one bounded-integer draw (see the module
-    docstring); otherwise each speaker draws by `choice` itself. One gather
-    from the pool follows.
+    without replacement from its pool, in pool order. The chunks of all
+    speakers come from one bounded-integer draw by Floyd's algorithm, which
+    keeps the values and generator state of one `Generator.choice` of c
+    rows without replacement per speaker in turn wherever `choice` draws by
+    Floyd too (see the module docstring). One gather from the pool follows.
     """
     c = chunks_per_speaker
     speakers = np.asarray(speakers, dtype=np.int64)
@@ -123,12 +122,7 @@ def balanced_batch(
     if sizes.min() < c:
         short = np.argmax(sizes < c)
         raise DomainError(f"speaker {speakers[short]} has {sizes[short]} chunks, batch needs {c}")
-    tail = (sizes > FLOYD_MAX_POOL) & (c > sizes // 50)
-    if tail.any():
-        picks = np.array([np.sort(rng.choice(n, c, replace=False)) for n in sizes])
-    else:
-        picks = _floyd_picks(sizes, c, rng)
-    rows = (pool.offsets[speakers][:, None] + picks).ravel()
+    rows = (pool.offsets[speakers][:, None] + _floyd_picks(sizes, c, rng)).ravel()
     return pool.features[rows], np.repeat(speakers, c)
 
 

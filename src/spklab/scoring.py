@@ -454,4 +454,4 @@ def write_report(path, report: EerReport) -> None:
 
 def write_det_csv(path, scores: Scores) -> None:
     write_text(path, "far,frr\n" + "".join(f"{far:.9g},{frr:.9g}\n"
-                                         for far, frr in det_points(scores)))
+                                         for far, frr in det_points(scores).tolist()))

@@ -229,6 +229,7 @@ def grid_search(pool: sampling.TrainPool, grid: Sequence[TrainConfig], budget_ep
 #   epoch <int>
 #   dev_eer <repr float>
 #   config <key> <value>        (zero or more lines, config echo)
+#   config_ext activation <name>  (required; any other config_ext key is an error)
 #   array <name> <ndim> <d0> [<d1> ...]
 #   <row-major values, one line, repr floats>
 #   end
@@ -236,7 +237,7 @@ def grid_search(pool: sampling.TrainPool, grid: Sequence[TrainConfig], budget_ep
 
 def _format_array(name: str, arr: np.ndarray) -> str:
     dims = " ".join(str(d) for d in arr.shape)
-    values = " ".join(repr(float(v)) for v in arr.reshape(-1))
+    values = " ".join(map(repr, arr.reshape(-1).tolist()))
     return f"array {name} {arr.ndim} {dims}\n{values}\n"
 
 
@@ -265,7 +266,7 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
     epoch, eer_value = None, None
     config_echo: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
-    activation = "tanh"
+    activation = None
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -284,8 +285,9 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
                 config_echo[key] = value
             elif head == "config_ext":
                 key, _, value = rest.partition(" ")
-                if key == "activation":
-                    activation = value
+                if key != "activation":
+                    raise ValueError(f"unknown config_ext key {key!r}")
+                activation = value
             else:
                 fields = rest.split()
                 shape = tuple(int(d) for d in fields[2:])
@@ -310,6 +312,8 @@ def load_checkpoint(path) -> tuple[Checkpoint, dict]:
 
     if epoch is None or eer_value is None:
         raise DomainError(f"{path}: missing epoch or dev_eer")
+    if activation is None:
+        raise DomainError(f"{path}: missing config_ext activation line")
     for required in enc.ENCODER_ARRAYS:
         if required not in arrays:
             raise DomainError(f"{path}: missing encoder array {required!r}")

@@ -132,7 +132,8 @@ def test_readme_example_compares(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["short", "non_numeric", "unknown_name", "repeated_name",
-                                    "dev_eer_2.5", "dev_eer_nan", "negative_dim", "zero_dim"])
+                                    "dev_eer_2.5", "dev_eer_nan", "negative_dim", "zero_dim",
+                                    "no_activation", "unknown_config_ext"])
 def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     tmp_path, cfg, data = workdir
     run = tmp_path / "run"
@@ -155,6 +156,10 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
         lines[k - 1] = f"array {name} 1 -1"
     elif damage == "zero_dim":
         lines[k - 1], lines[k] = f"array {name} 1 0", ""
+    elif damage == "no_activation":  # must not load as tanh, whatever it was trained with
+        lines.remove(next(line for line in lines if line.startswith("config_ext activation ")))
+    elif damage == "unknown_config_ext":
+        lines.insert(k - 1, "config_ext dropout 0.1")
     else:
         lines[k] = " ".join(values[:-1] if damage == "short" else ["nan?"] + values[1:])
     ckpt.write_text("\n".join(lines) + "\n")
@@ -167,6 +172,11 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, capsys, damage):
     assert len(err) == 1 and err[0].startswith("error: ")
     if damage.startswith("dev_eer_"):
         assert err[0] == f"error: {ckpt}: dev EER out of [0, 1]: {eer}"
+    elif damage == "no_activation":
+        assert err[0] == f"error: {ckpt}: missing config_ext activation line"
+    elif damage == "unknown_config_ext":
+        assert err[0] == (f"error: {ckpt}: bad checkpoint line 'config_ext dropout 0.1': "
+                          f"unknown config_ext key 'dropout'")
     else:
         assert str(ckpt) in err[0] and f"array {name} " in err[0]
 

@@ -65,15 +65,16 @@ class TestGeneration:
     def test_file_shapes(self):
         ds = generate_dataset(SMALL)
         assert len(ds.files) == 18 * 3
-        for rec in ds.files.values():
-            assert rec.features.shape == (2, 6)
-            assert np.all(np.isfinite(rec.features))
+        for fid, rec in ds.files.items():
+            assert rec.n == 2
+            assert ds.rows([fid]).shape == (2, 6)
+            assert np.all(np.isfinite(ds.rows([fid])))
 
     def test_deterministic(self):
         a = generate_dataset(SMALL)
         b = generate_dataset(SMALL)
         for fid in a.files:
-            np.testing.assert_array_equal(a.files[fid].features, b.files[fid].features)
+            np.testing.assert_array_equal(a.rows([fid]), b.rows([fid]))
         assert [(t.enroll, t.test, t.is_target) for t in a.trials["dev"]] == [
             (t.enroll, t.test, t.is_target) for t in b.trials["dev"]
         ]
@@ -106,7 +107,7 @@ class TestGeneration:
         spec = SyntheticDatasetSpec(**{**vars(SMALL), "intra_speaker_spread": 1e-9})
         ds = generate_dataset(spec)
         pack = ds.eval_pack("test")
-        embeddings = {fid: mean_embedding(ds.files[fid].features) for fid in pack.ids}
+        embeddings = {fid: mean_embedding(ds.rows([fid])) for fid in pack.ids}
         assert eer(score_trials(*rows_and_index(embeddings, ds.trials["test"]))).eer == 0.0
 
     def test_identical_latents_are_indistinguishable(self):
@@ -133,7 +134,7 @@ class TestGeneration:
         plain = generate_dataset(SMALL)
         noisy = generate_dataset(spec)
         fid = sorted(plain.files)[0]
-        assert not np.allclose(plain.files[fid].features, noisy.files[fid].features)
+        assert not np.allclose(plain.rows([fid]), noisy.rows([fid]))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(DomainError):
@@ -174,7 +175,7 @@ class TestOnDisk:
         assert back.partitions == ds.partitions
         assert sorted(back.files) == sorted(ds.files)
         for fid in ds.files:
-            np.testing.assert_array_equal(back.files[fid].features, ds.files[fid].features)
+            np.testing.assert_array_equal(back.rows([fid]), ds.rows([fid]))
             assert back.files[fid].speaker == ds.files[fid].speaker
         assert [(t.enroll, t.test, t.is_target) for t in back.trials["test"]] == [
             (t.enroll, t.test, t.is_target) for t in ds.trials["test"]
@@ -340,9 +341,9 @@ class TestLoadedViews:
             assert np.shares_memory(array, data.matrix)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
-        for record in data.files.values():
+        for fid in data.files:
             with pytest.raises(ValueError, match="read-only"):
-                record.features[0, 0] = 0.0
+                data.rows([fid])[0, 0] = 0.0
 
     def test_generated_dataset_is_laid_out_as_loaded(self, loaded):
         # generate_dataset hands out the same read-only views that load_dataset does
@@ -441,7 +442,7 @@ class TestLoaderProperties:
         assert back.partitions == ds.partitions
         assert sorted(back.files) == sorted(ds.files)
         for fid, rec in ds.files.items():
-            np.testing.assert_array_equal(back.files[fid].features, rec.features)
+            np.testing.assert_array_equal(back.rows([fid]), ds.rows([fid]))
             assert (back.files[fid].speaker, back.files[fid].partition) == (rec.speaker,
                                                                              rec.partition)
         assert trial_tuples(back.trials["dev"]) == trial_tuples(ds.trials["dev"])

@@ -153,6 +153,18 @@ class TestInitAndStep:
         np.testing.assert_array_equal(params.w1, w1_before - 0.5 * grads["w1"])
         assert params.version == version + 1
 
+    def test_copy_is_independent_and_keeps_order(self):
+        rng = np.random.default_rng(12)
+        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
+        params.loss_arrays = {"gamma": rng.standard_normal((5, 2)), "centers": np.ones((5, 2))}
+        params.version = 7
+        copied = params.copy()
+        assert (copied.activation, copied.version) == ("sigmoid", 7)
+        assert list(copied.arrays()) == list(params.arrays())
+        for name, arr in params.arrays().items():
+            assert copied.arrays()[name].tobytes() == arr.tobytes()
+            assert not np.shares_memory(copied.arrays()[name], arr)
+
     def test_bad_dimensions_rejected(self):
         with pytest.raises(DomainError):
             init_encoder(0, 4, 2, np.random.default_rng(0))

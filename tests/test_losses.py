@@ -20,6 +20,7 @@ from spklab.errors import DomainError
 from spklab.losses import (
     CenterLossParams,
     ClassifierParams,
+    Logits,
     LossHyper,
     center_loss,
     contrastive_loss,
@@ -146,22 +147,28 @@ class TestLogitVariants:
             np.testing.assert_allclose(base, scaled, atol=1e-9)
 
 
+def identity_logits(z) -> Logits:
+    """The logit layer that is its own input: its embedding gradient is the logits' gradient."""
+    return Logits(np.asarray(z, dtype=np.float64), lambda g: (g, {}))
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        out = cross_entropy(np.zeros((3, 4)), np.array([0, 1, 3]))
+        out = cross_entropy(identity_logits(np.zeros((3, 4))), np.array([0, 1, 3]))
         assert abs(out.value - math.log(4.0)) < 1e-12
 
     def test_hand_softmax(self):
-        out = cross_entropy(np.array([[math.log(3.0), 0.0]]), np.array([0]))
+        out = cross_entropy(identity_logits([[math.log(3.0), 0.0]]), np.array([0]))
         assert abs(out.value - (-math.log(0.75))) < 1e-12
 
     def test_confident_limit(self):
-        out = cross_entropy(np.array([[500.0, 0.0]]), np.array([0]))
+        out = cross_entropy(identity_logits([[500.0, 0.0]]), np.array([0]))
         assert out.value < 1e-12
 
     def test_gradient_on_logits_uniform(self):
-        out = cross_entropy(np.zeros((1, 2)), np.array([0]))
-        np.testing.assert_allclose(out.grad_logits, [[-0.5, 0.5]], atol=1e-15)
+        out = cross_entropy(identity_logits(np.zeros((1, 2))), np.array([0]))
+        np.testing.assert_allclose(out.grad_embeddings, [[-0.5, 0.5]], atol=1e-15)
+        assert out.grads == {}
 
     def test_gradient_matches_differences_on_logits(self):
         rng = np.random.default_rng(8)
@@ -169,21 +176,21 @@ class TestCrossEntropy:
         y = np.array([0, 2, 3])
 
         def fn(arrays):
-            out = cross_entropy(arrays["z"], y)
-            return out.value, {"z": out.grad_logits}
+            out = cross_entropy(identity_logits(arrays["z"]), y)
+            return out.value, {"z": out.grad_embeddings}
 
         assert finite_difference_check(fn, {"z": z}) < 1e-9
 
     def test_label_out_of_range(self):
         with pytest.raises(DomainError, match="label"):
-            cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+            cross_entropy(identity_logits(np.zeros((2, 3))), np.array([0, 3]))
 
     def test_value_non_negative(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             z = 5.0 * rng.standard_normal((4, 6))
             y = rng.integers(0, 6, size=4)
-            assert cross_entropy(z, y).value >= 0.0
+            assert cross_entropy(identity_logits(z), y).value >= 0.0
 
 
 class TestCenterLoss:
@@ -714,10 +721,6 @@ class TestLossStateDispatch:
         assert list(out.grads) == list(expected.grads) == list(TRAINED[kind])
         for name, grad in out.grads.items():
             assert grad.tobytes() == expected.grads[name].tobytes()
-        if expected.grad_logits is None:
-            assert out.grad_logits is None
-        else:
-            assert out.grad_logits.tobytes() == expected.grad_logits.tobytes()
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_init_state_draws_the_row_arrays_in_order(self, kind):

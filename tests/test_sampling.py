@@ -13,7 +13,6 @@ from conftest import dataset_of, pool_of
 from spklab.dataset import SyntheticDatasetSpec
 from spklab.errors import DomainError
 from spklab.sampling import (
-    FLOYD_MAX_POOL,
     TrainPool,
     TupleIndex,
     augment_chunk,
@@ -137,13 +136,29 @@ class TestBatchDrawOracle:
             assert_same_draw(pool, n_speakers, chunks, seed)
 
     @pytest.mark.parametrize("chunks", [201, 250])
-    def test_matches_choice_past_floyd_pools(self, chunks):
-        # Generator.choice shuffles a tail of range(n), not Floyd, for such pools
+    def test_matches_scalar_floyd_past_choice_floyd_pools(self, chunks):
+        # Generator.choice shuffles a tail of range(n), not Floyd, for such pools; the batch
+        # keeps Floyd's draw there, checked against a scalar per-speaker Floyd oracle
         rng = np.random.default_rng(4)
         pool = {0: rng.standard_normal((300, 1)),
-                1: rng.standard_normal((FLOYD_MAX_POOL + 1, 1)),
-                2: rng.standard_normal((FLOYD_MAX_POOL + 1000, 1))}
-        assert_same_draw(pool, 3, chunks, 8, np.array([1, 0, 2]))
+                1: rng.standard_normal((10_001, 1)),
+                2: rng.standard_normal((11_000, 1))}
+        speakers = np.array([1, 0, 2])
+        rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        highs = [[*range(len(pool[spk]) - chunks + 1, len(pool[spk]) + 1),
+                  *range(chunks, 1, -1)] for spk in speakers]
+        draws = rng_ref.integers(0, np.array(highs))  # the one bounded-integer call
+        want = []
+        for spk, draw in zip(speakers, draws.tolist()):
+            n, picked = len(pool[spk]), set()
+            for k in range(chunks):  # Floyd: t below n - c + k + 1, else n - c + k if taken
+                t = draw[k]
+                picked.add(n - chunks + k if t in picked else t)
+            want.append(pool[spk][sorted(picked)])
+        features, labels = balanced_batch(pool_of(pool), chunks, rng, speakers)
+        np.testing.assert_array_equal(features, np.vstack(want))
+        np.testing.assert_array_equal(labels, np.repeat(speakers, chunks))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_short_pool_names_the_speaker(self):
         pool = TrainPool(np.ones((11, 2)), [5, 5, 1])

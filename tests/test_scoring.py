@@ -700,3 +700,12 @@ class TestFileFormats:
         lines = path.read_text().splitlines()
         assert lines[0] == "far,frr"
         assert len(lines) > 2
+
+    def test_det_csv_matches_per_scalar_format(self, tmp_path):
+        # rates in thirds, whose .9g text is where a float and a numpy scalar could part
+        scores = trials_from([0.9, 0.5, 0.2], [0.8, 0.3, 0.1])
+        path = tmp_path / "det.csv"
+        write_det_csv(path, scores)
+        per_scalar = "".join(f"{far:.9g},{frr:.9g}\n" for far, frr in det_points(scores))
+        assert path.read_text() == "far,frr\n" + per_scalar
+        assert "0.666666667,0.333333333\n" in per_scalar

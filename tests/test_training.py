@@ -309,6 +309,13 @@ class TestGridSearch:
 
 
 class TestCheckpointIO:
+    def test_array_text_matches_per_scalar_repr(self):
+        arr = np.array([[-0.0, 5e-324, 0.1], [1 / 3, 1.7976931348623157e308, -1 / 3]])
+        per_scalar = " ".join(repr(float(v)) for v in arr.reshape(-1))
+        assert training._format_array("w1", arr) == f"array w1 2 2 3\n{per_scalar}\n"
+        assert per_scalar.split() == ["-0.0", "5e-324", "0.1", "0.3333333333333333",
+                                      "1.7976931348623157e+308", "-0.3333333333333333"]
+
     def test_round_trip_bit_exact(self, tmp_path):
         pool, dev = toy_problem()
         config = TrainConfig(**{**vars(BASE), "loss_kind": "center"})
