@@ -14,8 +14,8 @@ file is a run of its rows. `SpeakerDataset.rows` alone reads them and decides
 how a list of files is handed out: as one view of the matrix where the layout
 puts them end to end, as `generate_dataset` lays them out and `save_dataset`
 writes them, else as a copy. The training pool and the scoring stacks take their
-rows from it. A partition staged for scoring is an `EvalPack`, built by
-`SpeakerDataset.eval_pack`.
+rows from it. A partition's trials are one `TrialIndex`, built with the dataset, and
+the partition staged for scoring is an `EvalPack` (`SpeakerDataset.eval_pack`).
 """
 
 import itertools
@@ -101,12 +101,11 @@ class FileRecord:
 
 @dataclass(frozen=True, eq=False)
 class EvalPack:
-    """A dataset partition staged for scoring (`SpeakerDataset.eval_pack`): its file ids in
-    sorted order, the files' chunk stacks, and its trials' index over those files (a train
-    or cohort pack has no trials)."""
+    """A dataset partition staged for scoring (`SpeakerDataset.eval_pack`): the dataset's
+    feature dimension, the files' chunk stacks, and the partition's `TrialIndex`, whose
+    `ids` give the file order (a train or cohort pack has no trials)."""
 
-    ids: list[str]
-    feature_dim: int | None  # None for a pack without files
+    feature_dim: int
     # (rows, (F, n_chunks, feature_dim) stack): the pack's files grouped by chunk count
     # (groups in order of first appearance), rows in file order, at most EMBED_STACK_FILES
     stacks: list[tuple[np.ndarray, np.ndarray]]
@@ -115,16 +114,16 @@ class EvalPack:
 
 @dataclass(frozen=True, eq=False)
 class SpeakerDataset:
-    """Partitioned speakers, their files and the trial list of each of `TRIAL_PARTITIONS`,
-    over one read-only (rows, d) float64 chunk matrix: a file's features are its record's
-    `n` rows from its `start`, and `rows` is their one reader. `generate_dataset` lays the
-    files end to end in file-id order, as `save_dataset` writes them; `load_dataset` keeps
-    the manifest's layout. `files` is a read-only mapping of frozen records."""
+    """Partitioned speakers, their files and each partition's `TrialIndex`, over one read-only
+    (rows, d) float64 chunk matrix: a file's features are its record's `n` rows from its
+    `start`, and `rows` is their one reader. `generate_dataset` lays the files end to end in
+    file-id order, as `save_dataset` writes them; `load_dataset` keeps the manifest's layout.
+    `files` is a read-only mapping of frozen records."""
 
     matrix: np.ndarray
     files: Mapping[str, FileRecord]
     partitions: dict[str, list[int]]
-    trials: dict[str, list[Trial]]
+    trials: dict[str, TrialIndex]
 
     @property
     def feature_dim(self) -> int:
@@ -154,12 +153,11 @@ class SpeakerDataset:
         return TrainPool(self.rows([rec.file_id for rec in train]), sizes)
 
     def eval_pack(self, partition: str) -> EvalPack:
-        """The partition staged for scoring, with its trials if it has any; each stack is
-        what `rows` gives for its files, a view where they lie end to end, else a copy. A
-        trial naming a file outside the partition fails as `TrialIndex.of` does."""
+        """The partition staged for scoring, with its `TrialIndex`; each stack is what `rows`
+        gives for its files, a view where they lie end to end, else a copy."""
         if partition not in PARTITIONS:
             raise DomainError(f"unknown partition {partition!r}, not one of {PARTITIONS}")
-        ids = sorted(fid for fid, rec in self.files.items() if rec.partition == partition)
+        ids = self.trials[partition].ids
         by_count: dict[int, list[int]] = {}
         for row, fid in enumerate(ids):
             by_count.setdefault(self.files[fid].n, []).append(row)
@@ -167,8 +165,7 @@ class SpeakerDataset:
                  for rows in by_count.values() for i in range(0, len(rows), EMBED_STACK_FILES)]
         stacks = [(np.array(part), self.rows([ids[r] for r in part])
                    .reshape(len(part), -1, self.feature_dim)) for part in parts]
-        return EvalPack(ids, self.feature_dim if ids else None, stacks,
-                        TrialIndex.of(self.trials.get(partition, ()), ids))
+        return EvalPack(self.feature_dim, stacks, self.trials[partition])
 
 
 def file_id(speaker: int, file_index: int) -> str:
@@ -253,9 +250,9 @@ def generate_dataset(spec: SyntheticDatasetSpec) -> SpeakerDataset:
 
 
 def _dataset(matrix: np.ndarray, layout: Sequence[tuple[str, str, int, int, int]],
-             trials: dict[str, list[Trial]]) -> SpeakerDataset:
+             trials: Mapping[str, Sequence[Trial]]) -> SpeakerDataset:
     """The dataset over float64 `matrix`, made read-only, of the files that `layout` places
-    there, one (file id, partition, speaker, start, n) per file."""
+    there, one (file id, partition, speaker, start, n) per file, with the partitions' `trials`."""
     matrix.flags.writeable = False
     return SpeakerDataset(
         matrix=matrix,
@@ -263,7 +260,8 @@ def _dataset(matrix: np.ndarray, layout: Sequence[tuple[str, str, int, int, int]
                                 for fid, partition, speaker, start, n in layout}),
         partitions={p: sorted({speaker for _, q, speaker, _, _ in layout if q == p})
                     for p in PARTITIONS},
-        trials=trials,
+        trials={p: TrialIndex.of(trials.get(p, ()), sorted(fid for fid, q, *_ in layout if q == p))
+                for p in PARTITIONS},
     )
 
 
@@ -342,8 +340,15 @@ def load_dataset(data_dir) -> SpeakerDataset:
             if not np.isfinite(features[start : start + n]).all():
                 raise DomainError(f"{manifest_path}:{line_of[fid]}: file {fid} has a "
                                   f"non-finite feature value")
-    return _dataset(features, layout, {p: read_trials(os.path.join(data_dir, f"trials_{p}.txt"))
-                                       for p in TRIAL_PARTITIONS})
+    ds = _dataset(features, layout, {p: read_trials(os.path.join(data_dir, f"trials_{p}.txt"))
+                                     for p in TRIAL_PARTITIONS})
+    for p, index in ds.trials.items():  # a trial's label must agree with its files' speakers
+        speaker = np.array([ds.files[fid].speaker for fid in index.ids], dtype=int)
+        bad = np.flatnonzero(index.target != (speaker[index.enroll] == speaker[index.test]))
+        if bad.size:
+            raise DomainError(f"{os.path.join(data_dir, f'trials_{p}.txt')}: trial "
+                              f"{' vs '.join(index.pairs()[bad[0]])}: label contradicts the manifest")
+    return ds
 
 
 def gen_synthetic_dataset(spec: SyntheticDatasetSpec, out_dir) -> SpeakerDataset:

@@ -164,10 +164,8 @@ def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> 
     """Score the test trials raw and, unless s-norm is off, normalized with top_n tuned on
     dev; write the DET points and the score files under `out_dir` once the raw scores hold
     both classes."""
-    if opts.use_snorm:  # a bad option or dev trial list fails before any file is written
-        cohort_pack = dataset.eval_pack("cohort")
-        candidates = top_n_candidates(len(cohort_pack.ids), opts)
-        dev_pack = dataset.eval_pack("dev")
+    if opts.use_snorm:  # a bad option fails before any file is written
+        candidates = top_n_candidates(len(dataset.trials["cohort"].ids), opts)
     test_pack = dataset.eval_pack("test")
     test_embeddings = training.embed_files(encoder, test_pack)
     raw = scoring.score_trials(test_embeddings, test_pack.index)
@@ -177,7 +175,8 @@ def score_test(encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions) -> 
     if not opts.use_snorm:
         return ExperimentResult(out_dir, raw)
     try:
-        cohort_embeddings = training.embed_files(encoder, cohort_pack)
+        cohort_embeddings = training.embed_files(encoder, dataset.eval_pack("cohort"))
+        dev_pack = dataset.eval_pack("dev")
         top_n = scoring.tune_cohort_size(
             training.embed_files(encoder, dev_pack), dev_pack.index, cohort_embeddings,
             candidates, opts.snorm_std,
@@ -240,7 +239,7 @@ def train_and_score(
     epochs = grid[0].epochs
     grid_epochs = grid_budget(grid_epochs, epochs)
     if opts.use_snorm:  # a bad [eval] top_n_candidates fails before training
-        top_n_candidates(len(dataset.eval_pack("cohort").ids), opts)
+        top_n_candidates(len(dataset.trials["cohort"].ids), opts)
 
     pool = dataset.train_pool()
     dev_pack = dataset.eval_pack("dev")

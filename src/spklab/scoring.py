@@ -80,10 +80,10 @@ class EerReport:
 
 @dataclass(frozen=True)
 class TrialIndex:
-    """Trials over the rows of a (files, dim) embedding matrix: each trial's enrollment row,
-    test row and target flag, with the trials themselves to name one in errors and score files."""
+    """Trials over the rows of a (files, dim) embedding matrix: the files' ids, which name a
+    trial in errors and files, and each trial's enrollment row, test row and target flag."""
 
-    trials: Sequence[Trial]
+    ids: Sequence[str]
     enroll: np.ndarray
     test: np.ndarray
     target: np.ndarray
@@ -99,7 +99,11 @@ class TrialIndex:
                     raise DomainError(f"trial {t.enroll} vs {t.test}: unknown file id {ref!r}")
         enroll = np.array([row[t.enroll] for t in trials], dtype=np.intp)
         test = np.array([row[t.test] for t in trials], dtype=np.intp)
-        return cls(list(trials), enroll, test, np.array([t.is_target for t in trials], dtype=bool))
+        return cls(list(file_ids), enroll, test, np.array([t.is_target for t in trials], dtype=bool))
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """Each trial's (enrollment id, test id), by which errors and files name it."""
+        return [(self.ids[e], self.ids[t]) for e, t in zip(self.enroll.tolist(), self.test.tolist())]
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,7 @@ def trial_cosines(embeddings: np.ndarray, index: TrialIndex) -> np.ndarray:
     zero = norms[np.stack((index.enroll, index.test))] <= ZERO_NORM_EPS
     if zero.any():
         i = int(zero.any(axis=0).argmax())
-        t = index.trials[i]
-        raise DomainError(f"trial {t.enroll} vs {t.test}: cosine_similarity: operand "
+        raise DomainError(f"trial {' vs '.join(index.pairs()[i])}: cosine_similarity: operand "
                           f"{'a' if zero[0, i] else 'b'!r} has zero norm")
     scores = (np.vecdot(embeddings[index.enroll], embeddings[index.test])
               / (norms[index.enroll] * norms[index.test]))
@@ -206,9 +209,8 @@ def _snorm(raw: np.ndarray, index: TrialIndex, top_n: int, mu: np.ndarray,
     enroll, test = index.enroll, index.test
     degenerate = np.flatnonzero((sd[enroll] < SNORM_MIN_STD) | (sd[test] < SNORM_MIN_STD))
     if degenerate.size:
-        t = index.trials[degenerate[0]]
         raise DegenerateCohortError(f"cohort top-{top_n} scores have near-zero spread for "
-                                    f"trial {t.enroll} vs {t.test}")
+                                    f"trial {' vs '.join(index.pairs()[degenerate[0]])}")
     return 0.5 * ((raw - mu[enroll]) / sd[enroll] + (raw - mu[test]) / sd[test])
 
 
@@ -413,8 +415,9 @@ def tune_cohort_size(embeddings: np.ndarray, index: TrialIndex, cohort_embedding
 # Report:     "key: value" lines.
 
 
-def write_trials(path, trials: Sequence[Trial]) -> None:
-    write_text(path, "".join(f"{1 if t.is_target else 0} {t.enroll} {t.test}\n" for t in trials))
+def write_trials(path, index: TrialIndex) -> None:
+    write_text(path, "".join(f"{1 if target else 0} {enroll} {test}\n" for (enroll, test), target
+                             in zip(index.pairs(), index.target.tolist())))
 
 
 def read_trials(path) -> list[Trial]:
@@ -430,8 +433,8 @@ def read_trials(path) -> list[Trial]:
 
 
 def write_scores(path, scores: Scores) -> None:
-    write_text(path, "".join(f"{t.enroll} {t.test} {score:.9g}\n"
-                             for t, score in zip(scores.index.trials, scores.values.tolist())))
+    write_text(path, "".join(f"{enroll} {test} {score:.9g}\n" for (enroll, test), score
+                             in zip(scores.index.pairs(), scores.values.tolist())))
 
 
 def format_report(report: EerReport) -> str:

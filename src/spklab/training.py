@@ -86,13 +86,17 @@ class Checkpoint:
 def embed_files(params: enc.EncoderParams, pack: EvalPack) -> np.ndarray:
     """The pack's file embeddings as an (n_files, embedding_dim) array in file order: each
     file's chunks encoded and averaged, one forward per stack, so each row is bit for bit a
-    per-file forward plus `mean_embedding`."""
-    if pack.feature_dim not in (None, params.input_dim):
+    per-file forward plus `mean_embedding`; a DomainError names the first non-finite one."""
+    if pack.feature_dim != params.input_dim:
         raise DomainError(f"the encoder takes {params.input_dim}-dim features, the files "
                           f"have {pack.feature_dim}")
-    embeddings = np.empty((len(pack.ids), params.embedding_dim))
-    for rows, stack in pack.stacks:
-        embeddings[rows] = enc.forward(params, stack)[0].mean(axis=1)
+    embeddings = np.empty((len(pack.index.ids), params.embedding_dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails below
+        for rows, stack in pack.stacks:
+            embeddings[rows] = enc.forward(params, stack)[0].mean(axis=1)
+    finite = np.isfinite(embeddings).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"file {pack.index.ids[int(finite.argmin())]} has a non-finite embedding")
     return embeddings
 
 

@@ -640,8 +640,8 @@ def test_non_real_features_fail_cleanly(workdir, capsys):
 
 
 def test_unknown_dev_file_fails_before_any_report(workdir, capsys):
-    # every partition is staged before scoring: a dev trial naming an unknown file fails
-    # with one error line, and no raw test report is left behind
+    # every trial list is indexed where the dataset is loaded: a dev trial naming an
+    # unknown file fails with one error line, and no raw test report is left behind
     tmp_path, cfg, data = workdir
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--seed", "3",
@@ -656,6 +656,66 @@ def test_unknown_dev_file_fails_before_any_report(workdir, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: trial {first} vs ghost: unknown file id 'ghost'"]
     assert not list(out.glob("*"))
+
+
+def test_unknown_test_file_fails_train_at_load(workdir, capsys):
+    # train scores no test trial, yet a test trial naming an unknown file fails it too
+    tmp_path, cfg, data = workdir
+    trials = data / "trials_test.txt"
+    first = trials.read_text().split()[1]
+    trials.write_text(trials.read_text() + f"0 {first} ghost\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: trial {first} vs ghost: unknown file id 'ghost'"]
+    assert not out.exists()
+
+
+def test_trial_label_against_the_manifest_fails_at_load(workdir, capsys):
+    # the first test trial is a target pair of one speaker's files: labelled 0, it
+    # contradicts the manifest, and evaluate fails with one error line naming it
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    trials = data / "trials_test.txt"
+    lines = trials.read_text().splitlines()
+    label, enroll, test = lines[0].split()
+    assert label == "1" and enroll[:5] == test[:5]
+    trials.write_text("\n".join([f"0 {enroll} {test}"] + lines[1:]) + "\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                 "--checkpoint", str(run / "best.ckpt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {trials}: trial {enroll} vs {test}: label contradicts the manifest"]
+    assert not out.exists()
+
+
+def test_non_finite_embeddings_fail_before_any_score(workdir, capsys):
+    # finite weights that overflow: w1 = 1.7e308 everywhere with the identity activation
+    # embeds every file to nan, which would score as an EER of 0; one error line naming
+    # the first test file instead, and no --out
+    tmp_path, cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "3",
+                 "--data", str(data), "--out", str(run)]) == 0
+    ckpt = run / "best.ckpt"
+    lines = ckpt.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("array w1 ")) + 1
+    lines[k] = " ".join(["1.7e308"] * len(lines[k].split()))
+    lines = [line.replace("activation tanh", "activation identity") for line in lines]
+    ckpt.write_text("\n".join(lines) + "\n")
+    first = min(load_dataset(data).trials["test"].ids)
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                 "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: file {first} has a non-finite embedding"]
+    assert not out.exists()
 
 
 def test_speaker_in_two_partitions_fails_cleanly(workdir, capsys):
@@ -782,7 +842,8 @@ def test_non_ascii_file_id_scores_alike_in_any_locale(workdir):
     tmp_path, cfg, data = workdir
     assert main(["train", "--config", str(cfg), "--seed", "3",
                  "--data", str(data), "--out", str(tmp_path / "run")]) == 0
-    fid = load_dataset(data).trials["test"][0].enroll
+    index = load_dataset(data).trials["test"]
+    fid = index.ids[index.enroll[0]]
     for name in ("manifest.txt", "trials_test.txt"):
         text = (data / name).read_text(encoding="utf-8")
         (data / name).write_text(text.replace(fid, f"{fid}é"), encoding="utf-8")

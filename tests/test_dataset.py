@@ -25,7 +25,14 @@ from spklab.dataset import (
 from spklab.embedding import mean_embedding
 from spklab.errors import DomainError
 from spklab.training import TrainConfig, dev_eer, init_run, train
-from spklab.scoring import Trial, eer, score_trials
+from spklab.scoring import Trial, TrialIndex, eer, read_trials, score_trials
+
+
+def trial_tuples(index):
+    """The index's (enroll id, test id, target) triples, read from its arrays."""
+    return [(index.ids[e], index.ids[t], target) for e, t, target
+            in zip(index.enroll.tolist(), index.test.tolist(), index.target.tolist())]
+
 
 SMALL = SyntheticDatasetSpec(
     n_speakers_train=8, n_speakers_dev=3, n_speakers_cohort=4, n_speakers_test=3,
@@ -75,9 +82,7 @@ class TestGeneration:
         b = generate_dataset(SMALL)
         for fid in a.files:
             np.testing.assert_array_equal(a.rows([fid]), b.rows([fid]))
-        assert [(t.enroll, t.test, t.is_target) for t in a.trials["dev"]] == [
-            (t.enroll, t.test, t.is_target) for t in b.trials["dev"]
-        ]
+        assert trial_tuples(a.trials["dev"]) == trial_tuples(b.trials["dev"])
 
     def test_train_pool_labels(self):
         ds = generate_dataset(SMALL)
@@ -86,29 +91,54 @@ class TestGeneration:
         np.testing.assert_array_equal(pool.sizes, [6] * 8)  # 3 files x 2 chunks
         assert pool.features.shape == (48, 6)
 
-    def test_eval_pack_per_partition(self):
-        # dev and test packs index their own trials; train and cohort packs carry none
-        ds = generate_dataset(SMALL)
-        for partition in ("train", "cohort"):
+    def test_eval_pack_per_partition(self, tmp_path):
+        # every pack carries its partition's index over the sorted file ids; dev and test
+        # packs index the trials written to their trial files, train and cohort packs none
+        ds = gen_synthetic_dataset(SMALL, tmp_path)
+        for partition in PARTITIONS:
             pack = ds.eval_pack(partition)
-            assert pack.ids == sorted(f for f, r in ds.files.items() if r.partition == partition)
-            assert pack.feature_dim == SMALL.feature_dim and pack.index.enroll.size == 0
-        for partition, trials in ds.trials.items():
-            pack = ds.eval_pack(partition)
-            assert [pack.ids[i] for i in pack.index.enroll] == [t.enroll for t in trials]
-            assert [pack.ids[i] for i in pack.index.test] == [t.test for t in trials]
-            assert pack.index.target.tolist() == [t.is_target for t in trials]
+            assert pack.index is ds.trials[partition]
+            assert pack.index.ids == sorted(
+                f for f, r in ds.files.items() if r.partition == partition)
+            assert pack.feature_dim == SMALL.feature_dim
+            if partition in ("train", "cohort"):
+                assert pack.index.enroll.size == 0
+            else:
+                trials = read_trials(tmp_path / f"trials_{partition}.txt")
+                assert trial_tuples(pack.index) == [(t.enroll, t.test, t.is_target)
+                                                    for t in trials]
         with pytest.raises(DomainError, match="unknown partition 'eval'"):
             ds.eval_pack("eval")
 
+    def test_indexes_built_once_with_the_dataset(self, tmp_path, monkeypatch):
+        # generating or loading indexes each partition once; staging a pack indexes nothing
+        built = []
+        index_of = TrialIndex.of.__func__
+
+        def counted(cls, trials, file_ids):
+            built.append(list(file_ids))
+            return index_of(cls, trials, file_ids)
+
+        monkeypatch.setattr(TrialIndex, "of", classmethod(counted))
+        for make in (lambda: gen_synthetic_dataset(SMALL, tmp_path),
+                     lambda: load_dataset(tmp_path)):
+            built.clear()
+            ds = make()
+            assert built == [sorted(f for f, r in ds.files.items() if r.partition == p)
+                             for p in PARTITIONS]
+            built.clear()
+            for p in PARTITIONS:
+                ds.eval_pack(p)
+            assert built == []
+
     def test_tiny_spread_separates_perfectly(self):
-        # near-zero spread collapses每 speaker's chunks onto the latent, so
+        # near-zero spread collapses each speaker's chunks onto the latent, so
         # raw cosine scoring of file means is error-free
         spec = SyntheticDatasetSpec(**{**vars(SMALL), "intra_speaker_spread": 1e-9})
         ds = generate_dataset(spec)
         pack = ds.eval_pack("test")
-        embeddings = {fid: mean_embedding(ds.rows([fid])) for fid in pack.ids}
-        assert eer(score_trials(*rows_and_index(embeddings, ds.trials["test"]))).eer == 0.0
+        rows = np.array([mean_embedding(ds.rows([fid])) for fid in pack.index.ids])
+        assert eer(score_trials(rows, pack.index)).eer == 0.0
 
     def test_identical_latents_are_indistinguishable(self):
         # two speakers sharing one latent: scores carry no label signal, so
@@ -150,20 +180,21 @@ class TestTrials:
     def test_labels_consistent_with_speakers(self):
         ds = generate_dataset(SMALL)
         speaker_of = {fid: rec.speaker for fid, rec in ds.files.items()}
-        for t in ds.trials["dev"] + ds.trials["test"]:
-            assert t.enroll != t.test
-            assert t.is_target == (speaker_of[t.enroll] == speaker_of[t.test])
+        triples = trial_tuples(ds.trials["dev"]) + trial_tuples(ds.trials["test"])
+        for enroll, test, target in triples:
+            assert enroll != test
+            assert target == (speaker_of[enroll] == speaker_of[test])
 
     def test_trials_stay_inside_partition(self):
         ds = generate_dataset(SMALL)
         part_of = {fid: rec.partition for fid, rec in ds.files.items()}
-        assert all(part_of[t.enroll] == part_of[t.test] == "dev" for t in ds.trials["dev"])
-        assert all(part_of[t.enroll] == part_of[t.test] == "test" for t in ds.trials["test"])
+        for p in ("dev", "test"):
+            assert all(part_of[e] == part_of[t] == p for e, t, _ in trial_tuples(ds.trials[p]))
 
     def test_per_speaker_budget(self):
         ds = generate_dataset(SMALL)  # trials_per_speaker=4 -> 2 target + 2 non
-        targets = sum(t.is_target for t in ds.trials["dev"])
-        nontargets = sum(not t.is_target for t in ds.trials["dev"])
+        targets = sum(target for *_, target in trial_tuples(ds.trials["dev"]))
+        nontargets = sum(not target for *_, target in trial_tuples(ds.trials["dev"]))
         assert targets == nontargets == 2 * 3  # 3 dev speakers
 
 
@@ -177,9 +208,7 @@ class TestOnDisk:
         for fid in ds.files:
             np.testing.assert_array_equal(back.rows([fid]), ds.rows([fid]))
             assert back.files[fid].speaker == ds.files[fid].speaker
-        assert [(t.enroll, t.test, t.is_target) for t in back.trials["test"]] == [
-            (t.enroll, t.test, t.is_target) for t in ds.trials["test"]
-        ]
+        assert trial_tuples(back.trials["test"]) == trial_tuples(ds.trials["test"])
 
     def test_byte_identical_regeneration(self, tmp_path):
         gen_synthetic_dataset(SMALL, tmp_path / "a")
@@ -385,7 +414,7 @@ class TestLoadedViews:
         np.testing.assert_array_equal(pool_v.offsets, pool_c.offsets)
         for p in PARTITIONS:
             pack_v, pack_c = views.eval_pack(p), copies.eval_pack(p)
-            assert pack_v.ids == pack_c.ids
+            assert pack_v.index.ids == pack_c.index.ids
             for (rows_v, _), (rows_c, _) in zip(pack_v.stacks, pack_c.stacks, strict=True):
                 np.testing.assert_array_equal(rows_v, rows_c)
 
@@ -425,10 +454,6 @@ small_specs = st.builds(
     feature_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
     trials_per_speaker=st.integers(2, 6),
 )
-
-
-def trial_tuples(trials):
-    return [(t.enroll, t.test, t.is_target) for t in trials]
 
 
 class TestLoaderProperties:

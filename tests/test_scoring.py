@@ -54,6 +54,12 @@ def tied_scores(max_size=60):
         lambda c: np.round(np.random.default_rng(c[1]).normal(0.0, 1.0, c[0]), c[2]))
 
 
+def trial_list(index):
+    """The index's trials as `Trial`s, read from its id, row and target arrays."""
+    return [Trial(index.ids[e], index.ids[t], target) for e, t, target
+            in zip(index.enroll.tolist(), index.test.tolist(), index.target.tolist())]
+
+
 def trials_from(tar, non):
     trials = [Trial(f"t{i}", f"x{i}", True) for i in range(len(tar))]
     trials += [Trial(f"n{i}", f"y{i}", False) for i in range(len(non))]
@@ -84,7 +90,8 @@ class TestScoreTrials:
     def test_order_preserved_and_inputs_untouched(self):
         trials = [Trial("a", "b", True), Trial("b", "ortho", False)]
         scored = score_trials(*rows_and_index(self.EMB, trials))
-        assert [(t.enroll, t.test) for t in scored.index.trials] == [("a", "b"), ("b", "ortho")]
+        assert [(t.enroll, t.test) for t in trial_list(scored.index)] == [
+            ("a", "b"), ("b", "ortho")]
         assert trials == [Trial("a", "b", True), Trial("b", "ortho", False)]
 
     def test_unknown_reference_names_trial(self):
@@ -128,7 +135,7 @@ class TestScoreTrials:
         pairs = rng.integers(0, n_files, size=(n_trials, 2))
         trials = [Trial(f"f{a}", f"f{b}", i % 2 == 0) for i, (a, b) in enumerate(pairs)]
         scored = score_trials(*rows_and_index(emb, trials))
-        assert [(t.enroll, t.test, t.is_target) for t in scored.index.trials] == \
+        assert [(t.enroll, t.test, t.is_target) for t in trial_list(scored.index)] == \
             [(t.enroll, t.test, t.is_target) for t in trials]
         assert scored.values.tolist() == \
             [cosine_similarity(emb[t.enroll], emb[t.test]) for t in trials]
@@ -198,9 +205,10 @@ class TestEer:
         rng = np.random.default_rng(35)
         trials = trials_from(rng.normal(0.5, 1.0, 30), rng.normal(0.0, 1.0, 30))
         base = eer(trials).eer
+        listed = trial_list(trials.index)
         for _ in range(5):
             order = rng.permutation(trials.values.size)
-            perm = scores_of([trials.index.trials[i] for i in order], trials.values[order])
+            perm = scores_of([listed[i] for i in order], trials.values[order])
             assert eer(perm).eer == base
 
     def test_threshold_sits_at_crossing(self):
@@ -347,9 +355,10 @@ def snorm_cases(draw):
 
 def scalar_snorm(scored, emb, cohort, std_mode):
     """Trial-by-trial adaptive_snorm; a degenerate trial raises."""
-    return scores_of(scored.index.trials, [
+    trials = trial_list(scored.index)
+    return scores_of(trials, [
         adaptive_snorm(score, emb[t.enroll], emb[t.test], cohort, std_mode)
-        for t, score in zip(scored.index.trials, scored.values)
+        for t, score in zip(trials, scored.values)
     ])
 
 
@@ -374,11 +383,11 @@ class TestSnormAgainstScalarOracle:
             expected = scalar_snorm(scored, emb, cohort, std_mode)
         except DegenerateCohortError:
             with pytest.raises(DegenerateCohortError):
-                snorm_trials(*rows_and_index(emb, scored.index.trials), cohort, std_mode)
+                snorm_trials(*rows_and_index(emb, trial_list(scored.index)), cohort, std_mode)
             return
-        got = snorm_trials(*rows_and_index(emb, scored.index.trials), cohort, std_mode)
-        assert [(t.enroll, t.test, t.is_target) for t in got.index.trials] == [
-            (t.enroll, t.test, t.is_target) for t in scored.index.trials
+        got = snorm_trials(*rows_and_index(emb, trial_list(scored.index)), cohort, std_mode)
+        assert [(t.enroll, t.test, t.is_target) for t in trial_list(got.index)] == [
+            (t.enroll, t.test, t.is_target) for t in trial_list(scored.index)
         ]
         assert got.values.tolist() == expected.values.tolist()
 
@@ -391,7 +400,7 @@ class TestSnormAgainstScalarOracle:
         best, best_eer, warnings = None, None, []
         for top_n in sorted(set(candidates)):
             cohort = Cohort(cohort_rows, top_n)
-            degenerate = next((t for t, score in zip(scored.index.trials, scored.values)
+            degenerate = next((t for t, score in zip(trial_list(scored.index), scored.values)
                                if is_degenerate(t, score, emb, cohort, std_mode)), None)
             if degenerate is not None:
                 warnings.append(
@@ -405,7 +414,7 @@ class TestSnormAgainstScalarOracle:
         if np.all(cohort_rows == cohort_rows[0]):
             assert best is None  # identical rows leave no spread at any top_n
 
-        staged = rows_and_index(emb, scored.index.trials)
+        staged = rows_and_index(emb, trial_list(scored.index))
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="spklab.scoring"):
             if best is None:
@@ -440,7 +449,7 @@ class TestSnormBlocks:
         emb, cohort_rows, scored, std_mode = case
         top_n = data.draw(st.integers(2, len(cohort_rows)))
         candidates = data.draw(st.lists(st.integers(2, len(cohort_rows)), min_size=1, max_size=7))
-        staged = rows_and_index(emb, scored.index.trials)
+        staged = rows_and_index(emb, trial_list(scored.index))
         default = snorm_outcome(staged, cohort_rows, top_n, candidates, std_mode)
         n_cells = len(emb) * len(cohort_rows)
         for block_cells in (1, 3 * len(cohort_rows), n_cells, n_cells + 1):
@@ -652,14 +661,29 @@ class TestTuneCohortSize:
 
 class TestFileFormats:
     def test_trials_round_trip(self, tmp_path):
-        trials = [Trial("e1", "t1", True), Trial("e2", "t2", False)]
+        index = TrialIndex.of([Trial("e1", "t1", True), Trial("e2", "t2", False)],
+                              ["e1", "e2", "t1", "t2"])
         path = tmp_path / "trials.txt"
-        write_trials(path, trials)
+        write_trials(path, index)
         assert path.read_text() == "1 e1 t1\n0 e2 t2\n"
         back = read_trials(path)
         assert [(t.enroll, t.test, t.is_target) for t in back] == [
             ("e1", "t1", True), ("e2", "t2", False)
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_files=st.integers(1, 8), n_trials=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_written_index_reads_back_as_its_trials(self, tmp_path_factory, n_files, n_trials,
+                                                     seed):
+        # any index over any file order: written, then read, it gives the trials it was made of
+        rng = np.random.default_rng(seed)
+        ids = [f"f{i}" for i in rng.permutation(n_files)]
+        trials = [Trial(ids[a], ids[b], bool(rng.integers(2)))
+                  for a, b in rng.integers(0, n_files, size=(n_trials, 2))]
+        path = tmp_path_factory.mktemp("trials") / "trials.txt"
+        write_trials(path, TrialIndex.of(trials, ids))
+        assert read_trials(path) == trials
 
     def test_bad_trial_line(self, tmp_path):
         path = tmp_path / "trials.txt"
