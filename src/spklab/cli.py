@@ -61,7 +61,8 @@ def cmd_evaluate(args, config, dataset) -> int:
     ckpt, _ = training.load_checkpoint(args.checkpoint)
     opts = experiment.eval_options(config)
 
-    result = experiment.evaluate_encoder(ckpt.encoder, dataset, args.out, opts, args.seed)
+    scored = experiment.score_test(ckpt.encoder, dataset, args.out, opts)
+    result = experiment.report_one(scored, opts, args.seed)
     raw, norm = result.raw, result.normalized
     print(f"raw EER {raw.eer:.4f} [{raw.ci_low:.4f}, {raw.ci_high:.4f}]")
     if norm is not None:
@@ -78,6 +79,8 @@ def cmd_compare(args, config, dataset) -> int:
             norm = "n/a" if result.normalized is None else f"{result.normalized.eer:.4f}"
             print(f"{kind}: raw {result.raw.eer:.4f} snorm {norm}")
     print(f"comparison table: {os.path.join(args.out, 'compare.csv')}")
+    if all(result is None for _, result in results):
+        raise DomainError(f"every loss failed: {os.path.join(args.out, 'failures.txt')}")
     return 0
 
 
@@ -117,6 +120,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         if not args.out:  # an empty --out would put every output file in the working directory
             raise ConfigError("--out must name a directory, got ''")
+        part = args.out
+        while part and not os.path.exists(part):  # its deepest existing part must be a directory
+            part = os.path.dirname(part)
+        if part and not os.path.isdir(part):
+            raise ConfigError(f"--out must name a directory, but {part} is a file")
         config = empty_config() if args.config is None else parse_config(args.config)
         dataset = ds.load_dataset(args.data) if "data" in args else None
         return args.func(args, config, dataset)

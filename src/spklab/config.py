@@ -41,16 +41,8 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.replace(",", " ").split())
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.replace(",", " ").split())
-
-
-def _parse_strs(raw: str) -> tuple[str, ...]:
-    return tuple(v for v in raw.replace(",", " ").split())
+def _parse_list(convert):  # a comma- or space-separated list, each item read by `convert`
+    return lambda raw: tuple(convert(v) for v in raw.replace(",", " ").split())
 
 
 SCHEMA: dict[str, dict[str, object]] = {
@@ -78,9 +70,9 @@ SCHEMA: dict[str, dict[str, object]] = {
         "margin": float,
         "lambda": float,
         "center_penalty": str,
-        "alpha_grid": _parse_floats,
-        "margin_grid": _parse_floats,
-        "lambda_grid": _parse_floats,
+        "alpha_grid": _parse_list(float),
+        "margin_grid": _parse_list(float),
+        "lambda_grid": _parse_list(float),
     },
     "training": {
         "learning_rate": float,
@@ -90,15 +82,15 @@ SCHEMA: dict[str, dict[str, object]] = {
         "chunks_per_speaker": int,
         "augment_snr_low": float,
         "augment_snr_high": float,
-        "lr_grid": _parse_floats,
-        "speakers_grid": _parse_ints,
-        "chunks_grid": _parse_ints,
+        "lr_grid": _parse_list(float),
+        "speakers_grid": _parse_list(int),
+        "chunks_grid": _parse_list(int),
     },
     "eval": {
         "n_bootstrap": int,
-        "top_n_candidates": _parse_ints,
+        "top_n_candidates": _parse_list(int),
         "snorm_std": str,
-        "compare_losses": _parse_strs,
+        "compare_losses": _parse_list(str),
         "use_snorm": _parse_bool,
     },
 }

@@ -135,14 +135,13 @@ def top_n_candidates(cohort_size: int, opts: EvalOptions) -> list[int]:
 class ExperimentResult:
     """One scored encoder, written under `out_dir`: its raw test scores, the normalized ones
     at the tuned cohort size unless s-norm is off or failed (its error kept), a trained
-    loss's kind and chosen config, and the reports `write_reports` fills in."""
+    loss's chosen config (which names its kind), and the reports `write_reports` fills in."""
 
     out_dir: str | os.PathLike
     raw_scores: scoring.Scores
     normalized_scores: scoring.Scores | None = None
     top_n: int | None = None
     snorm_error: DomainError | None = None
-    loss_kind: str | None = None
     config: training.TrainConfig | None = None
     raw: scoring.EerReport | None = None
     normalized: scoring.EerReport | None = None
@@ -156,7 +155,7 @@ class ExperimentResult:
     def csv_row(self) -> str:
         snorm, improvement = ((math.nan, math.nan) if self.normalized is None
                               else (self.normalized.eer, self.improvement_pct))
-        return (f"{self.loss_kind},{self.raw.eer:.9g},{self.raw.ci_low:.9g},"
+        return (f"{self.config.loss_kind},{self.raw.eer:.9g},{self.raw.ci_low:.9g},"
                 f"{self.raw.ci_high:.9g},{snorm:.9g},{improvement:.9g}")
 
 
@@ -213,7 +212,7 @@ def write_reports(
     return out
 
 
-def _report_one(result: ExperimentResult, opts: EvalOptions, seed: int) -> ExperimentResult:
+def report_one(result: ExperimentResult, opts: EvalOptions, seed: int) -> ExperimentResult:
     """The one record `write_reports` reports; raises its s-norm failure, if any."""
     result, = write_reports([result], opts, seed)
     if result.snorm_error is not None:
@@ -221,17 +220,9 @@ def _report_one(result: ExperimentResult, opts: EvalOptions, seed: int) -> Exper
     return result
 
 
-def evaluate_encoder(
-    encoder, dataset: SpeakerDataset, out_dir, opts: EvalOptions, seed: int
-) -> ExperimentResult:
-    """Score the test trials (`score_test`) and write their scores and reports under
-    `out_dir`, the raw report even when s-norm fails."""
-    return _report_one(score_test(encoder, dataset, out_dir, opts), opts, seed)
-
-
 def train_and_score(
-    dataset: SpeakerDataset, loss_kind: str, out_dir,
-    grid: list[training.TrainConfig], opts: EvalOptions, grid_epochs: int | None = None,
+    dataset: SpeakerDataset, out_dir, grid: list[training.TrainConfig], opts: EvalOptions,
+    grid_epochs: int | None = None,
 ) -> ExperimentResult:
     """Grid-search `grid`, continue the winner's run to the full budget, the first config's
     epochs, save its best checkpoint (the untrained snapshot at 0) and score the test trials
@@ -250,8 +241,7 @@ def train_and_score(
 
     training.save_checkpoint(os.path.join(out_dir, "best.ckpt"), best, chosen)
     write_echo(os.path.join(out_dir, "config_echo.txt"), chosen)
-    scored = score_test(best.encoder, dataset, out_dir, opts)
-    return replace(scored, loss_kind=loss_kind, config=chosen)
+    return replace(score_test(best.encoder, dataset, out_dir, opts), config=chosen)
 
 
 def run_experiment(
@@ -265,19 +255,22 @@ def run_experiment(
     grid: list[training.TrainConfig],
     eval_options: EvalOptions,
 ) -> ExperimentResult:
-    """Full per-loss protocol over the candidate configs of `grid`, the one-loss case of
-    `compare_losses`; writes scores, reports, and the selected checkpoint under `out_dir`
-    and returns the reported record, or raises its s-norm failure. The full budget is
-    `budget_epochs`, or the grid configs' own epochs."""
+    """Full per-loss protocol over the candidate configs of `grid`, each of which must train
+    `loss_kind`, the one-loss case of `compare_losses`; writes scores, reports, and the
+    selected checkpoint under `out_dir` and returns the reported record, or raises its
+    s-norm failure. The full budget is `budget_epochs`, or the grid configs' own epochs."""
+    for config in grid:  # before anything trains or is written
+        if config.loss_kind != loss_kind:
+            raise DomainError(f"a {loss_kind} run got a grid config that trains {config.loss_kind}")
     if budget_epochs is not None:
         grid = [replace(config, epochs=budget_epochs) for config in grid]
-    scored = train_and_score(dataset, loss_kind, out_dir, grid, eval_options, grid_epochs)
-    return _report_one(scored, eval_options, seed)
+    scored = train_and_score(dataset, out_dir, grid, eval_options, grid_epochs)
+    return report_one(scored, eval_options, seed)
 
 
 def _write_result_summary(path, result: ExperimentResult) -> None:
     lines = [
-        f"loss: {result.loss_kind}",
+        f"loss: {result.config.loss_kind}",
         f"eer_raw: {result.raw.eer!r}",
         f"ci_low: {result.raw.ci_low!r}",
         f"ci_high: {result.raw.ci_high!r}",
@@ -324,18 +317,19 @@ def compare_losses(
     errors: dict[str, Exception] = {}
     for kind in loss_kinds:
         try:
-            scored.append(train_and_score(dataset, kind, os.path.join(out_dir, kind),
-                                          grids[kind], opts, grid_epochs))
+            scored.append(train_and_score(dataset, os.path.join(out_dir, kind), grids[kind],
+                                          opts, grid_epochs))
         except (DomainError, TrainingDiverged, OSError) as exc:
             logger.warning("loss %s failed: %s", kind, exc)
             errors[kind] = exc
     results: dict[str, ExperimentResult | None] = dict.fromkeys(loss_kinds)
     for result in write_reports(scored, opts, seed):
+        kind = result.config.loss_kind
         if result.snorm_error is None:
-            results[result.loss_kind] = result
+            results[kind] = result
         else:
-            logger.warning("loss %s failed: %s", result.loss_kind, result.snorm_error)
-            errors[result.loss_kind] = result.snorm_error
+            logger.warning("loss %s failed: %s", kind, result.snorm_error)
+            errors[kind] = result.snorm_error
 
     csv_lines = [COMPARE_CSV_HEADER]
     for kind, result in results.items():

@@ -119,17 +119,15 @@ class CenterLossParams:
 class LossOutput:
     """Scalar loss plus gradients, shaped exactly like their parameters.
 
-    `reduction` reports how the terms were combined (classification losses
-    are batch means, contrast losses are sums over the batch's tuples) so
-    learning rates stay interpretable across families. A loss builds its
-    output once, from its final value and gradients, so the one check below
-    (a finite, non-negative value) covers every kind's result.
+    `n_terms` counts the terms combined: the batch's rows for a classification loss, the
+    pairs or triplets a contrast loss sums over. A loss builds its output once, from its
+    final value and gradients, so the one check below (a finite, non-negative value)
+    covers every kind's result.
     """
 
     value: float
     grad_embeddings: np.ndarray | None = None
     grads: dict[str, np.ndarray] = field(default_factory=dict)  # centers, bias, gamma
-    reduction: str = "mean"
     n_terms: int = 0
 
     def __post_init__(self):
@@ -286,8 +284,7 @@ def cross_entropy(logits: Logits, labels) -> LossOutput:
     dlogits[rows, y] -= 1.0
     dlogits /= n
     grad_embeddings, grads = logits.backward(dlogits)
-    return LossOutput(float(-logp[rows, y].mean()), grad_embeddings, grads,
-                      reduction="mean", n_terms=n)
+    return LossOutput(float(-logp[rows, y].mean()), grad_embeddings, grads, n_terms=n)
 
 
 def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLossParams) -> LossOutput:
@@ -323,8 +320,7 @@ def center_loss(embeddings, labels, params: ClassifierParams, cparams: CenterLos
     np.add.at(grad_gamma, y, (w / g_norms)[:, None] * (u - s[:, None] * g_unit))
     return LossOutput(float(ce.value + 0.5 * lam * pen.sum()),
                       ce.grad_embeddings + (w / xn)[:, None] * (g_unit - s[:, None] * u),
-                      ce.grads | {"gamma": grad_gamma},
-                      reduction="mean_ce+sum_penalty", n_terms=ce.n_terms)
+                      ce.grads | {"gamma": grad_gamma}, n_terms=ce.n_terms)
 
 
 def _pair_cosines(u: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -371,7 +367,7 @@ def contrastive_loss(embeddings, pairs: TupleIndex, hyper: LossHyper) -> LossOut
         _accumulate_pair_grads(dx, u, xn, i, j, s, np.where(active, 2.0 * h, 0.0))
 
     n_terms = len(pairs.positives) + len(pairs.negatives)
-    return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=n_terms)
+    return LossOutput(value, grad_embeddings=dx, n_terms=n_terms)
 
 
 def _check_triplets(embeddings, labels, triplets: np.ndarray):
@@ -407,7 +403,7 @@ def triplet_loss_hinge(embeddings, labels, tuples: TupleIndex, hyper: LossHyper)
     triplets = tuples.triplets
     x, u, xn = _check_triplets(embeddings, labels, triplets)
     if len(triplets) == 0:
-        return LossOutput(0.0, grad_embeddings=np.zeros_like(x), reduction="sum")
+        return LossOutput(0.0, grad_embeddings=np.zeros_like(x))
 
     a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     g = _pair_cosines(u, a, n) - _pair_cosines(u, a, p) + hyper.margin
@@ -415,7 +411,7 @@ def triplet_loss_hinge(embeddings, labels, tuples: TupleIndex, hyper: LossHyper)
     value = float(g[active].sum())
     w = active.astype(np.float64)
     dx = _triplet_grads(x, u, xn, triplets, w, -w)
-    return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=len(triplets))
+    return LossOutput(value, grad_embeddings=dx, n_terms=len(triplets))
 
 
 def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHyper) -> LossOutput:
@@ -427,14 +423,14 @@ def triplet_loss_sigmoid(embeddings, labels, tuples: TupleIndex, hyper: LossHype
     triplets = tuples.triplets
     x, u, xn = _check_triplets(embeddings, labels, triplets)
     if len(triplets) == 0:
-        return LossOutput(0.0, grad_embeddings=np.zeros_like(x), reduction="sum")
+        return LossOutput(0.0, grad_embeddings=np.zeros_like(x))
 
     a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     sig = stable_sigmoid(hyper.alpha * (_pair_cosines(u, a, n) - _pair_cosines(u, a, p)))
     value = float(sig.sum())
     w = hyper.alpha * sig * (1.0 - sig)
     dx = _triplet_grads(x, u, xn, triplets, w, -w)
-    return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=len(triplets))
+    return LossOutput(value, grad_embeddings=dx, n_terms=len(triplets))
 
 
 def _scratch(scratch: dict[str, np.ndarray] | None, name: str, shape) -> np.ndarray:
@@ -476,7 +472,7 @@ def contrastive_loss_dense(embeddings, labels, hyper: LossHyper, scratch=None) -
     g_sym = np.add(h, h.T, out=_scratch(scratch, "g_sym", s.shape))  # W = G + G^T
     dx = _cosine_grads(g_sym, np.multiply(g_sym, s, out=h), u, xn, u)
     value = float(terms[upper].sum())
-    return LossOutput(value, grad_embeddings=dx, reduction="sum", n_terms=n * (n - 1) // 2)
+    return LossOutput(value, grad_embeddings=dx, n_terms=n * (n - 1) // 2)
 
 
 def _anchor_positives(y: np.ndarray):
@@ -528,8 +524,7 @@ def _triplet_loss_dense(embeddings, labels, term, slope, scratch=None) -> LossOu
     g[rows, p] -= w.sum(axis=2)  # weight on S[a, p]; padding adds 0 to S[a, a]
     g_sym = np.add(g, g.T, out=_scratch(scratch, "g_sym", s.shape))  # W = G + G^T
     dx = _cosine_grads(g_sym, np.multiply(g_sym, s, out=g), u, xn, u)
-    return LossOutput(value, grad_embeddings=dx, reduction="sum",
-                      n_terms=int(np.count_nonzero(mask)))
+    return LossOutput(value, grad_embeddings=dx, n_terms=int(np.count_nonzero(mask)))
 
 
 def triplet_loss_hinge_dense(embeddings, labels, hyper: LossHyper, scratch=None) -> LossOutput:
@@ -603,12 +598,13 @@ class LossState:
 
 @dataclass(frozen=True)
 class LossKind:
-    """What a loss kind is: the `sampling.BATCH_MODES` mode of its batches, the
-    arrays it trains (of TRAINED_ARRAYS, in draw order), the hyper-parameters
-    it reads (of "alpha", "margin", "lam"), the TrainConfig fields where its
-    tuned point differs from TrainConfig's defaults (aam's point), its
-    evaluation of one batch as (embeddings, labels, LossState) -> LossOutput,
-    and the closed range of each hyper-parameter it bounds beyond LossHyper's."""
+    """What a loss kind is: the `sampling.form_tuples` mode of its batches
+    ("classification", "pairs" or "triplets"), the arrays it trains (of
+    TRAINED_ARRAYS, in draw order), the hyper-parameters it reads (of "alpha",
+    "margin", "lam"), the TrainConfig fields where its tuned point differs from
+    TrainConfig's defaults (aam's point), its evaluation of one batch as
+    (embeddings, labels, LossState) -> LossOutput, and the closed range of each
+    hyper-parameter it bounds beyond LossHyper's."""
 
     mode: str
     arrays: tuple[str, ...]

@@ -34,9 +34,6 @@ import numpy as np
 
 from spklab.errors import DomainError
 
-BATCH_MODES = ("classification", "pairs", "triplets")
-
-
 @dataclass
 class TupleIndex:
     """Pair and triplet index lists formed over one batch.
@@ -179,7 +176,7 @@ def form_triplets(labels) -> TupleIndex:
 
 
 def form_tuples(labels, mode: str) -> TupleIndex:
-    """Tuple formation appropriate for a `BATCH_MODES` mode (empty for classification)."""
+    """Tuple formation for a batch mode: "pairs", "triplets", or "classification" (empty)."""
     if mode == "pairs":
         return form_pairs(labels)
     if mode == "triplets":

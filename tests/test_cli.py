@@ -375,6 +375,45 @@ def test_empty_out_fails_before_any_work(workdir, capsys, monkeypatch, command):
     assert not list(cwd.iterdir())
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
+def test_out_at_a_file_fails_before_any_work(workdir, capsys, monkeypatch, command, under):
+    # an --out at a file, or under one, fails before the dataset is read or a loss
+    # trains, naming the file, which keeps its bytes
+    tmp_path, cfg, data = workdir
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    monkeypatch.setattr("spklab.dataset.load_dataset", lambda *args: pytest.fail("the dataset was read"))
+    monkeypatch.setattr(training, "continue_run", lambda *args: pytest.fail("a loss trained"))
+    args = [command, "--config", str(cfg), "--out", str(taken / "run" if under else taken)]
+    if command != "gen-data":
+        args += ["--data", str(data)]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out must name a directory, but {taken} is a file"]
+    assert taken.read_bytes() == b"not a directory\n"
+
+
+def test_compare_in_which_every_loss_failed_exits_1(workdir, capsys):
+    # no contrast-loss batch shape has the two chunks a tuple needs: compare.csv and
+    # failures.txt are still written, then the run ends with one error line
+    tmp_path, cfg, data = workdir
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(with_setting("training", "chunks_grid = 1").replace(
+        "compare_losses = aam, coco", "compare_losses = contrastive, triplet_sigmoid"))
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    assert main(["compare", "--config", str(bad), "--seed", "3",
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: every loss failed: {out / 'failures.txt'}")
+    assert (out / "compare.csv").read_text().splitlines()[1:] == [
+        "contrastive,nan,nan,nan,nan,nan", "triplet_sigmoid,nan,nan,nan,nan,nan"]
+    assert [line.split(":")[0] for line in (out / "failures.txt").read_text().splitlines()] == [
+        "contrastive", "triplet_sigmoid"]
+
+
 def test_parser_table_gives_each_subcommand_its_flags():
     # every subcommand takes --config, --seed and --out; every one but gen-data
     # requires --data, and evaluate alone takes --checkpoint, which it requires
@@ -502,7 +541,8 @@ def test_out_of_domain_value_fails_before_training(workdir, capsys, monkeypatch,
     text = "".join(line for line in text.splitlines(True) if not line.startswith(f"{key} = "))
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{setting}\n"))
-    monkeypatch.setattr(training, "train", lambda *args: pytest.fail("a loss trained"))
+    # train, grid_search and train_and_score all train through continue_run
+    monkeypatch.setattr(training, "continue_run", lambda *args: pytest.fail("a loss trained"))
     out = tmp_path / "run"
     capsys.readouterr()
     assert main([command, "--config", str(bad), "--seed", "3",

@@ -188,6 +188,21 @@ class TestRunExperiment:
         ckpt, echo = training.load_checkpoint(tmp_path / "run" / "best.ckpt")
         assert echo["loss_kind"] == "'coco'"
         assert "centers" in ckpt.encoder.loss_arrays
+        assert (tmp_path / "run" / "result.txt").read_text().startswith("loss: coco\n")
+        assert result.csv_row().startswith("coco,")
+
+    def test_grid_config_of_another_kind_fails_before_training(self, data, tmp_path,
+                                                               monkeypatch):
+        # the record's kind is its config's, so a grid that trains another kind than the
+        # run names would write a summary that contradicts its own checkpoint
+        coco = replace(experiment.base_config("coco", data, 0, empty_config()),
+                       speakers_per_batch=5)
+        aam = replace(coco, loss_kind="aam")
+        monkeypatch.setattr(training, "continue_run", lambda *args: pytest.fail("trained"))
+        with pytest.raises(DomainError, match=r"^a coco run got a grid config that trains aam$"):
+            experiment.run_experiment(data, "coco", tmp_path / "run", seed=0, budget_epochs=1,
+                                      grid=[coco, aam], eval_options=EVAL)
+        assert not (tmp_path / "run").exists()
 
 
 class TestTrainAndScore:
@@ -210,7 +225,7 @@ class TestTrainAndScore:
         monkeypatch.setattr(encoder, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
         monkeypatch.setattr(training, "init_run",
                             lambda *args: runs.append(args[0]) or init_run(*args))
-        experiment.train_and_score(data, "aam", tmp_path / "run", grid, EVAL, grid_epochs=1)
+        experiment.train_and_score(data, tmp_path / "run", grid, EVAL, grid_epochs=1)
         per_epoch = [-(-n_train // config.speakers_per_batch) for config in grid]
         assert len(steps) == sum(per_epoch) + 2 * per_epoch[grid.index(winner)]
         assert runs == grid
@@ -221,13 +236,13 @@ class TestTrainAndScore:
         if epochs:  # an explicit grid budget above the full one fails before training
             with pytest.raises(ConfigError, match=r"^\[training\] grid_epochs must be at most "
                                                   r"epochs \(2\), got 3$"):
-                experiment.train_and_score(data, "aam", tmp_path / "run", grid, EVAL,
+                experiment.train_and_score(data, tmp_path / "run", grid, EVAL,
                                            grid_epochs=3)
             assert not (tmp_path / "run").exists()
             return
         # at a full budget of 0 the default grid budget is 0 too: nothing is ranked, and the
         # first config's untrained snapshot is saved
-        result = experiment.train_and_score(data, "aam", tmp_path / "run", grid, EVAL)
+        result = experiment.train_and_score(data, tmp_path / "run", grid, EVAL)
         chosen = grid[0]
         retrained = training.best_checkpoint(pool, chosen, dev, training.train(pool, chosen, dev))
         assert retrained.epoch == -1
@@ -241,7 +256,7 @@ class TestTrainAndScore:
 
     def test_grid_of_one_trains_without_a_search(self, data, tmp_path):
         config = self.grid(data, epochs=2)[0]
-        result = experiment.train_and_score(data, "aam", tmp_path / "run", [config], EVAL,
+        result = experiment.train_and_score(data, tmp_path / "run", [config], EVAL,
                                             grid_epochs=1)
         assert result.config == config
         # divergence raises the text a fresh run of the config raises
@@ -251,7 +266,7 @@ class TestTrainAndScore:
         with pytest.raises(TrainingDiverged) as fresh, np.errstate(all="ignore"):
             training.train(pool, bad, dev)
         with pytest.raises(TrainingDiverged) as scored, np.errstate(all="ignore"):
-            experiment.train_and_score(data, "ce", tmp_path / "bad", [bad], EVAL, grid_epochs=1)
+            experiment.train_and_score(data, tmp_path / "bad", [bad], EVAL, grid_epochs=1)
         assert str(scored.value) == str(fresh.value)
         assert not (tmp_path / "bad").exists()
 
@@ -274,9 +289,11 @@ class TestEvaluateEncoder:
         (tmp_path / "snorm").mkdir()
         (tmp_path / "raw").mkdir()
         with pytest.raises(DomainError, match="every candidate cohort size was degenerate"):
-            experiment.evaluate_encoder(params, flat, tmp_path / "snorm", EVAL, seed=1)
+            experiment.report_one(experiment.score_test(params, flat, tmp_path / "snorm", EVAL),
+                                  EVAL, seed=1)
         raw_only = replace(EVAL, use_snorm=False)
-        experiment.evaluate_encoder(params, flat, tmp_path / "raw", raw_only, seed=1)
+        experiment.report_one(experiment.score_test(params, flat, tmp_path / "raw", raw_only),
+                              raw_only, seed=1)
         names = sorted(path.name for path in (tmp_path / "raw").iterdir())
         assert names == ["det_raw.csv", "report_raw.txt", "scores_test_raw.txt"]
         assert sorted(path.name for path in (tmp_path / "snorm").iterdir()) == names

@@ -1,6 +1,8 @@
 """Import direction between the package's layers: the data layer and the encoder load
-nothing of the layers that use them."""
+nothing of the layers that use them; and every function the benchmark traces exists."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +31,17 @@ def loaded_modules(module):
 def test_lower_layer_loads_no_upper_one(module, above):
     loaded = loaded_modules(module)
     assert module in loaded and not loaded & above, sorted(loaded & above)
+
+
+def test_every_benchmark_span_target_exists():
+    # the benchmark reports a renamed or deleted target as absent and leaves its metrics
+    # out; here such a target fails the tests instead
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    absent = [f"spklab.{t.module}.{t.function}" for t in spans.TARGETS
+              if not callable(getattr(importlib.import_module(f"spklab.{t.module}"),
+                                      t.function, None))]
+    assert spans.TARGETS
+    assert not absent, absent

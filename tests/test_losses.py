@@ -505,7 +505,6 @@ class TestDenseAgainstTupleOracle:
         expected = oracle(kind, x, y, hyper)
         assert abs(dense.value - expected.value) <= 1e-12 * abs(expected.value)
         assert dense.n_terms == expected.n_terms
-        assert dense.reduction == expected.reduction == "sum"
         # 1e-12 absolute on gradients of order one; a batch whose hinge
         # terms add up to a gradient in the hundreds gets the same 1e-12
         # relative to its largest entry, as the two paths sum in different
@@ -568,7 +567,7 @@ def select_contrastive(x, labels, hyper):
     slopes = np.where(same, -2.0 * (1.0 - s), np.where(active, 2.0 * h, 0.0))
     dx = batch_grads(np.where(upper, slopes, 0.0), u, xn, s)
     return losses.LossOutput(float(terms[upper].sum()), grad_embeddings=dx,
-                             reduction="sum", n_terms=int(upper.sum()))
+                             n_terms=int(upper.sum()))
 
 
 def select_triplet(x, labels, term):
@@ -591,7 +590,7 @@ def select_triplet(x, labels, term):
     g[rows, p] -= w.sum(axis=2)
     dx = batch_grads(g, u, xn, s)
     return losses.LossOutput(float(terms[mask].sum()), grad_embeddings=dx,
-                             reduction="sum", n_terms=int(mask.sum()))
+                             n_terms=int(mask.sum()))
 
 
 def select_oracle(kind, x, y, hyper):
@@ -717,7 +716,7 @@ class TestLossStateDispatch:
         out = losses.evaluate_loss(kind, x, y, state)
         expected = named_loss(kind, x, y, state)
         assert_same_bits(out, expected)
-        assert out.reduction == expected.reduction
+        assert out.n_terms == expected.n_terms
         assert list(out.grads) == list(expected.grads) == list(TRAINED[kind])
         for name, grad in out.grads.items():
             assert grad.tobytes() == expected.grads[name].tobytes()
@@ -772,7 +771,7 @@ class TestLossStateDispatch:
     def test_output_is_frozen(self):
         state = losses.init_loss_state("ce", 2, 2, LossHyper(), np.random.default_rng(25))
         out = losses.evaluate_loss("ce", np.eye(2), np.array([0, 1]), state)
-        for name, value in (("value", 0.0), ("grads", {}), ("reduction", "sum")):
+        for name, value in (("value", 0.0), ("grads", {}), ("n_terms", 1)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(out, name, value)
 
@@ -781,11 +780,10 @@ class TestLossStateDispatch:
         x = rng.standard_normal((4, 4))
         y = np.array([0, 0, 1, 1])
         state = losses.init_loss_state("ce", 2, 4, LossHyper(), rng)
-        assert losses.evaluate_loss("ce", x, y, state).reduction == "mean"
+        assert losses.evaluate_loss("ce", x, y, state).n_terms == 4  # the batch's rows
         state = losses.init_loss_state("contrastive", 2, 4, LossHyper(margin=0.2), rng)
         out = losses.evaluate_loss("contrastive", x, y, state)
-        assert out.reduction == "sum"
-        assert out.n_terms == 6
+        assert out.n_terms == 6  # its 4 choose 2 pairs
 
 
 def readme_batch(kind):
