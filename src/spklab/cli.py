@@ -121,10 +121,11 @@ def main(argv=None) -> int:
         if not args.out:  # an empty --out would put every output file in the working directory
             raise ConfigError("--out must name a directory, got ''")
         part = args.out
-        while part and not os.path.exists(part):  # its deepest existing part must be a directory
+        while part and not os.path.lexists(part):  # its deepest existing part must be a directory
             part = os.path.dirname(part)
         if part and not os.path.isdir(part):
-            raise ConfigError(f"--out must name a directory, but {part} is a file")
+            what = "a file" if os.path.exists(part) else "a link to nothing"
+            raise ConfigError(f"--out must name a directory, but {part} is {what}")
         config = empty_config() if args.config is None else parse_config(args.config)
         dataset = ds.load_dataset(args.data) if "data" in args else None
         return args.func(args, config, dataset)

@@ -299,11 +299,9 @@ def check_n_bootstrap(n_bootstrap: int) -> None:
 def _draw_blocks(seed: int, n_bootstrap: int, n_tar: int, n_non: int, rows: int):
     """Yield (start, draws) for each block of up to `rows` resamples: row r of `draws` holds
     the trial positions of resample start + r, the target draws, then the non-target draws
-    shifted by n_tar, of `default_rng((seed, start + r))`. `draws` is one buffer of the
-    smallest unsigned type that holds the positions, refilled for every block."""
-    buffer = np.empty((rows, n_tar + n_non), dtype=np.min_scalar_type(n_tar + n_non))
+    shifted by n_tar, of `default_rng((seed, start + r))`."""
     for start in range(0, n_bootstrap, rows):
-        draws = buffer[:n_bootstrap - start]
+        draws = np.empty((min(rows, n_bootstrap - start), n_tar + n_non), dtype=np.intp)
         for i, row in enumerate(draws, start):
             rng = np.random.default_rng((seed, i))
             row[:n_tar] = rng.integers(0, n_tar, size=n_tar)

@@ -375,24 +375,33 @@ def test_empty_out_fails_before_any_work(workdir, capsys, monkeypatch, command):
     assert not list(cwd.iterdir())
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("where", ["file", "under_file", "link", "under_link"])
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
-def test_out_at_a_file_fails_before_any_work(workdir, capsys, monkeypatch, command, under):
-    # an --out at a file, or under one, fails before the dataset is read or a loss
-    # trains, naming the file, which keeps its bytes
+def test_out_at_a_file_fails_before_any_work(workdir, capsys, monkeypatch, command, where):
+    # an --out at a file or a link to nothing, or under one, fails before the dataset is
+    # read or a loss trains, naming that part; a file keeps its bytes, a link its target
     tmp_path, cfg, data = workdir
-    taken = tmp_path / "taken"
-    taken.write_bytes(b"not a directory\n")
+    taken, at_file = tmp_path / "taken", where.endswith("file")
+    if at_file:
+        taken.write_bytes(b"not a directory\n")
+    else:
+        taken.symlink_to(tmp_path / "nowhere")
     monkeypatch.setattr("spklab.dataset.load_dataset", lambda *args: pytest.fail("the dataset was read"))
     monkeypatch.setattr(training, "continue_run", lambda *args: pytest.fail("a loss trained"))
-    args = [command, "--config", str(cfg), "--out", str(taken / "run" if under else taken)]
+    args = [command, "--config", str(cfg), "--out",
+            str(taken / "run" if where.startswith("under") else taken)]
     if command != "gen-data":
         args += ["--data", str(data)]
     capsys.readouterr()
     assert main(args) == 1
+    what = "a file" if at_file else "a link to nothing"
     assert capsys.readouterr().err.splitlines() == [
-        f"error: --out must name a directory, but {taken} is a file"]
-    assert taken.read_bytes() == b"not a directory\n"
+        f"error: --out must name a directory, but {taken} is {what}"]
+    if at_file:
+        assert taken.read_bytes() == b"not a directory\n"
+    else:
+        assert os.readlink(taken) == str(tmp_path / "nowhere")
+        assert not (tmp_path / "nowhere").exists()
 
 
 def test_compare_in_which_every_loss_failed_exits_1(workdir, capsys):
@@ -551,13 +560,21 @@ def test_out_of_domain_value_fails_before_training(workdir, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_compare_leaves_numpy_ma_unimported(workdir):
+@pytest.mark.parametrize("command", ["gen-data", "train", "evaluate", "compare"])
+def test_command_leaves_numpy_ma_unimported(workdir, command):
     # np.unique and np.percentile import all of numpy.ma lazily, at 10-17 ms and about
-    # 1 MB of peak RSS per process; a compare run trains, grid-searches, scores dev EERs,
-    # tunes the cohort size, bootstraps and writes DET points without them
+    # 1 MB of peak RSS per process; generating a dataset, training, evaluating and a
+    # compare run (which also grid-searches, tunes the cohort size, bootstraps and
+    # writes DET points) all run without them
     tmp_path, cfg, data = workdir
-    args = ["compare", "--config", str(cfg), "--seed", "3", "--data", str(data),
-            "--out", str(tmp_path / "cmp")]
+    args = [command, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out")]
+    if command != "gen-data":
+        args += ["--data", str(data)]
+    if command == "evaluate":
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--seed", "3", "--data", str(data),
+                     "--out", str(run)]) == 0
+        args += ["--checkpoint", str(run / "best.ckpt")]
     code = f"import sys; from spklab.cli import main; print(main({args!r}), 'numpy.ma' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,5 +1,6 @@
-"""Import direction between the package's layers: the data layer and the encoder load
-nothing of the layers that use them; and every function the benchmark traces exists."""
+"""Import direction between the package's layers: the data layer, the encoder, scoring
+and sampling load nothing of the layers that use them; and every function the benchmark
+traces exists."""
 
 import importlib
 import importlib.util
@@ -23,11 +24,16 @@ def loaded_modules(module):
     return set(run.stdout.split())
 
 
+MODULES = {f"spklab.{path.stem}" for path in Path(SRC, "spklab").glob("*.py")} - {"spklab.__init__"}
+
+
 @pytest.mark.parametrize("module, above", [
     ("spklab.dataset", {"spklab.training", "spklab.encoder", "spklab.losses",
                         "spklab.experiment"}),
     ("spklab.encoder", {"spklab.losses"}),
-], ids=["dataset", "encoder"])
+    ("spklab.scoring", MODULES - {"spklab.scoring", "spklab.embedding", "spklab.errors"}),
+    ("spklab.sampling", MODULES - {"spklab.sampling", "spklab.errors"}),
+], ids=["dataset", "encoder", "scoring", "sampling"])
 def test_lower_layer_loads_no_upper_one(module, above):
     loaded = loaded_modules(module)
     assert module in loaded and not loaded & above, sorted(loaded & above)

@@ -579,13 +579,20 @@ class TestSharedDraws:
             assert (report.ci_low, report.ci_high) == per_resample_interval(tar, non, 150, 5)
             assert (report.eer, report.threshold) == eer_from_scores(tar, non)
 
-    def test_block_holds_the_positions_in_the_smallest_unsigned_type(self):
+    def test_blocks_hold_each_resamples_draws_as_intp_rows(self):
         (start, draws), = scoring._draw_blocks(3, 100, 5, 7, rows=100)
-        assert start == 0 and draws.shape == (100, 12) and draws.dtype == np.uint8
+        assert start == 0 and draws.shape == (100, 12) and draws.dtype == np.intp
         assert draws[:, :5].max() < 5 and draws[:, 5:].min() >= 5 and draws.max() < 12
-        for n_tar, n_non in ((200, 200), (65_000, 535)):
-            (_, draws), = scoring._draw_blocks(3, 1, n_tar, n_non, rows=1)
-            assert draws.dtype == np.uint16
+        # blocks of 40 rows that do not divide 100: the last is short, and row r of the
+        # block at `start` is resample start + r's draws
+        blocks = list(scoring._draw_blocks(3, 100, 5, 7, rows=40))
+        assert [(start, block.shape) for start, block in blocks] == [
+            (0, (40, 12)), (40, (40, 12)), (80, (20, 12))]
+        for start, block in blocks:
+            assert block.dtype == np.intp
+            for i, row in enumerate(block, start):
+                r = DEFAULT_RNG((3, i))
+                assert row.tolist() == [*r.integers(0, 5, 5), *(5 + r.integers(0, 7, 7))]
 
     def test_score_sets_must_share_class_counts(self):
         with pytest.raises(DomainError, match="share class counts"):
